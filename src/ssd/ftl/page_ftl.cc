@@ -1,6 +1,7 @@
 #include "ssd/ftl/page_ftl.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "ssd/ftl/victim_policy.hh"
 
@@ -11,39 +12,97 @@ PageFtl::PageFtl(const SsdConfig &config, bool precondition)
     : config_(config), logicalPages_(config.logicalPages())
 {
     config_.validate();
-    map_.assign(static_cast<std::size_t>(logicalPages_), -1);
 
+    // Reserve every table before filling any, so the heap layout is
+    // one fixed order whether or not the drive is preconditioned.
+    map_.reserve(static_cast<std::size_t>(logicalPages_));
     planes_.resize(static_cast<std::size_t>(config_.totalPlanes()));
     for (auto &plane : planes_) {
         plane.blocks.resize(static_cast<std::size_t>(config_.blocksPerPlane));
-        for (auto &blk : plane.blocks) {
-            blk.owner.assign(static_cast<std::size_t>(config_.pagesPerBlock),
-                             -1);
-        }
+        for (auto &blk : plane.blocks)
+            blk.owner.reserve(static_cast<std::size_t>(config_.pagesPerBlock));
         plane.freeList.reserve(
             static_cast<std::size_t>(config_.blocksPerPlane));
         for (int b = config_.blocksPerPlane - 1; b >= 0; --b)
             plane.freeList.push_back(b);
     }
 
-    if (precondition) {
-        // Sequentially map the whole logical space (a full drive).
-        // Bypass the stats so preconditioning isn't counted as host
-        // traffic.
-        for (std::int64_t lpn = 0; lpn < logicalPages_; ++lpn) {
-            WriteEffect effect;
-            const int plane = static_cast<int>(
-                writeCursor_++ % static_cast<std::uint64_t>(
-                    config_.totalPlanes()));
-            const PhysAddr addr = allocate(plane, effect);
-            auto &blk = planes_[static_cast<std::size_t>(addr.plane)]
-                            .blocks[static_cast<std::size_t>(addr.block)];
-            blk.owner[static_cast<std::size_t>(addr.page)] = lpn;
-            ++blk.validPages;
-            map_[static_cast<std::size_t>(lpn)] = pack(addr);
-        }
-        stats_ = FtlStats{};
+    if (precondition)
+        fillSequential();
+
+    // What the fill left unwritten (everything, without one) is
+    // unmapped (map_) or invalid (owner): -1.
+    map_.resize(static_cast<std::size_t>(logicalPages_), -1);
+    for (auto &plane : planes_) {
+        for (auto &blk : plane.blocks)
+            blk.owner.resize(static_cast<std::size_t>(config_.pagesPerBlock),
+                             -1);
     }
+}
+
+void
+PageFtl::fillSequential()
+{
+    // The state write(0), ..., write(L - 1) leaves on an empty drive,
+    // built directly: LPN k*P + p lands on plane p, block k / ppb,
+    // page k % ppb, every plane taking blocks from the back of its
+    // free list (0, 1, 2, ...) in the same global order. Stats stay
+    // zero: preconditioning is not host traffic.
+    const int planes = config_.totalPlanes();
+    const int blocks = config_.blocksPerPlane;
+    const int ppb = config_.pagesPerBlock;
+
+    for (int p = 0; p < planes; ++p) {
+        const std::int64_t pages =
+            p < logicalPages_ ? (logicalPages_ - p + planes - 1) / planes : 0;
+        const int used = static_cast<int>((pages + ppb - 1) / ppb);
+
+        // allocate() tests the free fraction against gcThreshold on
+        // every write past a block's first page, and from block 1 on
+        // a full block exists to collect. Free space only shrinks, so
+        // the last block written past its first page decides whether
+        // the write loop would have run GC (pure churn: every victim
+        // is all-valid).
+        int probed = used - 1;
+        if (used > 0 && pages - static_cast<std::int64_t>(used - 1) * ppb < 2)
+            probed = ppb >= 2 ? used - 2 : -1;
+        if (probed >= 1
+            && static_cast<double>(blocks - probed - 1)
+                    / static_cast<double>(blocks)
+                < config_.gcThreshold) {
+            util::fatal("ftl: preconditioning would run GC: overprovision "
+                        + std::to_string(config_.overprovision)
+                        + " leaves a plane's free-block fraction under "
+                          "gcThreshold "
+                        + std::to_string(config_.gcThreshold)
+                        + " while filling the drive");
+        }
+
+        // Block b was the (b*P + p + 1)-th activation overall; its pages
+        // hold LPNs (b*ppb + page)*P + p, each written once in order.
+        Plane &plane = planes_[static_cast<std::size_t>(p)];
+        for (int b = 0; b < used; ++b) {
+            Block &blk = plane.blocks[static_cast<std::size_t>(b)];
+            blk.nextPage = static_cast<int>(std::min<std::int64_t>(
+                ppb, pages - static_cast<std::int64_t>(b) * ppb));
+            blk.validPages = blk.nextPage;
+            blk.stampedAt = static_cast<std::uint64_t>(b) * planes + p + 1;
+            std::int64_t lpn = static_cast<std::int64_t>(b) * ppb * planes + p;
+            for (int page = 0; page < blk.nextPage; ++page, lpn += planes)
+                blk.owner.push_back(lpn);
+        }
+        plane.freeList.resize(static_cast<std::size_t>(blocks - used));
+        plane.activeBlock = used - 1;
+        allocClock_ += static_cast<std::uint64_t>(used);
+    }
+
+    // map_ in LPN order: k*P + p -> pack({p, k / ppb, k % ppb}).
+    const std::int64_t plane_pages = static_cast<std::int64_t>(blocks) * ppb;
+    for (std::int64_t k = 0, lpn = 0; lpn < logicalPages_; ++k) {
+        for (int p = 0; p < planes && lpn < logicalPages_; ++p, ++lpn)
+            map_.push_back(p * plane_pages + k);
+    }
+    writeCursor_ = static_cast<std::uint64_t>(logicalPages_);
 }
 
 PhysAddr

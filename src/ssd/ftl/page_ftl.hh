@@ -28,7 +28,11 @@ class PageFtl : public FtlInterface
     /**
      * @param precondition When true, every logical page is mapped
      *        sequentially up front (a full drive), so reads always
-     *        hit mapped pages and GC pressure is realistic.
+     *        hit mapped pages and GC pressure is realistic. The
+     *        layout is built directly and equals what write(0), ...,
+     *        write(logicalPages() - 1) leaves on an empty drive, minus
+     *        the stats. Fatal when those writes would run GC, i.e.
+     *        when `overprovision` is too small for `gcThreshold`.
      */
     explicit PageFtl(const SsdConfig &config, bool precondition = true);
 
@@ -72,6 +76,7 @@ class PageFtl : public FtlInterface
         int activeBlock = -1;
     };
 
+    void fillSequential();
     PhysAddr allocate(int plane_idx, WriteEffect &effect);
     void collectGarbage(int plane_idx, WriteEffect &effect);
     void invalidate(const PhysAddr &addr);

@@ -185,7 +185,7 @@ class Scrubber
     double warmFraction(double now_us) const;
 
     /**
-     * FTL erase notification (wired via Ftl::setEraseHook): drops
+     * FTL erase notification (wired via FtlInterface::setEraseHook): drops
      * the block's warmth, cache entry and any pending refresh.
      */
     void noteErase(int plane, int block);

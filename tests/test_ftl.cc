@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "ssd/ftl.hh"
+#include "ssd/ftl/page_ftl.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -47,20 +47,20 @@ TEST(SsdConfig, ValidateRejectsNonsense)
 
 TEST(Ftl, PreconditionMapsEverything)
 {
-    const Ftl ftl(smallConfig());
+    const PageFtl ftl(smallConfig());
     for (std::int64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn)
         EXPECT_TRUE(ftl.translate(lpn).valid()) << "lpn " << lpn;
 }
 
 TEST(Ftl, UnpreconditionedStartsUnmapped)
 {
-    const Ftl ftl(smallConfig(), false);
+    const PageFtl ftl(smallConfig(), false);
     EXPECT_FALSE(ftl.translate(0).valid());
 }
 
 TEST(Ftl, WriteMapsAndRemaps)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     const auto e1 = ftl.write(7);
     EXPECT_TRUE(e1.target.valid());
     const auto a1 = ftl.translate(7);
@@ -78,7 +78,7 @@ TEST(Ftl, WriteMapsAndRemaps)
 
 TEST(Ftl, WritesStripeAcrossPlanes)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     std::set<int> planes;
     for (int i = 0; i < 4; ++i)
         planes.insert(ftl.write(i).target.plane);
@@ -87,14 +87,14 @@ TEST(Ftl, WritesStripeAcrossPlanes)
 
 TEST(Ftl, OutOfRangeLpnFatal)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     EXPECT_THROW(ftl.translate(-1), util::FatalError);
     EXPECT_THROW(ftl.write(ftl.logicalPages()), util::FatalError);
 }
 
 TEST(Ftl, GcReclaimsSpaceUnderOverwrites)
 {
-    Ftl ftl(smallConfig());
+    PageFtl ftl(smallConfig());
     util::Rng rng(1);
     // Overwrite far more pages than raw capacity; GC must keep up.
     const std::int64_t n = ftl.logicalPages();
@@ -112,7 +112,7 @@ TEST(Ftl, GcReclaimsSpaceUnderOverwrites)
 
 TEST(Ftl, SequentialOverwritesHaveLowWaf)
 {
-    Ftl ftl(smallConfig());
+    PageFtl ftl(smallConfig());
     const std::int64_t n = ftl.logicalPages();
     for (int round = 0; round < 6; ++round) {
         for (std::int64_t i = 0; i < n; ++i)
@@ -126,13 +126,13 @@ TEST(Ftl, HotColdSkewIncreasesGcEfficiencyOverRandom)
 {
     const std::int64_t writes = 6000;
 
-    Ftl random_ftl(smallConfig());
+    PageFtl random_ftl(smallConfig());
     util::Rng r1(2);
     const std::int64_t n = random_ftl.logicalPages();
     for (std::int64_t i = 0; i < writes; ++i)
         random_ftl.write(r1.uniformInt(static_cast<std::uint64_t>(n)));
 
-    Ftl hot_ftl(smallConfig());
+    PageFtl hot_ftl(smallConfig());
     util::Rng r2(2);
     for (std::int64_t i = 0; i < writes; ++i) {
         // 90% of writes to 10% of the space.
@@ -148,7 +148,7 @@ TEST(Ftl, HotColdSkewIncreasesGcEfficiencyOverRandom)
 
 TEST(Ftl, HostWritesCounted)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     for (int i = 0; i < 10; ++i)
         ftl.write(i);
     EXPECT_EQ(ftl.stats().hostWrites, 10u);
@@ -156,7 +156,7 @@ TEST(Ftl, HostWritesCounted)
 
 TEST(Ftl, FreeBlocksDecreaseWithWrites)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     const int before = ftl.freeBlocks(0);
     for (std::int64_t i = 0; i < 200; ++i)
         ftl.write(i % ftl.logicalPages());
@@ -168,7 +168,7 @@ TEST(Ftl, FreeBlocksDecreaseWithWrites)
 
 TEST(Ftl, WriteEffectReportsGc)
 {
-    Ftl ftl(smallConfig());
+    PageFtl ftl(smallConfig());
     util::Rng rng(3);
     const std::int64_t n = ftl.logicalPages();
     bool saw_gc = false;
@@ -182,7 +182,7 @@ TEST(Ftl, WriteEffectReportsGc)
 
 TEST(Ftl, RefreshBlockMigratesThenErasesUnderBudget)
 {
-    Ftl ftl(smallConfig());
+    PageFtl ftl(smallConfig());
     ASSERT_TRUE(ftl.refreshCandidate(0, 0)) << "preconditioned full block";
     const int valid = ftl.blockValidPages(0, 0);
     ASSERT_GT(valid, 0);
@@ -221,7 +221,7 @@ TEST(Ftl, RefreshBlockMigratesThenErasesUnderBudget)
 
 TEST(Ftl, RefreshReportsActiveAndFillingBlocksBusy)
 {
-    Ftl ftl(smallConfig(), false);
+    PageFtl ftl(smallConfig(), false);
     const auto e = ftl.write(0);
     const int plane = e.target.plane;
     const int block = e.target.block;
@@ -237,7 +237,7 @@ TEST(Ftl, RefreshReportsActiveAndFillingBlocksBusy)
 
 TEST(Ftl, EraseHookFiresForEveryRefreshAndGcErase)
 {
-    Ftl ftl(smallConfig());
+    PageFtl ftl(smallConfig());
     std::uint64_t fired = 0;
     std::pair<int, int> last{-1, -1};
     ftl.setEraseHook([&](int plane, int block) {

@@ -1,0 +1,313 @@
+/**
+ * @file
+ * PageFtl preconditioning against its oracle. The constructor builds
+ * the full-drive layout directly; the oracle is the same FTL built
+ * empty and filled by write(0), ..., write(L - 1). Both must agree on
+ * every mapping and block, and must then react identically (effects,
+ * stats, GC victims) to one random overwrite stream, which also pins
+ * the hidden allocation clock, block stamps and write cursor. The
+ * guard tests check that preconditioning is refused exactly when the
+ * oracle's fill would have run GC.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <tuple>
+
+#include "ssd/fleet/fleet.hh"
+#include "ssd/ftl/page_ftl.hh"
+#include "util/logging.hh"
+#include "util/rng.hh"
+
+namespace flash::ssd
+{
+namespace
+{
+
+/** One plane per channel, so `planes` can be any positive count. */
+SsdConfig
+organization(int planes, int blocks, int pages_per_block,
+             double overprovision)
+{
+    SsdConfig c;
+    c.channels = planes;
+    c.chipsPerChannel = 1;
+    c.diesPerChip = 1;
+    c.planesPerDie = 1;
+    c.blocksPerPlane = blocks;
+    c.pagesPerBlock = pages_per_block;
+    c.pageKb = 4;
+    c.overprovision = overprovision;
+    return c;
+}
+
+enum class Shape
+{
+    Default,      ///< SsdConfig{}: the full-size drive of Fig 14
+    FleetSmall,   ///< fleet::smallDeviceConfig()
+    Uneven,       ///< 3 planes do not divide the 307 logical pages
+    LastPageOnly, ///< each plane's last block gets exactly one page
+    SinglePlane,
+};
+
+SsdConfig
+shapeConfig(Shape shape)
+{
+    switch (shape) {
+      case Shape::Default:
+        return SsdConfig{};
+      case Shape::FleetSmall:
+        return fleet::smallDeviceConfig();
+      case Shape::Uneven:
+        return organization(3, 16, 8, 0.2);
+      case Shape::LastPageOnly:
+        // 256 * (1 - 62/256) = 194 = 2 planes x (12 * 8 + 1) pages.
+        return organization(2, 16, 8, 0.2421875);
+      case Shape::SinglePlane:
+        return organization(1, 16, 16, 0.2);
+    }
+    return SsdConfig{};
+}
+
+/** Pages the sequential fill puts on plane 0 (the fullest plane). */
+std::int64_t
+plane0Pages(const SsdConfig &c)
+{
+    return (c.logicalPages() + c.totalPlanes() - 1) / c.totalPlanes();
+}
+
+bool
+sameAddr(const PhysAddr &a, const PhysAddr &b)
+{
+    return a.plane == b.plane && a.block == b.block && a.page == b.page;
+}
+
+/** The oracle: an empty FTL filled by sequential host writes. */
+void
+fillByWrites(PageFtl &ftl)
+{
+    for (std::int64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn)
+        ftl.write(lpn);
+}
+
+/** Mapping and per-block state of two FTLs over one organization. */
+void
+expectSameLayout(const PageFtl &a, const PageFtl &b, const SsdConfig &c)
+{
+    ASSERT_EQ(a.logicalPages(), b.logicalPages());
+    for (std::int64_t lpn = 0; lpn < a.logicalPages(); ++lpn) {
+        ASSERT_TRUE(sameAddr(a.translate(lpn), b.translate(lpn)))
+            << "lpn " << lpn;
+    }
+    for (int p = 0; p < c.totalPlanes(); ++p) {
+        ASSERT_EQ(a.freeBlocks(p), b.freeBlocks(p)) << "plane " << p;
+        for (int blk = 0; blk < c.blocksPerPlane; ++blk) {
+            ASSERT_EQ(a.blockValidPages(p, blk), b.blockValidPages(p, blk))
+                << "plane " << p << " block " << blk;
+            ASSERT_EQ(a.refreshCandidate(p, blk), b.refreshCandidate(p, blk))
+                << "plane " << p << " block " << blk;
+        }
+    }
+    EXPECT_EQ(a.footprintBytes(), b.footprintBytes());
+}
+
+class PageFtlLayout
+    : public ::testing::TestWithParam<std::tuple<Shape, GcVictimPolicy>>
+{
+  protected:
+    SsdConfig
+    config() const
+    {
+        SsdConfig c = shapeConfig(std::get<0>(GetParam()));
+        c.gcPolicy = std::get<1>(GetParam());
+        return c;
+    }
+};
+
+std::string
+layoutName(const ::testing::TestParamInfo<PageFtlLayout::ParamType> &info)
+{
+    static const char *const shapes[] = {"default", "fleet_small", "uneven",
+                                          "last_page_only", "single_plane"};
+    return std::string(shapes[static_cast<int>(std::get<0>(info.param))])
+        + (std::get<1>(info.param) == GcVictimPolicy::Greedy
+               ? "_greedy"
+               : "_costbenefit");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PageFtlLayout,
+    ::testing::Combine(::testing::Values(Shape::Default, Shape::FleetSmall,
+                                         Shape::Uneven, Shape::LastPageOnly,
+                                         Shape::SinglePlane),
+                       ::testing::Values(GcVictimPolicy::Greedy,
+                                         GcVictimPolicy::CostBenefit)),
+    layoutName);
+
+TEST_P(PageFtlLayout, DirectFillMatchesSequentialWrites)
+{
+    const SsdConfig c = config();
+    switch (std::get<0>(GetParam())) {
+      case Shape::Uneven:
+        ASSERT_NE(c.logicalPages() % c.totalPlanes(), 0);
+        break;
+      case Shape::LastPageOnly:
+        ASSERT_EQ(c.logicalPages() % c.totalPlanes(), 0);
+        ASSERT_EQ(plane0Pages(c) % c.pagesPerBlock, 1);
+        break;
+      case Shape::SinglePlane:
+        ASSERT_EQ(c.totalPlanes(), 1);
+        break;
+      default:
+        break;
+    }
+
+    PageFtl direct(c, true);
+    PageFtl oracle(c, false);
+    fillByWrites(oracle);
+    ASSERT_EQ(oracle.stats().gcRuns, 0u);
+
+    direct.checkInvariants();
+    oracle.checkInvariants();
+    expectSameLayout(direct, oracle, c);
+
+    const FtlStats &zero = direct.stats();
+    EXPECT_EQ(zero.hostWrites, 0u);
+    EXPECT_EQ(zero.gcRuns, 0u);
+    EXPECT_EQ(zero.migratedPages, 0u);
+    EXPECT_EQ(zero.erases, 0u);
+
+    // Same random overwrites from here on: any difference in the
+    // write cursor, allocation clock or block stamps shows up as a
+    // different target, victim or cost-benefit score.
+    const FtlStats base = oracle.stats();
+    const std::int64_t lpns = c.logicalPages();
+    const std::int64_t writes =
+        std::min<std::int64_t>(c.physicalPages(), std::int64_t{1} << 20);
+    util::Rng rng(12);
+    for (std::int64_t i = 0; i < writes; ++i) {
+        const auto lpn = static_cast<std::int64_t>(
+            rng.uniformInt(static_cast<std::uint64_t>(lpns)));
+        const WriteEffect a = direct.write(lpn);
+        const WriteEffect b = oracle.write(lpn);
+        ASSERT_TRUE(sameAddr(a.target, b.target)) << "write " << i;
+        ASSERT_EQ(a.gcTriggered, b.gcTriggered) << "write " << i;
+        ASSERT_EQ(a.gcMigratedPages, b.gcMigratedPages) << "write " << i;
+        ASSERT_EQ(a.gcErases, b.gcErases) << "write " << i;
+    }
+    const FtlStats &s = direct.stats();
+    const FtlStats &o = oracle.stats();
+    EXPECT_GT(s.gcRuns, 0u) << "the stream must exercise GC";
+    EXPECT_EQ(s.hostWrites, o.hostWrites - base.hostWrites);
+    EXPECT_EQ(s.gcRuns, o.gcRuns - base.gcRuns);
+    EXPECT_EQ(s.migratedPages, o.migratedPages - base.migratedPages);
+    EXPECT_EQ(s.erases, o.erases - base.erases);
+    direct.checkInvariants();
+    expectSameLayout(direct, oracle, c);
+}
+
+/** Constructs (true) or reports the fatal guard (false). */
+bool
+preconditions(const SsdConfig &c)
+{
+    try {
+        PageFtl ftl(c, true);
+        return true;
+    } catch (const util::FatalError &) {
+        return false;
+    }
+}
+
+/**
+ * Whether the oracle's fill runs GC. It stops at the first erase (on
+ * an empty drive only GC erases): GC on all-valid victims can recurse
+ * through every mover, and its churn is not what is being measured.
+ */
+bool
+oracleRunsGc(const SsdConfig &c)
+{
+    struct FirstErase
+    {
+    };
+    PageFtl oracle(c, false);
+    oracle.setEraseHook([](int, int) { throw FirstErase{}; });
+    try {
+        fillByWrites(oracle);
+    } catch (const FirstErase &) {
+    }
+    return oracle.stats().gcRuns > 0;
+}
+
+TEST(PageFtlPreconditionGuard, RefusesExactlyWhenTheWriteFillRunsGc)
+{
+    int refused = 0, accepted = 0;
+    for (int planes : {1, 3})
+        for (int blocks : {2, 4, 16})
+            for (int ppb : {1, 2, 8})
+                for (double op : {0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.49})
+                    for (double thr : {0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8}) {
+                        SsdConfig c = organization(planes, blocks, ppb, op);
+                        c.gcThreshold = thr;
+                        const bool ok = preconditions(c);
+                        ASSERT_EQ(ok, !oracleRunsGc(c))
+                            << planes << " planes, " << blocks
+                            << " blocks, " << ppb << " pages, op " << op
+                            << ", gcThreshold " << thr;
+                        if (!ok) {
+                            ++refused;
+                            continue;
+                        }
+                        ++accepted;
+                        PageFtl direct(c, true);
+                        PageFtl oracle(c, false);
+                        fillByWrites(oracle);
+                        expectSameLayout(direct, oracle, c);
+                    }
+    EXPECT_GT(refused, 0);
+    EXPECT_GT(accepted, 0);
+}
+
+TEST(PageFtlPreconditionGuard, BoundaryFollowsTheLastBlockWrittenTwice)
+{
+    // Each plane fills blocks 0..12; block 12 takes a single page, so
+    // the last free-fraction test runs while block 11 is active, with
+    // 4 of 16 blocks free.
+    SsdConfig c = shapeConfig(Shape::LastPageOnly);
+
+    c.gcThreshold = 0.25; // 4/16 is not below it
+    EXPECT_TRUE(preconditions(c));
+    EXPECT_FALSE(oracleRunsGc(c));
+
+    c.gcThreshold = std::nextafter(0.25, 1.0);
+    EXPECT_FALSE(preconditions(c));
+    EXPECT_TRUE(oracleRunsGc(c));
+
+    // The drive ends with 3/16 free, under 0.2, yet no write ever
+    // tested it: block 12's only page is the one that activates it.
+    c.gcThreshold = 0.2;
+    EXPECT_TRUE(preconditions(c));
+    EXPECT_FALSE(oracleRunsGc(c));
+}
+
+TEST(PageFtlPreconditionGuard, MessageNamesBothKnobs)
+{
+    SsdConfig c = organization(2, 16, 8, 0.05);
+    c.gcThreshold = 0.3;
+    try {
+        PageFtl ftl(c, true);
+        FAIL() << "expected the preconditioning guard to fire";
+    } catch (const util::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("overprovision"), std::string::npos) << what;
+        EXPECT_NE(what.find("gcThreshold"), std::string::npos) << what;
+    }
+    // Without preconditioning the same drive is fine: GC is legitimate
+    // once the host fills it.
+    EXPECT_NO_THROW(PageFtl(c, false));
+}
+
+} // namespace
+} // namespace flash::ssd

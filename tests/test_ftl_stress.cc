@@ -10,7 +10,7 @@
 
 #include <algorithm>
 
-#include "ssd/ftl.hh"
+#include "ssd/ftl/page_ftl.hh"
 #include "util/rng.hh"
 
 namespace flash::ssd
@@ -36,7 +36,7 @@ tinyConfig()
 TEST(FtlStress, SkewedOverwritesKeepInvariants)
 {
     const SsdConfig cfg = tinyConfig();
-    Ftl ftl(cfg, true);
+    PageFtl ftl(cfg, true);
     ftl.checkInvariants();
 
     // Preconditioning maps the whole logical space.
@@ -98,7 +98,7 @@ TEST(FtlStress, SequentialWrapAroundKeepsInvariants)
     // Pure sequential overwrite is the adversarial case for greedy GC
     // (whole blocks invalidate at once, victims have 0 valid pages).
     const SsdConfig cfg = tinyConfig();
-    Ftl ftl(cfg, true);
+    PageFtl ftl(cfg, true);
     const std::int64_t lpns = ftl.logicalPages();
     const std::uint64_t writes =
         static_cast<std::uint64_t>(cfg.physicalPages()) * 4;
@@ -117,7 +117,7 @@ TEST(FtlStress, SequentialWrapAroundKeepsInvariants)
 
 TEST(FtlStress, UnmappedWithoutPreconditioning)
 {
-    Ftl ftl(tinyConfig(), false);
+    PageFtl ftl(tinyConfig(), false);
     ftl.checkInvariants();
     EXPECT_FALSE(ftl.translate(0).valid());
     EXPECT_FALSE(ftl.translate(ftl.logicalPages() - 1).valid());

@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "ssd/ftl.hh"
+#include "ssd/ftl/page_ftl.hh"
 #include "ssd/scrubber/scrubber.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/span_analysis.hh"
@@ -394,7 +394,7 @@ TEST(Scrubber, EraseDropsWarmthCacheEntryAndQueuedRefresh)
     SsdTiming timing;
     std::vector<double> plane_free(
         static_cast<std::size_t>(config.totalPlanes()), 0.0);
-    Ftl ftl(config);
+    PageFtl ftl(config);
     util::MetricsRegistry metrics;
     ScrubHost host;
     host.config = &config;
@@ -434,7 +434,7 @@ TEST(Scrubber, ModelUncertaintyOrdersProbesAwayFromConfidentBlocks)
         // alone, not of plane-time charged by an earlier run.
         std::vector<double> plane_free(
             static_cast<std::size_t>(config.totalPlanes()), 0.0);
-        Ftl ftl(config);
+        PageFtl ftl(config);
         ScrubHost host;
         host.config = &config;
         host.timing = &timing;
