@@ -5,9 +5,13 @@
  *
  *   bench_kernels [--reps N] [--json FILE]
  *
- * Four kernels, each timed as scalar-oracle vs packed and checked for
+ * Five kernels, each timed as scalar-oracle vs packed and checked for
  * identical results before any timing is trusted:
  *
+ *   snapshot_build    one data-region WordlineSnapshot: per-cell
+ *                     trueState + Chip::cellVth + std::lround vs the
+ *                     chunked SenseKernel pass. Every read session,
+ *                     characterization and accuracy wordline pays it.
  *   sense_count_page  one read session (4 voltage sets) over a full
  *                     wordline: per-voltage Chip::readBits + byte
  *                     compare vs one WordlineVthView + packed
@@ -26,15 +30,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "bench_support.hh"
 #include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
+#include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "util/bitplane.hh"
+#include "util/histogram.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 
@@ -108,6 +116,49 @@ main(int argc, char **argv)
     }
 
     std::vector<KernelResult> results;
+
+    // --- snapshot_build ---------------------------------------------
+    {
+        const int lo = chip.model().vthMin();
+        const int hi = chip.model().vthMax();
+        const auto states =
+            static_cast<std::size_t>(chip.geometry().states());
+        std::vector<util::Histogram> scalar_hist;
+        std::optional<nand::WordlineSnapshot> packed_snap;
+        const auto scalar = [&] {
+            std::vector<util::Histogram> hist(states,
+                                              util::Histogram(lo, hi));
+            const nand::WordlineContext ctx =
+                chip.wordlineContext(block, wl);
+            for (int col = 0; col < cells; ++col) {
+                const int s = chip.trueState(block, wl, col);
+                hist[static_cast<std::size_t>(s)].add(
+                    static_cast<int>(std::lround(
+                        chip.cellVth(ctx, block, wl, col, s, 3000))));
+            }
+            g_sink = hist[0].total();
+            scalar_hist = std::move(hist);
+        };
+        const auto packed = [&] {
+            packed_snap.emplace(
+                nand::WordlineSnapshot::dataRegion(chip, block, wl, 3000));
+            g_sink = packed_snap->cells();
+        };
+        scalar();
+        packed();
+        bool same = true;
+        for (std::size_t s = 0; s < states; ++s) {
+            for (int v = lo; v <= hi; ++v) {
+                same = same
+                    && packed_snap->stateCellsInRange(static_cast<int>(s),
+                                                      v - 1, v)
+                        == scalar_hist[s].binCount(v);
+            }
+        }
+        util::fatalIf(!same, "snapshot_build: kernel result diverges");
+        results.push_back({"snapshot_build", timeNs(reps, scalar),
+                           timeNs(reps, packed)});
+    }
 
     // --- sense_count_page -------------------------------------------
     {

@@ -64,41 +64,24 @@ ReadContext::ReadContext(const nand::Chip &chip, int block, int wl,
                   "ReadContext: page out of range");
 }
 
-const nand::WordlineVthView &
-ReadContext::dataView()
-{
-    if (!dataView_) {
-        dataView_.emplace(
-            nand::WordlineVthView::dataRegion(*chip_, block_, wl_));
-    }
-    return *dataView_;
-}
-
-const nand::WordlineVthView &
-ReadContext::sentView()
-{
-    util::fatalIf(!overlay_, "ReadContext: no sentinel overlay");
-    if (!sentView_) {
-        sentView_.emplace(nand::WordlineVthView(
-            *chip_, block_, wl_, overlay_->start,
-            overlay_->start + overlay_->count));
-    }
-    return *sentView_;
-}
-
 const nand::WordlineSnapshot &
 ReadContext::dataSnap()
 {
-    if (!data_)
-        data_.emplace(dataView(), seq_.next());
+    if (!data_) {
+        data_.emplace(nand::WordlineSnapshot::dataRegion(*chip_, block_, wl_,
+                                                         seq_.next()));
+    }
     return *data_;
 }
 
 const nand::WordlineSnapshot &
 ReadContext::sentSnap()
 {
-    if (!sent_)
-        sent_.emplace(sentView(), seq_.next());
+    util::fatalIf(!overlay_, "ReadContext: no sentinel overlay");
+    if (!sent_) {
+        sent_.emplace(*chip_, block_, wl_, seq_.next(), overlay_->start,
+                      overlay_->start + overlay_->count);
+    }
     return *sent_;
 }
 

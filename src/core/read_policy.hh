@@ -28,7 +28,6 @@
 #include "nandsim/oracle.hh"
 #include "nandsim/read_seq.hh"
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
 #include "util/metrics.hh"
 #include "util/span_trace.hh"
 
@@ -102,16 +101,12 @@ void recordSession(util::MetricsRegistry &metrics,
                    const ReadSessionResult &session, double latency_us);
 
 /**
- * Shared state of one read session: lazily-built Vth views and
+ * Shared state of one read session: lazily-built data and sentinel
  * snapshots plus the decodability oracle against the ECC model. One
  * data snapshot is reused across the session's attempts (retries only
  * re-tune voltages; fresh sensing noise across retries is a
- * second-order effect the paper also neglects).
- *
- * The views batch the static (noise-free) per-cell state of the
- * session's wordline ranges: computed once, shared by the snapshots
- * (which only add one per-session noise sense) and by any packed
- * kernel that needs exact bits.
+ * second-order effect the paper also neglects). Each snapshot is one
+ * streaming nand::SenseKernel pass over its column range.
  *
  * Read sequencing is caller-owned: sensing-noise seeds derive from
  * the clock's stream and this context's (block, wordline, read
@@ -125,12 +120,6 @@ class ReadContext
                 const ecc::EccModel &ecc_model,
                 std::optional<nand::SentinelOverlay> overlay,
                 nand::ReadClock clock = nand::ReadClock());
-
-    /** Lazily-built data-region Vth view (consumes no read seq). */
-    const nand::WordlineVthView &dataView();
-
-    /** Lazily-built sentinel-range Vth view (requires an overlay). */
-    const nand::WordlineVthView &sentView();
 
     /** Lazily-built data-region snapshot. */
     const nand::WordlineSnapshot &dataSnap();
@@ -181,8 +170,6 @@ class ReadContext
     const ecc::EccModel *ecc_;
     std::optional<nand::SentinelOverlay> overlay_;
     nand::ReadSeq seq_;
-    std::optional<nand::WordlineVthView> dataView_;
-    std::optional<nand::WordlineVthView> sentView_;
     std::optional<nand::WordlineSnapshot> data_;
     std::optional<nand::WordlineSnapshot> sent_;
     util::SpanBuffer *spans_ = nullptr;

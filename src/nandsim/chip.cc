@@ -13,8 +13,6 @@ namespace
 {
 
 constexpr std::uint64_t kSaltCellState = 0x63656c6c53740001ULL;
-constexpr std::uint64_t kSaltCellZ = 0x63656c6c5a7a0002ULL;
-constexpr std::uint64_t kSaltReadNoise = 0x72646e6f69730003ULL;
 
 } // namespace
 
@@ -177,20 +175,6 @@ Chip::trueState(int block, int wl, int col) const
     return stateOf(c, col, geom_.states());
 }
 
-void
-Chip::trueStates(int block, int wl, int col_begin, int col_end,
-                 std::vector<std::uint8_t> &states_out) const
-{
-    const auto &c = content(block, wl);
-    util::fatalIf(col_begin < 0 || col_end > geom_.bitlines()
-                      || col_begin > col_end,
-                  "chip: bad column range");
-    states_out.clear();
-    states_out.reserve(static_cast<std::size_t>(col_end - col_begin));
-    for (int col = col_begin; col < col_end; ++col)
-        states_out.push_back(stateOf(c, col, geom_.states()));
-}
-
 WordlineContext
 Chip::wordlineContext(int block, int wl) const
 {
@@ -229,7 +213,7 @@ Chip::staticCellVth(const WordlineContext &ctx, int block, int wl, int col,
                     int state) const
 {
     const std::uint64_t zh = util::fastHash(
-        seed_ ^ kSaltCellZ, static_cast<std::uint64_t>(block),
+        seed_ ^ kStaticVthSalt, static_cast<std::uint64_t>(block),
         static_cast<std::uint64_t>(wl), static_cast<std::uint64_t>(col));
     // toGaussian consumes the top 53 bits; the low 11 gate the
     // heavy-tail population independently, at zero extra hash cost.
@@ -252,7 +236,7 @@ Chip::readNoise(const WordlineContext &ctx, int block, int wl, int col,
         return 0.0;
     return ctx.readNoiseSigma
         * util::toGaussian(util::fastHash(
-            seed_ ^ kSaltReadNoise, read_seq,
+            seed_ ^ kReadNoiseSalt, read_seq,
             static_cast<std::uint64_t>(block),
             static_cast<std::uint64_t>(wl),
             static_cast<std::uint64_t>(col)));

@@ -109,6 +109,11 @@ struct PageReadResult
 class Chip
 {
   public:
+    /// Keys xored into the chip seed for the per-cell static-Vth and
+    /// read-noise hashes (shared with SenseKernel).
+    static constexpr std::uint64_t kStaticVthSalt = 0x63656c6c5a7a0002ULL;
+    static constexpr std::uint64_t kReadNoiseSalt = 0x72646e6f69730003ULL;
+
     /**
      * Build a chip. All blocks start programmed with procedural
      * random data, zero P/E cycles and zero retention.
@@ -176,13 +181,6 @@ class Chip
     /** True programmed state of a cell. */
     std::uint8_t trueState(int block, int wl, int col) const;
 
-    /**
-     * True states of a column range in one pass (the batched form of
-     * trueState(); used by WordlineVthView).
-     */
-    void trueStates(int block, int wl, int col_begin, int col_end,
-                    std::vector<std::uint8_t> &states_out) const;
-
     /// @}
     /// @name Sensing
     /// @{
@@ -204,8 +202,8 @@ class Chip
     /**
      * Read-independent part of cellVth(): the state draw, heavy-tail
      * selection and spatial gradient, without the per-read noise.
-     * cellVth() == staticCellVth() + readNoise() exactly; batching
-     * this part once per session is what WordlineVthView does.
+     * cellVth() == staticCellVth() + readNoise() exactly. cellVth()
+     * is the per-cell reference of SenseKernel.
      */
     double staticCellVth(const WordlineContext &ctx, int block, int wl,
                          int col, int state) const;

@@ -1,0 +1,110 @@
+/**
+ * @file
+ * SenseKernel: the chunked, bit-exact sensing kernel of one wordline.
+ *
+ * Every snapshot and Vth view of the simulator senses its cells here,
+ * kChunk columns at a time: true states, static-Vth hashes, Gaussians,
+ * per-read noise, rounding to the DAC grid and binning, each step one
+ * tight loop over a chunk held on the stack. No per-cell array
+ * outlives a chunk. Chip::cellVth() (rounded with std::lround) stays
+ * the per-cell reference: the kernel performs the same IEEE
+ * operations in the same order, so its DAC values are bit-identical
+ * (tests/test_sense_kernel.cc pins this).
+ */
+
+#ifndef SENTINELFLASH_NANDSIM_SENSE_KERNEL_HH
+#define SENTINELFLASH_NANDSIM_SENSE_KERNEL_HH
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "nandsim/chip.hh"
+#include "util/histogram.hh"
+
+namespace flash::nand
+{
+
+/**
+ * Round half away from zero to an int: std::lround for every finite
+ * @p x whose integer part fits an int, without the libm call. The
+ * truncation is exact and so is x - trunc(x), hence the comparison
+ * of the fractional part against +-0.5 is too (unlike
+ * floor(x + 0.5), which rounds 0.49999999999999994 up).
+ */
+inline int
+roundDac(double x)
+{
+    const int t = static_cast<int>(x);
+    const double frac = x - static_cast<double>(t);
+    return t + (frac >= 0.5) - (frac <= -0.5);
+}
+
+/**
+ * Chunked sensing of one wordline under its current age. Holds the
+ * wordline's distribution context and hash prefixes; the chip must
+ * outlive the kernel and keep the wordline's content.
+ */
+class SenseKernel
+{
+  public:
+    /** Columns per chunk: the stack buffers of one pipeline pass. */
+    static constexpr int kChunk = 256;
+
+    SenseKernel(const Chip &chip, int block, int wl);
+
+    /** Distribution context of the wordline. */
+    const WordlineContext &context() const { return ctx_; }
+
+    /** Call fn(col, n) for consecutive chunks covering [begin, end). */
+    template <typename Fn>
+    static void
+    forEachChunk(int col_begin, int col_end, Fn &&fn)
+    {
+        for (int col = col_begin; col < col_end; col += kChunk)
+            fn(col, std::min(kChunk, col_end - col));
+    }
+
+    /** True states of columns [col, col + n), n <= kChunk. */
+    void states(int col, int n, std::uint8_t *out) const;
+
+    /**
+     * Static Vth (Chip::staticCellVth) of columns [col, col + n) in
+     * the given true states, n <= kChunk.
+     */
+    void staticVth(int col, int n, const std::uint8_t *states,
+                   double *out) const;
+
+    /**
+     * Add one read's noise (Chip::readNoise) to vth[0, n) of columns
+     * [col, col + n) in place, n <= kChunk; a no-op when the model
+     * has no read noise, as in Chip::cellVth.
+     */
+    void addReadNoise(int col, int n, std::uint64_t read_seq,
+                      double *vth) const;
+
+    /**
+     * One sense of columns [col_begin, col_end) binned into
+     * @p hist (one histogram per true state) at roundDac(vth).
+     */
+    void sense(int col_begin, int col_end, std::uint64_t read_seq,
+               std::vector<util::Histogram> &hist) const;
+
+  private:
+    /** panic() unless [col, col + n) is a chunk of the wordline. */
+    void checkChunk(int col, int n) const;
+
+    const WordlineContent *content_;
+    WordlineContext ctx_;
+    int block_, wl_;
+    std::uint64_t stateMask_;      ///< states - 1: h % 2^bits == h & mask
+    int bitlines_;
+    double lastCol_;               ///< bitlines - 1 (gradient scale)
+    std::uint64_t dataState_;      ///< fastHashState(dataSeed)
+    std::uint64_t staticState_;    ///< static-Vth hash prefix
+    std::uint64_t noiseKey_;       ///< read-noise hash key
+};
+
+} // namespace flash::nand
+
+#endif // SENTINELFLASH_NANDSIM_SENSE_KERNEL_HH

@@ -1,8 +1,8 @@
 #include "nandsim/snapshot.hh"
 
-#include <cmath>
 #include <utility>
 
+#include "nandsim/sense_kernel.hh"
 #include "util/logging.hh"
 
 namespace flash::nand
@@ -24,34 +24,8 @@ WordlineSnapshot::WordlineSnapshot(const Chip &chip, int block, int wl,
     for (int s = 0; s < geom.states(); ++s)
         hist_.emplace_back(lo, hi);
 
-    const WordlineContext ctx = chip.wordlineContext(block, wl);
-    for (int col = col_begin; col < col_end; ++col) {
-        const int state = chip.trueState(block, wl, col);
-        const double vth =
-            chip.cellVth(ctx, block, wl, col, state, read_seq);
-        hist_[static_cast<std::size_t>(state)].add(
-            static_cast<int>(std::lround(vth)));
-        ++cells_;
-    }
-}
-
-WordlineSnapshot::WordlineSnapshot(const WordlineVthView &view,
-                                   std::uint64_t read_seq)
-    : code_(&view.chip().grayCode())
-{
-    const Chip &chip = view.chip();
-    const int lo = chip.model().vthMin();
-    const int hi = chip.model().vthMax();
-    const int states = chip.geometry().states();
-    hist_.reserve(static_cast<std::size_t>(states));
-    for (int s = 0; s < states; ++s)
-        hist_.emplace_back(lo, hi);
-
-    const std::vector<int> dac = view.senseDac(read_seq);
-    for (std::size_t i = 0; i < dac.size(); ++i) {
-        hist_[static_cast<std::size_t>(view.state(i))].add(dac[i]);
-        ++cells_;
-    }
+    SenseKernel(chip, block, wl).sense(col_begin, col_end, read_seq, hist_);
+    cells_ = static_cast<std::uint64_t>(col_end - col_begin);
 }
 
 WordlineSnapshot

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "nandsim/chip.hh"
-#include "nandsim/vth_view.hh"
 #include "util/histogram.hh"
 
 namespace flash::nand
@@ -32,18 +31,11 @@ class WordlineSnapshot
   public:
     /**
      * Sense columns [col_begin, col_end) of the wordline with the
-     * given read-sequence number and build the histograms.
+     * given read-sequence number and build the histograms, in one
+     * streaming SenseKernel pass (no per-cell arrays).
      */
     WordlineSnapshot(const Chip &chip, int block, int wl,
                      std::uint64_t read_seq, int col_begin, int col_end);
-
-    /**
-     * Build the histograms from an already-materialized Vth view,
-     * adding only the per-read noise of @p read_seq. Bit-identical to
-     * the direct constructor over the same column range — the view
-     * just skips re-deriving the per-cell static hashes.
-     */
-    WordlineSnapshot(const WordlineVthView &view, std::uint64_t read_seq);
 
     /** Snapshot of the user-data region only. */
     static WordlineSnapshot dataRegion(const Chip &chip, int block, int wl,

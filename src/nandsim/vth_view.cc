@@ -1,6 +1,6 @@
 #include "nandsim/vth_view.hh"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/logging.hh"
 
@@ -10,21 +10,24 @@ namespace flash::nand
 WordlineVthView::WordlineVthView(const Chip &chip, int block, int wl,
                                  int col_begin, int col_end)
     : chip_(&chip), block_(block), wl_(wl), colBegin_(col_begin),
-      colEnd_(col_end), ctx_(chip.wordlineContext(block, wl))
+      colEnd_(col_end), kernel_(chip, block, wl)
 {
     const auto &geom = chip.geometry();
     util::fatalIf(col_begin < 0 || col_end > geom.bitlines()
                       || col_begin > col_end,
                   "vth view: bad column range");
 
-    chip.trueStates(block, wl, col_begin, col_end, states_);
-    static_.resize(states_.size());
+    const auto n = static_cast<std::size_t>(col_end - col_begin);
+    states_.resize(n);
+    static_.resize(n);
+    SenseKernel::forEachChunk(col_begin, col_end, [&](int col, int len) {
+        const auto i = static_cast<std::size_t>(col - col_begin);
+        kernel_.states(col, len, &states_[i]);
+        kernel_.staticVth(col, len, &states_[i], &static_[i]);
+    });
     stateCount_.assign(static_cast<std::size_t>(geom.states()), 0);
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        const int col = col_begin + static_cast<int>(i);
-        static_[i] = chip.staticCellVth(ctx_, block, wl, col, states_[i]);
-        ++stateCount_[states_[i]];
-    }
+    for (const std::uint8_t s : states_)
+        ++stateCount_[s];
     trueBits_.resize(static_cast<std::size_t>(geom.pagesPerWordline()));
 }
 
@@ -53,18 +56,14 @@ std::vector<int>
 WordlineVthView::senseDac(std::uint64_t read_seq) const
 {
     std::vector<int> dac(static_.size());
-    if (ctx_.readNoiseSigma > 0.0) {
-        for (std::size_t i = 0; i < static_.size(); ++i) {
-            const int col = colBegin_ + static_cast<int>(i);
-            // Same addition order as Chip::cellVth: static + noise.
-            const double vth = static_[i]
-                + chip_->readNoise(ctx_, block_, wl_, col, read_seq);
-            dac[i] = static_cast<int>(std::lround(vth));
-        }
-    } else {
-        for (std::size_t i = 0; i < static_.size(); ++i)
-            dac[i] = static_cast<int>(std::lround(static_[i]));
-    }
+    SenseKernel::forEachChunk(colBegin_, colEnd_, [&](int col, int len) {
+        const auto i0 = static_cast<std::size_t>(col - colBegin_);
+        double vth[SenseKernel::kChunk];
+        std::copy_n(&static_[i0], len, vth);
+        kernel_.addReadNoise(col, len, read_seq, vth);
+        for (int i = 0; i < len; ++i)
+            dac[i0 + static_cast<std::size_t>(i)] = roundDac(vth[i]);
+    });
     return dac;
 }
 

@@ -4,10 +4,13 @@
  *
  * Materializes the read-independent part of every cell's threshold
  * voltage (state draw, heavy tail, spatial gradient) plus the true
- * states in one pass over the per-cell hashes. Every subsequent sense
- * of the same wordline — any read voltage, any retry, any soft-sense
- * shift — then only adds the per-read noise term and compares, so a
- * read session hashes each cell once instead of once per sense.
+ * states with SenseKernel's chunk steps. Every subsequent sense of the
+ * same wordline — any read voltage, any soft-sense shift — then only
+ * adds the per-read noise term and compares, so a caller that senses
+ * a wordline several times and needs per-cell bits (Chip::readPage,
+ * ecc::softReadRange, the packed sentinel kernels) hashes each cell's
+ * static part once. A single histogrammed sense needs no view: the
+ * direct WordlineSnapshot constructor streams it.
  *
  * Sensed pages come out as packed bitplanes (util::Bitplane, one bit
  * per cell) and error counts are popcount kernels over uint64_t
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "nandsim/chip.hh"
+#include "nandsim/sense_kernel.hh"
 #include "util/bitplane.hh"
 
 namespace flash::nand
@@ -62,7 +66,7 @@ class WordlineVthView
     std::size_t cells() const { return states_.size(); }
 
     /** Distribution context the view was built under. */
-    const WordlineContext &context() const { return ctx_; }
+    const WordlineContext &context() const { return kernel_.context(); }
 
     /** True state of cell @p i (0-based within the view). */
     std::uint8_t state(std::size_t i) const { return states_[i]; }
@@ -116,7 +120,7 @@ class WordlineVthView
   private:
     const Chip *chip_;
     int block_, wl_, colBegin_, colEnd_;
-    WordlineContext ctx_;
+    SenseKernel kernel_;
     std::vector<double> static_;
     std::vector<std::uint8_t> states_;
     std::vector<std::uint64_t> stateCount_;

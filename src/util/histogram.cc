@@ -15,15 +15,6 @@ Histogram::Histogram(int lo, int hi) : lo_(lo), hi_(hi)
 }
 
 void
-Histogram::add(int value)
-{
-    const int clamped = std::clamp(value, lo_, hi_);
-    ++bins_[static_cast<std::size_t>(clamped - lo_)];
-    ++total_;
-    prefixValid_ = false;
-}
-
-void
 Histogram::add(const std::vector<int> &values)
 {
     for (int v : values)

@@ -11,6 +11,7 @@
 #ifndef SENTINELFLASH_UTIL_HISTOGRAM_HH
 #define SENTINELFLASH_UTIL_HISTOGRAM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,13 @@ class Histogram
     Histogram(int lo, int hi);
 
     /** Add one observation (clamped into range). */
-    void add(int value);
+    void
+    add(int value)
+    {
+        ++bins_[static_cast<std::size_t>(std::clamp(value, lo_, hi_) - lo_)];
+        ++total_;
+        prefixValid_ = false;
+    }
 
     /** Add a batch of observations. */
     void add(const std::vector<int> &values);

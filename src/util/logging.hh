@@ -51,11 +51,30 @@ fatalIf(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+/**
+ * fatal() when the condition holds; a literal message becomes a
+ * std::string only on the failing path (hot-path checks).
+ */
+inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
+        fatal(msg);
+}
+
 /** panic() when the condition holds. */
 inline void
 panicIf(bool cond, const std::string &msg)
 {
     if (cond)
+        panic(msg);
+}
+
+/** panicIf() for a literal message (no std::string unless it fires). */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

@@ -11,6 +11,7 @@
 #ifndef SENTINELFLASH_UTIL_RNG_HH
 #define SENTINELFLASH_UTIL_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 
@@ -21,7 +22,14 @@ namespace flash::util
  * Mix a 64-bit value into a well-distributed 64-bit hash
  * (the splitmix64 finalizer).
  */
-std::uint64_t mix64(std::uint64_t x);
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 /** Combine two 64-bit values into one hash. */
 std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
@@ -36,21 +44,39 @@ rotl64(std::uint64_t x, int r)
     return (x << r) | (x >> (64 - r));
 }
 
+/** Absorb one more word into a fastHashState(). */
+constexpr std::uint64_t
+fastHashAbsorb(std::uint64_t h, std::uint64_t word)
+{
+    return rotl64(h ^ (word * 0xc2b2ae3d27d4eb4fULL), 29)
+        * 0x9e3779b97f4a7c15ULL;
+}
+
+/**
+ * Unfinalized state of fastHash() over a prefix of its words:
+ * fastHash(a, b..., w) == mix64(fastHashAbsorb(fastHashState(a, b...),
+ * w)). Per-cell loops hash the shared (key, block, wordline) prefix
+ * once and absorb only the column.
+ */
+template <typename... Words>
+constexpr std::uint64_t
+fastHashState(std::uint64_t first, Words... rest)
+{
+    std::uint64_t h = first * 0x9e3779b97f4a7c15ULL;
+    ((h = fastHashAbsorb(h, static_cast<std::uint64_t>(rest))), ...);
+    return h;
+}
+
 /**
  * Fast keyed hash of a handful of words for the per-cell hot paths.
  * Weaker mixing per word than hashWords() but a final strong
  * finalizer; plenty for simulation noise.
  */
 template <typename... Words>
-inline std::uint64_t
+constexpr std::uint64_t
 fastHash(std::uint64_t first, Words... rest)
 {
-    constexpr std::uint64_t m1 = 0x9e3779b97f4a7c15ULL;
-    constexpr std::uint64_t m2 = 0xc2b2ae3d27d4eb4fULL;
-    std::uint64_t h = first * m1;
-    ((h = rotl64(h ^ (static_cast<std::uint64_t>(rest) * m2), 29) * m1),
-     ...);
-    return mix64(h);
+    return mix64(fastHashState(first, rest...));
 }
 
 /** Map a 64-bit hash to a uniform double in [0, 1). */
@@ -62,6 +88,14 @@ double toUnitUniform(std::uint64_t h);
  * error far below what a Vth model can notice).
  */
 double toGaussian(std::uint64_t h);
+
+/**
+ * toGaussian() of @p n hashes, bit-identical element by element. The
+ * central rational runs branch-free over the whole batch; only the
+ * tail elements (u < plow or u > phigh, about 5 %) are recomputed
+ * with the scalar toGaussian().
+ */
+void toGaussianBatch(const std::uint64_t *h, double *z, std::size_t n);
 
 /**
  * A small keyed generator for streaming use (experiment harnesses,

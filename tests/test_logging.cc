@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/logging.hh"
 
 namespace flash::util
@@ -32,6 +34,33 @@ TEST(Logging, FatalIfOnlyOnCondition)
 {
     EXPECT_NO_THROW(fatalIf(false, "no"));
     EXPECT_THROW(fatalIf(true, "yes"), FatalError);
+}
+
+TEST(Logging, LiteralOverloadsThrowTheSameText)
+{
+    // fatalIf/panicIf(bool, const char *) defer building the message
+    // to the failing path; the text must match the std::string form.
+    const auto what = [](auto &&fn) {
+        try {
+            fn();
+        } catch (const std::exception &e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    const char *literal = "chip: block out of range";
+    EXPECT_THROW(fatalIf(true, literal), FatalError);
+    EXPECT_THROW(panicIf(true, literal), PanicError);
+    EXPECT_EQ(what([&] { fatalIf(true, literal); }),
+              what([&] { fatalIf(true, std::string(literal)); }));
+    EXPECT_EQ(what([&] { fatalIf(true, literal); }),
+              "fatal: chip: block out of range");
+    EXPECT_EQ(what([&] { panicIf(true, literal); }),
+              what([&] { panicIf(true, std::string(literal)); }));
+    EXPECT_EQ(what([&] { panicIf(true, literal); }),
+              "panic: chip: block out of range");
+    EXPECT_NO_THROW(fatalIf(false, literal));
+    EXPECT_NO_THROW(panicIf(false, literal));
 }
 
 TEST(Logging, PanicIfOnlyOnCondition)

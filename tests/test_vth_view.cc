@@ -2,9 +2,9 @@
  * WordlineVthView equivalence suite: the batched sensing path must be
  * bit-identical to the per-cell chip APIs it accelerates — senseDac
  * vs cellVth, packBits vs readBits, pageRead vs the byte-wise oracle
- * (the Chip::readPage regression), snapshots built from views vs
- * direct snapshots, and the packed sentinel / state-change kernels vs
- * their histogram-based counterparts.
+ * (the Chip::readPage regression), histograms binned from a view
+ * sense vs direct snapshots, and the packed sentinel / state-change
+ * kernels vs their histogram-based counterparts.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "test_support.hh"
+#include "util/histogram.hh"
 #include "util/logging.hh"
 
 namespace flash::nand
@@ -157,29 +158,29 @@ TEST_F(VthViewTest, ReadPageMatchesByteWiseOracle)
 
 TEST_F(VthViewTest, SnapshotFromViewMatchesDirectSnapshot)
 {
+    // Histograms binned from one view sense equal the direct
+    // (streaming) snapshot of the same read, bin for bin.
     const std::uint64_t seq = 1234;
     const WordlineVthView view =
         WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    const WordlineSnapshot from_view(view, seq);
     const WordlineSnapshot direct =
         WordlineSnapshot::dataRegion(*chip, kBlock, kWl, seq);
 
-    ASSERT_EQ(from_view.cells(), direct.cells());
-    for (int s = 0; s < direct.states(); ++s)
-        EXPECT_EQ(from_view.cellsInState(s), direct.cellsInState(s));
+    const int lo = chip->model().vthMin();
+    const int hi = chip->model().vthMax();
+    std::vector<util::Histogram> from_view(
+        static_cast<std::size_t>(direct.states()), util::Histogram(lo, hi));
+    const auto dac = view.senseDac(seq);
+    for (std::size_t i = 0; i < view.cells(); ++i)
+        from_view[view.state(i)].add(dac[i]);
 
-    const auto defaults = chip->model().defaultVoltages();
-    for (int page = 0; page < chip->geometry().pagesPerWordline(); ++page)
-        EXPECT_EQ(from_view.pageErrors(page, defaults),
-                  direct.pageErrors(page, defaults));
-
-    const int mid = direct.states() / 2;
-    const int v0 = defaults[static_cast<std::size_t>(mid)];
-    for (int v = v0 - 10; v <= v0 + 10; v += 5) {
-        EXPECT_EQ(from_view.upErrors(mid, v), direct.upErrors(mid, v));
-        EXPECT_EQ(from_view.downErrors(mid, v), direct.downErrors(mid, v));
-        EXPECT_EQ(from_view.cellsInVthRange(v0, v),
-                  direct.cellsInVthRange(v0, v));
+    ASSERT_EQ(view.cells(), direct.cells());
+    for (int s = 0; s < direct.states(); ++s) {
+        const auto &h = from_view[static_cast<std::size_t>(s)];
+        EXPECT_EQ(h.total(), direct.cellsInState(s));
+        for (int v = lo; v <= hi; ++v)
+            ASSERT_EQ(h.binCount(v), direct.stateCellsInRange(s, v - 1, v))
+                << "state " << s << " dac " << v;
     }
 }
 
@@ -188,7 +189,8 @@ TEST_F(VthViewTest, PackedSentinelErrorsMatchSnapshotKernel)
     const std::uint64_t seq = 4321;
     const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
                                     overlay.start + overlay.count);
-    const WordlineSnapshot sent_snap(sent_view, seq);
+    const WordlineSnapshot sent_snap(*chip, kBlock, kWl, seq, overlay.start,
+                                     overlay.start + overlay.count);
     const int k_s = chip->geometry().states() / 2;
     const core::SentinelMasks masks(sent_view, k_s);
     const auto dac = sent_view.senseDac(seq);
@@ -216,8 +218,11 @@ TEST_F(VthViewTest, PackedStateChangeMatchesSnapshotOverload)
         WordlineVthView::dataRegion(*chip, kBlock, kWl);
     const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
                                     overlay.start + overlay.count);
-    const WordlineSnapshot data_snap(data_view, data_seq);
-    const WordlineSnapshot sent_snap(sent_view, sent_seq);
+    const WordlineSnapshot data_snap =
+        WordlineSnapshot::dataRegion(*chip, kBlock, kWl, data_seq);
+    const WordlineSnapshot sent_snap(*chip, kBlock, kWl, sent_seq,
+                                     overlay.start,
+                                     overlay.start + overlay.count);
     const auto data_dac = data_view.senseDac(data_seq);
     const auto sent_dac = sent_view.senseDac(sent_seq);
 
