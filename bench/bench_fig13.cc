@@ -25,6 +25,9 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "metrics-out", "trace-spans", "health-out",
+                        "scrub-interval", "scrub-budget", "span-capacity"});
     const int threads = bench::threadsArg(argc, argv);
     const std::string metrics_out = bench::metricsOutArg(argc, argv);
     const std::string trace_spans = bench::traceSpansArg(argc, argv);

@@ -27,6 +27,12 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "metrics-out", "trace-spans", "health-out",
+                        "health-interval", "model-confidence",
+                        "scrub-interval", "scrub-budget", "refresh-rber",
+                        "requests", "ftl", "gc-policy", "span-capacity"},
+                       {"voltage-cache", "voltage-model"});
     const int threads = bench::threadsArg(argc, argv);
     const std::string metrics_out = bench::metricsOutArg(argc, argv);
     const std::string trace_spans = bench::traceSpansArg(argc, argv);

@@ -70,6 +70,12 @@ class MeasuredFleetEnv : public ssd::fleet::FleetEnv
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "devices", "requests", "seed", "top",
+                        "fleet-out", "health-out", "health-interval",
+                        "scrub-interval", "scrub-budget", "model-confidence",
+                        "ftl", "gc-policy"},
+                       {"shuffle", "voltage-model"});
     const int threads = bench::threadsArg(argc, argv);
     const int devices = static_cast<int>(
         bench::longArg(argc, argv, "devices", 64, 1, 4096));

@@ -56,6 +56,9 @@ smallConfig()
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "requests", "metrics-out", "trace-spans",
+                        "span-capacity"});
     const int threads = bench::threadsArg(argc, argv);
     const int requests = bench::requestsArg(argc, argv, 6000);
     const std::string metrics_out = bench::metricsOutArg(argc, argv);

@@ -5,7 +5,7 @@
  *
  *   bench_kernels [--reps N] [--json FILE]
  *
- * Five kernels, each timed as scalar-oracle vs packed and checked for
+ * Four kernels, each timed as scalar-oracle vs packed and checked for
  * identical results before any timing is trusted:
  *
  *   snapshot_build    one data-region WordlineSnapshot: per-cell
@@ -16,9 +16,6 @@
  *                     wordline: per-voltage Chip::readBits + byte
  *                     compare vs one WordlineVthView + packed
  *                     pageRead. The repo's sense+count hot path.
- *   sentinel_updown   up/down error counts across a 33-voltage sweep:
- *                     byte loop vs SentinelMasks + senseAbove +
- *                     popcount kernels.
  *   soft_agreement    6-extra-sense agreement accumulation: byte adds
  *                     vs XOR/flip + bit-sliced counter.
  *   bit_errors        raw mismatch count: byte loop vs diffCount.
@@ -37,7 +34,6 @@
 #include <vector>
 
 #include "bench_support.hh"
-#include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
@@ -84,6 +80,7 @@ volatile std::uint64_t g_sink; // defeat dead-code elimination
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {"reps", "json"});
     const int reps =
         static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
     const std::string json_out = bench::stringArg(argc, argv, "json");
@@ -104,7 +101,6 @@ main(int argc, char **argv)
     const int page = chip.grayCode().msbPage();
     const int cells = chip.geometry().dataBitlines;
     const auto defaults = chip.model().defaultVoltages();
-    const int k_s = static_cast<int>(defaults.size()) / 2;
 
     // A 4-attempt retry session: defaults plus three stepped sets.
     std::vector<std::vector<int>> sets(4, defaults);
@@ -196,47 +192,6 @@ main(int argc, char **argv)
         util::fatalIf(scalar_errs != packed_errs,
                       "sense_count_page: packed result diverges");
         results.push_back({"sense_count_page", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
-    }
-
-    // --- sentinel_updown --------------------------------------------
-    {
-        const nand::WordlineVthView view =
-            nand::WordlineVthView::dataRegion(chip, block, wl);
-        const std::vector<int> dac = view.senseDac(2000);
-        const int v0 = defaults[static_cast<std::size_t>(k_s)];
-        std::uint64_t scalar_acc = 0, packed_acc = 0;
-        const auto scalar = [&] {
-            std::uint64_t acc = 0;
-            for (int v = v0 - 16; v <= v0 + 16; ++v) {
-                std::uint64_t up = 0, down = 0;
-                for (std::size_t i = 0; i < view.cells(); ++i) {
-                    const int s = view.state(i);
-                    if (s == k_s - 1)
-                        up += dac[i] > v;
-                    else if (s == k_s)
-                        down += dac[i] <= v;
-                }
-                acc += up + 2 * down;
-            }
-            scalar_acc = acc;
-            g_sink = acc;
-        };
-        const auto packed = [&] {
-            const core::SentinelMasks masks(view, k_s);
-            std::uint64_t acc = 0;
-            for (int v = v0 - 16; v <= v0 + 16; ++v) {
-                const auto e = core::countSentinelErrors(view, masks, dac, v);
-                acc += e.up + 2 * e.down;
-            }
-            packed_acc = acc;
-            g_sink = acc;
-        };
-        scalar();
-        packed();
-        util::fatalIf(scalar_acc != packed_acc,
-                      "sentinel_updown: packed result diverges");
-        results.push_back({"sentinel_updown", timeNs(reps, scalar),
                            timeNs(reps, packed)});
     }
 

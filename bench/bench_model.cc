@@ -81,6 +81,7 @@ volatile std::int64_t g_sink; // defeat dead-code elimination
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {"reps", "json"});
     const int reps =
         static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
     const std::string json_out = bench::stringArg(argc, argv, "json");

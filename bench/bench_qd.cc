@@ -70,6 +70,12 @@ armJson(std::ostream &os, const ArmResult &r)
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "metrics-out", "trace-spans", "health-out",
+                        "health-interval", "requests", "queues", "qd-max",
+                        "rate", "model-confidence", "workload", "mode",
+                        "span-capacity"},
+                       {"voltage-model"});
     const int threads = bench::threadsArg(argc, argv);
     const std::string metrics_out = bench::metricsOutArg(argc, argv);
     const std::string trace_spans = bench::traceSpansArg(argc, argv);

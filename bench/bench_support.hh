@@ -11,10 +11,12 @@
 #ifndef SENTINELFLASH_BENCH_BENCH_SUPPORT_HH
 #define SENTINELFLASH_BENCH_BENCH_SUPPORT_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/characterization.hh"
 #include "core/evaluator.hh"
@@ -135,6 +137,46 @@ findArg(int argc, char **argv, const std::string &name, std::string &value)
         }
     }
     return found;
+}
+
+/**
+ * Declare the flags a bench accepts and reject everything else with
+ * exit status 2: an undeclared `--name`, a bare flag given a value,
+ * and a stray positional argument. @p values take a value
+ * (`--name V` or `--name=V`); @p bare take none. Call it first in
+ * main, so a misspelled flag (`--device 8`) cannot silently run the
+ * default.
+ */
+inline void
+acceptFlags(int argc, char **argv, const std::vector<std::string> &values,
+            const std::vector<std::string> &bare = {})
+{
+    const auto declared = [](const std::vector<std::string> &names,
+                             const std::string &name) {
+        return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a.rfind("--", 0) != 0)
+            usageError("unexpected argument \"" + a + '"');
+        const std::size_t eq = a.find('=');
+        const std::string name =
+            a.substr(2, eq == std::string::npos ? eq : eq - 2);
+        if (declared(values, name)) {
+            if (eq == std::string::npos)
+                ++i; // the value; findArg reports a missing one
+        } else if (declared(bare, name)) {
+            if (eq != std::string::npos)
+                usageError("--" + name + " takes no value");
+        } else {
+            std::string known;
+            for (const std::string &v : values)
+                known += " --" + v + " V";
+            for (const std::string &b : bare)
+                known += " --" + b;
+            usageError("unknown flag --" + name + "; accepted:" + known);
+        }
+    }
 }
 
 /** Validated `--name N` integer option; @p fallback when absent. */

@@ -5,28 +5,6 @@
 namespace flash::core
 {
 
-namespace
-{
-
-/** Shared decision rule of both observeStateChange overloads. */
-void
-decide(CalibrationObservation &obs, double two_state_data,
-       std::uint64_t sent_cells, double match_tolerance)
-{
-    const double scale = two_state_data / static_cast<double>(sent_cells);
-    obs.scaledNcs = static_cast<double>(obs.ncs) * scale;
-    const double nca = static_cast<double>(obs.nca);
-    obs.tuneFurther = nca > obs.scaledNcs;
-    if (nca > obs.scaledNcs * (1.0 + match_tolerance))
-        obs.decision = CalibrationCase::TuneFurther;
-    else if (nca < obs.scaledNcs * (1.0 - match_tolerance))
-        obs.decision = CalibrationCase::TuneBack;
-    else
-        obs.decision = CalibrationCase::Converged;
-}
-
-} // namespace
-
 CalibrationObservation
 observeStateChange(const nand::WordlineSnapshot &data,
                    const nand::WordlineSnapshot &sent, int k, int v_default,
@@ -43,27 +21,16 @@ observeStateChange(const nand::WordlineSnapshot &data,
     const double two_state_data =
         static_cast<double>(data.cellsInState(k - 1))
         + static_cast<double>(data.cellsInState(k));
-    decide(obs, two_state_data, sent.cells(), match_tolerance);
-    return obs;
-}
-
-CalibrationObservation
-observeStateChange(const nand::WordlineVthView &data,
-                   const std::vector<int> &data_dac,
-                   const nand::WordlineVthView &sent,
-                   const std::vector<int> &sent_dac, int k, int v_default,
-                   int v_infer, double match_tolerance)
-{
-    util::fatalIf(sent.cells() == 0 || data.cells() == 0,
-                  "calibration: empty view");
-
-    CalibrationObservation obs;
-    obs.nca = data.cellsInDacRange(data_dac, v_default, v_infer);
-    obs.ncs = sent.cellsInDacRange(sent_dac, v_default, v_infer);
-    const double two_state_data =
-        static_cast<double>(data.cellsInState(k - 1))
-        + static_cast<double>(data.cellsInState(k));
-    decide(obs, two_state_data, sent.cells(), match_tolerance);
+    const double scale = two_state_data / static_cast<double>(sent.cells());
+    obs.scaledNcs = static_cast<double>(obs.ncs) * scale;
+    const double nca = static_cast<double>(obs.nca);
+    obs.tuneFurther = nca > obs.scaledNcs;
+    if (nca > obs.scaledNcs * (1.0 + match_tolerance))
+        obs.decision = CalibrationCase::TuneFurther;
+    else if (nca < obs.scaledNcs * (1.0 - match_tolerance))
+        obs.decision = CalibrationCase::TuneBack;
+    else
+        obs.decision = CalibrationCase::Converged;
     return obs;
 }
 

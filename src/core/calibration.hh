@@ -16,10 +16,8 @@
 #define SENTINELFLASH_CORE_CALIBRATION_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
 
 namespace flash::core
 {
@@ -72,20 +70,6 @@ struct CalibrationObservation
  */
 CalibrationObservation observeStateChange(const nand::WordlineSnapshot &data,
                                           const nand::WordlineSnapshot &sent,
-                                          int k, int v_default, int v_infer,
-                                          double match_tolerance = 0.10);
-
-/**
- * Packed-kernel form of observeStateChange(): NCa and NCs are counted
- * directly over one materialized sense of each view (DAC values from
- * WordlineVthView::senseDac), no histograms needed. Identical
- * decisions to the snapshot overload for voltages inside the model's
- * Vth range.
- */
-CalibrationObservation observeStateChange(const nand::WordlineVthView &data,
-                                          const std::vector<int> &data_dac,
-                                          const nand::WordlineVthView &sent,
-                                          const std::vector<int> &sent_dac,
                                           int k, int v_default, int v_infer,
                                           double match_tolerance = 0.10);
 

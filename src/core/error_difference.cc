@@ -26,31 +26,4 @@ countSentinelErrors(const nand::WordlineSnapshot &sent_snap, int k,
     return e;
 }
 
-SentinelMasks::SentinelMasks(const nand::WordlineVthView &view, int k)
-    : low(view.cells()), high(view.cells())
-{
-    util::fatalIf(k < 1 || k >= view.chip().geometry().states(),
-                  "SentinelMasks: boundary out of range");
-    for (std::size_t i = 0; i < view.cells(); ++i) {
-        const int s = view.state(i);
-        if (s == k - 1)
-            low.set(i);
-        else if (s == k)
-            high.set(i);
-    }
-}
-
-SentinelErrors
-countSentinelErrors(const nand::WordlineVthView &sent_view,
-                    const SentinelMasks &masks,
-                    const std::vector<int> &sent_dac, int voltage)
-{
-    const util::Bitplane above = sent_view.senseAbove(sent_dac, voltage);
-    SentinelErrors e;
-    e.up = util::andCount(masks.low, above);      // misread upward
-    e.down = util::andNotCount(masks.high, above); // misread downward
-    e.sentinels = sent_view.cells();
-    return e;
-}
-
 } // namespace flash::core

@@ -12,12 +12,9 @@
 #define SENTINELFLASH_CORE_ERROR_DIFFERENCE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "nandsim/chip.hh"
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
-#include "util/bitplane.hh"
 
 namespace flash::core
 {
@@ -55,32 +52,6 @@ nand::WordlineSnapshot sentinelSnapshot(const nand::Chip &chip, int block,
  */
 SentinelErrors countSentinelErrors(const nand::WordlineSnapshot &sent_snap,
                                    int k, int voltage);
-
-/**
- * Packed true-state masks of a sentinel-range view: which cells are
- * programmed to the state below/above boundary @p k. Build once per
- * view, then every threshold query is two popcount kernels.
- */
-struct SentinelMasks
-{
-    SentinelMasks(const nand::WordlineVthView &view, int k);
-
-    util::Bitplane low;  ///< cells truly in state k-1
-    util::Bitplane high; ///< cells truly in state k
-};
-
-/**
- * Packed sentinel error count: up errors are low-state cells sensed
- * above @p voltage, down errors high-state cells sensed at or below
- * it. @p sent_dac is one sense of the view (WordlineVthView::
- * senseDac). Counts match the snapshot-based overload for any
- * threshold inside the model's Vth range (the histogram clamps tail
- * values into its edge bins, the DAC values are unclamped).
- */
-SentinelErrors countSentinelErrors(const nand::WordlineVthView &sent_view,
-                                   const SentinelMasks &masks,
-                                   const std::vector<int> &sent_dac,
-                                   int voltage);
 
 } // namespace flash::core
 

@@ -149,39 +149,4 @@ WordlineVthView::pageRead(int page, const std::vector<int> &voltages,
     return r;
 }
 
-util::Bitplane
-WordlineVthView::senseAbove(const std::vector<int> &dac, int voltage) const
-{
-    util::fatalIf(dac.size() != static_.size(),
-                  "vth view: sense size mismatch");
-    util::Bitplane out(dac.size());
-    std::uint64_t *words = out.words();
-    const std::size_t n = dac.size();
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        w |= static_cast<std::uint64_t>(dac[i] > voltage) << (i & 63);
-        if ((i & 63) == 63) {
-            words[i >> 6] = w;
-            w = 0;
-        }
-    }
-    if (n & 63)
-        words[n >> 6] = w;
-    return out;
-}
-
-std::uint64_t
-WordlineVthView::cellsInDacRange(const std::vector<int> &dac, int lo,
-                                 int hi) const
-{
-    util::fatalIf(dac.size() != static_.size(),
-                  "vth view: sense size mismatch");
-    if (hi < lo)
-        std::swap(lo, hi);
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < dac.size(); ++i)
-        n += dac[i] > lo && dac[i] <= hi;
-    return n;
-}
-
 } // namespace flash::nand

@@ -8,8 +8,7 @@
  * same wordline — any read voltage, any soft-sense shift — then only
  * adds the per-read noise term and compares, so a caller that senses
  * a wordline several times and needs per-cell bits (Chip::readPage,
- * ecc::softReadRange, the packed sentinel kernels) hashes each cell's
- * static part once. A single histogrammed sense needs no view: the
+ * ecc::softReadRange) hashes each cell's static part once. A single histogrammed sense needs no view: the
  * direct WordlineSnapshot constructor streams it.
  *
  * Sensed pages come out as packed bitplanes (util::Bitplane, one bit
@@ -105,17 +104,6 @@ class WordlineVthView
     /** pageRead() reusing an already-materialized sense. */
     PageReadResult pageRead(int page, const std::vector<int> &voltages,
                             const std::vector<int> &dac) const;
-
-    /**
-     * Packed plane of cells sensed strictly above @p voltage under
-     * one sense's DAC values.
-     */
-    util::Bitplane senseAbove(const std::vector<int> &dac,
-                              int voltage) const;
-
-    /** Cells of one sense with DAC value in (lo, hi] (order-free). */
-    std::uint64_t cellsInDacRange(const std::vector<int> &dac, int lo,
-                                  int hi) const;
 
   private:
     const Chip *chip_;

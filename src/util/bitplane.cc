@@ -86,30 +86,6 @@ diffCount(const Bitplane &a, const Bitplane &b)
 }
 
 std::uint64_t
-andCount(const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<std::uint64_t>(std::popcount(wa[i] & wb[i]));
-    return n;
-}
-
-std::uint64_t
-andNotCount(const Bitplane &a, const Bitplane &b)
-{
-    checkSizes(a, b);
-    std::uint64_t n = 0;
-    const std::uint64_t *wa = a.words();
-    const std::uint64_t *wb = b.words();
-    for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<std::uint64_t>(std::popcount(wa[i] & ~wb[i]));
-    return n;
-}
-
-std::uint64_t
 maskedDiffCount(const Bitplane &mask, const Bitplane &a, const Bitplane &b)
 {
     checkSizes(mask, a);

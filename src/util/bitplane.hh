@@ -102,12 +102,6 @@ class Bitplane
 /** popcount(a ^ b): number of differing bits (equal sizes). */
 std::uint64_t diffCount(const Bitplane &a, const Bitplane &b);
 
-/** popcount(a & b) (equal sizes). */
-std::uint64_t andCount(const Bitplane &a, const Bitplane &b);
-
-/** popcount(a & ~b) (equal sizes). */
-std::uint64_t andNotCount(const Bitplane &a, const Bitplane &b);
-
 /** popcount(mask & (a ^ b)): differing bits within a mask. */
 std::uint64_t maskedDiffCount(const Bitplane &mask, const Bitplane &a,
                               const Bitplane &b);

@@ -204,5 +204,68 @@ TEST(BenchArgs, StringAndFlagArgsUnchanged)
     EXPECT_EQ(stringArg(a.argc(), a.argv(), "absent"), "");
 }
 
+/** Flag set of bench_fleet, the bench of the `--device` typo. */
+void
+acceptFleetFlags(Args &a)
+{
+    acceptFlags(a.argc(), a.argv(), {"threads", "devices", "requests"},
+                {"shuffle"});
+}
+
+TEST(BenchArgs, AcceptFlagsPassesDeclaredForms)
+{
+    Args a({"--threads", "4", "--shuffle", "--devices=8", "--requests",
+            "-5"}); // a value is never read as a flag
+    acceptFleetFlags(a);
+    EXPECT_EQ(threadsArg(a.argc(), a.argv()), 4);
+    Args none({});
+    acceptFleetFlags(none);
+}
+
+TEST(BenchArgsDeathTest, AcceptFlagsRejectsDeviceTypo)
+{
+    Args a({"--device", "8", "--requests", "20"});
+    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
+                "unknown flag --device; accepted: --threads V --devices V");
+}
+
+TEST(BenchArgsDeathTest, AcceptFlagsRejectsMisspelledFig14Flags)
+{
+    Args a({"--request", "10", "--threds", "4"});
+    EXPECT_EXIT(acceptFlags(a.argc(), a.argv(), {"threads", "requests"},
+                            {"voltage-cache"}),
+                testing::ExitedWithCode(2), "unknown flag --request;");
+    Args eq({"--threads=4", "--threds=4"});
+    EXPECT_EXIT(acceptFlags(eq.argc(), eq.argv(), {"threads"}),
+                testing::ExitedWithCode(2), "unknown flag --threds;");
+}
+
+TEST(BenchArgsDeathTest, AcceptFlagsRejectsPrefixesOfDeclaredNames)
+{
+    Args a({"--thread", "4"});
+    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
+                "unknown flag --thread;");
+    Args longer({"--shuffled"});
+    EXPECT_EXIT(acceptFleetFlags(longer), testing::ExitedWithCode(2),
+                "unknown flag --shuffled;");
+}
+
+TEST(BenchArgsDeathTest, AcceptFlagsRejectsValueOnBareFlag)
+{
+    Args a({"--shuffle=1"});
+    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
+                "--shuffle takes no value");
+}
+
+TEST(BenchArgsDeathTest, AcceptFlagsRejectsStrayArguments)
+{
+    Args a({"--shuffle", "8"});
+    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
+                "unexpected argument \"8\"");
+    Args dash({"-threads", "4"});
+    EXPECT_EXIT(acceptFleetFlags(dash), testing::ExitedWithCode(2),
+                "unexpected argument \"-threads\"");
+}
+
 } // namespace
 } // namespace flash::bench

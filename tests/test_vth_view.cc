@@ -3,8 +3,7 @@
  * bit-identical to the per-cell chip APIs it accelerates — senseDac
  * vs cellVth, packBits vs readBits, pageRead vs the byte-wise oracle
  * (the Chip::readPage regression), histograms binned from a view
- * sense vs direct snapshots, and the packed sentinel / state-change
- * kernels vs their histogram-based counterparts.
+ * sense vs direct snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/calibration.hh"
-#include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
@@ -181,80 +178,6 @@ TEST_F(VthViewTest, SnapshotFromViewMatchesDirectSnapshot)
         for (int v = lo; v <= hi; ++v)
             ASSERT_EQ(h.binCount(v), direct.stateCellsInRange(s, v - 1, v))
                 << "state " << s << " dac " << v;
-    }
-}
-
-TEST_F(VthViewTest, PackedSentinelErrorsMatchSnapshotKernel)
-{
-    const std::uint64_t seq = 4321;
-    const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
-                                    overlay.start + overlay.count);
-    const WordlineSnapshot sent_snap(*chip, kBlock, kWl, seq, overlay.start,
-                                     overlay.start + overlay.count);
-    const int k_s = chip->geometry().states() / 2;
-    const core::SentinelMasks masks(sent_view, k_s);
-    const auto dac = sent_view.senseDac(seq);
-
-    const auto defaults = chip->model().defaultVoltages();
-    const int v0 = defaults[static_cast<std::size_t>(k_s)];
-    // Interior voltages only: the histogram clamps tail DAC values
-    // into its edge bins, the packed kernel does not.
-    for (int v = v0 - 12; v <= v0 + 12; ++v) {
-        const auto snap_errs =
-            core::countSentinelErrors(sent_snap, k_s, v);
-        const auto packed_errs =
-            core::countSentinelErrors(sent_view, masks, dac, v);
-        EXPECT_EQ(packed_errs.up, snap_errs.up) << "v " << v;
-        EXPECT_EQ(packed_errs.down, snap_errs.down) << "v " << v;
-        EXPECT_EQ(packed_errs.sentinels, snap_errs.sentinels);
-        EXPECT_DOUBLE_EQ(packed_errs.dRate(), snap_errs.dRate());
-    }
-}
-
-TEST_F(VthViewTest, PackedStateChangeMatchesSnapshotOverload)
-{
-    const std::uint64_t data_seq = 11, sent_seq = 22;
-    const WordlineVthView data_view =
-        WordlineVthView::dataRegion(*chip, kBlock, kWl);
-    const WordlineVthView sent_view(*chip, kBlock, kWl, overlay.start,
-                                    overlay.start + overlay.count);
-    const WordlineSnapshot data_snap =
-        WordlineSnapshot::dataRegion(*chip, kBlock, kWl, data_seq);
-    const WordlineSnapshot sent_snap(*chip, kBlock, kWl, sent_seq,
-                                     overlay.start,
-                                     overlay.start + overlay.count);
-    const auto data_dac = data_view.senseDac(data_seq);
-    const auto sent_dac = sent_view.senseDac(sent_seq);
-
-    const int k_s = chip->geometry().states() / 2;
-    const int v0 = chip->model()
-                       .defaultVoltages()[static_cast<std::size_t>(k_s)];
-    for (int v_infer = v0 - 10; v_infer <= v0 + 10; v_infer += 2) {
-        const auto snap_obs = core::observeStateChange(
-            data_snap, sent_snap, k_s, v0, v_infer);
-        const auto packed_obs = core::observeStateChange(
-            data_view, data_dac, sent_view, sent_dac, k_s, v0, v_infer);
-        EXPECT_EQ(packed_obs.nca, snap_obs.nca) << "v_infer " << v_infer;
-        EXPECT_EQ(packed_obs.ncs, snap_obs.ncs) << "v_infer " << v_infer;
-        EXPECT_DOUBLE_EQ(packed_obs.scaledNcs, snap_obs.scaledNcs);
-        EXPECT_EQ(packed_obs.decision, snap_obs.decision);
-        EXPECT_EQ(packed_obs.tuneFurther, snap_obs.tuneFurther);
-    }
-}
-
-TEST_F(VthViewTest, CellsInDacRangeMatchesNaiveCount)
-{
-    const WordlineVthView view(*chip, kBlock, kWl, 0, 2048);
-    const auto dac = view.senseDac(7);
-    const int v0 = chip->model().defaultVoltages()[2];
-    for (const auto [lo, hi] : {std::pair{v0 - 6, v0 + 6},
-                                std::pair{v0 + 6, v0 - 6},
-                                std::pair{v0, v0}}) {
-        std::uint64_t expect = 0;
-        const int a = std::min(lo, hi), b = std::max(lo, hi);
-        for (const int d : dac)
-            expect += d > a && d <= b;
-        EXPECT_EQ(view.cellsInDacRange(dac, lo, hi), expect);
     }
 }
 
