@@ -253,6 +253,7 @@ ablationTemperatureBands(int threads)
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {"threads"});
     const int threads = bench::threadsArg(argc, argv);
     bench::header("Ablations",
                   "design-choice studies beyond the paper's figures",

@@ -82,8 +82,9 @@ runChip(nand::Chip &chip, const char *name)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 3",
                   "MSB RBER per layer, default vs optimal voltages, "
                   "P/E in {0,1K,3K,5K}, 1-year retention",

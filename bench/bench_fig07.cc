@@ -14,8 +14,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 7",
                   "error positions in one QLC block (P/E 3000 + 1 y)",
                   "horizontal stripes (wordline variation) and uniform "

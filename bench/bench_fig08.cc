@@ -12,8 +12,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 8",
                   "correlation of each optimal voltage vs optimal V8 (QLC)",
                   "every pair is strongly linear; one voltage predicts "

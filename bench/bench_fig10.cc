@@ -73,8 +73,9 @@ runChip(nand::Chip &chip, const char *name, std::uint32_t pe,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 10",
                   "d -> Vopt curve fit and inferred vs ground truth "
                   "(V4 of TLC, V8 of QLC)",

@@ -13,8 +13,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 12",
                   "normalized state-change counts vs position offset "
                   "(QLC, P/E 3000 + 1 y)",

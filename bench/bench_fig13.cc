@@ -6,8 +6,6 @@
  */
 
 #include <cmath>
-#include <fstream>
-#include <memory>
 #include <optional>
 
 #include "bench_support.hh"
@@ -18,7 +16,6 @@
 #include "ecc/ecc_model.hh"
 #include "nandsim/read_seq.hh"
 #include "ssd/health_monitor.hh"
-#include "util/span_trace.hh"
 
 using namespace flash;
 
@@ -26,12 +23,10 @@ int
 main(int argc, char **argv)
 {
     bench::acceptFlags(argc, argv,
-                       {"threads", "metrics-out", "trace-spans", "health-out",
-                        "scrub-interval", "scrub-budget", "span-capacity"});
+                       {"threads", "out", "spans", "scrub-interval",
+                        "scrub-budget"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
-    const std::string trace_spans = bench::traceSpansArg(argc, argv);
-    const std::string health_out = bench::healthOutArg(argc, argv);
     const double scrub_interval = bench::scrubIntervalArg(argc, argv);
     const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
     bench::header("Figure 13",
@@ -49,22 +44,16 @@ main(int argc, char **argv)
     // Health probes walk the block through retention checkpoints; the
     // closing ageBlock() below re-ages it to the figure's exact state
     // (refresh() clears retention), so the results are unchanged.
-    if (!health_out.empty()) {
-        std::ofstream health_file(health_out);
-        util::fatalIf(!health_file,
-                      "health-out: cannot open " + health_out);
+    if (std::ostream *health_file = out.open("health.jsonl")) {
         ssd::HealthMonitorOptions hopt;
         hopt.wlStride = 8;
-        ssd::HealthMonitor health(health_file, hopt);
+        ssd::HealthMonitor health(*health_file, hopt);
         health.beginRun("fig13-tlc-pe5000");
         for (const double hours : {0.0, 24.0, 720.0, bench::kOneYearHours}) {
             bench::ageBlock(chip, bench::kEvalBlock, 5000, hours);
             health.probeBlock(chip, bench::kEvalBlock, &tables, overlay,
                               hours * 3.6e9);
         }
-        util::inform("health: wrote "
-                     + std::to_string(health.records())
-                     + " chip probes to " + health_out);
     }
     bench::ageBlock(chip, bench::kEvalBlock, 5000);
 
@@ -74,19 +63,12 @@ main(int argc, char **argv)
     core::VendorRetryPolicy vendor(chip.model());
     core::SentinelPolicy sentinel(tables, chip.model().defaultVoltages());
 
-    std::unique_ptr<util::SpanTrace> span_trace;
-    if (!trace_spans.empty()) {
-        const std::size_t cap = bench::spanCapacityArg(argc, argv);
-        span_trace = std::make_unique<util::SpanTrace>(
-            cap ? cap : util::SpanTrace::kDefaultCapacity);
-    }
-
     const auto vs = core::evaluateBlock(chip, bench::kEvalBlock, vendor,
                                         ecc_model, overlay, lat, -1, 1,
-                                        threads, 0, span_trace.get());
+                                        threads, 0, out.spans());
     const auto ss = core::evaluateBlock(chip, bench::kEvalBlock, sentinel,
                                         ecc_model, overlay, lat, -1, 1,
-                                        threads, 0, span_trace.get());
+                                        threads, 0, out.spans());
 
     // --scrub-interval enables the chip-level analogue of the SSD
     // scrubber: spend the scan budget on sentinel-only probe reads
@@ -127,27 +109,16 @@ main(int argc, char **argv)
         warmed.attachCache(&scrub_cache);
         ws = core::evaluateBlock(chip, bench::kEvalBlock, warmed,
                                  ecc_model, overlay, lat, -1, 1, 1, 0,
-                                 span_trace.get());
+                                 out.spans());
         scrub_cache.exportMetrics(ws->metrics);
     }
 
-    if (span_trace) {
-        std::ofstream spans_file(trace_spans);
-        util::fatalIf(!spans_file,
-                      "trace-spans: cannot open " + trace_spans);
-        span_trace->writeJsonLines(spans_file);
-        util::inform("spans: wrote "
-                     + std::to_string(span_trace->spans()) + " spans ("
-                     + std::to_string(span_trace->droppedSpans())
-                     + " dropped) to " + trace_spans);
-    }
-
-    if (!metrics_out.empty()) {
+    if (std::ostream *metrics_file = out.open("metrics.json")) {
         std::vector<core::PolicyMetricsRun> runs{
             {vendor.name(), vs.metrics}, {sentinel.name(), ss.metrics}};
         if (ws)
             runs.push_back({"sentinel+scrub", ws->metrics});
-        core::savePolicyMetricsJson(metrics_out, runs);
+        core::writePolicyMetricsJson(*metrics_file, runs);
     }
 
     util::TextTable table;

@@ -7,7 +7,6 @@
  * the paper plugs chip measurements into SSDSim.
  */
 
-#include <fstream>
 #include <memory>
 #include <optional>
 
@@ -19,7 +18,6 @@
 #include "ssd/scrubber/scrubber.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
-#include "util/span_trace.hh"
 #include "util/stats.hh"
 
 using namespace flash;
@@ -28,16 +26,12 @@ int
 main(int argc, char **argv)
 {
     bench::acceptFlags(argc, argv,
-                       {"threads", "metrics-out", "trace-spans", "health-out",
-                        "health-interval", "model-confidence",
+                       {"threads", "out", "spans", "model-confidence",
                         "scrub-interval", "scrub-budget", "refresh-rber",
-                        "requests", "ftl", "gc-policy", "span-capacity"},
+                        "requests", "ftl", "gc-policy"},
                        {"voltage-cache", "voltage-model"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
-    const std::string trace_spans = bench::traceSpansArg(argc, argv);
-    const std::string health_out = bench::healthOutArg(argc, argv);
-    const double health_interval = bench::healthIntervalArg(argc, argv);
     const bool use_cache = bench::flagArg(argc, argv, "voltage-cache");
     const bool use_model = bench::voltageModelArg(argc, argv);
     const double model_confidence = bench::modelConfidenceArg(argc, argv);
@@ -76,7 +70,7 @@ main(int argc, char **argv)
     // --voltage-cache: a third cost source measured with a per-block
     // inferred-voltage cache attached. Cached sessions depend on the
     // reads that ran before them, so the measurement is serial. The
-    // cache outlives the measurement so --health-out can report its
+    // cache outlives the measurement so the health stream can report its
     // hit/stale rates.
     core::VoltageCache cache;
     std::optional<ssd::EmpiricalReadCost> ccost;
@@ -177,30 +171,14 @@ main(int argc, char **argv)
     columns.push_back("reduction");
     table.header(columns);
 
-    std::ofstream metrics_file;
-    if (!metrics_out.empty()) {
-        metrics_file.open(metrics_out);
-        util::fatalIf(!metrics_file,
-                      "metrics-out: cannot open " + metrics_out);
-        metrics_file << "{\"workloads\": {";
-    }
-    std::unique_ptr<util::SpanTrace> span_trace;
-    if (!trace_spans.empty()) {
-        const std::size_t cap = bench::spanCapacityArg(argc, argv);
-        span_trace = std::make_unique<util::SpanTrace>(
-            cap ? cap : util::SpanTrace::kDefaultCapacity);
-    }
-    std::ofstream health_file;
+    std::ostream *metrics_file = out.open("metrics.json");
+    if (metrics_file)
+        *metrics_file << "{\"workloads\": {";
     std::unique_ptr<ssd::HealthMonitor> health;
-    if (!health_out.empty()) {
-        health_file.open(health_out);
-        util::fatalIf(!health_file,
-                      "health-out: cannot open " + health_out);
+    if (std::ostream *health_file = out.open("health.jsonl")) {
         ssd::HealthMonitorOptions hopt;
-        if (health_interval > 0.0)
-            hopt.intervalUs = health_interval;
         hopt.wlStride = 8;
-        health = std::make_unique<ssd::HealthMonitor>(health_file, hopt);
+        health = std::make_unique<ssd::HealthMonitor>(*health_file, hopt);
         if (use_cache)
             health->attachCache(&cache);
         if (use_model)
@@ -245,21 +223,20 @@ main(int argc, char **argv)
     double mab_base_retry = 0.0, mab_model_retry = 0.0;
     double mab_base_sense = 0.0, mab_model_sense = 0.0;
     double mab_base_p99 = 0.0, mab_model_p99 = 0.0;
-    std::uint64_t warm_reads = 0, cold_reads = 0;
-    ssd::ScrubberStats scrub_total;
+    util::MetricsRegistry scrub_total; // "scrub.*" counters of every run
     for (const auto &w : trace::msrWorkloads()) {
         auto spec = w;
         spec.meanInterarrivalUs *= 0.5; // one busy volume per SSD
         const auto tr = trace::generateTrace(spec, requests, 42);
 
         ssd::SsdSim sim_v(cfg, timing, vcost, 1);
-        sim_v.setSpanTrace(span_trace.get());
+        sim_v.setSpanTrace(out.spans());
         sim_v.setHealthMonitor(health.get());
         if (health)
             health->beginRun(w.name + "." + vcost.name());
         const auto rv = sim_v.run(tr);
         ssd::SsdSim sim_s(cfg, timing, scost, 1);
-        sim_s.setSpanTrace(span_trace.get());
+        sim_s.setSpanTrace(out.spans());
         sim_s.setHealthMonitor(health.get());
         if (health)
             health->beginRun(w.name + "." + scost.name());
@@ -267,7 +244,7 @@ main(int argc, char **argv)
         std::optional<ssd::SimReport> rc;
         if (ccost) {
             ssd::SsdSim sim_c(cfg, timing, *ccost, 1);
-            sim_c.setSpanTrace(span_trace.get());
+            sim_c.setSpanTrace(out.spans());
             sim_c.setHealthMonitor(health.get());
             if (health)
                 health->beginRun(w.name + "." + ccost->name());
@@ -279,7 +256,7 @@ main(int argc, char **argv)
         std::optional<ssd::SimReport> rm;
         if (mcost) {
             ssd::SsdSim sim_m(cfg, timing, *mcost, 1);
-            sim_m.setSpanTrace(span_trace.get());
+            sim_m.setSpanTrace(out.spans());
             sim_m.setHealthMonitor(health.get());
             if (health)
                 health->beginRun(w.name + "." + mcost->name());
@@ -308,7 +285,7 @@ main(int argc, char **argv)
             core::VoltageCache scrub_cache;
             ssd::Scrubber scrub(scfg, *scrub_device, &scrub_cache);
             ssd::SsdSim sim_o(cfg, timing, scost, 1);
-            sim_o.setSpanTrace(span_trace.get());
+            sim_o.setSpanTrace(out.spans());
             sim_o.setHealthMonitor(health.get());
             sim_o.setWarmReadCost(&*wcost);
             sim_o.attachScrubber(&scrub);
@@ -325,45 +302,24 @@ main(int argc, char **argv)
             ab_on_retry += mean_retries(*ro);
             ab_off_p99 += util::percentile(rs.readLatencies, 0.99);
             ab_on_p99 += util::percentile(ro->readLatencies, 0.99);
-            warm_reads += ro->metrics.counter("scrub.read.warm");
-            cold_reads += ro->metrics.counter("scrub.read.cold");
-            const ssd::ScrubberStats &st = scrub.stats();
-            scrub_total.scans += st.scans;
-            scrub_total.probes += st.probes;
-            scrub_total.probesSkipped += st.probesSkipped;
-            scrub_total.rewarms += st.rewarms;
-            scrub_total.refreshQueued += st.refreshQueued;
-            scrub_total.refreshPages += st.refreshPages;
-            scrub_total.refreshErases += st.refreshErases;
-            scrub_total.refreshDone += st.refreshDone;
-            scrub_total.refreshStalled += st.refreshStalled;
-            scrub_total.refreshDropped += st.refreshDropped;
+            scrub_total.merge(ro->metrics);
         }
 
-        if (metrics_file.is_open()) {
-            metrics_file << (n ? ", " : "") << '"'
-                         << util::jsonEscape(w.name) << "\": {\""
-                         << util::jsonEscape(rv.policy) << "\": ";
-            rv.writeJson(metrics_file);
-            metrics_file << ", \"" << util::jsonEscape(rs.policy)
-                         << "\": ";
-            rs.writeJson(metrics_file);
-            if (rc) {
-                metrics_file << ", \"" << util::jsonEscape(rc->policy)
-                             << "\": ";
-                rc->writeJson(metrics_file);
+        if (metrics_file) {
+            std::ostream &mf = *metrics_file;
+            mf << (n ? ", " : "") << '"' << util::jsonEscape(w.name)
+               << "\": {\"" << util::jsonEscape(rv.policy) << "\": ";
+            rv.writeJson(mf);
+            const ssd::SimReport *arms[] = {&rs, rc ? &*rc : nullptr,
+                                            rm ? &*rm : nullptr,
+                                            ro ? &*ro : nullptr};
+            for (const ssd::SimReport *r : arms) {
+                if (r) {
+                    mf << ", \"" << util::jsonEscape(r->policy) << "\": ";
+                    r->writeJson(mf);
+                }
             }
-            if (rm) {
-                metrics_file << ", \"" << util::jsonEscape(rm->policy)
-                             << "\": ";
-                rm->writeJson(metrics_file);
-            }
-            if (ro) {
-                metrics_file << ", \"" << util::jsonEscape(ro->policy)
-                             << "\": ";
-                ro->writeJson(metrics_file);
-            }
-            metrics_file << "}";
+            mf << "}";
         }
 
         const double red =
@@ -385,25 +341,8 @@ main(int argc, char **argv)
         row.push_back(util::fmtPct(red));
         table.row(row);
     }
-    if (metrics_file.is_open()) {
-        metrics_file << "}}\n";
-        util::inform("metrics written to " + metrics_out);
-    }
-    if (span_trace) {
-        std::ofstream spans_file(trace_spans);
-        util::fatalIf(!spans_file,
-                      "trace-spans: cannot open " + trace_spans);
-        span_trace->writeJsonLines(spans_file);
-        util::inform("spans: wrote "
-                     + std::to_string(span_trace->spans()) + " spans ("
-                     + std::to_string(span_trace->droppedSpans())
-                     + " dropped) to " + trace_spans);
-    }
-    if (health) {
-        util::inform("health: wrote "
-                     + std::to_string(health->records()) + " records to "
-                     + health_out);
-    }
+    if (metrics_file)
+        *metrics_file << "}}\n";
 
     table.print(std::cout);
     std::cout << "\nmean read-latency reduction: " << util::fmtPct(sum / n)
@@ -425,6 +364,8 @@ main(int argc, char **argv)
     }
 
     if (use_scrub) {
+        const std::uint64_t warm_reads =
+            scrub_total.counter("scrub.read.warm");
         std::cout
             << "\nscrub A/B over " << n
             << " traces (sentinel, scrub off -> on):\n"
@@ -435,13 +376,15 @@ main(int argc, char **argv)
             << util::fmt(ab_off_p99 / n, 0) << " us -> "
             << util::fmt(ab_on_p99 / n, 0) << " us\n"
             << "  warm reads " << warm_reads << "/"
-            << (warm_reads + cold_reads) << ", probes "
-            << scrub_total.probes << " (" << scrub_total.probesSkipped
-            << " skipped), rewarms " << scrub_total.rewarms
-            << ", refresh " << scrub_total.refreshQueued << " queued / "
-            << scrub_total.refreshDone << " done / "
-            << scrub_total.refreshPages << " pages / "
-            << scrub_total.refreshErases << " erases\n";
+            << (warm_reads + scrub_total.counter("scrub.read.cold"))
+            << ", probes " << scrub_total.counter("scrub.probes") << " ("
+            << scrub_total.counter("scrub.probe_skipped")
+            << " skipped), rewarms " << scrub_total.counter("scrub.rewarms")
+            << ", refresh " << scrub_total.counter("scrub.refresh.queued")
+            << " queued / " << scrub_total.counter("scrub.refresh.completed")
+            << " done / " << scrub_total.counter("scrub.refresh.pages")
+            << " pages / " << scrub_total.counter("scrub.refresh.erases")
+            << " erases\n";
     }
 
     bench::footer("sentinel wins on every trace by a roughly uniform "

@@ -6,7 +6,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 
 #include "bench_support.hh"
 #include "core/policy_metrics.hh"
@@ -20,9 +19,12 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv,
+                       {"threads", "out", "scrub-interval", "scrub-budget",
+                        "refresh-rber", "model-confidence"},
+                       {"voltage-model"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
-    const std::string health_out = bench::healthOutArg(argc, argv);
     const double scrub_interval = bench::scrubIntervalArg(argc, argv);
     const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
     const double refresh_rber = bench::refreshRberArg(argc, argv);
@@ -43,22 +45,16 @@ main(int argc, char **argv)
     // checkpoints; the closing ageBlock() restores the figure's exact
     // aging state (refresh() clears retention), so results are
     // unchanged.
-    if (!health_out.empty()) {
-        std::ofstream health_file(health_out);
-        util::fatalIf(!health_file,
-                      "health-out: cannot open " + health_out);
+    if (std::ostream *health_file = out.open("health.jsonl")) {
         ssd::HealthMonitorOptions hopt;
         hopt.wlStride = 48;
-        ssd::HealthMonitor health(health_file, hopt);
+        ssd::HealthMonitor health(*health_file, hopt);
         health.beginRun("fig15-qlc-pe3000");
         for (const double hours : {0.0, 24.0, 720.0, bench::kOneYearHours}) {
             bench::ageBlock(chip, bench::kEvalBlock, 3000, hours);
             health.probeBlock(chip, bench::kEvalBlock, &tables, overlay,
                               hours * 3.6e9);
         }
-        util::inform("health: wrote "
-                     + std::to_string(health.records())
-                     + " chip probes to " + health_out);
     }
     bench::ageBlock(chip, bench::kEvalBlock, 3000);
 
@@ -94,7 +90,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!metrics_out.empty()) {
+    if (std::ostream *metrics_file = out.open("metrics.json")) {
         // Per-boundary accuracy as a registry: counters for the
         // success tallies, histograms for calibration effort and the
         // final |offset - optimal| error.
@@ -114,8 +110,8 @@ main(int argc, char **argv)
                           std::abs(b.offCalibrated - b.offOptimal));
             }
         }
-        core::savePolicyMetricsJson(metrics_out,
-                                    {{"sentinel-accuracy", m}});
+        core::writePolicyMetricsJson(*metrics_file,
+                                     {{"sentinel-accuracy", m}});
     }
 
     std::cout << "\nmean over voltages: inference "

@@ -10,8 +10,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 17",
                   "QLC per-voltage error counts: default / inferred / "
                   "calibrated / optimal (P/E 3000 + 1 y)",

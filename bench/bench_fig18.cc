@@ -12,8 +12,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Figure 18",
                   "QLC error counts incl. the tracking baseline "
                   "(V4, V8, V11, V15)",

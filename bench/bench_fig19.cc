@@ -46,6 +46,7 @@ decodeFrame(const nand::Chip &chip, int wl, const std::vector<int> &volts,
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {"threads"});
     const int threads = bench::threadsArg(argc, argv);
     bench::header("Figure 19",
                   "LDPC decoding success rate: OPT / current flash / "

@@ -13,24 +13,24 @@
  * share the measured distribution (sampling is read-only; every
  * device brings its own deterministic Rng).
  *
- * Output (stdout, --fleet-out JSON lines, --health-out JSON lines) is
- * byte-identical at any --threads N and invariant to the device
- * evaluation order (--shuffle): profiles derive from (seed, device
- * id) alone, metrics merge exactly (integer bins, ExactSum totals),
- * and health lines flush from per-device buffers in device-id order.
- * Feed --fleet-out to tools/fleet_report for tail attribution, and
- * --health-out to tools/fleet_monitor (optionally piped or tailed
- * with --follow while the run is live) for streaming frames, alert
- * rules and rollup reconciliation.
+ * Output (stdout; with --out DIR, the JSON lines DIR/fleet.jsonl and
+ * DIR/health.jsonl) is byte-identical at any --threads N and
+ * invariant to the device evaluation order (--shuffle): profiles
+ * derive from (seed, device id) alone, metrics merge exactly (integer
+ * bins, ExactSum totals), and health lines flush from per-device
+ * buffers in device-id order. Feed fleet.jsonl to tools/fleet_report
+ * for tail attribution, and health.jsonl to tools/fleet_monitor
+ * (optionally piped or tailed with --follow while the run is live)
+ * for streaming frames, alert rules and rollup reconciliation.
  */
 
-#include <fstream>
 #include <sstream>
 
 #include "bench_support.hh"
 #include "core/read_policy.hh"
 #include "ssd/fleet/fleet.hh"
 #include "ssd/fleet/report.hh"
+#include "ssd/health_monitor.hh"
 #include "util/rng.hh"
 
 using namespace flash;
@@ -72,10 +72,10 @@ main(int argc, char **argv)
 {
     bench::acceptFlags(argc, argv,
                        {"threads", "devices", "requests", "seed", "top",
-                        "fleet-out", "health-out", "health-interval",
-                        "scrub-interval", "scrub-budget", "model-confidence",
-                        "ftl", "gc-policy"},
+                        "out", "scrub-interval", "scrub-budget",
+                        "model-confidence", "ftl", "gc-policy"},
                        {"shuffle", "voltage-model"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
     const int devices = static_cast<int>(
         bench::longArg(argc, argv, "devices", 64, 1, 4096));
@@ -85,9 +85,6 @@ main(int argc, char **argv)
     const bool shuffle = bench::flagArg(argc, argv, "shuffle");
     const int top_k = static_cast<int>(
         bench::longArg(argc, argv, "top", 8, 1, 4096));
-    const std::string fleet_out = bench::stringArg(argc, argv, "fleet-out");
-    const std::string health_out = bench::healthOutArg(argc, argv);
-    const double health_interval = bench::healthIntervalArg(argc, argv);
     const double scrub_interval = bench::scrubIntervalArg(argc, argv);
     const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
     const bool use_model = bench::voltageModelArg(argc, argv);
@@ -106,12 +103,8 @@ main(int argc, char **argv)
     cfg.requests = requests;
     cfg.timing.readBaseUs = 5.0;
     cfg.timing.decodeUs = 2.0;
-    if (health_out.empty()) {
-        cfg.healthIntervalUs = 0.0;
-    } else {
-        cfg.healthIntervalUs =
-            health_interval > 0.0 ? health_interval : 100000.0;
-    }
+    cfg.healthIntervalUs =
+        out.enabled() ? ssd::HealthMonitorOptions{}.intervalUs : 0.0;
     if (scrub_interval > 0.0) {
         cfg.scrub.intervalUs = scrub_interval;
         cfg.scrub.probeBudget = scrub_budget;
@@ -193,20 +186,9 @@ main(int argc, char **argv)
 
     ssd::fleet::printReport(std::cout, data, tail, top_k);
 
-    if (!fleet_out.empty()) {
-        std::ofstream f(fleet_out);
-        util::fatalIf(!f, "fleet-out: cannot open " + fleet_out);
-        f << lines.str();
-        util::inform("fleet: wrote "
-                     + std::to_string(fleet.devices.size() + 1)
-                     + " records to " + fleet_out);
-    }
-    if (!health_out.empty()) {
-        std::ofstream f(health_out);
-        util::fatalIf(!f, "health-out: cannot open " + health_out);
-        ssd::fleet::writeHealthLines(fleet, f);
-        util::inform("health: wrote per-device telemetry to "
-                     + health_out);
+    if (out.enabled()) {
+        *out.open("fleet.jsonl") << lines.str();
+        ssd::fleet::writeHealthLines(fleet, *out.open("health.jsonl"));
     }
 
     bench::footer("rollups merge exactly (integer bins + ExactSum), so "

@@ -8,14 +8,12 @@
  * Every cell is an independent simulation (own SsdSim, own trace
  * replay); cells run under the deterministic static-partitioning
  * thread pool into per-cell result slots and are printed sequentially,
- * so stdout, --metrics-out and --trace-spans are byte-identical at any
- * --threads N. Spans are only collected for one cell (fast / greedy /
- * fig14) to keep the trace small.
+ * so stdout and the --out DIR metrics.json and spans.jsonl are
+ * byte-identical at any --threads N. Spans are only collected for one
+ * cell (fast / greedy / fig14) to keep the trace small.
  */
 
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,7 +23,6 @@
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
 #include "util/rng.hh"
-#include "util/span_trace.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -57,12 +54,10 @@ int
 main(int argc, char **argv)
 {
     bench::acceptFlags(argc, argv,
-                       {"threads", "requests", "metrics-out", "trace-spans",
-                        "span-capacity"});
+                       {"threads", "requests", "out", "spans"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
     const int requests = bench::requestsArg(argc, argv, 6000);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
-    const std::string trace_spans = bench::traceSpansArg(argc, argv);
 
     bench::header("FTL matrix",
                   "page vs FAST hybrid FTL x greedy vs cost-benefit GC "
@@ -151,13 +146,6 @@ main(int argc, char **argv)
     const int cells =
         static_cast<int>(ftls.size() * policies.size() * traces.size());
 
-    std::unique_ptr<util::SpanTrace> span_trace;
-    if (!trace_spans.empty()) {
-        const std::size_t cap = bench::spanCapacityArg(argc, argv);
-        span_trace = std::make_unique<util::SpanTrace>(
-            cap ? cap : util::SpanTrace::kDefaultCapacity);
-    }
-
     std::vector<ssd::SimReport> reports(
         static_cast<std::size_t>(cells));
     util::parallelFor(threads, cells, [&](int i) {
@@ -171,10 +159,8 @@ main(int argc, char **argv)
         ssd::SsdSim sim(cfg, timing, cost, 1);
         // Spans for exactly one cell: fast / greedy / fig14. One
         // writer, written after the barrier — deterministic bytes.
-        if (span_trace && cfg.ftl == ssd::FtlKind::Fast && pi == 0
-            && wi == 2) {
-            sim.setSpanTrace(span_trace.get());
-        }
+        if (cfg.ftl == ssd::FtlKind::Fast && pi == 0 && wi == 2)
+            sim.setSpanTrace(out.spans());
         ssd::SimReport r =
             sim.run(traces[static_cast<std::size_t>(wi)]);
         r.policy = std::string(ssd::ftlKindName(cfg.ftl)) + "."
@@ -214,30 +200,16 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!metrics_out.empty()) {
-        std::ofstream metrics_file(metrics_out);
-        util::fatalIf(!metrics_file,
-                      "metrics-out: cannot open " + metrics_out);
-        metrics_file << "{\"cells\": {";
+    if (std::ostream *metrics_file = out.open("metrics.json")) {
+        *metrics_file << "{\"cells\": {";
         for (int i = 0; i < cells; ++i) {
             const ssd::SimReport &r =
                 reports[static_cast<std::size_t>(i)];
-            metrics_file << (i ? ", " : "") << '"'
-                         << util::jsonEscape(r.policy) << "\": ";
-            r.writeJson(metrics_file);
+            *metrics_file << (i ? ", " : "") << '"'
+                          << util::jsonEscape(r.policy) << "\": ";
+            r.writeJson(*metrics_file);
         }
-        metrics_file << "}}\n";
-        util::inform("metrics written to " + metrics_out);
-    }
-    if (span_trace) {
-        std::ofstream spans_file(trace_spans);
-        util::fatalIf(!spans_file,
-                      "trace-spans: cannot open " + trace_spans);
-        span_trace->writeJsonLines(spans_file);
-        util::inform("spans: wrote "
-                     + std::to_string(span_trace->spans()) + " spans ("
-                     + std::to_string(span_trace->droppedSpans())
-                     + " dropped) to " + trace_spans);
+        *metrics_file << "}}\n";
     }
 
     bench::footer("the FAST hybrid trades mapping-table footprint for "

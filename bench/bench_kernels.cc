@@ -3,7 +3,7 @@
  * Microbenchmark of the packed sensing kernels against the byte-wise
  * scalar oracles they replaced.
  *
- *   bench_kernels [--reps N] [--json FILE]
+ *   bench_kernels [--reps N] [--out DIR]
  *
  * Four kernels, each timed as scalar-oracle vs packed and checked for
  * identical results before any timing is trusted:
@@ -20,7 +20,7 @@
  *                     vs XOR/flip + bit-sliced counter.
  *   bit_errors        raw mismatch count: byte loop vs diffCount.
  *
- * The JSON export ({"kernels": {name: {scalar_ns, packed_ns,
+ * The DIR/kernels.json export ({"kernels": {name: {scalar_ns, packed_ns,
  * speedup}}}) feeds tools/bench_compare, which CI uses to fail the
  * build when a packed kernel regresses below its oracle.
  */
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -80,10 +79,10 @@ volatile std::uint64_t g_sink; // defeat dead-code elimination
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"reps", "json"});
+    bench::acceptFlags(argc, argv, {"reps", "out"});
+    bench::OutDir out(argc, argv);
     const int reps =
         static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
-    const std::string json_out = bench::stringArg(argc, argv, "json");
 
     bench::header("Kernel microbenchmark",
                   "packed bitplane kernels vs byte-wise scalar oracles",
@@ -295,21 +294,18 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        util::fatalIf(!out, "--json: cannot open " + json_out);
-        out << "{\"cells\": " << cells << ", \"reps\": " << reps
+    if (std::ostream *json = out.open("kernels.json")) {
+        *json << "{\"cells\": " << cells << ", \"reps\": " << reps
             << ", \"kernels\": {";
         for (std::size_t i = 0; i < results.size(); ++i) {
             const auto &r = results[i];
-            out << (i ? ", " : "") << '"' << r.name
+            *json << (i ? ", " : "") << '"' << r.name
                 << "\": {\"scalar_ns\": " << util::jsonNumber(r.scalarNs)
                 << ", \"packed_ns\": " << util::jsonNumber(r.packedNs)
                 << ", \"speedup\": " << util::jsonNumber(r.speedup())
                 << "}";
         }
-        out << "}}\n";
-        util::inform("kernel timings written to " + json_out);
+        *json << "}}\n";
     }
 
     bench::footer("packed kernels should beat the scalar oracles on "

@@ -2,7 +2,7 @@
  * @file
  * Microbenchmark of the online voltage model's read-time solve.
  *
- *   bench_model [--reps N] [--json FILE]
+ *   bench_model [--reps N] [--out DIR]
  *
  * Two kernels, each timed as scalar-oracle vs incremental and checked
  * for identical predictions before any timing is trusted:
@@ -18,7 +18,7 @@
  *                  The exact-sum moments make both orders the same
  *                  multiset, so the predictions must agree exactly.
  *
- * The JSON export ({"kernels": {name: {scalar_ns, packed_ns,
+ * The DIR/model.json export ({"kernels": {name: {scalar_ns, packed_ns,
  * speedup}}}) matches bench_kernels so tools/bench_compare can gate
  * it: CI fails the build when the cached/incremental path stops
  * paying for itself.
@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <functional>
 #include <vector>
 
@@ -81,10 +80,10 @@ volatile std::int64_t g_sink; // defeat dead-code elimination
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"reps", "json"});
+    bench::acceptFlags(argc, argv, {"reps", "out"});
+    bench::OutDir out(argc, argv);
     const int reps =
         static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
-    const std::string json_out = bench::stringArg(argc, argv, "json");
 
     bench::header("Voltage-model microbenchmark",
                   "cached/incremental solve vs from-scratch oracle",
@@ -186,21 +185,18 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        util::fatalIf(!out, "--json: cannot open " + json_out);
-        out << "{\"observations\": " << kObs << ", \"reps\": " << reps
+    if (std::ostream *json = out.open("model.json")) {
+        *json << "{\"observations\": " << kObs << ", \"reps\": " << reps
             << ", \"kernels\": {";
         for (std::size_t i = 0; i < results.size(); ++i) {
             const auto &r = results[i];
-            out << (i ? ", " : "") << '"' << r.name
+            *json << (i ? ", " : "") << '"' << r.name
                 << "\": {\"scalar_ns\": " << util::jsonNumber(r.scalarNs)
                 << ", \"packed_ns\": " << util::jsonNumber(r.packedNs)
                 << ", \"speedup\": " << util::jsonNumber(r.speedup())
                 << "}";
         }
-        out << "}}\n";
-        util::inform("model timings written to " + json_out);
+        *json << "}}\n";
     }
 
     bench::footer("the cached solve amortizes the 4x4 elimination "

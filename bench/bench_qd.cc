@@ -13,7 +13,6 @@
  * reruns.
  */
 
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "ssd/host_frontend.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
-#include "util/span_trace.hh"
 
 using namespace flash;
 
@@ -71,16 +69,12 @@ int
 main(int argc, char **argv)
 {
     bench::acceptFlags(argc, argv,
-                       {"threads", "metrics-out", "trace-spans", "health-out",
-                        "health-interval", "requests", "queues", "qd-max",
-                        "rate", "model-confidence", "workload", "mode",
-                        "span-capacity"},
+                       {"threads", "out", "spans", "requests", "queues",
+                        "qd-max", "rate", "model-confidence", "workload",
+                        "mode"},
                        {"voltage-model"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
-    const std::string trace_spans = bench::traceSpansArg(argc, argv);
-    const std::string health_out = bench::healthOutArg(argc, argv);
-    const double health_interval = bench::healthIntervalArg(argc, argv);
     const int requests = bench::requestsArg(argc, argv, 4000);
     const int queues = static_cast<int>(
         bench::longArg(argc, argv, "queues", 4, 1, 256));
@@ -164,30 +158,13 @@ main(int argc, char **argv)
     timing.readBaseUs = 5.0;
     timing.decodeUs = 2.0;
 
-    std::unique_ptr<util::SpanTrace> span_trace;
-    if (!trace_spans.empty()) {
-        const std::size_t cap = bench::spanCapacityArg(argc, argv);
-        span_trace = std::make_unique<util::SpanTrace>(
-            cap ? cap : util::SpanTrace::kDefaultCapacity);
-    }
-    std::ofstream health_file;
     std::unique_ptr<ssd::HealthMonitor> health;
-    if (!health_out.empty()) {
-        health_file.open(health_out);
-        util::fatalIf(!health_file,
-                      "health-out: cannot open " + health_out);
-        ssd::HealthMonitorOptions hopt;
-        if (health_interval > 0.0)
-            hopt.intervalUs = health_interval;
-        health = std::make_unique<ssd::HealthMonitor>(health_file, hopt);
-    }
-    std::ofstream metrics_file;
-    if (!metrics_out.empty()) {
-        metrics_file.open(metrics_out);
-        util::fatalIf(!metrics_file,
-                      "metrics-out: cannot open " + metrics_out);
-        metrics_file << "{\"workload\": \"" << util::jsonEscape(workload)
-                     << "\", \"queues\": " << queues << ", \"sweep\": {";
+    if (std::ostream *health_file = out.open("health.jsonl"))
+        health = std::make_unique<ssd::HealthMonitor>(*health_file);
+    std::ostream *metrics_file = out.open("metrics.json");
+    if (metrics_file) {
+        *metrics_file << "{\"workload\": \"" << util::jsonEscape(workload)
+                      << "\", \"queues\": " << queues << ", \"sweep\": {";
     }
 
     util::TextTable table;
@@ -216,11 +193,11 @@ main(int argc, char **argv)
         if (health)
             health->beginRun("qd" + std::to_string(qd) + ".sequential");
         const ArmResult seq = runArm(seq_cfg, timing, sweep_cost, fcfg, tr,
-                                     span_trace.get(), health.get());
+                                     out.spans(), health.get());
         if (health)
             health->beginRun("qd" + std::to_string(qd) + ".pipelined");
         const ArmResult pipe = runArm(pipe_cfg, timing, sweep_cost, fcfg,
-                                      tr, span_trace.get(), health.get());
+                                      tr, out.spans(), health.get());
 
         const double delta = seq.frontend.readP99Us > 0.0
             ? 1.0 - pipe.frontend.readP99Us / seq.frontend.readP99Us
@@ -243,36 +220,19 @@ main(int argc, char **argv)
                    util::fmt(pipe.frontend.readP999Us, 0),
                    util::fmtPct(delta)});
 
-        if (metrics_file.is_open()) {
-            metrics_file << (points ? ", " : "") << '"' << qd
-                         << "\": {\"sequential\": ";
-            armJson(metrics_file, seq);
-            metrics_file << ", \"pipelined\": ";
-            armJson(metrics_file, pipe);
-            metrics_file << "}";
+        if (metrics_file) {
+            *metrics_file << (points ? ", " : "") << '"' << qd
+                          << "\": {\"sequential\": ";
+            armJson(*metrics_file, seq);
+            *metrics_file << ", \"pipelined\": ";
+            armJson(*metrics_file, pipe);
+            *metrics_file << "}";
         }
         ++points;
     }
 
-    if (metrics_file.is_open()) {
-        metrics_file << "}}\n";
-        util::inform("metrics written to " + metrics_out);
-    }
-    if (span_trace) {
-        std::ofstream spans_file(trace_spans);
-        util::fatalIf(!spans_file,
-                      "trace-spans: cannot open " + trace_spans);
-        span_trace->writeJsonLines(spans_file);
-        util::inform("spans: wrote "
-                     + std::to_string(span_trace->spans()) + " spans ("
-                     + std::to_string(span_trace->droppedSpans())
-                     + " dropped) to " + trace_spans);
-    }
-    if (health) {
-        util::inform("health: wrote "
-                     + std::to_string(health->records()) + " records to "
-                     + health_out);
-    }
+    if (metrics_file)
+        *metrics_file << "}}\n";
 
     table.print(std::cout);
     std::cout << "\nmean p99 read latency at QD >= 8: "

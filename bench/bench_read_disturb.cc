@@ -12,8 +12,9 @@
 using namespace flash;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {});
     bench::header("Read disturb (paper IV, prose)",
                   "MSB RBER vs read count (QLC, P/E 1000, fresh data)",
                   "no reliability degradation until ~1M reads");

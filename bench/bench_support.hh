@@ -14,8 +14,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <list>
+#include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/characterization.hh"
@@ -24,6 +29,7 @@
 #include "nandsim/oracle.hh"
 #include "ssd/config.hh"
 #include "util/logging.hh"
+#include "util/span_trace.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -237,45 +243,6 @@ flagArg(int argc, char **argv, const std::string &name)
     return false;
 }
 
-/** `--metrics-out FILE`: path of the metrics JSON export. */
-inline std::string
-metricsOutArg(int argc, char **argv)
-{
-    return stringArg(argc, argv, "metrics-out");
-}
-
-/** `--trace-spans FILE`: path of the causal span trace. */
-inline std::string
-traceSpansArg(int argc, char **argv)
-{
-    return stringArg(argc, argv, "trace-spans");
-}
-
-/** `--span-capacity N`: span-sink capacity (0 keeps the default). */
-inline std::size_t
-spanCapacityArg(int argc, char **argv)
-{
-    return static_cast<std::size_t>(longArg(argc, argv, "span-capacity",
-                                            0, 1, 1000000000L));
-}
-
-/** `--health-out FILE`: path of the health JSON-lines time series. */
-inline std::string
-healthOutArg(int argc, char **argv)
-{
-    return stringArg(argc, argv, "health-out");
-}
-
-/**
- * `--health-interval US`: simulated microseconds between SSD health
- * snapshots (0 when absent; callers fall back to their default).
- */
-inline double
-healthIntervalArg(int argc, char **argv)
-{
-    return doubleArg(argc, argv, "health-interval", 0.0, 1e-6, 1e15);
-}
-
 /**
  * `--scrub-interval US`: simulated microseconds between background
  * scrub scans (0 when absent: scrubbing off).
@@ -376,6 +343,104 @@ requestsArg(int argc, char **argv, int fallback)
     return static_cast<int>(longArg(argc, argv, "requests", fallback, 1,
                                     1000000000L));
 }
+
+/**
+ * The artifact directory of one bench run. `--out DIR` names it and
+ * every artifact lands there under a fixed name: metrics.json,
+ * health.jsonl, fleet.jsonl, spans.jsonl, kernels.json, model.json.
+ * `--spans N` records up to N causal spans into DIR/spans.jsonl; it
+ * needs `--out`, and N must be positive (exit 2 otherwise).
+ *
+ * The constructor creates DIR and its missing parents and, with
+ * `--spans`, opens spans.jsonl, so a bad DIR fails before the run
+ * (fatal). Files opened with open() stay open until the OutDir is
+ * destroyed, which writes the spans, closes every file and notes each
+ * one on stderr; a file that fails to write exits with status 1.
+ * Declare it before anything that writes into its streams or spans.
+ */
+class OutDir
+{
+  public:
+    OutDir(int argc, char **argv)
+    {
+        std::string spans;
+        const bool has_spans = findArg(argc, argv, "spans", spans);
+        const long capacity =
+            has_spans ? parseLong(spans, "--spans", 1, 1000000000L) : 0;
+        if (!findArg(argc, argv, "out", dir_)) {
+            if (has_spans)
+                usageError("--spans needs --out DIR");
+            return;
+        }
+        if (dir_.empty())
+            usageError("--out: expected a directory");
+        std::error_code ec;
+        std::filesystem::create_directories(dir_, ec);
+        util::fatalIf(ec || !std::filesystem::is_directory(dir_),
+                      "--out: cannot create directory " + dir_);
+        if (has_spans) {
+            spans_ = std::make_unique<util::SpanTrace>(
+                static_cast<std::size_t>(capacity));
+            open("spans.jsonl"); // files_.front()
+        }
+    }
+
+    OutDir(const OutDir &) = delete;
+    OutDir &operator=(const OutDir &) = delete;
+
+    ~OutDir()
+    {
+        if (spans_) {
+            File &f = files_.front();
+            spans_->writeJsonLines(f.os);
+            f.note = " (" + std::to_string(spans_->spans()) + " spans, "
+                + std::to_string(spans_->droppedSpans()) + " dropped)";
+        }
+        bool failed = false;
+        for (File &f : files_) {
+            f.os.close();
+            if (f.os) {
+                util::inform("wrote " + f.path + f.note);
+            } else {
+                std::cerr << "error: --out: cannot write " << f.path << '\n';
+                failed = true;
+            }
+        }
+        if (failed)
+            std::exit(1); // a truncated artifact must not exit 0
+    }
+
+    /** Whether `--out` was given. */
+    bool enabled() const { return !dir_.empty(); }
+
+    /** DIR/@p name open for writing; nullptr without `--out`. */
+    std::ostream *
+    open(const std::string &name)
+    {
+        if (!enabled())
+            return nullptr;
+        File &f = files_.emplace_back();
+        f.path = dir_ + "/" + name;
+        f.os.open(f.path);
+        util::fatalIf(!f.os, "--out: cannot open " + f.path);
+        return &f.os;
+    }
+
+    /** The `--spans N` sink; nullptr when spans are not recorded. */
+    util::SpanTrace *spans() const { return spans_.get(); }
+
+  private:
+    struct File
+    {
+        std::string path;
+        std::ofstream os;
+        std::string note;
+    };
+
+    std::string dir_;
+    std::unique_ptr<util::SpanTrace> spans_;
+    std::list<File> files_; ///< stable addresses: open() hands out streams
+};
 
 /** Factory characterization with a bench-friendly sample budget. */
 inline core::Characterization

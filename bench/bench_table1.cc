@@ -22,14 +22,14 @@ namespace
 {
 
 /**
- * `--metrics-out`: per-policy read-path metrics on the TLC chip at
+ * metrics.json: per-policy read-path metrics on the TLC chip at
  * the production sentinel ratio. The export reuses the library path
  * the regression tests pin down (collectPolicyMetrics), so p50/p99
  * and every counter reproduce bit-identically at any --threads N.
  */
 void
 exportMetrics(nand::Chip &chip, const core::Characterization &tables,
-              const std::string &path, int threads)
+              std::ostream &os, int threads)
 {
     const auto overlay =
         core::makeOverlay(chip.geometry(), core::SentinelConfig{});
@@ -44,7 +44,7 @@ exportMetrics(nand::Chip &chip, const core::Characterization &tables,
     const auto runs = core::collectPolicyMetrics(
         chip, bench::kEvalBlock, {&vendor, &sentinel}, ecc_model, overlay,
         {}, -1, 1, threads);
-    core::savePolicyMetricsJson(path, runs);
+    core::writePolicyMetricsJson(os, runs);
 }
 
 void
@@ -117,8 +117,9 @@ runChip(nand::Chip &chip, const char *name, std::uint32_t pe,
 int
 main(int argc, char **argv)
 {
+    bench::acceptFlags(argc, argv, {"threads", "out"});
+    bench::OutDir out(argc, argv);
     const int threads = bench::threadsArg(argc, argv);
-    const std::string metrics_out = bench::metricsOutArg(argc, argv);
     bench::header("Table I",
                   "|predicted - real| optimal sentinel offset vs "
                   "sentinel ratio",
@@ -130,9 +131,9 @@ main(int argc, char **argv)
     auto qlc = bench::makeQlcChip();
     runChip(qlc, "QLC (P/E 3000 + 1 y)", 3000, 48, threads);
 
-    if (!metrics_out.empty()) {
+    if (std::ostream *metrics_file = out.open("metrics.json")) {
         const auto tables = bench::characterize(tlc, 16, threads);
-        exportMetrics(tlc, tables, metrics_out, threads);
+        exportMetrics(tlc, tables, *metrics_file, threads);
     }
 
     bench::footer("prediction error falls monotonically as more sentinel "

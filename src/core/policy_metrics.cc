@@ -1,7 +1,5 @@
 #include "core/policy_metrics.hh"
 
-#include <fstream>
-
 #include "util/logging.hh"
 
 namespace flash::core
@@ -41,16 +39,6 @@ writePolicyMetricsJson(std::ostream &os,
         run.metrics.writeJson(os);
     }
     os << "}}\n";
-}
-
-void
-savePolicyMetricsJson(const std::string &path,
-                      const std::vector<PolicyMetricsRun> &runs)
-{
-    std::ofstream out(path);
-    util::fatalIf(!out, "metrics-out: cannot open " + path);
-    writePolicyMetricsJson(out, runs);
-    util::inform("metrics written to " + path);
 }
 
 } // namespace flash::core

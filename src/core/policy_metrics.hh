@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-policy metrics collection and JSON export, shared by the bench
- * harnesses' `--metrics-out` flag and the regression tests.
+ * harnesses' metrics.json artifact and the regression tests.
  *
  * The export is deterministic byte-for-byte: sessions run in parallel
  * but are reduced sequentially in wordline order (see evaluateBlock),
@@ -49,14 +49,6 @@ collectPolicyMetrics(const nand::Chip &chip, int block,
  */
 void writePolicyMetricsJson(std::ostream &os,
                             const std::vector<PolicyMetricsRun> &runs);
-
-/**
- * writePolicyMetricsJson() to @p path (fatal when the file cannot be
- * opened). Prints a one-line note to stderr so harness users see
- * where the export went.
- */
-void savePolicyMetricsJson(const std::string &path,
-                           const std::vector<PolicyMetricsRun> &runs);
 
 } // namespace flash::core
 

@@ -163,18 +163,19 @@ HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
               model_->confidentFraction());
     }
     if (scrub_ != nullptr && scrub_->enabled()) {
-        const ScrubberStats &st = scrub_->stats();
-        field(*os_, "scrub_probes", static_cast<double>(st.probes));
-        field(*os_, "scrub_rewarms", static_cast<double>(st.rewarms));
-        field(*os_, "scrub_refresh_done",
-              static_cast<double>(st.refreshDone));
+        // The scrubber's event counters live in the run's registry;
+        // only the queue depth and warm fraction are its own gauges.
+        const auto count = [&metrics](const char *name) {
+            return static_cast<double>(metrics.counter(name));
+        };
+        field(*os_, "scrub_probes", count("scrub.probes"));
+        field(*os_, "scrub_rewarms", count("scrub.rewarms"));
+        field(*os_, "scrub_refresh_done", count("scrub.refresh.completed"));
         field(*os_, "scrub_refresh_queue",
               static_cast<double>(scrub_->refreshQueueDepth()));
         field(*os_, "scrub_warm_fraction", scrub_->warmFraction(t_us));
-        const double warm =
-            static_cast<double>(metrics.counter("scrub.read.warm"));
-        const double cold =
-            static_cast<double>(metrics.counter("scrub.read.cold"));
+        const double warm = count("scrub.read.warm");
+        const double cold = count("scrub.read.cold");
         field(*os_, "scrub_warm_read_rate", rate(warm, warm + cold));
     }
     if (ftl_ != nullptr) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Device-health telemetry (`--health-out FILE`).
+ * Device-health telemetry (a bench's `--out DIR` health.jsonl).
  *
  * Emits a JSON-lines time series with two record kinds:
  *
@@ -97,10 +97,11 @@ class HealthMonitor
     void attachCache(const core::VoltageCache *cache) { cache_ = cache; }
 
     /**
-     * Attach a background scrubber whose progress (probe / rewarm /
-     * refresh counters, refresh-queue depth, warm-block and warm-read
-     * fractions) the SSD snapshots report (nullptr detaches). Attach
-     * per run: the scrubber's lifetime is one SsdSim run.
+     * Attach a background scrubber whose progress the SSD snapshots
+     * report (nullptr detaches): its "scrub.*" probe / rewarm /
+     * refresh counters from the run's registry, its refresh-queue
+     * depth and the warm-block and warm-read fractions. Attach per
+     * run: the scrubber's lifetime is one SsdSim run.
      */
     void attachScrubber(const Scrubber *scrub) { scrub_ = scrub; }
 

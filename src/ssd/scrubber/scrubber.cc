@@ -61,7 +61,6 @@ Scrubber::maintain(const ScrubHost &host, double until_us)
 void
 Scrubber::runScan(const ScrubHost &host, double scan_us, double until_us)
 {
-    ++stats_.scans;
     host.metrics->add("scrub.scans");
     if (model_ != nullptr && totalBlocks_ > 0) {
         // Uncertainty-priority probing: spend the scan's budget on
@@ -130,7 +129,6 @@ Scrubber::probeOne(const ScrubHost &host, int gid, double scan_us,
     if (start + dur_us > until_us) {
         // No idle gap on this plane before the next host request; the
         // probe would delay foreground I/O, so it is dropped.
-        ++stats_.probesSkipped;
         host.metrics->add("scrub.probe_skipped");
         return false;
     }
@@ -139,18 +137,15 @@ Scrubber::probeOne(const ScrubHost &host, int gid, double scan_us,
         plane, block, probeCount_[static_cast<std::size_t>(gid)]++);
     free = start + dur_us;
     warmUntil_[static_cast<std::size_t>(gid)] = free + config_.warmUs;
-    ++stats_.probes;
     host.metrics->add("scrub.probes");
     host.metrics->observe("scrub.probe_us", dur_us);
     host.metrics->observe("scrub.probe_rber_ppm", probe.rber * 1e6);
     if (cache_) {
         cache_->rewarm(gid, probe.epoch, probe.sentinelOffset);
-        ++stats_.rewarms;
         host.metrics->add("scrub.rewarms");
     }
     if (model_) {
         model_->observe(gid, probe.epoch, probe.sentinelOffset);
-        ++stats_.modelObserves;
         host.metrics->add("scrub.model.observes");
     }
 
@@ -174,7 +169,6 @@ Scrubber::probeOne(const ScrubHost &host, int gid, double scan_us,
         && host.ftl->refreshCandidate(plane, block)) {
         queuedForRefresh_[static_cast<std::size_t>(gid)] = 1;
         refreshQueue_.push_back(gid);
-        ++stats_.refreshQueued;
         host.metrics->add("scrub.refresh.queued");
     }
     return true;
@@ -209,7 +203,6 @@ Scrubber::runRefresh(const ScrubHost &host, double scan_us, double until_us)
         if (valid > 0 && max_pages <= 0) {
             // Plane has no idle room before the next request; retry
             // next scan. (Refresh migration never preempts reads.)
-            ++stats_.refreshStalled;
             host.metrics->add("scrub.refresh.stalled");
             refreshQueue_.push_back(gid);
             continue;
@@ -221,7 +214,6 @@ Scrubber::runRefresh(const ScrubHost &host, double scan_us, double until_us)
             host.ftl->checkInvariants();
         if (step.busy) {
             queuedForRefresh_[static_cast<std::size_t>(gid)] = 0;
-            ++stats_.refreshDropped;
             host.metrics->add("scrub.refresh.dropped");
             continue;
         }
@@ -243,16 +235,12 @@ Scrubber::runRefresh(const ScrubHost &host, double scan_us, double until_us)
 
         budget -= step.migratedPages;
         if (step.migratedPages > 0) {
-            stats_.refreshPages +=
-                static_cast<std::uint64_t>(step.migratedPages);
             host.metrics->add(
                 "scrub.refresh.pages",
                 static_cast<std::uint64_t>(step.migratedPages));
         }
-        if (step.erased) {
-            ++stats_.refreshErases;
+        if (step.erased)
             host.metrics->add("scrub.refresh.erases");
-        }
 
         if (host.spans && (step.migratedPages > 0 || step.erased)) {
             util::SpanBuffer sb;
@@ -275,7 +263,6 @@ Scrubber::runRefresh(const ScrubHost &host, double scan_us, double until_us)
 
         if (step.done) {
             queuedForRefresh_[static_cast<std::size_t>(gid)] = 0;
-            ++stats_.refreshDone;
             host.metrics->add("scrub.refresh.completed");
         } else {
             refreshQueue_.push_back(gid); // more valid pages remain

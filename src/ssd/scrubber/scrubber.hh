@@ -104,22 +104,6 @@ struct ScrubberConfig
     void validate() const;
 };
 
-/** Lifetime counters (also exported live as "scrub.*" metrics). */
-struct ScrubberStats
-{
-    std::uint64_t scans = 0;          ///< scan rounds fired
-    std::uint64_t probes = 0;         ///< probe reads issued
-    std::uint64_t probesSkipped = 0;  ///< no idle gap before next request
-    std::uint64_t rewarms = 0;        ///< cache entries re-warmed
-    std::uint64_t modelObserves = 0;  ///< probe offsets fed to the model
-    std::uint64_t refreshQueued = 0;  ///< blocks queued for refresh
-    std::uint64_t refreshPages = 0;   ///< pages migrated by refresh
-    std::uint64_t refreshErases = 0;  ///< blocks erased by refresh
-    std::uint64_t refreshDone = 0;    ///< refreshes completed
-    std::uint64_t refreshStalled = 0; ///< refresh steps without idle room
-    std::uint64_t refreshDropped = 0; ///< queued blocks gone busy/erased
-};
-
 /**
  * Mutable view of the simulator internals one maintenance window may
  * touch. Built by SsdSim::run for each call; every pointer outlives
@@ -193,8 +177,6 @@ class Scrubber
     /** Blocks currently queued for refresh. */
     std::size_t refreshQueueDepth() const { return refreshQueue_.size(); }
 
-    const ScrubberStats &stats() const { return stats_; }
-
   private:
     void init(const ScrubHost &host);
     void runScan(const ScrubHost &host, double scan_us, double until_us);
@@ -223,8 +205,6 @@ class Scrubber
     std::vector<std::uint32_t> probeCount_;  ///< per-block probe number
     std::vector<std::uint8_t> queuedForRefresh_;
     std::deque<int> refreshQueue_;
-
-    ScrubberStats stats_;
 };
 
 } // namespace flash::ssd

@@ -1,6 +1,6 @@
 /**
  * @file
- * Span-trace analysis: rebuild span trees from a `--trace-spans` file,
+ * Span-trace analysis: rebuild span trees from a spans.jsonl file,
  * verify their structural invariants, and attribute latency.
  *
  * Consumed by tools/trace_analyze and the span-invariant tests. The

@@ -1,6 +1,6 @@
 /**
  * @file
- * Causal span tracing for the read pipeline (`--trace-spans FILE`).
+ * Causal span tracing for the read pipeline (a bench's `--spans N`).
  *
  * A span is one timed step of the causal read path (host request,
  * page op, read session, retry attempt, assist read, calibration

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -95,27 +98,6 @@ TEST(BenchArgsDeathTest, RequestsRejectsZeroAndGarbage)
                 testing::ExitedWithCode(2), "expected an integer");
 }
 
-TEST(BenchArgs, HealthIntervalParsesNumbers)
-{
-    Args absent({});
-    EXPECT_EQ(healthIntervalArg(absent.argc(), absent.argv()), 0.0);
-    Args sci({"--health-interval", "5e4"});
-    EXPECT_EQ(healthIntervalArg(sci.argc(), sci.argv()), 50000.0);
-}
-
-TEST(BenchArgsDeathTest, HealthIntervalRejectsBadValues)
-{
-    Args neg({"--health-interval", "-5"});
-    EXPECT_EXIT(healthIntervalArg(neg.argc(), neg.argv()),
-                testing::ExitedWithCode(2), "out of range");
-    Args junk({"--health-interval", "soon"});
-    EXPECT_EXIT(healthIntervalArg(junk.argc(), junk.argv()),
-                testing::ExitedWithCode(2), "expected a number");
-    Args tail({"--health-interval=5e4Q"});
-    EXPECT_EXIT(healthIntervalArg(tail.argc(), tail.argv()),
-                testing::ExitedWithCode(2), "expected a number");
-}
-
 TEST(BenchArgsDeathTest, RefreshRberRejectsAboveOne)
 {
     Args a({"--refresh-rber", "1.5"});
@@ -197,8 +179,8 @@ TEST(BenchArgs, LastOccurrenceWins)
 
 TEST(BenchArgs, StringAndFlagArgsUnchanged)
 {
-    Args a({"--metrics-out", "m.json", "--flag"});
-    EXPECT_EQ(metricsOutArg(a.argc(), a.argv()), "m.json");
+    Args a({"--workload", "usr_0", "--flag"});
+    EXPECT_EQ(stringArg(a.argc(), a.argv(), "workload"), "usr_0");
     EXPECT_TRUE(flagArg(a.argc(), a.argv(), "flag"));
     EXPECT_FALSE(flagArg(a.argc(), a.argv(), "other"));
     EXPECT_EQ(stringArg(a.argc(), a.argv(), "absent"), "");
@@ -265,6 +247,127 @@ TEST(BenchArgsDeathTest, AcceptFlagsRejectsStrayArguments)
     Args dash({"-threads", "4"});
     EXPECT_EXIT(acceptFleetFlags(dash), testing::ExitedWithCode(2),
                 "unexpected argument \"-threads\"");
+}
+
+/** A fresh, not yet existing path under the test temp directory. */
+std::filesystem::path
+scratchPath(const std::string &name)
+{
+    const std::filesystem::path p =
+        std::filesystem::path(testing::TempDir()) / ("bench_args_" + name);
+    std::filesystem::remove_all(p);
+    return p;
+}
+
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(BenchArgs, OutCreatesMissingNestedDirectory)
+{
+    const std::filesystem::path root = scratchPath("nested");
+    const std::filesystem::path dir = root / "a" / "b";
+    {
+        Args a({"--out", dir.string()});
+        OutDir out(a.argc(), a.argv());
+        EXPECT_TRUE(out.enabled());
+        EXPECT_TRUE(std::filesystem::is_directory(dir));
+        EXPECT_EQ(out.spans(), nullptr);
+        *out.open("metrics.json") << "{}\n";
+    }
+    EXPECT_EQ(slurp(dir / "metrics.json"), "{}\n");
+    EXPECT_FALSE(std::filesystem::exists(dir / "spans.jsonl"));
+    std::filesystem::remove_all(root);
+}
+
+TEST(BenchArgs, SpansAreWrittenWhenTheOutDirCloses)
+{
+    const std::filesystem::path dir = scratchPath("spans");
+    {
+        Args a({"--out=" + dir.string(), "--spans", "7"});
+        OutDir out(a.argc(), a.argv());
+        ASSERT_NE(out.spans(), nullptr);
+        EXPECT_EQ(out.spans()->capacity(), 7u);
+    }
+    // The empty trace still writes its summary line.
+    EXPECT_FALSE(slurp(dir / "spans.jsonl").empty());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BenchArgs, NoOutWritesNothing)
+{
+    Args a({"--threads", "2"});
+    OutDir out(a.argc(), a.argv());
+    EXPECT_FALSE(out.enabled());
+    EXPECT_EQ(out.open("metrics.json"), nullptr);
+    EXPECT_EQ(out.spans(), nullptr);
+}
+
+TEST(BenchArgsDeathTest, SpansWithoutOutIsAUsageError)
+{
+    Args a({"--spans", "1000"});
+    EXPECT_EXIT(OutDir(a.argc(), a.argv()), testing::ExitedWithCode(2),
+                "--spans needs --out DIR");
+}
+
+TEST(BenchArgsDeathTest, SpansRejectsZero)
+{
+    const std::filesystem::path dir = scratchPath("zero");
+    Args a({"--out", dir.string(), "--spans", "0"});
+    EXPECT_EXIT(OutDir(a.argc(), a.argv()), testing::ExitedWithCode(2),
+                "--spans: value 0 out of range");
+}
+
+TEST(BenchArgs, UnwritableOutIsFatal)
+{
+    // A directory cannot be created underneath a regular file.
+    const std::filesystem::path file = scratchPath("file");
+    std::ofstream(file) << "not a directory\n";
+    Args a({"--out", (file / "run").string()});
+    EXPECT_THROW(OutDir(a.argc(), a.argv()), util::FatalError);
+    std::filesystem::remove(file);
+}
+
+TEST(BenchArgsDeathTest, FailedArtifactWriteExitsNonZero)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full to fail writes";
+    const std::filesystem::path dir = scratchPath("full");
+    std::filesystem::create_directories(dir);
+    std::filesystem::create_symlink("/dev/full", dir / "metrics.json");
+    Args a({"--out", dir.string()});
+    EXPECT_EXIT(
+        {
+            OutDir out(a.argc(), a.argv());
+            *out.open("metrics.json") << "{}\n";
+        },
+        testing::ExitedWithCode(1), "cannot write .*metrics.json");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BenchArgsDeathTest, RemovedOutputFlagsAreUnknown)
+{
+    // bench_fig14's accepted flags: the seven per-artifact flags that
+    // --out DIR and --spans N replaced must not run the default.
+    const auto accept_fig14 = [](Args &a) {
+        acceptFlags(a.argc(), a.argv(),
+                    {"threads", "out", "spans", "model-confidence",
+                     "scrub-interval", "scrub-budget", "refresh-rber",
+                     "requests", "ftl", "gc-policy"},
+                    {"voltage-cache", "voltage-model"});
+    };
+    for (const char *flag :
+         {"metrics-out", "trace-spans", "health-out", "health-interval",
+          "fleet-out", "span-capacity", "json"}) {
+        Args a({std::string("--") + flag, "x"});
+        EXPECT_EXIT(accept_fig14(a), testing::ExitedWithCode(2),
+                    std::string("unknown flag --") + flag + ";");
+    }
 }
 
 } // namespace

@@ -313,8 +313,8 @@ TEST_P(FtlConformance, ScrubberDrivesRefreshOverTheInterface)
     scrub.maintain(host, now + 1e6);
     ftl->checkInvariants();
 
-    EXPECT_GT(scrub.stats().probes, 0u);
-    EXPECT_GT(scrub.stats().refreshQueued, 0u);
+    EXPECT_GT(metrics.counter("scrub.probes"), 0u);
+    EXPECT_GT(metrics.counter("scrub.refresh.queued"), 0u);
     EXPECT_GT(ftl->stats().refreshPages + ftl->stats().refreshErases, 0u)
         << "scrubber never refreshed through the interface";
 }

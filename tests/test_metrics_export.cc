@@ -1,6 +1,6 @@
 /**
  * @file
- * The `--metrics-out` acceptance property: the per-policy metrics
+ * The metrics.json acceptance property: the per-policy metrics
  * JSON (counters plus latency-histogram percentiles) is reproduced
  * byte-for-byte at --threads 1/2/4. Exercises exactly the library
  * path bench_table1/bench_fig13 export through

@@ -180,13 +180,13 @@ TEST(Scrubber, ProbesFillIdleWindowsWithoutDelayingReads)
     sim.attachScrubber(&scrub); // no warm source: timing must not move
     const SimReport on = sim.run(tr);
 
-    EXPECT_GT(scrub.stats().probes, 0u);
-    EXPECT_EQ(scrub.stats().probes + scrub.stats().probesSkipped,
-              scrub.stats().scans * 64);
+    const std::uint64_t probes = on.metrics.counter("scrub.probes");
+    EXPECT_GT(probes, 0u);
+    EXPECT_EQ(probes + on.metrics.counter("scrub.probe_skipped"),
+              on.metrics.counter("scrub.scans") * 64);
     // Probes only ever used idle plane time, so every foreground read
     // latency is bit-identical to the scrub-off run.
     EXPECT_EQ(on.readLatencies, off.readLatencies);
-    EXPECT_EQ(on.metrics.counter("scrub.probes"), scrub.stats().probes);
 }
 
 TEST(Scrubber, WarmReadsSampleTheWarmCostSource)
@@ -223,11 +223,12 @@ TEST(Scrubber, ProbesRewarmTheVoltageCache)
     FixedReadCost cost(4);
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
     sim.attachScrubber(&scrub);
-    sim.run(tr);
+    const SimReport rep = sim.run(tr);
 
-    EXPECT_GT(scrub.stats().probes, 0u);
-    EXPECT_EQ(scrub.stats().rewarms, scrub.stats().probes);
-    EXPECT_EQ(cache.stats().rewarms, scrub.stats().probes);
+    const std::uint64_t probes = rep.metrics.counter("scrub.probes");
+    EXPECT_GT(probes, 0u);
+    EXPECT_EQ(rep.metrics.counter("scrub.rewarms"), probes);
+    EXPECT_EQ(cache.stats().rewarms, probes);
     EXPECT_GT(cache.size(), 0u);
     // Every cached entry carries the probe's inferred offset.
     EXPECT_EQ(cache.lookup(0, core::BlockEpoch{}).value_or(0), -7);
@@ -254,15 +255,15 @@ TEST(Scrubber, RefreshMigratesErasesAndKeepsFtlInvariants)
     sim.attachScrubber(&scrub);
     const SimReport rep = sim.run(tr);
 
-    const ScrubberStats &st = scrub.stats();
-    EXPECT_GT(st.refreshQueued, 0u);
-    EXPECT_GT(st.refreshPages, 0u);
-    EXPECT_GT(st.refreshErases, 0u);
-    EXPECT_GT(st.refreshDone, 0u);
+    const util::MetricsRegistry &m = rep.metrics;
+    EXPECT_GT(m.counter("scrub.refresh.queued"), 0u);
+    EXPECT_GT(m.counter("scrub.refresh.pages"), 0u);
+    EXPECT_GT(m.counter("scrub.refresh.erases"), 0u);
+    EXPECT_GT(m.counter("scrub.refresh.completed"), 0u);
     // Refresh work is accounted like GC in the FTL, with its own
     // attribution on the side.
-    EXPECT_EQ(rep.ftl.refreshPages, st.refreshPages);
-    EXPECT_EQ(rep.ftl.refreshErases, st.refreshErases);
+    EXPECT_EQ(rep.ftl.refreshPages, m.counter("scrub.refresh.pages"));
+    EXPECT_EQ(rep.ftl.refreshErases, m.counter("scrub.refresh.erases"));
     EXPECT_GE(rep.ftl.migratedPages, rep.ftl.refreshPages);
     EXPECT_GE(rep.ftl.erases, rep.ftl.refreshErases);
 
@@ -315,7 +316,7 @@ TEST(Scrubber, ScrubAndRefreshSpansAreWellFormed)
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
     sim.setSpanTrace(&spans);
     sim.attachScrubber(&scrub);
-    sim.run(tr);
+    const SimReport rep = sim.run(tr);
 
     std::ostringstream os;
     spans.writeJsonLines(os);
@@ -331,7 +332,7 @@ TEST(Scrubber, ScrubAndRefreshSpansAreWellFormed)
         << (a.violations.empty() ? "" : a.violations.front());
     ASSERT_TRUE(a.rootStats.count("scrub_op"));
     EXPECT_EQ(a.rootStats.at("scrub_op").at("count"),
-              static_cast<double>(scrub.stats().probes));
+              static_cast<double>(rep.metrics.counter("scrub.probes")));
     ASSERT_TRUE(a.rootStats.count("refresh_op"));
 }
 
@@ -369,7 +370,7 @@ TEST(Scrubber, SurvivesGcAndHostWriteInterleaving)
     const SimReport rep = sim.run(tr);
 
     EXPECT_GT(rep.ftl.gcRuns, 0u);
-    EXPECT_GT(scrub.stats().probes, 0u);
+    EXPECT_GT(rep.metrics.counter("scrub.probes"), 0u);
     EXPECT_NO_THROW(sim.ftl().checkInvariants());
     for (std::int64_t lpn = 0; lpn < sim.ftl().logicalPages(); ++lpn)
         ASSERT_TRUE(sim.ftl().translate(lpn).valid()) << "lpn " << lpn;
@@ -411,7 +412,7 @@ TEST(Scrubber, EraseDropsWarmthCacheEntryAndQueuedRefresh)
     Scrubber scrub(cfg, dev, &cache);
 
     scrub.maintain(host, 1000.0); // several scans: blocks 0..N probed
-    ASSERT_GT(scrub.stats().probes, 0u);
+    ASSERT_GT(metrics.counter("scrub.probes"), 0u);
     ASSERT_TRUE(scrub.isWarm(0, 0, 1000.0));
     ASSERT_TRUE(cache.lookup(0, core::BlockEpoch{}).has_value());
     ASSERT_GT(scrub.refreshQueueDepth(), 0u);
@@ -444,9 +445,11 @@ TEST(Scrubber, ModelUncertaintyOrdersProbesAwayFromConfidentBlocks)
         FakeScrubDevice dev(1e-4, -3);
         Scrubber scrub(scrubConfig(100.0, 4), dev, nullptr, model);
         scrub.maintain(host, 1000.0);
-        EXPECT_GT(scrub.stats().probes, 0u);
-        if (model != nullptr)
-            EXPECT_EQ(scrub.stats().modelObserves, scrub.stats().probes);
+        EXPECT_GT(metrics->counter("scrub.probes"), 0u);
+        if (model != nullptr) {
+            EXPECT_EQ(metrics->counter("scrub.model.observes"),
+                      metrics->counter("scrub.probes"));
+        }
         return dev.calls;
     };
 

@@ -1,21 +1,15 @@
 /**
  * @file
- * Compare benchmark JSON exports (bench_kernels, SimReport) between
- * runs, or gate a single bench_kernels export on minimum speedups.
+ * Gate a bench_kernels / bench_model export on minimum speedups.
  *
- *   bench_compare A.json B.json [--threshold PCT] [--quiet]
- *   bench_compare A.json --min-speedup X [--kernel NAME]
+ *   bench_compare FILE.json --min-speedup X [--kernel NAME]
  *
- * Two-file mode walks both documents and reports every numeric leaf
- * whose relative difference exceeds PCT percent (default 10); keys
- * must exist on both sides. Single-file mode checks every
- * kernels.*.speedup (or just --kernel NAME) against X. Exit codes:
- * 0 pass, 1 regression/difference, 2 usage or parse error — the CI
- * perf-smoke job runs the single-file form against the committed
- * thresholds.
+ * Checks every kernels.*.speedup (or just --kernel NAME) against X.
+ * Exit codes: 0 pass, 1 regression, 2 usage or parse error — the CI
+ * perf-smoke step runs it against the committed thresholds. To diff
+ * two JSON exports leaf by leaf, use `metrics_diff A B --rel R`.
  */
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -30,86 +24,6 @@ using flash::util::JsonValue;
 
 namespace
 {
-
-struct DiffState
-{
-    double thresholdPct = 10.0;
-    bool quiet = false;
-    std::size_t leaves = 0;
-    std::size_t differences = 0;
-
-    void
-    report(const std::string &path, const std::string &what)
-    {
-        ++differences;
-        if (!quiet && differences <= 200)
-            std::cout << path << ": " << what << '\n';
-    }
-};
-
-void
-diffValue(const std::string &path, const JsonValue &a, const JsonValue &b,
-          DiffState &st)
-{
-    if (a.type != b.type) {
-        st.report(path, "type mismatch");
-        return;
-    }
-    switch (a.type) {
-    case JsonValue::Type::Object:
-        for (const auto &[key, av] : a.object) {
-            const JsonValue *bv = b.find(key);
-            if (!bv) {
-                st.report(path + "/" + key, "missing in B");
-                continue;
-            }
-            diffValue(path + "/" + key, av, *bv, st);
-        }
-        for (const auto &[key, bv] : b.object) {
-            if (!a.find(key))
-                st.report(path + "/" + key, "missing in A");
-        }
-        break;
-    case JsonValue::Type::Array:
-        if (a.array.size() != b.array.size()) {
-            st.report(path, "array length mismatch");
-            break;
-        }
-        for (std::size_t i = 0; i < a.array.size(); ++i)
-            diffValue(path + "[" + std::to_string(i) + "]", a.array[i],
-                      b.array[i], st);
-        break;
-    case JsonValue::Type::Number: {
-        ++st.leaves;
-        const double scale =
-            std::max(std::abs(a.number), std::abs(b.number));
-        const double rel_pct =
-            scale > 0.0 ? 100.0 * std::abs(a.number - b.number) / scale
-                        : 0.0;
-        if (rel_pct > st.thresholdPct) {
-            std::ostringstream msg;
-            msg.precision(17);
-            msg << a.number << " vs " << b.number << " ("
-                << rel_pct << "% > " << st.thresholdPct << "%)";
-            st.report(path, msg.str());
-        }
-        break;
-    }
-    case JsonValue::Type::String:
-        ++st.leaves;
-        if (a.string != b.string)
-            st.report(path, "\"" + a.string + "\" vs \"" + b.string + "\"");
-        break;
-    case JsonValue::Type::Bool:
-        ++st.leaves;
-        if (a.boolean != b.boolean)
-            st.report(path, "boolean mismatch");
-        break;
-    case JsonValue::Type::Null:
-        ++st.leaves;
-        break;
-    }
-}
 
 std::string
 slurp(const char *path)
@@ -160,9 +74,7 @@ checkSpeedups(const JsonValue &doc, double min_speedup,
 void
 usage()
 {
-    std::cerr << "usage: bench_compare A.json B.json [--threshold PCT] "
-                 "[--quiet]\n"
-                 "       bench_compare A.json --min-speedup X "
+    std::cerr << "usage: bench_compare FILE.json --min-speedup X "
                  "[--kernel NAME]\n";
     std::exit(2);
 }
@@ -172,53 +84,26 @@ usage()
 int
 main(int argc, char **argv)
 {
-    const char *file_a = nullptr;
-    const char *file_b = nullptr;
-    double threshold_pct = 10.0;
+    const char *file = nullptr;
     double min_speedup = -1.0;
     std::string only_kernel;
-    bool quiet = false;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--threshold") && i + 1 < argc) {
-            threshold_pct = std::atof(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc) {
+        if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc) {
             min_speedup = std::atof(argv[++i]);
         } else if (!std::strcmp(argv[i], "--kernel") && i + 1 < argc) {
             only_kernel = argv[++i];
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            quiet = true;
-        } else if (!file_a) {
-            file_a = argv[i];
-        } else if (!file_b) {
-            file_b = argv[i];
+        } else if (!file) {
+            file = argv[i];
         } else {
             usage();
         }
     }
-    if (!file_a || threshold_pct < 0.0)
+    if (!file || min_speedup < 0.0)
         usage();
-    if ((min_speedup >= 0.0) == (file_b != nullptr))
-        usage(); // exactly one mode
 
     try {
-        const JsonValue a = flash::util::parseJson(slurp(file_a));
-        if (min_speedup >= 0.0)
-            return checkSpeedups(a, min_speedup, only_kernel);
-
-        const JsonValue b = flash::util::parseJson(slurp(file_b));
-        DiffState st;
-        st.thresholdPct = threshold_pct;
-        st.quiet = quiet;
-        diffValue("", a, b, st);
-        if (st.differences == 0) {
-            std::cout << "within " << threshold_pct << "% ("
-                      << st.leaves << " leaves)\n";
-            return 0;
-        }
-        std::cout << st.differences << " difference(s) over " << st.leaves
-                  << " compared leaves (threshold " << threshold_pct
-                  << "%)\n";
-        return 1;
+        return checkSpeedups(flash::util::parseJson(slurp(file)),
+                             min_speedup, only_kernel);
     } catch (const std::exception &e) {
         std::cerr << "bench_compare: " << e.what() << '\n';
         return 2;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Fleet tail-attribution report over a bench_fleet --fleet-out file.
+ * Fleet tail-attribution report over a `bench_fleet --out DIR`
+ * fleet.jsonl.
  *
  *   fleet_report FLEET_FILE [--health FILE] [--top K] [--json FILE]
  *

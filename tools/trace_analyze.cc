@@ -5,7 +5,7 @@
  *   trace_analyze TRACE.jsonl [--report OUT.json] [--perfetto OUT.json]
  *                 [--retry-k K] [--fail-on-drops] [--quiet]
  *
- * Rebuilds the span trees of a `--trace-spans` file, verifies them
+ * Rebuilds the span trees of a bench's spans.jsonl, verifies them
  * (zero orphans, zero duplicate ids, interval nesting, child-sum
  * bounds, summary-line consistency), prints the per-request latency
  * breakdown — total and tail (>= p99) critical-path self-time per
