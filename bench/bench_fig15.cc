@@ -10,7 +10,7 @@
 #include "bench_support.hh"
 #include "core/policy_metrics.hh"
 #include "core/sentinel_probe.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "nandsim/read_seq.hh"
 #include "ssd/health_monitor.hh"
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * Microbenchmark of the packed sensing kernels against the byte-wise
- * scalar oracles they replaced.
+ * Microbenchmark of the repo's fast paths against the reference
+ * oracles they replaced.
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Four kernels, each timed as scalar-oracle vs packed and checked for
- * identical results before any timing is trusted:
+ * Six rows, each timed as reference ("scalar") vs fast path
+ * ("packed") and checked for identical results before any timing is
+ * trusted:
  *
  *   snapshot_build    one data-region WordlineSnapshot: per-cell
  *                     trueState + Chip::cellVth + std::lround vs the
@@ -19,10 +20,21 @@
  *   soft_agreement    6-extra-sense agreement accumulation: byte adds
  *                     vs XOR/flip + bit-sliced counter.
  *   bit_errors        raw mismatch count: byte loop vs diffCount.
+ *   model_predict     per-read voltage-model prediction: a fresh 4x4
+ *                     elimination on every call (predictFresh) vs the
+ *                     cached solve the read path pays (predict),
+ *                     invalidated only by new observations.
+ *   model_refit       incorporating the observation history: rebuild
+ *                     a predictor from all raw observations and
+ *                     solve, vs solving from the incrementally
+ *                     maintained moments. The exact-sum moments make
+ *                     both orders the same multiset, so the
+ *                     predictions must agree exactly.
  *
- * The DIR/kernels.json export ({"kernels": {name: {scalar_ns, packed_ns,
- * speedup}}}) feeds tools/bench_compare, which CI uses to fail the
- * build when a packed kernel regresses below its oracle.
+ * The DIR/kernels.json export ({"cells", "observations", "reps",
+ * "kernels": {name: {scalar_ns, packed_ns, speedup}}}) feeds
+ * tools/bench_compare, which CI uses to fail the build when a fast
+ * path regresses below its reference.
  */
 
 #include <algorithm>
@@ -34,6 +46,7 @@
 
 #include "bench_support.hh"
 #include "core/sentinel_layout.hh"
+#include "core/voltage_predictor.hh"
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "util/bitplane.hh"
@@ -72,6 +85,30 @@ struct KernelResult
     double speedup() const { return scalarNs / packedNs; }
 };
 
+/**
+ * Runs @p scalar and @p packed once, fails unless @p same then holds,
+ * and only then times both.
+ */
+KernelResult
+measure(const std::string &name, int reps,
+        const std::function<void()> &scalar,
+        const std::function<void()> &packed,
+        const std::function<bool()> &same)
+{
+    scalar();
+    packed();
+    util::fatalIf(!same(), name + ": fast path diverges from its reference");
+    return {name, timeNs(reps, scalar), timeNs(reps, packed)};
+}
+
+/** One synthetic verified voltage-model observation. */
+struct Obs
+{
+    int block;
+    core::BlockEpoch epoch;
+    int offset;
+};
+
 volatile std::uint64_t g_sink; // defeat dead-code elimination
 
 } // namespace
@@ -85,7 +122,8 @@ main(int argc, char **argv)
         static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
 
     bench::header("Kernel microbenchmark",
-                  "packed bitplane kernels vs byte-wise scalar oracles",
+                  "packed sensing kernels and cached model solves vs "
+                  "their reference oracles",
                   "n/a (engineering benchmark)");
 
     auto chip = bench::makeTlcChip();
@@ -139,20 +177,19 @@ main(int argc, char **argv)
                 nand::WordlineSnapshot::dataRegion(chip, block, wl, 3000));
             g_sink = packed_snap->cells();
         };
-        scalar();
-        packed();
-        bool same = true;
-        for (std::size_t s = 0; s < states; ++s) {
-            for (int v = lo; v <= hi; ++v) {
-                same = same
-                    && packed_snap->stateCellsInRange(static_cast<int>(s),
-                                                      v - 1, v)
-                        == scalar_hist[s].binCount(v);
+        const auto same = [&] {
+            for (std::size_t s = 0; s < states; ++s) {
+                for (int v = lo; v <= hi; ++v) {
+                    if (packed_snap->stateCellsInRange(static_cast<int>(s),
+                                                       v - 1, v)
+                        != scalar_hist[s].binCount(v))
+                        return false;
+                }
             }
-        }
-        util::fatalIf(!same, "snapshot_build: kernel result diverges");
-        results.push_back({"snapshot_build", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+            return true;
+        };
+        results.push_back(
+            measure("snapshot_build", reps, scalar, packed, same));
     }
 
     // --- sense_count_page -------------------------------------------
@@ -186,12 +223,8 @@ main(int argc, char **argv)
             packed_errs = errs;
             g_sink = errs;
         };
-        scalar();
-        packed();
-        util::fatalIf(scalar_errs != packed_errs,
-                      "sense_count_page: packed result diverges");
-        results.push_back({"sense_count_page", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back(measure("sense_count_page", reps, scalar, packed,
+                                  [&] { return scalar_errs == packed_errs; }));
     }
 
     // --- soft_agreement ---------------------------------------------
@@ -237,12 +270,8 @@ main(int argc, char **argv)
             agreement.expand(packed_out.data());
             g_sink = packed_out[n / 2];
         };
-        scalar();
-        packed();
-        util::fatalIf(scalar_out != packed_out,
-                      "soft_agreement: packed result diverges");
-        results.push_back({"soft_agreement", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back(measure("soft_agreement", reps, scalar, packed,
+                                  [&] { return scalar_out == packed_out; }));
     }
 
     // --- bit_errors -------------------------------------------------
@@ -277,12 +306,87 @@ main(int argc, char **argv)
             packed_acc = errs;
             g_sink = errs;
         };
-        scalar();
-        packed();
-        util::fatalIf(scalar_acc != packed_acc,
-                      "bit_errors: packed result diverges");
-        results.push_back({"bit_errors", timeNs(reps, scalar),
-                           timeNs(reps, packed)});
+        results.push_back(measure("bit_errors", reps, scalar, packed,
+                                  [&] { return scalar_acc == packed_acc; }));
+    }
+
+    // --- voltage model ----------------------------------------------
+    // Synthetic observation history: 8 blocks, epochs spread over the
+    // aging space, offsets linear in the model's features plus small
+    // integer noise — the shape a drifting chip produces.
+    constexpr int kBlocks = 8;
+    constexpr int kObs = 512;
+    std::vector<Obs> history;
+    {
+        util::Rng rng(0x0de1);
+        history.reserve(kObs);
+        for (int i = 0; i < kObs; ++i) {
+            Obs o;
+            o.block = static_cast<int>(rng.uniformInt(kBlocks));
+            o.epoch.peCycles =
+                static_cast<std::uint32_t>(500 + 500 * rng.uniformInt(10));
+            o.epoch.retentionHours =
+                static_cast<double>(rng.uniformInt(8760));
+            o.epoch.retentionTempC =
+                25.0 + static_cast<double>(rng.uniformInt(4)) * 10.0;
+            const double x1 = o.epoch.peCycles / 1000.0;
+            const double x2 = std::log1p(o.epoch.retentionHours);
+            const double x3 = (o.epoch.retentionTempC - 25.0) / 10.0;
+            o.offset = static_cast<int>(
+                std::lround(-4.0 * x1 - 3.0 * x2 - 1.5 * x3))
+                + static_cast<int>(rng.uniformInt(5)) - 2;
+            history.push_back(o);
+        }
+    }
+    const core::BlockEpoch query{4000, 4380.0, 35.0};
+    core::VoltagePredictor trained;
+    for (const Obs &o : history)
+        trained.observe(o.block, o.epoch, o.offset);
+
+    // --- model_predict ----------------------------------------------
+    {
+        // Touch every chunk per pass so the cached path pays its
+        // lock + lookup, not just a hot single-chunk solve.
+        std::int64_t scalar_acc = 0, packed_acc = 0;
+        const auto scalar = [&] {
+            std::int64_t acc = 0;
+            for (int r = 0; r < 16; ++r) {
+                for (int b = 0; b < kBlocks; ++b)
+                    acc += trained.predictFresh(b, query).sentinelOffset;
+            }
+            scalar_acc = acc;
+            g_sink = static_cast<std::uint64_t>(acc);
+        };
+        const auto packed = [&] {
+            std::int64_t acc = 0;
+            for (int r = 0; r < 16; ++r) {
+                for (int b = 0; b < kBlocks; ++b)
+                    acc += trained.predict(b, query).sentinelOffset;
+            }
+            packed_acc = acc;
+            g_sink = static_cast<std::uint64_t>(acc);
+        };
+        results.push_back(measure("model_predict", reps, scalar, packed,
+                                  [&] { return scalar_acc == packed_acc; }));
+    }
+
+    // --- model_refit ------------------------------------------------
+    {
+        double scalar_pred = 0.0, packed_pred = 0.0;
+        const auto scalar = [&] {
+            core::VoltagePredictor fresh;
+            for (const Obs &o : history)
+                fresh.observe(o.block, o.epoch, o.offset);
+            scalar_pred = fresh.predictFresh(0, query).predicted;
+            g_sink = static_cast<std::uint64_t>(scalar_pred * 1e6);
+        };
+        const auto packed = [&] {
+            packed_pred = trained.predictFresh(0, query).predicted;
+            g_sink = static_cast<std::uint64_t>(packed_pred * 1e6);
+        };
+        results.push_back(measure("model_refit", reps, scalar, packed, [&] {
+            return std::abs(scalar_pred - packed_pred) <= 1e-9;
+        }));
     }
 
     util::TextTable table;
@@ -295,8 +399,8 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (std::ostream *json = out.open("kernels.json")) {
-        *json << "{\"cells\": " << cells << ", \"reps\": " << reps
-            << ", \"kernels\": {";
+        *json << "{\"cells\": " << cells << ", \"observations\": " << kObs
+            << ", \"reps\": " << reps << ", \"kernels\": {";
         for (std::size_t i = 0; i < results.size(); ++i) {
             const auto &r = results[i];
             *json << (i ? ", " : "") << '"' << r.name
@@ -308,8 +412,9 @@ main(int argc, char **argv)
         *json << "}}\n";
     }
 
-    bench::footer("packed kernels should beat the scalar oracles on "
-                  "every row; sense_count_page is the read pipeline's "
-                  "hot path");
+    bench::footer("every fast path should beat its reference; "
+                  "sense_count_page is the read pipeline's hot path, and "
+                  "the model rows are what the cached solve and the "
+                  "incremental moments save");
     return 0;
 }

@@ -19,7 +19,7 @@
 
 #include "bench_support.hh"
 #include "core/read_policy.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "ssd/health_monitor.hh"
 #include "ssd/host_frontend.hh"
 #include "ssd/ssd_sim.hh"

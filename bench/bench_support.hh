@@ -347,7 +347,7 @@ requestsArg(int argc, char **argv, int fallback)
 /**
  * The artifact directory of one bench run. `--out DIR` names it and
  * every artifact lands there under a fixed name: metrics.json,
- * health.jsonl, fleet.jsonl, spans.jsonl, kernels.json, model.json.
+ * health.jsonl, fleet.jsonl, spans.jsonl, kernels.json.
  * `--spans N` records up to N causal spans into DIR/spans.jsonl; it
  * needs `--out`, and N must be positive (exit 2 otherwise).
  *

@@ -22,7 +22,7 @@
 #include "core/characterization.hh"
 #include "core/inference.hh"
 #include "core/voltage_cache.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "ecc/ecc_model.hh"
 #include "nandsim/chip.hh"
 #include "nandsim/oracle.hh"

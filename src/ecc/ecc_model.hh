@@ -5,9 +5,9 @@
  * The read-policy simulations only need to know whether a page read
  * decodes; modelling the decoder as "succeeds iff every ECC frame has
  * at most t raw bit errors" is the standard abstraction (and how the
- * paper treats hard-decision capability). The real BCH and LDPC
- * codecs live next door for the experiments that need actual
- * decoding behaviour (Fig 19).
+ * paper treats hard-decision capability). The real QC-LDPC decoder
+ * lives next door for the experiment that needs actual decoding
+ * behaviour (Fig 19).
  */
 
 #ifndef SENTINELFLASH_ECC_ECC_MODEL_HH

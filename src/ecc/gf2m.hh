@@ -2,8 +2,8 @@
  * @file
  * Arithmetic over the finite field GF(2^m), 3 <= m <= 14.
  *
- * Exp/log table implementation backing the BCH codec. Elements are
- * represented as integers in [0, 2^m - 1]; 0 is the additive zero.
+ * Exp/log table implementation. Elements are represented as integers
+ * in [0, 2^m - 1]; 0 is the additive zero.
  */
 
 #ifndef SENTINELFLASH_ECC_GF2M_HH

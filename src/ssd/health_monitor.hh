@@ -47,7 +47,7 @@
 
 #include "core/characterization.hh"
 #include "core/voltage_cache.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "nandsim/chip.hh"
 #include "util/metrics.hh"
 

@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "core/voltage_cache.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "ssd/config.hh"
 #include "ssd/ftl/ftl_interface.hh"
 #include "ssd/scrubber/scrub_device.hh"

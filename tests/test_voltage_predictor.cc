@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/read_policy.hh"
-#include "core/voltage_model.hh"
+#include "core/voltage_predictor.hh"
 #include "ssd/fleet/fleet.hh"
 #include "test_support.hh"
 #include "util/logging.hh"

@@ -16,6 +16,7 @@
  * across configurations.
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -151,12 +153,36 @@ slurp(const char *path)
     return ss.str();
 }
 
-void
-usage()
+[[noreturn]] void
+usage(const std::string &error = {})
 {
+    if (!error.empty())
+        std::cerr << "metrics_diff: " << error << '\n';
     std::cerr << "usage: metrics_diff A.json B.json [--rel R] [--abs A] "
                  "[--max-report N] [--quiet]\n";
     std::exit(2);
+}
+
+/**
+ * The whole of @p text as a finite @p T >= 0, else a usage error
+ * naming @p flag.
+ */
+template <typename T>
+T
+nonNegative(const char *flag, const char *text)
+{
+    const char *end = text + std::strlen(text);
+    T v{};
+    const auto res = std::from_chars(text, end, v);
+    bool ok = res.ec == std::errc() && res.ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v) && v >= 0.0;
+    if (!ok) {
+        usage(std::string(flag) + ": expected a "
+              + (std::is_integral_v<T> ? "whole" : "finite")
+              + " number >= 0, got \"" + text + '"');
+    }
+    return v;
 }
 
 } // namespace
@@ -169,11 +195,12 @@ main(int argc, char **argv)
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--rel") && i + 1 < argc) {
-            opt.rel = std::atof(argv[++i]);
+            opt.rel = nonNegative<double>("--rel", argv[++i]);
         } else if (!std::strcmp(argv[i], "--abs") && i + 1 < argc) {
-            opt.abs = std::atof(argv[++i]);
+            opt.abs = nonNegative<double>("--abs", argv[++i]);
         } else if (!std::strcmp(argv[i], "--max-report") && i + 1 < argc) {
-            opt.maxReport = static_cast<std::size_t>(std::atol(argv[++i]));
+            opt.maxReport =
+                nonNegative<std::size_t>("--max-report", argv[++i]);
         } else if (!std::strcmp(argv[i], "--quiet")) {
             opt.quiet = true;
         } else if (!file_a) {
@@ -184,7 +211,7 @@ main(int argc, char **argv)
             usage();
         }
     }
-    if (!file_a || !file_b || opt.rel < 0.0 || opt.abs < 0.0)
+    if (!file_a || !file_b)
         usage();
 
     try {
