@@ -253,8 +253,9 @@ ablationTemperatureBands(int threads)
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"threads"});
-    const int threads = bench::threadsArg(argc, argv);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    args.check();
     bench::header("Ablations",
                   "design-choice studies beyond the paper's figures",
                   "(no direct paper counterpart; extends Figs 13/15)");

@@ -84,7 +84,7 @@ runChip(nand::Chip &chip, const char *name)
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 3",
                   "MSB RBER per layer, default vs optimal voltages, "
                   "P/E in {0,1K,3K,5K}, 1-year retention",

@@ -13,7 +13,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 4",
                   "QLC per-page RBER per wordline, 1 h at 25 C vs 80 C",
                   "one hour at 80 C already multiplies RBER on all pages "

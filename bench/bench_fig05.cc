@@ -14,7 +14,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 5",
                   "QLC optimal offsets of V3/V6/V8/V14 per wordline, "
                   "1 h at 25 C vs 80 C",

@@ -13,7 +13,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 6",
                   "QLC optimal offsets per layer, V2..V15, P/E 3000 + 1 y",
                   "offsets are all negative, larger for low-numbered "

@@ -16,7 +16,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 7",
                   "error positions in one QLC block (P/E 3000 + 1 y)",
                   "horizontal stripes (wordline variation) and uniform "

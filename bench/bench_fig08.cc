@@ -14,7 +14,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 8",
                   "correlation of each optimal voltage vs optimal V8 (QLC)",
                   "every pair is strongly linear; one voltage predicts "

@@ -75,7 +75,7 @@ runChip(nand::Chip &chip, const char *name, std::uint32_t pe,
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 10",
                   "d -> Vopt curve fit and inferred vs ground truth "
                   "(V4 of TLC, V8 of QLC)",

@@ -15,7 +15,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 12",
                   "normalized state-change counts vs position offset "
                   "(QLC, P/E 3000 + 1 y)",

@@ -22,13 +22,11 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "out", "spans", "scrub-interval",
-                        "scrub-budget"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const double scrub_interval = bench::scrubIntervalArg(argc, argv);
-    const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const double scrub_interval = bench::scrubIntervalArg(args);
+    const int scrub_budget = bench::scrubBudgetArg(args, 16);
+    bench::OutDir out(args, /*spans=*/true);
     bench::header("Figure 13",
                   "read retries per wordline, current flash vs sentinel "
                   "(TLC, P/E 5000 + 1 y, MSB page)",

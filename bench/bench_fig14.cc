@@ -25,20 +25,19 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "out", "spans", "model-confidence",
-                        "scrub-interval", "scrub-budget", "refresh-rber",
-                        "requests", "ftl", "gc-policy"},
-                       {"voltage-cache", "voltage-model"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const bool use_cache = bench::flagArg(argc, argv, "voltage-cache");
-    const bool use_model = bench::voltageModelArg(argc, argv);
-    const double model_confidence = bench::modelConfidenceArg(argc, argv);
-    const double scrub_interval = bench::scrubIntervalArg(argc, argv);
-    const int scrub_budget = bench::scrubBudgetArg(argc, argv, 64);
-    const double refresh_rber = bench::refreshRberArg(argc, argv);
-    const int requests = bench::requestsArg(argc, argv, 60000);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const bool use_cache = args.flag("voltage-cache");
+    const bool use_model = args.flag("voltage-model");
+    const double model_confidence = bench::modelConfidenceArg(args);
+    const double scrub_interval = bench::scrubIntervalArg(args);
+    const int scrub_budget = bench::scrubBudgetArg(args, 64);
+    const double refresh_rber = bench::refreshRberArg(args);
+    const int requests = bench::requestsArg(args, 60000);
+    ssd::SsdConfig cfg; // default 8-channel SSD
+    cfg.ftl = bench::ftlArg(args);
+    cfg.gcPolicy = bench::gcPolicyArg(args);
+    bench::OutDir out(args, /*spans=*/true);
     const bool use_scrub = scrub_interval > 0.0;
     bench::header("Figure 14",
                   "SSD-level read latency reduction on 8 MSR-like traces",
@@ -150,9 +149,6 @@ main(int argc, char **argv)
                   << " assist reads per read\n\n";
     }
 
-    ssd::SsdConfig cfg; // default 8-channel SSD
-    cfg.ftl = bench::ftlArg(argc, argv);
-    cfg.gcPolicy = bench::gcPolicyArg(argc, argv);
     ssd::SsdTiming timing;
     // Retries re-sense on-die: per-attempt fixed cost is small; the
     // full transfer+decode pipeline cost is paid once per page read.

@@ -19,17 +19,14 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "out", "scrub-interval", "scrub-budget",
-                        "refresh-rber", "model-confidence"},
-                       {"voltage-model"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const double scrub_interval = bench::scrubIntervalArg(argc, argv);
-    const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
-    const double refresh_rber = bench::refreshRberArg(argc, argv);
-    const bool use_model = bench::voltageModelArg(argc, argv);
-    const double model_confidence = bench::modelConfidenceArg(argc, argv);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const double scrub_interval = bench::scrubIntervalArg(args);
+    const int scrub_budget = bench::scrubBudgetArg(args, 16);
+    const double refresh_rber = bench::refreshRberArg(args);
+    const bool use_model = args.flag("voltage-model");
+    const double model_confidence = bench::modelConfidenceArg(args);
+    bench::OutDir out(args);
     bench::header("Figure 15",
                   "% wordlines achieving the optimal voltage after "
                   "inference / calibration (QLC, P/E 3000 + 1 y)",

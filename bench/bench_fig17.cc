@@ -12,7 +12,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 17",
                   "QLC per-voltage error counts: default / inferred / "
                   "calibrated / optimal (P/E 3000 + 1 y)",

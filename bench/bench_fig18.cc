@@ -14,7 +14,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Figure 18",
                   "QLC error counts incl. the tracking baseline "
                   "(V4, V8, V11, V15)",

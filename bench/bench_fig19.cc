@@ -46,8 +46,9 @@ decodeFrame(const nand::Chip &chip, int wl, const std::vector<int> &volts,
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"threads"});
-    const int threads = bench::threadsArg(argc, argv);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    args.check();
     bench::header("Figure 19",
                   "LDPC decoding success rate: OPT / current flash / "
                   "sentinel x hard / 2-bit / 3-bit soft, P/E 0..5K + 1 y "

@@ -70,25 +70,24 @@ class MeasuredFleetEnv : public ssd::fleet::FleetEnv
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "devices", "requests", "seed", "top",
-                        "out", "scrub-interval", "scrub-budget",
-                        "model-confidence", "ftl", "gc-policy"},
-                       {"shuffle", "voltage-model"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const int devices = static_cast<int>(
-        bench::longArg(argc, argv, "devices", 64, 1, 4096));
-    const int requests = bench::requestsArg(argc, argv, 200);
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        bench::longArg(argc, argv, "seed", 1, 0, 1000000000L));
-    const bool shuffle = bench::flagArg(argc, argv, "shuffle");
-    const int top_k = static_cast<int>(
-        bench::longArg(argc, argv, "top", 8, 1, 4096));
-    const double scrub_interval = bench::scrubIntervalArg(argc, argv);
-    const int scrub_budget = bench::scrubBudgetArg(argc, argv, 16);
-    const bool use_model = bench::voltageModelArg(argc, argv);
-    const double model_confidence = bench::modelConfidenceArg(argc, argv);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const int devices = args.number<int>("devices", 64, 1, 4096);
+    const int requests = bench::requestsArg(args, 200);
+    const auto seed = static_cast<std::uint64_t>(
+        args.number<long>("seed", 1, 0, 1000000000));
+    const bool shuffle = args.flag("shuffle");
+    const int top_k = args.number<int>("top", 8, 1, 4096);
+    const double scrub_interval = bench::scrubIntervalArg(args);
+    const int scrub_budget = bench::scrubBudgetArg(args, 16);
+    const bool use_model = args.flag("voltage-model");
+    const double model_confidence = bench::modelConfidenceArg(args);
+    // --ftl / --gc-policy apply fleet-wide: every cohort's devices
+    // switch mapping stacks together (per-cohort splits are a library
+    // feature; the bench keeps one knob).
+    const ssd::FtlKind ftl_kind = bench::ftlArg(args);
+    const ssd::GcVictimPolicy gc_policy = bench::gcPolicyArg(args);
+    bench::OutDir out(args);
 
     bench::header("Fleet sweep",
                   std::to_string(devices)
@@ -114,11 +113,6 @@ main(int argc, char **argv)
         cfg.modelConfig.confidenceThreshold = model_confidence;
     }
     cfg.cohorts = ssd::fleet::defaultCohorts();
-    // --ftl / --gc-policy apply fleet-wide: every cohort's devices
-    // switch mapping stacks together (per-cohort splits are a library
-    // feature; the bench keeps one knob).
-    const ssd::FtlKind ftl_kind = bench::ftlArg(argc, argv);
-    const ssd::GcVictimPolicy gc_policy = bench::gcPolicyArg(argc, argv);
     for (ssd::fleet::CohortSpec &c : cfg.cohorts) {
         c.ftl = ftl_kind;
         c.gcPolicy = gc_policy;

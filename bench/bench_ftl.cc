@@ -53,11 +53,10 @@ smallConfig()
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "requests", "out", "spans"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const int requests = bench::requestsArg(argc, argv, 6000);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const int requests = bench::requestsArg(args, 6000);
+    bench::OutDir out(args, /*spans=*/true);
 
     bench::header("FTL matrix",
                   "page vs FAST hybrid FTL x greedy vs cost-benefit GC "

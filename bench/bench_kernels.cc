@@ -28,8 +28,8 @@
  *                     a predictor from all raw observations and
  *                     solve, vs solving from the incrementally
  *                     maintained moments. The exact-sum moments make
- *                     both orders the same multiset, so the
- *                     predictions must agree exactly.
+ *                     both orders the same multiset, so every
+ *                     chunk's prediction must agree exactly.
  *
  * The DIR/kernels.json export ({"cells", "observations", "reps",
  * "kernels": {name: {scalar_ns, packed_ns, speedup}}}) feeds
@@ -116,10 +116,9 @@ volatile std::uint64_t g_sink; // defeat dead-code elimination
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"reps", "out"});
-    bench::OutDir out(argc, argv);
-    const int reps =
-        static_cast<int>(bench::longArg(argc, argv, "reps", 5, 1, 100000));
+    util::Args args(argc, argv);
+    const int reps = args.number<int>("reps", 5, 1, 100000);
+    bench::OutDir out(args);
 
     bench::header("Kernel microbenchmark",
                   "packed sensing kernels and cached model solves vs "
@@ -372,21 +371,26 @@ main(int argc, char **argv)
 
     // --- model_refit ------------------------------------------------
     {
-        double scalar_pred = 0.0, packed_pred = 0.0;
+        // One prediction per chunk, so a divergence in any chunk's
+        // moments fails the check.
+        const int stride = core::VoltageModelConfig{}.chunkBlocks;
+        std::vector<double> scalar_pred, packed_pred;
+        const auto predictChunks = [&](const core::VoltagePredictor &p,
+                                       std::vector<double> &pred) {
+            pred.clear();
+            for (int b = 0; b < kBlocks; b += stride)
+                pred.push_back(p.predictFresh(b, query).predicted);
+            g_sink = static_cast<std::uint64_t>(pred.back() * 1e6);
+        };
         const auto scalar = [&] {
             core::VoltagePredictor fresh;
             for (const Obs &o : history)
                 fresh.observe(o.block, o.epoch, o.offset);
-            scalar_pred = fresh.predictFresh(0, query).predicted;
-            g_sink = static_cast<std::uint64_t>(scalar_pred * 1e6);
+            predictChunks(fresh, scalar_pred);
         };
-        const auto packed = [&] {
-            packed_pred = trained.predictFresh(0, query).predicted;
-            g_sink = static_cast<std::uint64_t>(packed_pred * 1e6);
-        };
-        results.push_back(measure("model_refit", reps, scalar, packed, [&] {
-            return std::abs(scalar_pred - packed_pred) <= 1e-9;
-        }));
+        const auto packed = [&] { predictChunks(trained, packed_pred); };
+        results.push_back(measure("model_refit", reps, scalar, packed,
+                                  [&] { return scalar_pred == packed_pred; }));
     }
 
     util::TextTable table;

@@ -68,33 +68,26 @@ armJson(std::ostream &os, const ArmResult &r)
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv,
-                       {"threads", "out", "spans", "requests", "queues",
-                        "qd-max", "rate", "model-confidence", "workload",
-                        "mode"},
-                       {"voltage-model"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
-    const int requests = bench::requestsArg(argc, argv, 4000);
-    const int queues = static_cast<int>(
-        bench::longArg(argc, argv, "queues", 4, 1, 256));
-    const int qd_max = static_cast<int>(
-        bench::longArg(argc, argv, "qd-max", 256, 1, 4096));
-    const double rate =
-        bench::doubleArg(argc, argv, "rate", 0.02, 1e-9, 1e6);
-    const bool use_model = bench::voltageModelArg(argc, argv);
-    const double model_confidence = bench::modelConfidenceArg(argc, argv);
-    std::string workload = bench::stringArg(argc, argv, "workload");
-    if (workload.empty())
-        workload = "usr_0";
-    const std::string mode_name = bench::stringArg(argc, argv, "mode");
-    ssd::ArrivalMode mode = ssd::ArrivalMode::Closed;
-    if (mode_name == "fixed")
-        mode = ssd::ArrivalMode::OpenFixed;
-    else if (mode_name == "poisson")
-        mode = ssd::ArrivalMode::OpenPoisson;
-    else if (!mode_name.empty() && mode_name != "closed")
-        bench::usageError("--mode: expected closed, fixed or poisson");
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    const int requests = bench::requestsArg(args, 4000);
+    const int queues = args.number<int>("queues", 4, 1, 256);
+    const int qd_max = args.number<int>("qd-max", 256, 1, 4096);
+    const double rate = args.number<double>("rate", 0.02, 1e-9, 1e6);
+    const bool use_model = args.flag("voltage-model");
+    const double model_confidence = bench::modelConfidenceArg(args);
+    std::vector<std::string> workloads;
+    for (const trace::WorkloadSpec &w : trace::msrWorkloads())
+        workloads.push_back(w.name);
+    const std::string workload =
+        args.choice("workload", workloads, "usr_0");
+    const std::string mode_name =
+        args.choice("mode", {"closed", "fixed", "poisson"}, "closed");
+    bench::OutDir out(args, /*spans=*/true);
+    const ssd::ArrivalMode mode = mode_name == "fixed"
+        ? ssd::ArrivalMode::OpenFixed
+        : mode_name == "poisson" ? ssd::ArrivalMode::OpenPoisson
+                                 : ssd::ArrivalMode::Closed;
 
     bench::header("QD sweep",
                   "multi-queue frontend, sequential vs pipelined "
@@ -121,7 +114,7 @@ main(int argc, char **argv)
               << util::fmt(vcost.meanSenseOps(), 1) << " senses per read\n"
               << "workload " << workload << ", " << requests
               << " requests per point, " << queues << " queues, mode "
-              << (mode_name.empty() ? "closed" : mode_name) << "\n\n";
+              << mode_name << "\n\n";
 
     // --voltage-model: sweep the sentinel policy with a trained
     // predictor attached instead — the queueing view of the

@@ -14,7 +14,7 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {});
+    util::Args(argc, argv).check();
     bench::header("Read disturb (paper IV, prose)",
                   "MSB RBER vs read count (QLC, P/E 1000, fresh data)",
                   "no reliability degradation until ~1M reads");

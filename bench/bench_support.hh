@@ -11,8 +11,6 @@
 #ifndef SENTINELFLASH_BENCH_BENCH_SUPPORT_HH
 #define SENTINELFLASH_BENCH_BENCH_SUPPORT_HH
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,13 +19,13 @@
 #include <memory>
 #include <string>
 #include <system_error>
-#include <vector>
 
 #include "core/characterization.hh"
 #include "core/evaluator.hh"
 #include "nandsim/chip.hh"
 #include "nandsim/oracle.hh"
 #include "ssd/config.hh"
+#include "util/args.hh"
 #include "util/logging.hh"
 #include "util/span_trace.hh"
 #include "util/table.hh"
@@ -63,285 +61,68 @@ makeQlcChip(int blocks = 2)
     return nand::Chip(geom, nand::qlcVoltageParams(), kChipSeed);
 }
 
-/**
- * Reject a malformed command line: usage message on stderr, exit
- * status 2 (the conventional CLI usage-error code, distinct from a
- * harness failure).
- */
-[[noreturn]] inline void
-usageError(const std::string &msg)
-{
-    std::cerr << "error: " << msg << '\n'
-              << "usage: flag values are `--name VALUE` or `--name=VALUE`;"
-                 " numeric flags\nreject non-numeric, trailing-garbage and"
-                 " out-of-range values.\n";
-    std::exit(2);
-}
+// The flags several benches share, each with its one default and range.
 
-/**
- * Strict integer parse of one flag value: the whole string must be a
- * base-10 integer in [@p lo, @p hi]. Anything else exits with status
- * 2 (std::atoi would silently turn `--threads abc` into 0).
- */
-inline long
-parseLong(const std::string &text, const std::string &flag, long lo,
-          long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0')
-        usageError(flag + ": expected an integer, got \"" + text + '"');
-    if (errno == ERANGE || v < lo || v > hi) {
-        usageError(flag + ": value " + text + " out of range ["
-                   + std::to_string(lo) + ", " + std::to_string(hi) + ']');
-    }
-    return v;
-}
-
-/**
- * Strict floating-point parse of one flag value: the whole string
- * must be a finite number in [@p lo, @p hi]; exits with status 2
- * otherwise.
- */
-inline double
-parseDouble(const std::string &text, const std::string &flag, double lo,
-            double hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0')
-        usageError(flag + ": expected a number, got \"" + text + '"');
-    if (errno == ERANGE || !(v >= lo) || !(v <= hi)) {
-        usageError(flag + ": value " + text + " out of range ["
-                   + std::to_string(lo) + ", " + std::to_string(hi) + ']');
-    }
-    return v;
-}
-
-/**
- * Locate `--name VALUE` (or `--name=VALUE`); false when absent, the
- * last occurrence wins, a trailing `--name` with no value is a usage
- * error.
- */
-inline bool
-findArg(int argc, char **argv, const std::string &name, std::string &value)
-{
-    const std::string flag = "--" + name;
-    bool found = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == flag) {
-            if (i + 1 >= argc)
-                usageError(flag + ": missing value");
-            value = argv[++i];
-            found = true;
-        } else if (a.rfind(flag + "=", 0) == 0) {
-            value = a.substr(flag.size() + 1);
-            found = true;
-        }
-    }
-    return found;
-}
-
-/**
- * Declare the flags a bench accepts and reject everything else with
- * exit status 2: an undeclared `--name`, a bare flag given a value,
- * and a stray positional argument. @p values take a value
- * (`--name V` or `--name=V`); @p bare take none. Call it first in
- * main, so a misspelled flag (`--device 8`) cannot silently run the
- * default.
- */
-inline void
-acceptFlags(int argc, char **argv, const std::vector<std::string> &values,
-            const std::vector<std::string> &bare = {})
-{
-    const auto declared = [](const std::vector<std::string> &names,
-                             const std::string &name) {
-        return std::find(names.begin(), names.end(), name) != names.end();
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--", 0) != 0)
-            usageError("unexpected argument \"" + a + '"');
-        const std::size_t eq = a.find('=');
-        const std::string name =
-            a.substr(2, eq == std::string::npos ? eq : eq - 2);
-        if (declared(values, name)) {
-            if (eq == std::string::npos)
-                ++i; // the value; findArg reports a missing one
-        } else if (declared(bare, name)) {
-            if (eq != std::string::npos)
-                usageError("--" + name + " takes no value");
-        } else {
-            std::string known;
-            for (const std::string &v : values)
-                known += " --" + v + " V";
-            for (const std::string &b : bare)
-                known += " --" + b;
-            usageError("unknown flag --" + name + "; accepted:" + known);
-        }
-    }
-}
-
-/** Validated `--name N` integer option; @p fallback when absent. */
-inline long
-longArg(int argc, char **argv, const std::string &name, long fallback,
-        long lo, long hi)
-{
-    std::string v;
-    if (!findArg(argc, argv, name, v))
-        return fallback;
-    return parseLong(v, "--" + name, lo, hi);
-}
-
-/** Validated `--name X` floating-point option; @p fallback when absent. */
-inline double
-doubleArg(int argc, char **argv, const std::string &name, double fallback,
-          double lo, double hi)
-{
-    std::string v;
-    if (!findArg(argc, argv, name, v))
-        return fallback;
-    return parseDouble(v, "--" + name, lo, hi);
-}
-
-/**
- * Parse `--threads N` (or `--threads=N`) from the command line.
- * Defaults to 1; 0 selects the hardware concurrency. Results are
- * bit-identical at every thread count.
- */
+/** `--threads N`, 0 = hardware concurrency; output is identical at any N. */
 inline int
-threadsArg(int argc, char **argv)
+threadsArg(util::Args &args)
 {
-    const int threads =
-        static_cast<int>(longArg(argc, argv, "threads", 1, 0, 4096));
-    return threads == 0 ? util::hardwareThreads() : threads;
+    const int threads = args.number<int>("threads", 1, 0, 4096);
+    return threads ? threads : util::hardwareThreads();
 }
 
-/**
- * Parse a `--name VALUE` (or `--name=VALUE`) string option; empty
- * when absent.
- */
-inline std::string
-stringArg(int argc, char **argv, const std::string &name)
-{
-    std::string value;
-    return findArg(argc, argv, name, value) ? value : std::string();
-}
-
-/** Presence of a bare `--name` flag. */
-inline bool
-flagArg(int argc, char **argv, const std::string &name)
-{
-    const std::string flag = "--" + name;
-    for (int i = 1; i < argc; ++i) {
-        if (flag == argv[i])
-            return true;
-    }
-    return false;
-}
-
-/**
- * `--scrub-interval US`: simulated microseconds between background
- * scrub scans (0 when absent: scrubbing off).
- */
+/** `--scrub-interval X`: simulated us between scrub scans; 0 (off). */
 inline double
-scrubIntervalArg(int argc, char **argv)
+scrubIntervalArg(util::Args &args)
 {
-    return doubleArg(argc, argv, "scrub-interval", 0.0, 1e-6, 1e15);
+    return args.number<double>("scrub-interval", 0.0, 1e-6, 1e15);
 }
 
-/**
- * `--scrub-budget N`: probe reads per scrub scan; @p fallback when
- * absent.
- */
+/** `--scrub-budget N`: probe reads per scrub scan. */
 inline int
-scrubBudgetArg(int argc, char **argv, int fallback)
+scrubBudgetArg(util::Args &args, int fallback)
 {
-    return static_cast<int>(longArg(argc, argv, "scrub-budget", fallback,
-                                    1, 1000000000L));
+    return args.number<int>("scrub-budget", fallback, 1, 1000000000);
 }
 
-/**
- * `--refresh-rber R`: probed sentinel-RBER threshold that queues a
- * block for refresh (0 when absent: refresh off).
- */
+/** `--refresh-rber X`: probed RBER that queues a refresh; 0 (off). */
 inline double
-refreshRberArg(int argc, char **argv)
+refreshRberArg(util::Args &args)
 {
-    return doubleArg(argc, argv, "refresh-rber", 0.0, 1e-12, 1.0);
+    return args.number<double>("refresh-rber", 0.0, 1e-12, 1.0);
 }
 
-/**
- * Presence of the bare `--voltage-model` flag: attach the online
- * predictive voltage model (core::VoltagePredictor) to the measured
- * sentinel policy / fleet devices.
- */
-inline bool
-voltageModelArg(int argc, char **argv)
-{
-    return flagArg(argc, argv, "voltage-model");
-}
-
-/**
- * `--model-confidence C`: confidence a model prediction needs to gate
- * the assist-free read, in [0, 1]; @p fallback when absent.
- */
+/** `--model-confidence X`: confidence that gates a model prediction. */
 inline double
-modelConfidenceArg(int argc, char **argv, double fallback = 0.5)
+modelConfidenceArg(util::Args &args, double fallback = 0.5)
 {
-    return doubleArg(argc, argv, "model-confidence", fallback, 0.0, 1.0);
+    return args.number<double>("model-confidence", fallback, 0.0, 1.0);
 }
 
-/**
- * `--ftl NAME`: which FTL of the zoo maps the simulated device —
- * "page" (pure page mapping) or "fast" (FAST hybrid log-block).
- * Defaults to page; anything else is a usage error (exit 2).
- */
+/** `--ftl page|fast`: page mapping or the FAST hybrid FTL. */
 inline ssd::FtlKind
-ftlArg(int argc, char **argv)
+ftlArg(util::Args &args)
 {
-    std::string v;
-    if (!findArg(argc, argv, "ftl", v))
-        return ssd::FtlKind::Page;
-    if (v == "page")
-        return ssd::FtlKind::Page;
-    if (v == "fast")
-        return ssd::FtlKind::Fast;
-    usageError("--ftl: expected \"page\" or \"fast\", got \"" + v + '"');
+    return args.choice("ftl", {"page", "fast"}, "page") == "fast"
+        ? ssd::FtlKind::Fast
+        : ssd::FtlKind::Page;
 }
 
-/**
- * `--gc-policy NAME`: GC victim selection — "greedy" (min valid
- * pages) or "costbenefit" (age x utilization). Defaults to greedy;
- * anything else is a usage error (exit 2).
- */
+/** `--gc-policy greedy|costbenefit`: GC victim selection. */
 inline ssd::GcVictimPolicy
-gcPolicyArg(int argc, char **argv)
+gcPolicyArg(util::Args &args)
 {
-    std::string v;
-    if (!findArg(argc, argv, "gc-policy", v))
-        return ssd::GcVictimPolicy::Greedy;
-    if (v == "greedy")
-        return ssd::GcVictimPolicy::Greedy;
-    if (v == "costbenefit")
-        return ssd::GcVictimPolicy::CostBenefit;
-    usageError("--gc-policy: expected \"greedy\" or \"costbenefit\","
-               " got \""
-               + v + '"');
+    return args.choice("gc-policy", {"greedy", "costbenefit"}, "greedy")
+            == "costbenefit"
+        ? ssd::GcVictimPolicy::CostBenefit
+        : ssd::GcVictimPolicy::Greedy;
 }
 
-/**
- * `--requests N`: trace records per synthesized workload; @p fallback
- * when absent. CI shrinks this so span-gated replays stay cheap.
- */
+/** `--requests N`: trace records per synthesized workload. */
 inline int
-requestsArg(int argc, char **argv, int fallback)
+requestsArg(util::Args &args, int fallback)
 {
-    return static_cast<int>(longArg(argc, argv, "requests", fallback, 1,
-                                    1000000000L));
+    return args.number<int>("requests", fallback, 1, 1000000000);
 }
 
 /**
@@ -351,8 +132,9 @@ requestsArg(int argc, char **argv, int fallback)
  * `--spans N` records up to N causal spans into DIR/spans.jsonl; it
  * needs `--out`, and N must be positive (exit 2 otherwise).
  *
- * The constructor creates DIR and its missing parents and, with
- * `--spans`, opens spans.jsonl, so a bad DIR fails before the run
+ * The constructor checks the command line, then creates DIR and its
+ * missing parents and, with `--spans`, opens spans.jsonl, so a bad
+ * command line creates nothing and a bad DIR fails before the run
  * (fatal). Files opened with open() stay open until the OutDir is
  * destroyed, which writes the spans, closes every file and notes each
  * one on stderr; a file that fails to write exits with status 1.
@@ -361,24 +143,26 @@ requestsArg(int argc, char **argv, int fallback)
 class OutDir
 {
   public:
-    OutDir(int argc, char **argv)
+    /**
+     * Declares `--out DIR` and, when @p spans, `--spans N`; then
+     * checks the whole command line (util::Args::check). Construct it
+     * after every other flag of the bench.
+     */
+    explicit OutDir(util::Args &args, bool spans = false)
+        : dir_(args.text("out", "DIR"))
     {
-        std::string spans;
-        const bool has_spans = findArg(argc, argv, "spans", spans);
-        const long capacity =
-            has_spans ? parseLong(spans, "--spans", 1, 1000000000L) : 0;
-        if (!findArg(argc, argv, "out", dir_)) {
-            if (has_spans)
-                usageError("--spans needs --out DIR");
-            return;
-        }
+        const int capacity =
+            spans ? args.number<int>("spans", 0, 1, 1000000000) : 0;
+        if (capacity > 0 && dir_.empty())
+            args.reject("--spans needs --out DIR");
+        args.check();
         if (dir_.empty())
-            usageError("--out: expected a directory");
+            return;
         std::error_code ec;
         std::filesystem::create_directories(dir_, ec);
         util::fatalIf(ec || !std::filesystem::is_directory(dir_),
                       "--out: cannot create directory " + dir_);
-        if (has_spans) {
+        if (capacity > 0) {
             spans_ = std::make_unique<util::SpanTrace>(
                 static_cast<std::size_t>(capacity));
             open("spans.jsonl"); // files_.front()

@@ -117,9 +117,9 @@ runChip(nand::Chip &chip, const char *name, std::uint32_t pe,
 int
 main(int argc, char **argv)
 {
-    bench::acceptFlags(argc, argv, {"threads", "out"});
-    bench::OutDir out(argc, argv);
-    const int threads = bench::threadsArg(argc, argv);
+    util::Args args(argc, argv);
+    const int threads = bench::threadsArg(args);
+    bench::OutDir out(args);
     bench::header("Table I",
                   "|predicted - real| optimal sentinel offset vs "
                   "sentinel ratio",

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_support.hh"
@@ -14,9 +16,9 @@ namespace
 {
 
 /** Build a mutable argv from string arguments. */
-struct Args
+struct Argv
 {
-    explicit Args(std::vector<std::string> args) : store(std::move(args))
+    explicit Argv(std::vector<std::string> args) : store(std::move(args))
     {
         ptrs.push_back(const_cast<char *>("bench"));
         for (std::string &a : store)
@@ -30,223 +32,298 @@ struct Args
     std::vector<char *> ptrs;
 };
 
+/**
+ * Declare flags with @p declare over @p args, check the command line
+ * (exit 2 on any error) and return what @p declare returned.
+ */
+template <typename F>
+auto
+parse(std::vector<std::string> args, F declare)
+{
+    Argv a(std::move(args));
+    util::Args parser(a.argc(), a.argv());
+    auto v = declare(parser);
+    parser.check();
+    return v;
+}
+
 TEST(BenchArgs, ThreadsParsesValidForms)
 {
-    Args space({"--threads", "8"});
-    EXPECT_EQ(threadsArg(space.argc(), space.argv()), 8);
-    Args eq({"--threads=3"});
-    EXPECT_EQ(threadsArg(eq.argc(), eq.argv()), 3);
-    Args absent({"--other", "x"});
-    EXPECT_EQ(threadsArg(absent.argc(), absent.argv()), 1);
-    Args zero({"--threads", "0"}); // hardware concurrency
-    EXPECT_GE(threadsArg(zero.argc(), zero.argv()), 1);
+    EXPECT_EQ(parse({"--threads", "8"}, threadsArg), 8);
+    EXPECT_EQ(parse({"--threads=3"}, threadsArg), 3);
+    EXPECT_EQ(parse({}, threadsArg), 1);
+    EXPECT_GE(parse({"--threads", "0"}, threadsArg), 1); // hardware
 }
 
 TEST(BenchArgsDeathTest, ThreadsRejectsNonNumeric)
 {
-    Args a({"--threads", "abc"});
-    EXPECT_EXIT(threadsArg(a.argc(), a.argv()),
+    EXPECT_EXIT(parse({"--threads", "abc"}, threadsArg),
                 testing::ExitedWithCode(2), "expected an integer");
 }
 
 TEST(BenchArgsDeathTest, ThreadsRejectsTrailingGarbage)
 {
-    Args a({"--threads=8x"});
-    EXPECT_EXIT(threadsArg(a.argc(), a.argv()),
+    EXPECT_EXIT(parse({"--threads=8x"}, threadsArg),
+                testing::ExitedWithCode(2), "expected an integer");
+    EXPECT_EXIT(parse({"--threads", " 8"}, threadsArg),
                 testing::ExitedWithCode(2), "expected an integer");
 }
 
 TEST(BenchArgsDeathTest, ThreadsRejectsOutOfRange)
 {
-    Args neg({"--threads", "-1"});
-    EXPECT_EXIT(threadsArg(neg.argc(), neg.argv()),
+    EXPECT_EXIT(parse({"--threads", "-1"}, threadsArg),
                 testing::ExitedWithCode(2), "out of range");
-    Args huge({"--threads", "99999999999999999999"});
-    EXPECT_EXIT(threadsArg(huge.argc(), huge.argv()),
+    EXPECT_EXIT(parse({"--threads", "99999999999999999999"}, threadsArg),
                 testing::ExitedWithCode(2), "out of range");
 }
 
 TEST(BenchArgsDeathTest, ThreadsRejectsMissingValue)
 {
-    Args a({"--threads"});
-    EXPECT_EXIT(threadsArg(a.argc(), a.argv()),
-                testing::ExitedWithCode(2), "missing value");
+    EXPECT_EXIT(parse({"--threads"}, threadsArg),
+                testing::ExitedWithCode(2), "--threads: missing value");
+    // A token starting with -- is a flag, never a value.
+    EXPECT_EXIT(parse({"--threads", "--threads=2"}, threadsArg),
+                testing::ExitedWithCode(2), "--threads: missing value");
 }
 
 TEST(BenchArgsDeathTest, ThreadsRejectsEmptyValue)
 {
-    Args a({"--threads="});
-    EXPECT_EXIT(threadsArg(a.argc(), a.argv()),
-                testing::ExitedWithCode(2), "expected an integer");
+    EXPECT_EXIT(parse({"--threads="}, threadsArg),
+                testing::ExitedWithCode(2), "--threads: missing value");
+}
+
+int
+requests777(util::Args &args)
+{
+    return requestsArg(args, 777);
 }
 
 TEST(BenchArgs, RequestsFallbackAndOverride)
 {
-    Args absent({});
-    EXPECT_EQ(requestsArg(absent.argc(), absent.argv(), 777), 777);
-    Args set({"--requests", "123"});
-    EXPECT_EQ(requestsArg(set.argc(), set.argv(), 777), 123);
+    EXPECT_EQ(parse({}, requests777), 777);
+    EXPECT_EQ(parse({"--requests", "123"}, requests777), 123);
 }
 
 TEST(BenchArgsDeathTest, RequestsRejectsZeroAndGarbage)
 {
-    Args zero({"--requests", "0"});
-    EXPECT_EXIT(requestsArg(zero.argc(), zero.argv(), 5),
+    EXPECT_EXIT(parse({"--requests", "0"}, requests777),
                 testing::ExitedWithCode(2), "out of range");
-    Args junk({"--requests", "1e4"}); // integers take no exponent
-    EXPECT_EXIT(requestsArg(junk.argc(), junk.argv(), 5),
+    // Integers take no exponent.
+    EXPECT_EXIT(parse({"--requests", "1e4"}, requests777),
                 testing::ExitedWithCode(2), "expected an integer");
 }
 
 TEST(BenchArgsDeathTest, RefreshRberRejectsAboveOne)
 {
-    Args a({"--refresh-rber", "1.5"});
-    EXPECT_EXIT(refreshRberArg(a.argc(), a.argv()),
+    EXPECT_EXIT(parse({"--refresh-rber", "1.5"}, refreshRberArg),
                 testing::ExitedWithCode(2), "out of range");
 }
 
 TEST(BenchArgs, VoltageModelFlagAndConfidence)
 {
-    Args absent({});
-    EXPECT_FALSE(voltageModelArg(absent.argc(), absent.argv()));
-    EXPECT_EQ(modelConfidenceArg(absent.argc(), absent.argv(), 0.7), 0.7);
-    Args set({"--voltage-model", "--model-confidence", "0.25"});
-    EXPECT_TRUE(voltageModelArg(set.argc(), set.argv()));
-    EXPECT_EQ(modelConfidenceArg(set.argc(), set.argv()), 0.25);
+    const auto declare = [](util::Args &args) {
+        const bool model = args.flag("voltage-model");
+        return std::make_pair(model, modelConfidenceArg(args, 0.7));
+    };
+    EXPECT_EQ(parse({}, declare), std::make_pair(false, 0.7));
+    EXPECT_EQ(parse({"--voltage-model", "--model-confidence", "0.25"},
+                    declare),
+              std::make_pair(true, 0.25));
 }
 
 TEST(BenchArgsDeathTest, ModelConfidenceRejectsBadValues)
 {
-    Args above({"--model-confidence", "1.5"});
-    EXPECT_EXIT(modelConfidenceArg(above.argc(), above.argv()),
+    const auto confidence = [](util::Args &args) {
+        return modelConfidenceArg(args);
+    };
+    EXPECT_EXIT(parse({"--model-confidence", "1.5"}, confidence),
                 testing::ExitedWithCode(2), "out of range");
-    Args neg({"--model-confidence=-0.1"});
-    EXPECT_EXIT(modelConfidenceArg(neg.argc(), neg.argv()),
+    EXPECT_EXIT(parse({"--model-confidence=-0.1"}, confidence),
                 testing::ExitedWithCode(2), "out of range");
-    Args junk({"--model-confidence", "high"});
-    EXPECT_EXIT(modelConfidenceArg(junk.argc(), junk.argv()),
+    EXPECT_EXIT(parse({"--model-confidence", "nan"}, confidence),
+                testing::ExitedWithCode(2), "out of range");
+    EXPECT_EXIT(parse({"--model-confidence", "high"}, confidence),
                 testing::ExitedWithCode(2), "expected a number");
 }
 
 TEST(BenchArgs, FtlAndGcPolicyParseValidForms)
 {
-    Args absent({"--other", "x"});
-    EXPECT_EQ(ftlArg(absent.argc(), absent.argv()), ssd::FtlKind::Page);
-    EXPECT_EQ(gcPolicyArg(absent.argc(), absent.argv()),
-              ssd::GcVictimPolicy::Greedy);
-    Args page({"--ftl", "page", "--gc-policy", "greedy"});
-    EXPECT_EQ(ftlArg(page.argc(), page.argv()), ssd::FtlKind::Page);
-    EXPECT_EQ(gcPolicyArg(page.argc(), page.argv()),
-              ssd::GcVictimPolicy::Greedy);
-    Args fast({"--ftl=fast", "--gc-policy=costbenefit"});
-    EXPECT_EQ(ftlArg(fast.argc(), fast.argv()), ssd::FtlKind::Fast);
-    EXPECT_EQ(gcPolicyArg(fast.argc(), fast.argv()),
-              ssd::GcVictimPolicy::CostBenefit);
+    const auto declare = [](util::Args &args) {
+        const ssd::FtlKind ftl = ftlArg(args);
+        return std::make_pair(ftl, gcPolicyArg(args));
+    };
+    EXPECT_EQ(parse({}, declare),
+              std::make_pair(ssd::FtlKind::Page,
+                             ssd::GcVictimPolicy::Greedy));
+    EXPECT_EQ(parse({"--ftl", "page", "--gc-policy", "greedy"}, declare),
+              std::make_pair(ssd::FtlKind::Page,
+                             ssd::GcVictimPolicy::Greedy));
+    EXPECT_EQ(parse({"--ftl=fast", "--gc-policy=costbenefit"}, declare),
+              std::make_pair(ssd::FtlKind::Fast,
+                             ssd::GcVictimPolicy::CostBenefit));
 }
 
 TEST(BenchArgsDeathTest, FtlRejectsUnknownKind)
 {
-    Args a({"--ftl", "dftl"});
-    EXPECT_EXIT(ftlArg(a.argc(), a.argv()), testing::ExitedWithCode(2),
-                "expected \"page\" or \"fast\"");
-    Args caps({"--ftl=Page"}); // strict: no case folding
-    EXPECT_EXIT(ftlArg(caps.argc(), caps.argv()),
-                testing::ExitedWithCode(2), "expected \"page\" or \"fast\"");
-    Args empty({"--ftl="});
-    EXPECT_EXIT(ftlArg(empty.argc(), empty.argv()),
-                testing::ExitedWithCode(2), "expected \"page\" or \"fast\"");
+    EXPECT_EXIT(parse({"--ftl", "dftl"}, ftlArg),
+                testing::ExitedWithCode(2),
+                "--ftl: expected page\\|fast, got \"dftl\"");
+    // Strict: no case folding.
+    EXPECT_EXIT(parse({"--ftl=Page"}, ftlArg), testing::ExitedWithCode(2),
+                "--ftl: expected page\\|fast, got \"Page\"");
+    EXPECT_EXIT(parse({"--ftl="}, ftlArg), testing::ExitedWithCode(2),
+                "--ftl: missing value");
 }
 
 TEST(BenchArgsDeathTest, GcPolicyRejectsUnknownPolicy)
 {
-    Args a({"--gc-policy", "random"});
-    EXPECT_EXIT(gcPolicyArg(a.argc(), a.argv()),
+    EXPECT_EXIT(parse({"--gc-policy", "random"}, gcPolicyArg),
                 testing::ExitedWithCode(2),
-                "expected \"greedy\" or \"costbenefit\"");
-    Args dash({"--gc-policy=cost-benefit"}); // strict: exact spelling
-    EXPECT_EXIT(gcPolicyArg(dash.argc(), dash.argv()),
+                "expected greedy\\|costbenefit, got");
+    // Strict: exact spelling.
+    EXPECT_EXIT(parse({"--gc-policy=cost-benefit"}, gcPolicyArg),
                 testing::ExitedWithCode(2),
-                "expected \"greedy\" or \"costbenefit\"");
+                "expected greedy\\|costbenefit, got");
 }
 
 TEST(BenchArgs, LastOccurrenceWins)
 {
-    Args a({"--threads", "2", "--threads", "6"});
-    EXPECT_EQ(threadsArg(a.argc(), a.argv()), 6);
-    Args b({"--requests=10", "--requests=20"});
-    EXPECT_EQ(requestsArg(b.argc(), b.argv(), 1), 20);
+    EXPECT_EQ(parse({"--threads", "2", "--threads", "6"}, threadsArg), 6);
+    EXPECT_EQ(parse({"--requests=10", "--requests=20"}, requests777), 20);
 }
 
 TEST(BenchArgs, StringAndFlagArgsUnchanged)
 {
-    Args a({"--workload", "usr_0", "--flag"});
-    EXPECT_EQ(stringArg(a.argc(), a.argv(), "workload"), "usr_0");
-    EXPECT_TRUE(flagArg(a.argc(), a.argv(), "flag"));
-    EXPECT_FALSE(flagArg(a.argc(), a.argv(), "other"));
-    EXPECT_EQ(stringArg(a.argc(), a.argv(), "absent"), "");
+    const auto declare = [](util::Args &args) {
+        const std::string workload = args.text("workload", "NAME");
+        const std::string absent = args.text("absent", "NAME", "dflt");
+        const bool flag = args.flag("flag");
+        const bool other = args.flag("other");
+        return std::make_tuple(workload, absent, flag, other);
+    };
+    EXPECT_EQ(parse({"--workload", "usr_0", "--flag"}, declare),
+              std::make_tuple(std::string("usr_0"), std::string("dflt"), true,
+                              false));
+    // A value may start with a single dash.
+    EXPECT_EQ(std::get<0>(parse({"--workload", "-x"}, declare)), "-x");
 }
 
 /** Flag set of bench_fleet, the bench of the `--device` typo. */
-void
-acceptFleetFlags(Args &a)
+int
+fleetFlags(util::Args &args)
 {
-    acceptFlags(a.argc(), a.argv(), {"threads", "devices", "requests"},
-                {"shuffle"});
+    const int threads = threadsArg(args);
+    args.number<int>("devices", 64, 1, 4096);
+    requestsArg(args, 200);
+    args.flag("shuffle");
+    return threads;
 }
 
 TEST(BenchArgs, AcceptFlagsPassesDeclaredForms)
 {
-    Args a({"--threads", "4", "--shuffle", "--devices=8", "--requests",
-            "-5"}); // a value is never read as a flag
-    acceptFleetFlags(a);
-    EXPECT_EQ(threadsArg(a.argc(), a.argv()), 4);
-    Args none({});
-    acceptFleetFlags(none);
+    EXPECT_EQ(parse({"--threads", "4", "--shuffle", "--devices=8",
+                     "--requests", "20"},
+                    fleetFlags),
+              4);
+    EXPECT_EQ(parse({}, fleetFlags), 1);
 }
 
 TEST(BenchArgsDeathTest, AcceptFlagsRejectsDeviceTypo)
 {
-    Args a({"--device", "8", "--requests", "20"});
-    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
-                "unknown flag --device; accepted: --threads V --devices V");
+    EXPECT_EXIT(parse({"--device", "8", "--requests", "20"}, fleetFlags),
+                testing::ExitedWithCode(2),
+                "bench: unknown flag --device\nusage: bench \\[--threads N\\] "
+                "\\[--devices N\\] \\[--requests N\\] \\[--shuffle\\]");
 }
 
 TEST(BenchArgsDeathTest, AcceptFlagsRejectsMisspelledFig14Flags)
 {
-    Args a({"--request", "10", "--threds", "4"});
-    EXPECT_EXIT(acceptFlags(a.argc(), a.argv(), {"threads", "requests"},
-                            {"voltage-cache"}),
-                testing::ExitedWithCode(2), "unknown flag --request;");
-    Args eq({"--threads=4", "--threds=4"});
-    EXPECT_EXIT(acceptFlags(eq.argc(), eq.argv(), {"threads"}),
-                testing::ExitedWithCode(2), "unknown flag --threds;");
+    const auto declare = [](util::Args &args) {
+        const int threads = threadsArg(args);
+        requestsArg(args, 60000);
+        args.flag("voltage-cache");
+        return threads;
+    };
+    EXPECT_EXIT(parse({"--request", "10", "--threds", "4"}, declare),
+                testing::ExitedWithCode(2), "unknown flag --request\n");
+    EXPECT_EXIT(parse({"--threads=4", "--threds=4"}, declare),
+                testing::ExitedWithCode(2), "unknown flag --threds\n");
 }
 
 TEST(BenchArgsDeathTest, AcceptFlagsRejectsPrefixesOfDeclaredNames)
 {
-    Args a({"--thread", "4"});
-    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
-                "unknown flag --thread;");
-    Args longer({"--shuffled"});
-    EXPECT_EXIT(acceptFleetFlags(longer), testing::ExitedWithCode(2),
-                "unknown flag --shuffled;");
+    EXPECT_EXIT(parse({"--thread", "4"}, fleetFlags),
+                testing::ExitedWithCode(2), "unknown flag --thread\n");
+    EXPECT_EXIT(parse({"--shuffled"}, fleetFlags),
+                testing::ExitedWithCode(2), "unknown flag --shuffled\n");
 }
 
 TEST(BenchArgsDeathTest, AcceptFlagsRejectsValueOnBareFlag)
 {
-    Args a({"--shuffle=1"});
-    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
-                "--shuffle takes no value");
+    EXPECT_EXIT(parse({"--shuffle=1"}, fleetFlags),
+                testing::ExitedWithCode(2), "--shuffle takes no value");
 }
 
 TEST(BenchArgsDeathTest, AcceptFlagsRejectsStrayArguments)
 {
-    Args a({"--shuffle", "8"});
-    EXPECT_EXIT(acceptFleetFlags(a), testing::ExitedWithCode(2),
-                "unexpected argument \"8\"");
-    Args dash({"-threads", "4"});
-    EXPECT_EXIT(acceptFleetFlags(dash), testing::ExitedWithCode(2),
+    EXPECT_EXIT(parse({"--shuffle", "8"}, fleetFlags),
+                testing::ExitedWithCode(2), "unexpected argument \"8\"");
+    EXPECT_EXIT(parse({"-threads", "4"}, fleetFlags),
+                testing::ExitedWithCode(2),
                 "unexpected argument \"-threads\"");
+}
+
+/** The argument set of bench_compare: a required flag, a positional. */
+std::pair<double, std::string>
+compareFlags(util::Args &args)
+{
+    const double min = args.number<double>("min-speedup", std::nullopt, 0.0);
+    return {min, args.positional("FILE.json")};
+}
+
+TEST(Args, PositionalsAndRequiredFlags)
+{
+    EXPECT_EQ(parse({"k.json", "--min-speedup", "1.5"}, compareFlags),
+              std::make_pair(1.5, std::string("k.json")));
+    EXPECT_EQ(parse({"--min-speedup=0", "k.json"}, compareFlags),
+              std::make_pair(0.0, std::string("k.json")));
+    const auto optional = [](util::Args &args) {
+        return args.positional("FILE", false);
+    };
+    EXPECT_EQ(parse({}, optional), "");
+}
+
+TEST(ArgsDeathTest, MissingOrExtraPositionalsAndRequiredFlags)
+{
+    EXPECT_EXIT(parse({"k.json"}, compareFlags), testing::ExitedWithCode(2),
+                "missing --min-speedup X\nusage: bench FILE.json "
+                "--min-speedup X\n");
+    EXPECT_EXIT(parse({"--min-speedup", "1"}, compareFlags),
+                testing::ExitedWithCode(2), "missing FILE.json");
+    EXPECT_EXIT(parse({"a.json", "b.json", "--min-speedup", "1"},
+                      compareFlags),
+                testing::ExitedWithCode(2), "unexpected argument \"b.json\"");
+    EXPECT_EXIT(parse({"k.json", "--min-speedup", "99x"}, compareFlags),
+                testing::ExitedWithCode(2),
+                "--min-speedup: expected a number, got \"99x\"");
+}
+
+TEST(Args, UsageLineWrapsTheDeclarations)
+{
+    Argv a({});
+    util::Args args(a.argc(), a.argv());
+    args.flag("follow");
+    args.number<double>("frame-interval", 1.0, 0.0, 2.0);
+    args.choice("fail-on-alert", {"info", "warn", "critical"}, "");
+    args.text("alerts-out", "FILE");
+    args.number<int>("top", 8, 1, 100);
+    args.number<long>("ring", 64, 2, 100);
+    args.positional("HEALTH_FILE", false);
+    EXPECT_EQ(args.usage(),
+              "usage: bench [HEALTH_FILE] [--follow] [--frame-interval X]\n"
+              "             [--fail-on-alert info|warn|critical] "
+              "[--alerts-out FILE] [--top N]\n"
+              "             [--ring N]");
 }
 
 /** A fresh, not yet existing path under the test temp directory. */
@@ -273,8 +350,9 @@ TEST(BenchArgs, OutCreatesMissingNestedDirectory)
     const std::filesystem::path root = scratchPath("nested");
     const std::filesystem::path dir = root / "a" / "b";
     {
-        Args a({"--out", dir.string()});
-        OutDir out(a.argc(), a.argv());
+        Argv a({"--out", dir.string()});
+        util::Args args(a.argc(), a.argv());
+        OutDir out(args);
         EXPECT_TRUE(out.enabled());
         EXPECT_TRUE(std::filesystem::is_directory(dir));
         EXPECT_EQ(out.spans(), nullptr);
@@ -289,8 +367,9 @@ TEST(BenchArgs, SpansAreWrittenWhenTheOutDirCloses)
 {
     const std::filesystem::path dir = scratchPath("spans");
     {
-        Args a({"--out=" + dir.string(), "--spans", "7"});
-        OutDir out(a.argc(), a.argv());
+        Argv a({"--out=" + dir.string(), "--spans", "7"});
+        util::Args args(a.argc(), a.argv());
+        OutDir out(args, true);
         ASSERT_NE(out.spans(), nullptr);
         EXPECT_EQ(out.spans()->capacity(), 7u);
     }
@@ -301,8 +380,10 @@ TEST(BenchArgs, SpansAreWrittenWhenTheOutDirCloses)
 
 TEST(BenchArgs, NoOutWritesNothing)
 {
-    Args a({"--threads", "2"});
-    OutDir out(a.argc(), a.argv());
+    Argv a({"--threads", "2"});
+    util::Args args(a.argc(), a.argv());
+    EXPECT_EQ(threadsArg(args), 2);
+    OutDir out(args, true);
     EXPECT_FALSE(out.enabled());
     EXPECT_EQ(out.open("metrics.json"), nullptr);
     EXPECT_EQ(out.spans(), nullptr);
@@ -310,17 +391,38 @@ TEST(BenchArgs, NoOutWritesNothing)
 
 TEST(BenchArgsDeathTest, SpansWithoutOutIsAUsageError)
 {
-    Args a({"--spans", "1000"});
-    EXPECT_EXIT(OutDir(a.argc(), a.argv()), testing::ExitedWithCode(2),
+    Argv a({"--spans", "1000"});
+    util::Args args(a.argc(), a.argv());
+    EXPECT_EXIT(OutDir(args, true), testing::ExitedWithCode(2),
                 "--spans needs --out DIR");
 }
 
 TEST(BenchArgsDeathTest, SpansRejectsZero)
 {
     const std::filesystem::path dir = scratchPath("zero");
-    Args a({"--out", dir.string(), "--spans", "0"});
-    EXPECT_EXIT(OutDir(a.argc(), a.argv()), testing::ExitedWithCode(2),
+    Argv a({"--out", dir.string(), "--spans", "0"});
+    util::Args args(a.argc(), a.argv());
+    EXPECT_EXIT(OutDir(args, true), testing::ExitedWithCode(2),
                 "--spans: value 0 out of range");
+    // Only the bench that accepts spans declares --spans.
+    util::Args no_spans(a.argc(), a.argv());
+    EXPECT_EXIT(OutDir{no_spans}, testing::ExitedWithCode(2),
+                "unknown flag --spans");
+}
+
+TEST(ArgsDeathTest, RejectedCommandLineCreatesNothing)
+{
+    const std::filesystem::path dir = scratchPath("rejected");
+    Argv a({"--out", dir.string(), "--threads", "abc"});
+    util::Args args(a.argc(), a.argv());
+    threadsArg(args);
+    EXPECT_EXIT(OutDir{args}, testing::ExitedWithCode(2),
+                "--threads: expected an integer");
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    Argv empty({"--out="});
+    util::Args empty_args(empty.argc(), empty.argv());
+    EXPECT_EXIT(OutDir{empty_args}, testing::ExitedWithCode(2),
+                "--out: missing value");
 }
 
 TEST(BenchArgs, UnwritableOutIsFatal)
@@ -328,8 +430,9 @@ TEST(BenchArgs, UnwritableOutIsFatal)
     // A directory cannot be created underneath a regular file.
     const std::filesystem::path file = scratchPath("file");
     std::ofstream(file) << "not a directory\n";
-    Args a({"--out", (file / "run").string()});
-    EXPECT_THROW(OutDir(a.argc(), a.argv()), util::FatalError);
+    Argv a({"--out", (file / "run").string()});
+    util::Args args(a.argc(), a.argv());
+    EXPECT_THROW(OutDir{args}, util::FatalError);
     std::filesystem::remove(file);
 }
 
@@ -340,10 +443,11 @@ TEST(BenchArgsDeathTest, FailedArtifactWriteExitsNonZero)
     const std::filesystem::path dir = scratchPath("full");
     std::filesystem::create_directories(dir);
     std::filesystem::create_symlink("/dev/full", dir / "metrics.json");
-    Args a({"--out", dir.string()});
+    Argv a({"--out", dir.string()});
+    util::Args args(a.argc(), a.argv());
     EXPECT_EXIT(
         {
-            OutDir out(a.argc(), a.argv());
+            OutDir out(args);
             *out.open("metrics.json") << "{}\n";
         },
         testing::ExitedWithCode(1), "cannot write .*metrics.json");
@@ -352,21 +456,29 @@ TEST(BenchArgsDeathTest, FailedArtifactWriteExitsNonZero)
 
 TEST(BenchArgsDeathTest, RemovedOutputFlagsAreUnknown)
 {
-    // bench_fig14's accepted flags: the seven per-artifact flags that
-    // --out DIR and --spans N replaced must not run the default.
-    const auto accept_fig14 = [](Args &a) {
-        acceptFlags(a.argc(), a.argv(),
-                    {"threads", "out", "spans", "model-confidence",
-                     "scrub-interval", "scrub-budget", "refresh-rber",
-                     "requests", "ftl", "gc-policy"},
-                    {"voltage-cache", "voltage-model"});
+    // bench_fig14's flags: the seven per-artifact flags that --out DIR
+    // and --spans N replaced must not run the default.
+    const auto fig14 = [](util::Args &args) {
+        threadsArg(args);
+        args.flag("voltage-cache");
+        args.flag("voltage-model");
+        modelConfidenceArg(args);
+        scrubIntervalArg(args);
+        scrubBudgetArg(args, 64);
+        refreshRberArg(args);
+        requestsArg(args, 60000);
+        ftlArg(args);
+        gcPolicyArg(args);
+        OutDir out(args, true);
+        return 0;
     };
     for (const char *flag :
          {"metrics-out", "trace-spans", "health-out", "health-interval",
           "fleet-out", "span-capacity", "json"}) {
-        Args a({std::string("--") + flag, "x"});
-        EXPECT_EXIT(accept_fig14(a), testing::ExitedWithCode(2),
-                    std::string("unknown flag --") + flag + ";");
+        Argv a({std::string("--") + flag, "x"});
+        util::Args args(a.argc(), a.argv());
+        EXPECT_EXIT(fig14(args), testing::ExitedWithCode(2),
+                    std::string("unknown flag --") + flag + "\n");
     }
 }
 

@@ -2,24 +2,20 @@
  * @file
  * Gate a bench_kernels export on a minimum speedup.
  *
- *   bench_compare FILE.json --min-speedup X
+ *   usage: bench_compare FILE.json --min-speedup X
  *
  * Checks every kernels.*.speedup against X, a finite number >= 0.
  * Exit codes: 0 pass, 1 regression, 2 usage or parse error — the CI
  * perf-smoke step runs it against the committed threshold. To diff
- * two JSON exports leaf by leaf, use `metrics_diff A B --rel R`.
+ * two JSON exports leaf by leaf, use `metrics_diff A.json B.json --rel X`.
  */
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 
+#include "util/args.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -29,10 +25,10 @@ namespace
 {
 
 std::string
-slurp(const char *path)
+slurp(const std::string &path)
 {
     std::ifstream in(path);
-    flash::util::fatalIf(!in, std::string("cannot open ") + path);
+    flash::util::fatalIf(!in, "cannot open " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
@@ -68,55 +64,19 @@ checkSpeedups(const JsonValue &doc, double min_speedup)
     return failures ? 1 : 0;
 }
 
-[[noreturn]] void
-usage(const std::string &error = {})
-{
-    if (!error.empty())
-        std::cerr << "bench_compare: " << error << '\n';
-    std::cerr << "usage: bench_compare FILE.json --min-speedup X\n";
-    std::exit(2);
-}
-
-/** The whole of @p text as a finite number >= 0, else a usage error. */
-double
-threshold(const char *text)
-{
-    const char *end = text + std::strlen(text);
-    double v = 0.0;
-    const auto res = std::from_chars(text, end, v);
-    if (res.ec != std::errc() || res.ptr != end || !std::isfinite(v)
-        || v < 0.0) {
-        usage(std::string("--min-speedup: expected a finite number >= 0, "
-                          "got \"")
-              + text + '"');
-    }
-    return v;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
-{
-    const char *file = nullptr;
-    std::optional<double> min_speedup;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc) {
-            min_speedup = threshold(argv[++i]);
-        } else if (!file) {
-            file = argv[i];
-        } else {
-            usage();
-        }
-    }
-    if (!file || !min_speedup)
-        usage();
+try {
+    flash::util::Args args(argc, argv);
+    const double min_speedup =
+        args.number<double>("min-speedup", std::nullopt, 0.0);
+    const std::string file = args.positional("FILE.json");
+    args.check();
 
-    try {
-        return checkSpeedups(flash::util::parseJson(slurp(file)),
-                             *min_speedup);
-    } catch (const std::exception &e) {
-        std::cerr << "bench_compare: " << e.what() << '\n';
-        return 2;
-    }
+    return checkSpeedups(flash::util::parseJson(slurp(file)), min_speedup);
+} catch (const std::exception &e) {
+    std::cerr << "bench_compare: " << e.what() << '\n';
+    return 2;
 }

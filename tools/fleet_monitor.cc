@@ -2,11 +2,13 @@
  * @file
  * Live fleet monitor over a health JSON-lines stream.
  *
- *   fleet_monitor [HEALTH_FILE] [--follow] [--frame-interval US]
- *                 [--top K] [--ring N] [--retry-warn X]
- *                 [--retry-crit X] [--no-outliers] [--mad-k X]
- *                 [--alerts-out FILE] [--fleet FILE]
- *                 [--fail-on-alert SEVERITY] [--quiet-frames]
+ *   usage: fleet_monitor [HEALTH_FILE] [--follow] [--frame-interval X]
+ *                        [--top N] [--ring N] [--retry-warn X]
+ *                        [--retry-crit X] [--no-outliers] [--mad-k X]
+ *                        [--alerts-out FILE] [--fleet FILE]
+ *                        [--idle-timeout X]
+ *                        [--fail-on-alert info|warn|warning|critical|crit]
+ *                        [--quiet-frames]
  *
  * Two modes over the same engine (src/mon):
  *
@@ -28,97 +30,51 @@
  * the fleet file's rollup counters (integer equality) and exits 1 on
  * mismatch. --fail-on-alert SEV exits 3 when an alert of severity
  * >= SEV fired (the CI gate). --alerts-out appends every fire/clear
- * event as JSON lines.
+ * event as JSON lines. --frame-interval (simulated us) must be > 0,
+ * --top >= 1 and --ring >= 2; a malformed number, an unknown flag or
+ * an error reading the inputs exits 2.
  */
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "mon/monitor.hh"
 #include "ssd/fleet/report.hh"
+#include "util/args.hh"
 #include "util/logging.hh"
 
 using namespace flash;
 
-namespace
-{
-
-[[noreturn]] void
-usage()
-{
-    std::cerr
-        << "usage: fleet_monitor [HEALTH_FILE] [--follow]\n"
-           "                     [--frame-interval US] [--top K]\n"
-           "                     [--ring N] [--retry-warn X]\n"
-           "                     [--retry-crit X] [--no-outliers]\n"
-           "                     [--mad-k X] [--alerts-out FILE]\n"
-           "                     [--fleet FILE] [--idle-timeout S]\n"
-           "                     [--fail-on-alert info|warn|critical]\n"
-           "                     [--quiet-frames]\n";
-    std::exit(2);
-}
-
-double
-numArg(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc)
-        usage();
-    return std::atof(argv[++i]);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
-{
-    std::string health_file, alerts_out, fleet_file, fail_on;
+try {
+    util::Args args(argc, argv);
     mon::MonitorConfig cfg;
-    bool follow = false, quiet_frames = false;
-    double retry_warn = 2.0, retry_crit = 4.0;
-    double idle_timeout_s = 5.0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--follow") {
-            follow = true;
-        } else if (a == "--frame-interval") {
-            cfg.frameIntervalUs = numArg(argc, argv, i);
-        } else if (a == "--top") {
-            cfg.topK = static_cast<int>(numArg(argc, argv, i));
-        } else if (a == "--ring") {
-            cfg.ringCapacity =
-                static_cast<std::size_t>(numArg(argc, argv, i));
-        } else if (a == "--retry-warn") {
-            retry_warn = numArg(argc, argv, i);
-        } else if (a == "--retry-crit") {
-            retry_crit = numArg(argc, argv, i);
-        } else if (a == "--no-outliers") {
-            cfg.madEnabled = false;
-        } else if (a == "--mad-k") {
-            cfg.mad.k = numArg(argc, argv, i);
-        } else if (a == "--idle-timeout") {
-            idle_timeout_s = numArg(argc, argv, i);
-        } else if (a == "--alerts-out" && i + 1 < argc) {
-            alerts_out = argv[++i];
-        } else if (a == "--fleet" && i + 1 < argc) {
-            fleet_file = argv[++i];
-        } else if (a == "--fail-on-alert" && i + 1 < argc) {
-            fail_on = argv[++i];
-        } else if (a == "--quiet-frames") {
-            quiet_frames = true;
-        } else if (!a.empty() && a[0] == '-') {
-            usage();
-        } else if (health_file.empty()) {
-            health_file = a;
-        } else {
-            usage();
-        }
-    }
+    const bool follow = args.flag("follow");
+    cfg.frameIntervalUs =
+        args.number<double>("frame-interval", cfg.frameIntervalUs,
+                            std::numeric_limits<double>::min());
+    cfg.topK = args.number<int>("top", cfg.topK, 1);
+    cfg.ringCapacity = args.number<std::size_t>("ring", cfg.ringCapacity, 2);
+    const double retry_warn = args.number<double>("retry-warn", 2.0);
+    const double retry_crit = args.number<double>("retry-crit", 4.0);
+    cfg.madEnabled = !args.flag("no-outliers");
+    cfg.mad.k = args.number<double>("mad-k", cfg.mad.k);
+    const std::string alerts_out = args.text("alerts-out", "FILE");
+    const std::string fleet_file = args.text("fleet", "FILE");
+    const double idle_timeout_s = args.number<double>("idle-timeout", 5.0);
+    const std::string fail_on = args.choice(
+        "fail-on-alert", {"info", "warn", "warning", "critical", "crit"},
+        "");
+    const bool quiet_frames = args.flag("quiet-frames");
+    const std::string health_file = args.positional("HEALTH_FILE", false);
+    args.check();
     mon::Severity fail_severity = mon::Severity::Info;
-    if (!fail_on.empty() && !mon::parseSeverity(fail_on, fail_severity))
-        usage();
+    mon::parseSeverity(fail_on, fail_severity); // "" leaves Info
 
     // The stock thresholds are knobs so CI can force alerts to fire
     // (severity-ordering gate) without a degraded fleet.
@@ -134,23 +90,12 @@ main(int argc, char **argv)
     std::ostream *alerts = nullptr;
     if (!alerts_out.empty()) {
         alerts_f.open(alerts_out);
-        if (!alerts_f) {
-            std::cerr << "fleet_monitor: cannot open " << alerts_out
-                      << '\n';
-            return 2;
-        }
+        util::fatalIf(!alerts_f, "cannot open " + alerts_out);
         alerts = &alerts_f;
     }
 
-    std::ofstream devnull;
-    std::ostream &frames = quiet_frames
-        ? static_cast<std::ostream &>(devnull)
-        : std::cout;
-    if (quiet_frames) {
-        // An unopened ofstream swallows writes; keep it failed on
-        // purpose but clear badbit checks by never checking it.
-        devnull.setstate(std::ios::badbit);
-    }
+    // Without a buffer (--quiet-frames) the stream drops every write.
+    std::ostream frames(quiet_frames ? nullptr : std::cout.rdbuf());
 
     mon::FleetMonitor monitor(cfg, frames, alerts);
 
@@ -164,11 +109,7 @@ main(int argc, char **argv)
         }
     } else {
         std::ifstream in(health_file, std::ios::binary);
-        if (!in) {
-            std::cerr << "fleet_monitor: cannot open " << health_file
-                      << '\n';
-            return 2;
-        }
+        util::fatalIf(!in, "cannot open " + health_file);
         double idle_s = 0.0;
         for (;;) {
             in.read(buf, sizeof buf);
@@ -191,10 +132,8 @@ main(int argc, char **argv)
                     std::chrono::milliseconds(100));
                 idle_s += 0.1;
                 in.clear();
-            } else if (in.fail()) {
-                std::cerr << "fleet_monitor: read error on "
-                          << health_file << '\n';
-                return 2;
+            } else {
+                util::fatalIf(in.fail(), "read error on " + health_file);
             }
         }
     }
@@ -203,11 +142,7 @@ main(int argc, char **argv)
     int rc = 0;
     if (!fleet_file.empty()) {
         std::ifstream fin(fleet_file);
-        if (!fin) {
-            std::cerr << "fleet_monitor: cannot open " << fleet_file
-                      << '\n';
-            return 2;
-        }
+        util::fatalIf(!fin, "cannot open " + fleet_file);
         const ssd::fleet::FleetReportData data =
             ssd::fleet::parseFleetLines(fin);
         if (!data.haveRollup) {
@@ -235,4 +170,7 @@ main(int argc, char **argv)
         rc = 3;
     }
     return rc;
+} catch (const std::exception &e) {
+    std::cerr << "fleet_monitor: " << e.what() << '\n';
+    return 2;
 }

@@ -3,7 +3,7 @@
  * Fleet tail-attribution report over a `bench_fleet --out DIR`
  * fleet.jsonl.
  *
- *   fleet_report FLEET_FILE [--health FILE] [--top K] [--json FILE]
+ *   usage: fleet_report FLEET_FILE [--health FILE] [--top N] [--json FILE]
  *
  * Reads the per-device JSON lines back (malformed or truncated lines
  * are skipped and counted, never fatal), merges the lossless latency
@@ -16,7 +16,7 @@
  * --json exports the attribution plus the input-hygiene counts
  * (malformed / ignored / duplicate lines, health-scan counts); the
  * export happens before the gates so failing runs still leave their
- * counts on disk.
+ * counts on disk. Usage and I/O errors exit 2.
  */
 
 #include <fstream>
@@ -25,55 +25,24 @@
 #include <string>
 
 #include "ssd/fleet/report.hh"
+#include "util/args.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
 using namespace flash;
 
-namespace
-{
-
-[[noreturn]] void
-usage()
-{
-    std::cerr << "usage: fleet_report FLEET_FILE [--health FILE] "
-                 "[--top K] [--json FILE]\n";
-    std::exit(2);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
-{
-    std::string fleet_file, health_file, json_out;
-    int top_k = 10;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--health" && i + 1 < argc) {
-            health_file = argv[++i];
-        } else if (a == "--top" && i + 1 < argc) {
-            top_k = std::atoi(argv[++i]);
-            if (top_k < 1)
-                usage();
-        } else if (a == "--json" && i + 1 < argc) {
-            json_out = argv[++i];
-        } else if (!a.empty() && a[0] == '-') {
-            usage();
-        } else if (fleet_file.empty()) {
-            fleet_file = a;
-        } else {
-            usage();
-        }
-    }
-    if (fleet_file.empty())
-        usage();
+try {
+    util::Args args(argc, argv);
+    const std::string health_file = args.text("health", "FILE");
+    const int top_k = args.number<int>("top", 10, 1);
+    const std::string json_out = args.text("json", "FILE");
+    const std::string fleet_file = args.positional("FLEET_FILE");
+    args.check();
 
     std::ifstream in(fleet_file);
-    if (!in) {
-        std::cerr << "fleet_report: cannot open " << fleet_file << '\n';
-        return 2;
-    }
+    util::fatalIf(!in, "cannot open " + fleet_file);
     const ssd::fleet::FleetReportData data =
         ssd::fleet::parseFleetLines(in);
     if (data.devices.empty()) {
@@ -89,11 +58,7 @@ main(int argc, char **argv)
     std::optional<ssd::fleet::HealthScan> health_scan;
     if (!health_file.empty()) {
         std::ifstream hin(health_file);
-        if (!hin) {
-            std::cerr << "fleet_report: cannot open " << health_file
-                      << '\n';
-            return 2;
-        }
+        util::fatalIf(!hin, "cannot open " + health_file);
         health_scan = ssd::fleet::scanHealthLines(hin);
         const ssd::fleet::HealthScan &scan = *health_scan;
         std::cout << "\nhealth: " << scan.lines << " records from "
@@ -141,10 +106,7 @@ main(int argc, char **argv)
 
     if (!json_out.empty()) {
         std::ofstream jf(json_out);
-        if (!jf) {
-            std::cerr << "fleet_report: cannot open " << json_out << '\n';
-            return 2;
-        }
+        util::fatalIf(!jf, "cannot open " + json_out);
         ssd::fleet::writeReportJson(
             jf, data, tail, health_scan ? &*health_scan : nullptr);
         jf << '\n';
@@ -172,4 +134,7 @@ main(int argc, char **argv)
                       : "")
               << '\n';
     return 0;
+} catch (const std::exception &e) {
+    std::cerr << "fleet_report: " << e.what() << '\n';
+    return 2;
 }

@@ -2,30 +2,28 @@
  * @file
  * Compare two metrics JSON exports with tolerances.
  *
- *   metrics_diff A.json B.json [--rel R] [--abs A] [--max-report N]
- *                [--quiet]
+ *   usage: metrics_diff A.json B.json [--rel X] [--abs X] [--max-report N]
+ *                       [--quiet]
  *
  * Walks both documents; every numeric leaf must satisfy
- * |a - b| <= abs + rel * max(|a|, |b|); strings/booleans must match
- * exactly; keys must exist on both sides. Prints one line per
- * difference (path, values, delta) up to the first N differing keys
- * (--max-report, default 20; later differences are counted but not
- * printed) and exits 1 when any survive the tolerances, 0 otherwise.
+ * |a - b| <= abs + rel * max(|a|, |b|) (--abs, --rel: finite,
+ * >= 0); strings/booleans must match exactly; keys must exist on
+ * both sides. Prints one line per difference (path, values, delta)
+ * up to the first N differing keys (--max-report, default 20; later
+ * differences are counted but not printed) and exits 1 when any
+ * survive the tolerances, 0 otherwise.
  * Defaults are exact comparison (rel = abs = 0), the right setting
  * for the deterministic exports; pass tolerances when comparing
  * across configurations.
  */
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 
+#include "util/args.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -144,93 +142,45 @@ diffValue(const std::string &path, const JsonValue &a, const JsonValue &b,
 }
 
 std::string
-slurp(const char *path)
+slurp(const std::string &path)
 {
     std::ifstream in(path);
-    flash::util::fatalIf(!in, std::string("cannot open ") + path);
+    flash::util::fatalIf(!in, "cannot open " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-[[noreturn]] void
-usage(const std::string &error = {})
-{
-    if (!error.empty())
-        std::cerr << "metrics_diff: " << error << '\n';
-    std::cerr << "usage: metrics_diff A.json B.json [--rel R] [--abs A] "
-                 "[--max-report N] [--quiet]\n";
-    std::exit(2);
-}
-
-/**
- * The whole of @p text as a finite @p T >= 0, else a usage error
- * naming @p flag.
- */
-template <typename T>
-T
-nonNegative(const char *flag, const char *text)
-{
-    const char *end = text + std::strlen(text);
-    T v{};
-    const auto res = std::from_chars(text, end, v);
-    bool ok = res.ec == std::errc() && res.ptr == end;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(v) && v >= 0.0;
-    if (!ok) {
-        usage(std::string(flag) + ": expected a "
-              + (std::is_integral_v<T> ? "whole" : "finite")
-              + " number >= 0, got \"" + text + '"');
-    }
-    return v;
 }
 
 } // namespace
 
 int
 main(int argc, char **argv)
-{
-    const char *file_a = nullptr;
-    const char *file_b = nullptr;
+try {
+    flash::util::Args args(argc, argv);
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--rel") && i + 1 < argc) {
-            opt.rel = nonNegative<double>("--rel", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--abs") && i + 1 < argc) {
-            opt.abs = nonNegative<double>("--abs", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--max-report") && i + 1 < argc) {
-            opt.maxReport =
-                nonNegative<std::size_t>("--max-report", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            opt.quiet = true;
-        } else if (!file_a) {
-            file_a = argv[i];
-        } else if (!file_b) {
-            file_b = argv[i];
-        } else {
-            usage();
-        }
-    }
-    if (!file_a || !file_b)
-        usage();
+    opt.rel = args.number<double>("rel", opt.rel, 0.0);
+    opt.abs = args.number<double>("abs", opt.abs, 0.0);
+    opt.maxReport = args.number<std::size_t>("max-report", opt.maxReport, 0);
+    opt.quiet = args.flag("quiet");
+    const std::string file_a = args.positional("A.json");
+    const std::string file_b = args.positional("B.json");
+    args.check();
 
-    try {
-        const JsonValue a = flash::util::parseJson(slurp(file_a));
-        const JsonValue b = flash::util::parseJson(slurp(file_b));
-        DiffState st;
-        st.opt = opt;
-        diffValue("", a, b, st);
-        if (st.differences == 0) {
-            std::cout << "identical within tolerance (" << st.leaves
-                      << " leaves, rel " << opt.rel << ", abs " << opt.abs
-                      << ")\n";
-            return 0;
-        }
-        std::cout << st.differences << " difference(s) over " << st.leaves
-                  << " compared leaves\n";
-        return 1;
-    } catch (const std::exception &e) {
-        std::cerr << "metrics_diff: " << e.what() << '\n';
-        return 2;
+    const JsonValue a = flash::util::parseJson(slurp(file_a));
+    const JsonValue b = flash::util::parseJson(slurp(file_b));
+    DiffState st;
+    st.opt = opt;
+    diffValue("", a, b, st);
+    if (st.differences == 0) {
+        std::cout << "identical within tolerance (" << st.leaves
+                  << " leaves, rel " << opt.rel << ", abs " << opt.abs
+                  << ")\n";
+        return 0;
     }
+    std::cout << st.differences << " difference(s) over " << st.leaves
+              << " compared leaves\n";
+    return 1;
+} catch (const std::exception &e) {
+    std::cerr << "metrics_diff: " << e.what() << '\n';
+    return 2;
 }

@@ -2,14 +2,16 @@
  * @file
  * Span-trace analyzer / exporter.
  *
- *   trace_analyze TRACE.jsonl [--report OUT.json] [--perfetto OUT.json]
- *                 [--retry-k K] [--fail-on-drops] [--quiet]
+ *   usage: trace_analyze TRACE.jsonl [--report OUT.json]
+ *                        [--perfetto OUT.json] [--retry-k N]
+ *                        [--fail-on-drops] [--quiet]
  *
  * Rebuilds the span trees of a bench's spans.jsonl, verifies them
  * (zero orphans, zero duplicate ids, interval nesting, child-sum
  * bounds, summary-line consistency), prints the per-request latency
  * breakdown — total and tail (>= p99) critical-path self-time per
- * span class — and flags retry storms (sessions with >= K retries).
+ * span class — and flags retry storms (sessions with >= N retries,
+ * default 5).
  *
  * --report writes the full analysis as one JSON object; --perfetto
  * writes a Chrome/Perfetto traceEvents file (open at ui.perfetto.dev)
@@ -19,8 +21,6 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -28,6 +28,7 @@
 #include <string>
 
 #include "trace/span_analysis.hh"
+#include "util/args.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -36,15 +37,6 @@ using namespace flash;
 
 namespace
 {
-
-void
-usage()
-{
-    std::cerr << "usage: trace_analyze TRACE.jsonl [--report OUT.json] "
-                 "[--perfetto OUT.json] [--retry-k K] [--fail-on-drops] "
-                 "[--quiet]\n";
-    std::exit(2);
-}
 
 void
 printMap(const char *title, const std::map<std::string, double> &m)
@@ -65,134 +57,103 @@ printMap(const char *title, const std::map<std::string, double> &m)
 
 int
 main(int argc, char **argv)
-{
-    const char *trace_path = nullptr;
-    const char *report_path = nullptr;
-    const char *perfetto_path = nullptr;
+try {
+    util::Args args(argc, argv);
+    const std::string report_path = args.text("report", "OUT.json");
+    const std::string perfetto_path = args.text("perfetto", "OUT.json");
     trace::SpanAnalysisOptions options;
-    bool fail_on_drops = false;
-    bool quiet = false;
+    options.retryStormK = args.number<int>("retry-k", options.retryStormK, 1);
+    const bool fail_on_drops = args.flag("fail-on-drops");
+    const bool quiet = args.flag("quiet");
+    const std::string trace_path = args.positional("TRACE.jsonl");
+    args.check();
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--report") && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--perfetto") && i + 1 < argc) {
-            perfetto_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--retry-k") && i + 1 < argc) {
-            options.retryStormK = std::atoi(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--fail-on-drops")) {
-            fail_on_drops = true;
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            quiet = true;
-        } else if (!trace_path) {
-            trace_path = argv[i];
-        } else {
-            usage();
+    std::ifstream in(trace_path);
+    util::fatalIf(!in, "cannot open " + trace_path);
+    const trace::SpanForest forest = trace::parseSpanTrace(in);
+    const trace::TraceAnalysis analysis = trace::analyzeSpans(forest, options);
+
+    if (!quiet) {
+        std::cout << analysis.spanCount << " spans, "
+                  << analysis.rootCount << " roots, "
+                  << analysis.orphanCount << " orphans, "
+                  << analysis.duplicateCount << " duplicates, "
+                  << analysis.droppedSpans << " dropped\n";
+        for (const auto &[cls, stats] : analysis.rootStats) {
+            std::cout << cls << ": count "
+                      << static_cast<std::uint64_t>(stats.at("count"))
+                      << ", total "
+                      << util::jsonNumber(analysis.rootTotalUs.at(cls))
+                      << " us, p50 "
+                      << util::jsonNumber(stats.at("p50_us"))
+                      << " us, p99 "
+                      << util::jsonNumber(stats.at("p99_us"))
+                      << " us, p999 "
+                      << util::jsonNumber(stats.at("p999_us"))
+                      << " us\n";
+        }
+        printMap("critical path (all requests):", analysis.criticalPathUs);
+        printMap("critical path (tail, >= p99):",
+                 analysis.tailCriticalPathUs);
+        if (!analysis.tailDominantClass.empty()) {
+            std::cout << "tail dominated by: " << analysis.tailDominantClass
+                      << '\n';
+        }
+        std::cout << analysis.retryStorms.size()
+                  << " retry storm(s) (>= " << options.retryStormK
+                  << " retries)\n";
+        constexpr std::size_t kMaxStormsPrinted = 10;
+        for (std::size_t i = 0;
+             i < analysis.retryStorms.size() && i < kMaxStormsPrinted;
+             ++i) {
+            std::cout << "  root id " << analysis.retryStorms[i].rootId
+                      << ": " << analysis.retryStorms[i].retries
+                      << " retries\n";
+        }
+        if (analysis.retryStorms.size() > kMaxStormsPrinted) {
+            std::cout << "  ... and "
+                      << analysis.retryStorms.size() - kMaxStormsPrinted
+                      << " more (see --report)\n";
+        }
+        for (const auto &v : analysis.violations)
+            std::cout << "violation: " << v << '\n';
+        if (analysis.violationCount > analysis.violations.size()) {
+            std::cout << "... and "
+                      << analysis.violationCount - analysis.violations.size()
+                      << " more violation(s)\n";
         }
     }
-    if (!trace_path || options.retryStormK < 1)
-        usage();
 
-    try {
-        std::ifstream in(trace_path);
-        util::fatalIf(!in, std::string("cannot open ") + trace_path);
-        const trace::SpanForest forest = trace::parseSpanTrace(in);
-        const trace::TraceAnalysis analysis =
-            trace::analyzeSpans(forest, options);
-
-        if (!quiet) {
-            std::cout << analysis.spanCount << " spans, "
-                      << analysis.rootCount << " roots, "
-                      << analysis.orphanCount << " orphans, "
-                      << analysis.duplicateCount << " duplicates, "
-                      << analysis.droppedSpans << " dropped\n";
-            for (const auto &[cls, stats] : analysis.rootStats) {
-                std::cout << cls << ": count "
-                          << static_cast<std::uint64_t>(
-                                 stats.at("count"))
-                          << ", total "
-                          << util::jsonNumber(
-                                 analysis.rootTotalUs.at(cls))
-                          << " us, p50 "
-                          << util::jsonNumber(stats.at("p50_us"))
-                          << " us, p99 "
-                          << util::jsonNumber(stats.at("p99_us"))
-                          << " us, p999 "
-                          << util::jsonNumber(stats.at("p999_us"))
-                          << " us\n";
-            }
-            printMap("critical path (all requests):",
-                     analysis.criticalPathUs);
-            printMap("critical path (tail, >= p99):",
-                     analysis.tailCriticalPathUs);
-            if (!analysis.tailDominantClass.empty()) {
-                std::cout << "tail dominated by: "
-                          << analysis.tailDominantClass << '\n';
-            }
-            std::cout << analysis.retryStorms.size()
-                      << " retry storm(s) (>= " << options.retryStormK
-                      << " retries)\n";
-            constexpr std::size_t kMaxStormsPrinted = 10;
-            for (std::size_t i = 0;
-                 i < analysis.retryStorms.size() && i < kMaxStormsPrinted;
-                 ++i) {
-                std::cout << "  root id " << analysis.retryStorms[i].rootId
-                          << ": " << analysis.retryStorms[i].retries
-                          << " retries\n";
-            }
-            if (analysis.retryStorms.size() > kMaxStormsPrinted) {
-                std::cout << "  ... and "
-                          << analysis.retryStorms.size()
-                        - kMaxStormsPrinted
-                          << " more (see --report)\n";
-            }
-            for (const auto &v : analysis.violations)
-                std::cout << "violation: " << v << '\n';
-            if (analysis.violationCount
-                > analysis.violations.size()) {
-                std::cout << "... and "
-                          << analysis.violationCount
-                        - analysis.violations.size()
-                          << " more violation(s)\n";
-            }
-        }
-
-        if (report_path) {
-            std::ofstream out(report_path);
-            util::fatalIf(!out,
-                          std::string("cannot write ") + report_path);
-            trace::writeAnalysisJson(analysis, out);
-        }
-        if (perfetto_path) {
-            std::ostringstream buf;
-            trace::writePerfettoJson(forest, buf);
-            // Self-check: the export must be one valid JSON document
-            // with a traceEvents array covering every span (orphan
-            // subtrees are unreachable and excused).
-            const util::JsonValue doc = util::parseJson(buf.str());
-            const util::JsonValue *events = doc.find("traceEvents");
-            util::fatalIf(!events
-                              || events->type
-                                  != util::JsonValue::Type::Array
-                              || (analysis.orphanCount == 0
-                                  && events->array.size()
-                                      != analysis.spanCount),
-                          "perfetto export failed self-check");
-            std::ofstream out(perfetto_path);
-            util::fatalIf(!out,
-                          std::string("cannot write ") + perfetto_path);
-            out << buf.str();
-        }
-
-        const bool bad = analysis.orphanCount > 0
-            || analysis.duplicateCount > 0 || analysis.violationCount > 0
-            || !analysis.summaryMatches
-            || (fail_on_drops && analysis.droppedSpans > 0);
-        if (bad && !quiet)
-            std::cout << "FAIL\n";
-        return bad ? 1 : 0;
-    } catch (const std::exception &e) {
-        std::cerr << "trace_analyze: " << e.what() << '\n';
-        return 2;
+    if (!report_path.empty()) {
+        std::ofstream out(report_path);
+        util::fatalIf(!out, "cannot write " + report_path);
+        trace::writeAnalysisJson(analysis, out);
     }
+    if (!perfetto_path.empty()) {
+        std::ostringstream buf;
+        trace::writePerfettoJson(forest, buf);
+        // Self-check: the export must be one valid JSON document
+        // with a traceEvents array covering every span (orphan
+        // subtrees are unreachable and excused).
+        const util::JsonValue doc = util::parseJson(buf.str());
+        const util::JsonValue *events = doc.find("traceEvents");
+        util::fatalIf(!events || events->type != util::JsonValue::Type::Array
+                          || (analysis.orphanCount == 0
+                              && events->array.size() != analysis.spanCount),
+                      "perfetto export failed self-check");
+        std::ofstream out(perfetto_path);
+        util::fatalIf(!out, "cannot write " + perfetto_path);
+        out << buf.str();
+    }
+
+    const bool bad = analysis.orphanCount > 0
+        || analysis.duplicateCount > 0 || analysis.violationCount > 0
+        || !analysis.summaryMatches
+        || (fail_on_drops && analysis.droppedSpans > 0);
+    if (bad && !quiet)
+        std::cout << "FAIL\n";
+    return bad ? 1 : 0;
+} catch (const std::exception &e) {
+    std::cerr << "trace_analyze: " << e.what() << '\n';
+    return 2;
 }
