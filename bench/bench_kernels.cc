@@ -5,7 +5,7 @@
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Six rows, each timed as reference ("scalar") vs fast path
+ * Seven rows, each timed as reference ("scalar") vs fast path
  * ("packed") and checked for identical results before any timing is
  * trusted:
  *
@@ -30,6 +30,11 @@
  *                     maintained moments. The exact-sum moments make
  *                     both orders the same multiset, so every
  *                     chunk's prediction must agree exactly.
+ *   metrics_update    SsdSim's per-read registry updates (4 counters,
+ *                     7 histograms, one of them per channel): by name,
+ *                     building the channel's name each time, vs
+ *                     through handles bound once per registry. Both
+ *                     registries must export the same bytes.
  *
  * The DIR/kernels.json export ({"cells", "observations", "reps",
  * "kernels": {name: {scalar_ns, packed_ns, speedup}}}) feeds
@@ -42,6 +47,7 @@
 #include <cmath>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_support.hh"
@@ -393,6 +399,100 @@ main(int argc, char **argv)
                                   [&] { return scalar_pred == packed_pred; }));
     }
 
+    // --- metrics_update ---------------------------------------------
+    {
+        // A fixed read-op sequence shaped like SsdSim's: the counter
+        // deltas and breakdown values a page read records.
+        struct ReadOp
+        {
+            int channel;
+            std::uint64_t attempts, senses;
+            double attemptUs, latencyUs, queueUs, senseUs, decodeUs,
+                xferUs;
+        };
+        constexpr int kReadOps = 4096;
+        constexpr int kChannels = 8;
+        std::vector<ReadOp> ops;
+        {
+            util::Rng rng(0x3e7c);
+            for (int i = 0; i < kReadOps; ++i) {
+                ReadOp op;
+                op.channel = static_cast<int>(rng.uniformInt(kChannels));
+                op.attempts = 1 + rng.uniformInt(4);
+                op.senses = op.attempts * (3 + rng.uniformInt(2));
+                op.senseUs = 50.0 * static_cast<double>(op.senses);
+                op.decodeUs = 2.0 * static_cast<double>(op.attempts);
+                op.xferUs = 16.0 * static_cast<double>(op.attempts);
+                op.queueUs = rng.bernoulli(0.3) ? rng.uniform(0.0, 400.0)
+                                                : 0.0;
+                op.attemptUs = op.senseUs / static_cast<double>(op.attempts)
+                    + 18.0;
+                op.latencyUs =
+                    op.queueUs + op.senseUs + op.decodeUs + op.xferUs;
+                ops.push_back(op);
+            }
+        }
+        std::vector<std::string> queue_names;
+        for (int ch = 0; ch < kChannels; ++ch)
+            queue_names.push_back("ssd.read.queue_us.ch" + std::to_string(ch));
+        util::MetricsRegistry scalar_reg, packed_reg;
+        const auto scalar = [&] {
+            util::MetricsRegistry m;
+            for (const ReadOp &op : ops) {
+                m.observe("ssd.read.attempt_us", op.attemptUs);
+                m.add("ssd.read.page_ops");
+                m.add("ssd.read.attempts", op.attempts);
+                m.add("ssd.read.sense_ops", op.senses);
+                m.add("ssd.read.assist_reads", 0);
+                m.observe("ssd.read.latency_us", op.latencyUs);
+                m.observe("ssd.read.queue_us", op.queueUs);
+                m.observe("ssd.read.queue_us.ch"
+                              + std::to_string(op.channel),
+                          op.queueUs);
+                m.observe("ssd.read.sense_us", op.senseUs);
+                m.observe("ssd.read.decode_us", op.decodeUs);
+                m.observe("ssd.read.xfer_us", op.xferUs);
+            }
+            g_sink = m.counter("ssd.read.page_ops");
+            scalar_reg = std::move(m);
+        };
+        const auto packed = [&] {
+            util::MetricsRegistry m;
+            util::HistogramHandle attempt_us(m, "ssd.read.attempt_us");
+            util::CounterHandle page_ops(m, "ssd.read.page_ops");
+            util::CounterHandle attempts(m, "ssd.read.attempts");
+            util::CounterHandle sense_ops(m, "ssd.read.sense_ops");
+            util::CounterHandle assists(m, "ssd.read.assist_reads");
+            util::HistogramHandle latency_us(m, "ssd.read.latency_us");
+            util::HistogramHandle queue_us(m, "ssd.read.queue_us");
+            std::vector<util::HistogramHandle> queue_us_ch;
+            for (const std::string &name : queue_names)
+                queue_us_ch.emplace_back(m, name.c_str());
+            util::HistogramHandle sense_us(m, "ssd.read.sense_us");
+            util::HistogramHandle decode_us(m, "ssd.read.decode_us");
+            util::HistogramHandle xfer_us(m, "ssd.read.xfer_us");
+            for (const ReadOp &op : ops) {
+                attempt_us.observe(op.attemptUs);
+                page_ops.add();
+                attempts.add(op.attempts);
+                sense_ops.add(op.senses);
+                assists.add(0);
+                latency_us.observe(op.latencyUs);
+                queue_us.observe(op.queueUs);
+                queue_us_ch[static_cast<std::size_t>(op.channel)].observe(
+                    op.queueUs);
+                sense_us.observe(op.senseUs);
+                decode_us.observe(op.decodeUs);
+                xfer_us.observe(op.xferUs);
+            }
+            g_sink = m.counter("ssd.read.page_ops");
+            packed_reg = std::move(m);
+        };
+        results.push_back(measure(
+            "metrics_update", reps, scalar, packed,
+            [&] { return scalar_reg.toJson() == packed_reg.toJson(); }));
+    }
+
     util::TextTable table;
     table.header({"kernel", "scalar (us)", "packed (us)", "speedup"});
     for (const auto &r : results) {
@@ -419,6 +519,7 @@ main(int argc, char **argv)
     bench::footer("every fast path should beat its reference; "
                   "sense_count_page is the read pipeline's hot path, and "
                   "the model rows are what the cached solve and the "
-                  "incremental moments save");
+                  "incremental moments save, metrics_update what bound "
+                  "handles save per simulated page read");
     return 0;
 }

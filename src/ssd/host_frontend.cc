@@ -73,6 +73,12 @@ HostFrontend::run(const std::vector<trace::TraceRecord> &trace)
     util::MetricsRegistry &metrics = sim_->metrics();
     metrics.add("frontend.queues", static_cast<std::uint64_t>(nq));
     metrics.add("frontend.queue_depth", static_cast<std::uint64_t>(qd));
+    // Per-request updates go through handles bound once. They stay
+    // valid until finishRun() moves the registry, after the loop.
+    util::CounterHandle requests(metrics, "frontend.requests");
+    util::HistogramHandle queue_wait(metrics, "frontend.queue_wait_us");
+    util::HistogramHandle request_latency(metrics,
+                                          "frontend.request_latency_us");
 
     FrontendReport rep;
     std::vector<double> read_latencies;
@@ -119,9 +125,9 @@ HostFrontend::run(const std::vector<trace::TraceRecord> &trace)
         qs.lastSubmitUs = best_us;
         ++qs.next;
 
-        metrics.add("frontend.requests");
-        metrics.observe("frontend.queue_wait_us", best_us - arrival);
-        metrics.observe("frontend.request_latency_us", done - arrival);
+        requests.add();
+        queue_wait.observe(best_us - arrival);
+        request_latency.observe(done - arrival);
         if (req.isRead)
             read_latencies.push_back(done - arrival);
 

@@ -21,6 +21,16 @@ childSpan(util::SpanBuffer *sb, int parent, const char *cls,
     sb->time(sb->begin(cls, parent), start_us, dur_us);
 }
 
+/** Names of the per-channel read queue-delay histograms. */
+std::vector<std::string>
+channelQueueNames(int channels)
+{
+    std::vector<std::string> names;
+    for (int ch = 0; ch < channels; ++ch)
+        names.push_back("ssd.read.queue_us.ch" + std::to_string(ch));
+    return names;
+}
+
 } // namespace
 
 void
@@ -58,10 +68,40 @@ SimReport::writeJson(std::ostream &os) const
     os << "}";
 }
 
+SsdSim::OpMetrics::OpMetrics(util::MetricsRegistry &m,
+                             const std::vector<std::string> &channel_names)
+    : scrubWarm(m, "scrub.read.warm"), scrubCold(m, "scrub.read.cold"),
+      readPageOps(m, "ssd.read.page_ops"),
+      readAttempts(m, "ssd.read.attempts"),
+      readSenseOps(m, "ssd.read.sense_ops"),
+      readAssistReads(m, "ssd.read.assist_reads"),
+      readAttemptUs(m, "ssd.read.attempt_us"),
+      readLatencyUs(m, "ssd.read.latency_us"),
+      readQueueUs(m, "ssd.read.queue_us"),
+      readSenseUs(m, "ssd.read.sense_us"),
+      readDecodeUs(m, "ssd.read.decode_us"),
+      readXferUs(m, "ssd.read.xfer_us"),
+      readOverlapUs(m, "ssd.read.overlap_us"),
+      writePageOps(m, "ssd.write.page_ops"),
+      writeLatencyUs(m, "ssd.write.latency_us"),
+      writeQueueUs(m, "ssd.write.queue_us"),
+      gcTriggeredWrites(m, "ssd.gc.triggered_writes"),
+      gcMigratedPages(m, "ssd.gc.migrated_pages"),
+      gcErases(m, "ssd.gc.erases"),
+      writeGcStallUs(m, "ssd.write.gc_stall_us"),
+      readRequestLatencyUs(m, "ssd.read.request_latency_us"),
+      writeRequestLatencyUs(m, "ssd.write.request_latency_us")
+{
+    for (const std::string &name : channel_names)
+        readQueueUsByChannel.emplace_back(m, name.c_str());
+}
+
 SsdSim::SsdSim(const SsdConfig &config, const SsdTiming &timing,
                ReadCostSource &read_cost, std::uint64_t seed)
     : config_(config), timing_(timing), readCost_(&read_cost),
-      rng_(seed ^ util::mix64(0x73736473696dULL)), ftl_(makeFtl(config))
+      rng_(seed ^ util::mix64(0x73736473696dULL)), ftl_(makeFtl(config)),
+      channelQueueNames_(channelQueueNames(config.channels)),
+      ops_(metrics_, channelQueueNames_)
 {
     config_.validate();
     timing_.validate();
@@ -129,7 +169,7 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
         && scrub_->isWarm(plane, addr.block, arrival);
     const ReadCost cost = (warm ? warmCost_ : readCost_)->sample(rng_);
     if (scrub_on)
-        metrics_.add(warm ? "scrub.read.warm" : "scrub.read.cold");
+        (warm ? ops_.scrubWarm : ops_.scrubCold).add();
 
     const int attempts = std::max(1, cost.attempts);
     const int assists = std::max(0, cost.assistReads);
@@ -183,7 +223,7 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
         last_sense_end = sense_end;
         done = decode_done;
 
-        metrics_.observe("ssd.read.attempt_us", decode_done - sense_start);
+        ops_.readAttemptUs.observe(decode_done - sense_start);
         if (sb) {
             const int att = sb->begin("attempt", op);
             sb->num(att, "senses", static_cast<double>(senses));
@@ -207,22 +247,19 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
                     + bd.xferUs)
         - elapsed;
 
-    metrics_.add("ssd.read.page_ops");
-    metrics_.add("ssd.read.attempts",
-                 static_cast<std::uint64_t>(cost.attempts));
-    metrics_.add("ssd.read.sense_ops",
-                 static_cast<std::uint64_t>(cost.senseOps));
-    metrics_.add("ssd.read.assist_reads",
-                 static_cast<std::uint64_t>(cost.assistReads));
-    metrics_.observe("ssd.read.latency_us", elapsed);
-    metrics_.observe("ssd.read.queue_us", bd.queueUs);
-    metrics_.observe("ssd.read.queue_us.ch" + std::to_string(ch),
-                     bd.queueUs);
-    metrics_.observe("ssd.read.sense_us", bd.senseUs);
-    metrics_.observe("ssd.read.decode_us", bd.decodeUs);
-    metrics_.observe("ssd.read.xfer_us", bd.xferUs);
+    ops_.readPageOps.add();
+    ops_.readAttempts.add(static_cast<std::uint64_t>(cost.attempts));
+    ops_.readSenseOps.add(static_cast<std::uint64_t>(cost.senseOps));
+    ops_.readAssistReads.add(static_cast<std::uint64_t>(cost.assistReads));
+    ops_.readLatencyUs.observe(elapsed);
+    ops_.readQueueUs.observe(bd.queueUs);
+    ops_.readQueueUsByChannel[static_cast<std::size_t>(ch)].observe(
+        bd.queueUs);
+    ops_.readSenseUs.observe(bd.senseUs);
+    ops_.readDecodeUs.observe(bd.decodeUs);
+    ops_.readXferUs.observe(bd.xferUs);
     if (pipelined)
-        metrics_.observe("ssd.read.overlap_us", bd.overlapUs);
+        ops_.readOverlapUs.observe(bd.overlapUs);
     if (sb) {
         sb->num(op, "plane", static_cast<double>(plane));
         sb->num(op, "channel", static_cast<double>(ch));
@@ -267,16 +304,15 @@ SsdSim::writePageOp(double arrival, std::int64_t lpn, LatencyBreakdown &bd,
 
     bd.queueUs = (bus_start - arrival) + (start - bus_done);
 
-    metrics_.add("ssd.write.page_ops");
-    metrics_.observe("ssd.write.latency_us", done - arrival);
-    metrics_.observe("ssd.write.queue_us", bd.queueUs);
+    ops_.writePageOps.add();
+    ops_.writeLatencyUs.observe(done - arrival);
+    ops_.writeQueueUs.observe(bd.queueUs);
     if (effect.gcTriggered) {
-        metrics_.add("ssd.gc.triggered_writes");
-        metrics_.add("ssd.gc.migrated_pages",
-                     static_cast<std::uint64_t>(effect.gcMigratedPages));
-        metrics_.add("ssd.gc.erases",
-                     static_cast<std::uint64_t>(effect.gcErases));
-        metrics_.observe("ssd.write.gc_stall_us", bd.gcUs);
+        ops_.gcTriggeredWrites.add();
+        ops_.gcMigratedPages.add(
+            static_cast<std::uint64_t>(effect.gcMigratedPages));
+        ops_.gcErases.add(static_cast<std::uint64_t>(effect.gcErases));
+        ops_.writeGcStallUs.observe(bd.gcUs);
     }
     const int merges =
         effect.switchMerges + effect.partialMerges + effect.fullMerges;
@@ -360,10 +396,10 @@ SsdSim::submit(const trace::TraceRecord &req, double submit_us, int queue)
     if (req.isRead) {
         report_.readLatencyUs.add(latency);
         report_.readLatencies.push_back(latency);
-        metrics_.observe("ssd.read.request_latency_us", latency);
+        ops_.readRequestLatencyUs.observe(latency);
     } else {
         report_.writeLatencyUs.add(latency);
-        metrics_.observe("ssd.write.request_latency_us", latency);
+        ops_.writeRequestLatencyUs.observe(latency);
     }
     if (spans_) {
         sb.num(root, "pages", static_cast<double>(last - first));
@@ -407,6 +443,7 @@ SsdSim::finishRun()
 
     report_.metrics = std::move(metrics_);
     metrics_ = util::MetricsRegistry();
+    ops_ = OpMetrics(metrics_, channelQueueNames_);
     readCost_->appendMetrics(report_.metrics);
 
     SimReport report = std::move(report_);

@@ -122,6 +122,10 @@ class SsdSim
     SsdSim(const SsdConfig &config, const SsdTiming &timing,
            ReadCostSource &read_cost, std::uint64_t seed);
 
+    // The per-op metric handles point into this instance's registry.
+    SsdSim(const SsdSim &) = delete;
+    SsdSim &operator=(const SsdSim &) = delete;
+
     /**
      * Attach a causal span sink: one "host_read" / "host_write" root
      * per request with a "read_op" / "write_op" child per page
@@ -174,7 +178,9 @@ class SsdSim
      * Heap bytes held by the device state that persists across runs:
      * the FTL mapping tables plus the plane/channel next-free clocks.
      * The live metrics registry is excluded — it moves into each
-     * finishRun() report, whose own footprintBytes() covers it.
+     * finishRun() report, whose own footprintBytes() covers it — and
+     * so is the heap behind its per-op handles (the per-channel
+     * handles and their names).
      */
     std::size_t footprintBytes() const
     {
@@ -209,6 +215,30 @@ class SsdSim
     SimReport run(const std::vector<trace::TraceRecord> &trace);
 
   private:
+    /**
+     * Handles of every metric a page op or request updates, bound to
+     * the live registry once (DESIGN.md §10). finishRun() moves that
+     * registry into the report, which invalidates the bound slots, so
+     * it rebuilds this struct right after the move.
+     */
+    struct OpMetrics
+    {
+        OpMetrics(util::MetricsRegistry &m,
+                  const std::vector<std::string> &channel_names);
+
+        util::CounterHandle scrubWarm, scrubCold;
+        util::CounterHandle readPageOps, readAttempts, readSenseOps,
+            readAssistReads;
+        util::HistogramHandle readAttemptUs, readLatencyUs, readQueueUs,
+            readSenseUs, readDecodeUs, readXferUs, readOverlapUs;
+        std::vector<util::HistogramHandle> readQueueUsByChannel;
+        util::CounterHandle writePageOps;
+        util::HistogramHandle writeLatencyUs, writeQueueUs;
+        util::CounterHandle gcTriggeredWrites, gcMigratedPages, gcErases;
+        util::HistogramHandle writeGcStallUs;
+        util::HistogramHandle readRequestLatencyUs, writeRequestLatencyUs;
+    };
+
     /** Channel of a global plane index. */
     int channelOf(int plane) const;
 
@@ -228,6 +258,8 @@ class SsdSim
     util::Rng rng_;
     std::unique_ptr<FtlInterface> ftl_;
     util::MetricsRegistry metrics_;
+    std::vector<std::string> channelQueueNames_; ///< ops_ points at these
+    OpMetrics ops_;
     util::SpanTrace *spans_ = nullptr;
     HealthMonitor *health_ = nullptr;
     Scrubber *scrub_ = nullptr;

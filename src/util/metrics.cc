@@ -348,6 +348,18 @@ MetricsRegistry::writeJson(std::ostream &os) const
     os << "}}";
 }
 
+void
+CounterHandle::bind()
+{
+    slot_ = &registry_->counters_[name_];
+}
+
+void
+HistogramHandle::bind()
+{
+    slot_ = &registry_->histograms_[name_];
+}
+
 std::string
 MetricsRegistry::toJson() const
 {

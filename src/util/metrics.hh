@@ -164,6 +164,10 @@ class LatencyHistogram
  *
  * Not thread-safe: accumulate per shard and merge(), or record from
  * one thread only.
+ *
+ * Name-keyed add()/observe() serve set-up, export and cold paths;
+ * per-op paths update through a CounterHandle / HistogramHandle bound
+ * once (DESIGN.md §10).
  */
 class MetricsRegistry
 {
@@ -222,8 +226,82 @@ class MetricsRegistry
     std::string toJson() const;
 
   private:
+    friend class CounterHandle;
+    friend class HistogramHandle;
+
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, LatencyHistogram> histograms_;
+};
+
+/**
+ * A named counter of one registry, updated without a name: per-op
+ * paths bind a handle once and skip the string build and map walk of
+ * MetricsRegistry::add on every update.
+ *
+ * Binding is lazy. The counter is created on the first add() —
+ * add(0) included — exactly as add(name, 0) would, so a handle that
+ * is never updated leaves the export untouched. The bound slot lives
+ * in the registry's map, whose nodes survive inserts and merge() but
+ * not a move, an assignment or destruction of the registry: rebuild
+ * the handle after any of those.
+ *
+ * The handle keeps @p name as a pointer, so a handle allocates
+ * nothing; the name must outlive it (a string literal, or a string
+ * the handle's owner keeps).
+ */
+class CounterHandle
+{
+  public:
+    CounterHandle(MetricsRegistry &registry, const char *name)
+        : registry_(&registry), name_(name)
+    {
+    }
+
+    /** Same as MetricsRegistry::add(name, delta). */
+    void
+    add(std::uint64_t delta = 1)
+    {
+        if (slot_ == nullptr)
+            bind();
+        *slot_ += delta;
+    }
+
+  private:
+    void bind();
+
+    MetricsRegistry *registry_;
+    const char *name_;
+    std::uint64_t *slot_ = nullptr;
+};
+
+/**
+ * A named histogram of one registry, updated without a name; bound
+ * lazily on the first observe(), with the same lifetime rules as
+ * CounterHandle.
+ */
+class HistogramHandle
+{
+  public:
+    HistogramHandle(MetricsRegistry &registry, const char *name)
+        : registry_(&registry), name_(name)
+    {
+    }
+
+    /** Same as MetricsRegistry::observe(name, value). */
+    void
+    observe(double value)
+    {
+        if (slot_ == nullptr)
+            bind();
+        slot_->add(value);
+    }
+
+  private:
+    void bind();
+
+    MetricsRegistry *registry_;
+    const char *name_;
+    LatencyHistogram *slot_ = nullptr;
 };
 
 } // namespace flash::util

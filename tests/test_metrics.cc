@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/json.hh"
@@ -366,6 +367,72 @@ TEST(MetricsRegistry, ExportIsNameOrderedAndStable)
     b.add("z", 1);
     EXPECT_EQ(a.toJson(), b.toJson());
     EXPECT_LT(a.toJson().find("\"a\""), a.toJson().find("\"z\""));
+}
+
+TEST(MetricHandle, NeverUpdatedHandleAddsNothing)
+{
+    MetricsRegistry m;
+    const std::string empty = m.toJson();
+    {
+        util::CounterHandle c(m, "ssd.read.page_ops");
+        util::HistogramHandle h(m, "ssd.read.latency_us");
+    }
+    EXPECT_EQ(m.toJson(), empty);
+    EXPECT_TRUE(m.counters().empty());
+    EXPECT_TRUE(m.histograms().empty());
+}
+
+TEST(MetricHandle, AddZeroMaterializesTheCounter)
+{
+    MetricsRegistry by_name, by_handle;
+    by_name.add("ssd.read.assist_reads", 0);
+    util::CounterHandle c(by_handle, "ssd.read.assist_reads");
+    c.add(0);
+    EXPECT_EQ(by_handle.counters().count("ssd.read.assist_reads"), 1u);
+    EXPECT_EQ(by_handle.toJson(), by_name.toJson());
+}
+
+TEST(MetricHandle, InterleavedWithNamesMatchesNamesAlone)
+{
+    // Handles and names share one registry: names insert around the
+    // bound slots, which must stay valid and keep accumulating.
+    const std::vector<std::string> counters = {"c.a", "c.m", "c.z"};
+    const std::vector<std::string> hists = {"h.b", "h.n", "h.y"};
+    MetricsRegistry names_only, mixed;
+    std::vector<util::CounterHandle> ch;
+    std::vector<util::HistogramHandle> hh;
+    for (const auto &n : counters)
+        ch.emplace_back(mixed, n.c_str());
+    for (const auto &n : hists)
+        hh.emplace_back(mixed, n.c_str());
+
+    util::Rng rng(2024);
+    for (int i = 0; i < 5000; ++i) {
+        const std::size_t k = rng.uniformInt(3);
+        const bool via_handle = rng.bernoulli(0.5);
+        if (rng.bernoulli(0.5)) {
+            const std::uint64_t delta = rng.uniformInt(4);
+            names_only.add(counters[k], delta);
+            if (via_handle)
+                ch[k].add(delta);
+            else
+                mixed.add(counters[k], delta);
+        } else {
+            const double v = rng.uniform(0.0, 5000.0);
+            names_only.observe(hists[k], v);
+            if (via_handle)
+                hh[k].observe(v);
+            else
+                mixed.observe(hists[k], v);
+        }
+        // Unrelated names inserted between updates.
+        if (i % 97 == 0) {
+            const std::string extra = "x." + std::to_string(i);
+            names_only.add(extra);
+            mixed.add(extra);
+        }
+    }
+    EXPECT_EQ(mixed.toJson(), names_only.toJson());
 }
 
 } // namespace

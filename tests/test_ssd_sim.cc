@@ -204,6 +204,42 @@ TEST(SsdSim, ReportCarriesMetricsAndSerializes)
     EXPECT_NE(doc.find("metrics"), nullptr);
 }
 
+TEST(SsdSim, SecondRunUpdatesItsOwnRegistry)
+{
+    // finishRun() moves the live registry into the report; the next
+    // run's per-op updates must land in a fresh registry, not in the
+    // first report's.
+    FixedReadCost cost(4);
+    SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
+    const SimReport first = sim.run(simpleTrace(50, true, 100.0, 4096));
+    const std::string first_json = first.metrics.toJson();
+
+    // Submissions stay non-decreasing across runs on one device.
+    auto mixed = simpleTrace(40, true, 100.0, 4096);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        mixed[i].timestampUs += 1.0e4;
+        mixed[i].isRead = i % 2 != 0;
+    }
+    const SimReport second = sim.run(mixed);
+
+    EXPECT_EQ(first.metrics.toJson(), first_json);
+    EXPECT_EQ(first.metrics.counter("ssd.read.page_ops"), 50u);
+    EXPECT_EQ(second.metrics.counter("ssd.read.page_ops"), 20u);
+    EXPECT_EQ(second.metrics.counter("ssd.write.page_ops"), 20u);
+    const auto *lat = second.metrics.findHistogram("ssd.read.latency_us");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count(), 20u);
+    std::uint64_t per_channel = 0;
+    for (int ch = 0; ch < smallConfig().channels; ++ch) {
+        if (const auto *h = second.metrics.findHistogram(
+                "ssd.read.queue_us.ch" + std::to_string(ch)))
+            per_channel += h->count();
+    }
+    EXPECT_EQ(per_channel, 20u);
+    EXPECT_TRUE(sim.metrics().counters().empty());
+    EXPECT_TRUE(sim.metrics().histograms().empty());
+}
+
 TEST(SsdSim, SpanTraceRecordsEveryOperation)
 {
     FixedReadCost cost(4);
