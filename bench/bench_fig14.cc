@@ -68,12 +68,10 @@ main(int argc, char **argv)
 
     // --voltage-cache: a third cost source measured with a per-block
     // inferred-voltage cache attached. Cached sessions depend on the
-    // reads that ran before them, so the measurement is serial. The
-    // cache outlives the measurement so the health stream can report its
-    // hit/stale rates.
-    core::VoltageCache cache;
+    // reads that ran before them, so the measurement is serial.
     std::optional<ssd::EmpiricalReadCost> ccost;
     if (use_cache) {
+        core::VoltageCache cache;
         core::SentinelPolicy cached(tables, chip.model().defaultVoltages());
         cached.attachCache(&cache);
         ccost = ssd::measureReadCost(chip, bench::kEvalBlock, cached,
@@ -175,12 +173,9 @@ main(int argc, char **argv)
         ssd::HealthMonitorOptions hopt;
         hopt.wlStride = 8;
         health = std::make_unique<ssd::HealthMonitor>(*health_file, hopt);
-        if (use_cache)
-            health->attachCache(&cache);
-        if (use_model)
-            health->attachModel(&model);
         health->beginRun("fig14-chip");
-        health->probeBlock(chip, bench::kEvalBlock, &tables, overlay, 0.0);
+        health->probeBlock(chip, bench::kEvalBlock, &tables, overlay,
+                           use_model ? &model : nullptr, 0.0);
     }
 
     // One scrub device serves every workload (probes are keyed by
@@ -285,14 +280,10 @@ main(int argc, char **argv)
             sim_o.setHealthMonitor(health.get());
             sim_o.setWarmReadCost(&*wcost);
             sim_o.attachScrubber(&scrub);
-            if (health) {
-                health->attachScrubber(&scrub);
+            if (health)
                 health->beginRun(w.name + ".sentinel+scrub");
-            }
             ro = sim_o.run(tr);
             ro->policy = "sentinel+scrub";
-            if (health)
-                health->attachScrubber(nullptr);
 
             ab_off_retry += mean_retries(rs);
             ab_on_retry += mean_retries(*ro);

@@ -50,7 +50,7 @@ main(int argc, char **argv)
         for (const double hours : {0.0, 24.0, 720.0, bench::kOneYearHours}) {
             bench::ageBlock(chip, bench::kEvalBlock, 3000, hours);
             health.probeBlock(chip, bench::kEvalBlock, &tables, overlay,
-                              hours * 3.6e9);
+                              nullptr, hours * 3.6e9);
         }
     }
     bench::ageBlock(chip, bench::kEvalBlock, 3000);

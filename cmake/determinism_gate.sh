@@ -11,7 +11,7 @@
 #       The t2/t4 span files are deleted afterwards.
 #   determinism_gate.sh monitor GATE_DIR FLEET_MONITOR
 #       fleet_monitor checks over the t1/t2/t4 health and fleet
-#       streams of a bench_fleet gate.
+#       streams of a scrubbing bench_fleet gate.
 set -eu
 
 fail() {
@@ -57,6 +57,12 @@ compare() {
 monitor() {
     cd "$1"
     mon=$2
+
+    # The gate's fleet scrubs, so its snapshots must carry each
+    # device's scrubber state; without it the refresh-queue rules
+    # never evaluate.
+    grep -q '"scrub_warm_fraction"' t1/health.jsonl \
+        || fail "no scrub_warm_fraction in t1/health.jsonl"
 
     # Frames and alerts must not depend on the thread count (or the
     # t4 run's evaluation order) that produced the health stream.

@@ -277,8 +277,6 @@ runDevice(const FleetConfig &cfg, const DeviceProfile &p, FleetEnv &env)
         hopt.intervalUs = cfg.healthIntervalUs;
         hopt.deviceId = p.device;
         health = std::make_unique<HealthMonitor>(health_buf, hopt);
-        if (model)
-            health->attachModel(model.get());
         health->beginRun("fleet." + p.cohortName);
         sim.setHealthMonitor(health.get());
     }

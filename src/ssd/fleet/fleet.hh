@@ -140,7 +140,9 @@ struct FleetConfig
      * uncertainty-priority probing, model counters roll up as
      * "fleet.model.*" / "fleet.cache.*", and both footprints join
      * the device's footprint bytes. Without scrubbing the model
-     * rides along untrained (still reported, all zeros).
+     * rides along untrained: its rollup counters stay zero, and
+     * health records carry no model fields, because those come from
+     * the scrubber that trains the model.
      */
     bool model = false;
 

@@ -7,6 +7,7 @@
 #include "core/error_difference.hh"
 #include "core/inference.hh"
 #include "core/sentinel_probe.hh"
+#include "core/voltage_predictor.hh"
 #include "nandsim/read_seq.hh"
 #include "nandsim/snapshot.hh"
 #include "ssd/ftl/ftl_interface.hh"
@@ -51,14 +52,12 @@ HealthMonitor::beginRun(const std::string &context)
     windowStartUs_ = 0.0;
     lastUs_ = 0.0;
     lastCompletionUs_ = 0.0;
-    prevPageOps_ = 0;
-    prevAttempts_ = 0;
-    prevSenseOps_ = 0;
-    prevAssists_ = 0;
+    windowBase_.fill(0);
 }
 
 void
-HealthMonitor::onRequest(double t_us, const util::MetricsRegistry &metrics)
+HealthMonitor::onRequest(double t_us, const util::MetricsRegistry &metrics,
+                         const FtlInterface *ftl, const Scrubber *scrub)
 {
     if (!windowOpen_) {
         windowOpen_ = true;
@@ -67,10 +66,7 @@ HealthMonitor::onRequest(double t_us, const util::MetricsRegistry &metrics)
         return;
     }
     lastUs_ = t_us;
-    while (t_us >= windowStartUs_ + options_.intervalUs) {
-        windowStartUs_ += options_.intervalUs;
-        ssdSnapshot(windowStartUs_, metrics, false);
-    }
+    closeWindows(t_us, metrics, ftl, scrub);
 }
 
 void
@@ -80,43 +76,49 @@ HealthMonitor::noteCompletion(double t_us)
 }
 
 void
-HealthMonitor::finishRun(const util::MetricsRegistry &metrics)
+HealthMonitor::finishRun(const util::MetricsRegistry &metrics,
+                         const FtlInterface *ftl, const Scrubber *scrub)
 {
     // The run ends when the last request completes, not when it was
     // submitted: a queue draining past the last arrival still gets
     // its boundary snapshots before the final partial window. Runs
     // shorter than one interval emit the final snapshot alone.
     const double end_us = std::max(lastUs_, lastCompletionUs_);
-    if (windowOpen_) {
-        while (end_us >= windowStartUs_ + options_.intervalUs) {
-            windowStartUs_ += options_.intervalUs;
-            ssdSnapshot(windowStartUs_, metrics, false);
-        }
-    }
-    ssdSnapshot(end_us, metrics, true);
+    if (windowOpen_)
+        closeWindows(end_us, metrics, ftl, scrub);
+    ssdSnapshot(end_us, metrics, ftl, scrub, true);
     windowOpen_ = false;
     lastCompletionUs_ = 0.0;
 }
 
 void
+HealthMonitor::closeWindows(double t_us,
+                            const util::MetricsRegistry &metrics,
+                            const FtlInterface *ftl, const Scrubber *scrub)
+{
+    while (t_us >= windowStartUs_ + options_.intervalUs) {
+        windowStartUs_ += options_.intervalUs;
+        ssdSnapshot(windowStartUs_, metrics, ftl, scrub, false);
+    }
+}
+
+void
 HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
+                           const FtlInterface *ftl, const Scrubber *scrub,
                            bool final_snapshot)
 {
-    const std::uint64_t page_ops = metrics.counter("ssd.read.page_ops");
-    const std::uint64_t attempts = metrics.counter("ssd.read.attempts");
-    const std::uint64_t sense_ops = metrics.counter("ssd.read.sense_ops");
-    const std::uint64_t assists = metrics.counter("ssd.read.assist_reads");
-
-    const double d_reads =
-        static_cast<double>(page_ops - prevPageOps_);
-    const double d_retries = static_cast<double>(attempts - prevAttempts_)
-        - d_reads;
-    const double d_sense = static_cast<double>(sense_ops - prevSenseOps_);
-    const double d_assist = static_cast<double>(assists - prevAssists_);
-    prevPageOps_ = page_ops;
-    prevAttempts_ = attempts;
-    prevSenseOps_ = sense_ops;
-    prevAssists_ = assists;
+    // Window deltas of kWindowCounters: page reads, attempts, sense
+    // ops and assist reads.
+    std::array<double, kWindowCounters.size()> delta{};
+    for (std::size_t i = 0; i < kWindowCounters.size(); ++i) {
+        const std::uint64_t now = metrics.counter(kWindowCounters[i]);
+        delta[i] = static_cast<double>(now - windowBase_[i]);
+        windowBase_[i] = now;
+    }
+    const double d_reads = delta[0];
+    const double d_retries = delta[1] - d_reads;
+    const double d_sense = delta[2];
+    const double d_assist = delta[3];
 
     *os_ << "{\"health\": \"ssd\", \"schema\": " << kSchemaVersion
          << ", \"window\": " << records_ << ", \"context\": \""
@@ -143,44 +145,32 @@ HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
         field(*os_, "host_qwait_p50_us", h->percentile(0.50));
         field(*os_, "host_qwait_p99_us", h->percentile(0.99));
     }
-    if (cache_) {
-        const core::VoltageCache::Stats s = cache_->stats();
-        const double lookups =
-            static_cast<double>(s.hits + s.misses + s.stales);
-        field(*os_, "cache_hit_rate", rate(static_cast<double>(s.hits),
-                                           lookups));
-        field(*os_, "cache_stale_rate", rate(static_cast<double>(s.stales),
-                                             lookups));
-    }
-    if (model_) {
-        const core::VoltagePredictor::Stats s = model_->stats();
-        field(*os_, "model_observes", static_cast<double>(s.observes));
-        field(*os_, "model_fast_hit_rate",
-              rate(static_cast<double>(s.fastHits),
-                   static_cast<double>(s.fastAttempts)));
-        field(*os_, "model_mean_confidence", model_->meanConfidence());
-        field(*os_, "model_confident_fraction",
-              model_->confidentFraction());
-    }
-    if (scrub_ != nullptr && scrub_->enabled()) {
-        // The scrubber's event counters live in the run's registry;
-        // only the queue depth and warm fraction are its own gauges.
+    if (scrub != nullptr && scrub->enabled()) {
+        // Event counts come from the run's registry, where the
+        // scrubber counts each event once; the model's confidence,
+        // the refresh queue and the warm fraction are device state.
         const auto count = [&metrics](const char *name) {
             return static_cast<double>(metrics.counter(name));
         };
+        if (const core::VoltagePredictor *model = scrub->model()) {
+            field(*os_, "model_observes", count("scrub.model.observes"));
+            field(*os_, "model_mean_confidence", model->meanConfidence());
+            field(*os_, "model_confident_fraction",
+                  model->confidentFraction());
+        }
         field(*os_, "scrub_probes", count("scrub.probes"));
         field(*os_, "scrub_rewarms", count("scrub.rewarms"));
         field(*os_, "scrub_refresh_done", count("scrub.refresh.completed"));
         field(*os_, "scrub_refresh_queue",
-              static_cast<double>(scrub_->refreshQueueDepth()));
-        field(*os_, "scrub_warm_fraction", scrub_->warmFraction(t_us));
+              static_cast<double>(scrub->refreshQueueDepth()));
+        field(*os_, "scrub_warm_fraction", scrub->warmFraction(t_us));
         const double warm = count("scrub.read.warm");
         const double cold = count("scrub.read.cold");
         field(*os_, "scrub_warm_read_rate", rate(warm, warm + cold));
     }
-    if (ftl_ != nullptr) {
-        const FtlStats &fs = ftl_->stats();
-        field(*os_, "ftl_free_frac", ftl_->freeFraction());
+    if (ftl != nullptr) {
+        const FtlStats &fs = ftl->stats();
+        field(*os_, "ftl_free_frac", ftl->freeFraction());
         field(*os_, "ftl_migrated_pages",
               static_cast<double>(fs.migratedPages));
         field(*os_, "ftl_erases", static_cast<double>(fs.erases));
@@ -200,7 +190,8 @@ HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
 void
 HealthMonitor::probeBlock(const nand::Chip &chip, int block,
                           const core::Characterization *tables,
-                          const nand::SentinelOverlay &overlay, double t_us)
+                          const nand::SentinelOverlay &overlay,
+                          const core::VoltagePredictor *model, double t_us)
 {
     const nand::ChipGeometry &geom = chip.geometry();
     const auto defaults = chip.model().defaultVoltages();
@@ -265,11 +256,11 @@ HealthMonitor::probeBlock(const nand::Chip &chip, int block,
     field(*os_, "rber_mean", rate(rber_sum, sampled));
     field(*os_, "rber_max", rber_max);
     field(*os_, "d_rate_mean", rate(d_sum, sampled));
-    if (model_) {
+    if (model) {
         // Predicted-vs-probed: the model's closed-form offset under
         // the block's current epoch against the probes' mean offset.
         const core::VoltagePrediction pred =
-            model_->predict(block, core::epochOf(age));
+            model->predict(block, core::epochOf(age));
         field(*os_, "model_predicted_offset",
               static_cast<double>(pred.sentinelOffset));
         field(*os_, "model_residual",

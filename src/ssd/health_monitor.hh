@@ -7,12 +7,14 @@
  *  - {"health": "ssd", ...}: periodic snapshots of the running SSD
  *    simulation — page reads in the window, retries / sense ops /
  *    assist reads per read (windowed deltas of the "ssd.read.*"
- *    counters), cumulative request-latency percentiles, and the
- *    inferred-voltage-cache hit/stale rates when a cache is attached,
- *    and scrub progress (probes, rewarms, refresh queue, warm
- *    fractions) when a scrubber is attached.
+ *    counters), cumulative request-latency percentiles, scrub
+ *    progress (probes, rewarms, refresh queue, warm fractions) and
+ *    the scrubber's model confidence when the device scrubs, and
+ *    mapping-layer health when the FTL is passed in.
  *    Driven by SsdSim via setHealthMonitor(): onRequest() once per
- *    trace record, finishRun() for the closing snapshot.
+ *    trace record, finishRun() for the closing snapshot; each call
+ *    hands over the device's live registry, FTL and scrubber, so a
+ *    snapshot reads only the device it describes.
  *
  *  - {"health": "chip", ...}: on-demand probes of one block's device
  *    state — per-block observed RBER (mean/max over sampled
@@ -41,15 +43,19 @@
 #ifndef SENTINELFLASH_SSD_HEALTH_MONITOR_HH
 #define SENTINELFLASH_SSD_HEALTH_MONITOR_HH
 
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
 
 #include "core/characterization.hh"
-#include "core/voltage_cache.hh"
-#include "core/voltage_predictor.hh"
 #include "nandsim/chip.hh"
 #include "util/metrics.hh"
+
+namespace flash::core
+{
+class VoltagePredictor;
+} // namespace flash::core
 
 namespace flash::ssd
 {
@@ -91,43 +97,6 @@ class HealthMonitor
                            HealthMonitorOptions options = {});
 
     /**
-     * Attach an inferred-voltage cache whose hit/stale rates the SSD
-     * snapshots report (nullptr detaches).
-     */
-    void attachCache(const core::VoltageCache *cache) { cache_ = cache; }
-
-    /**
-     * Attach a background scrubber whose progress the SSD snapshots
-     * report (nullptr detaches): its "scrub.*" probe / rewarm /
-     * refresh counters from the run's registry, its refresh-queue
-     * depth and the warm-block and warm-read fractions. Attach per
-     * run: the scrubber's lifetime is one SsdSim run.
-     */
-    void attachScrubber(const Scrubber *scrub) { scrub_ = scrub; }
-
-    /**
-     * Attach a predictive voltage model (nullptr detaches). SSD
-     * snapshots then report the model's training volume, fast-path
-     * hit rate and confidence summary; chip probes add the model's
-     * predicted offset, its residual against the probed mean and the
-     * block's confidence, which is what lets fleet_report attribute
-     * tail mass to low-confidence blocks.
-     */
-    void attachModel(const core::VoltagePredictor *model)
-    {
-        model_ = model;
-    }
-
-    /**
-     * Attach the device's FTL (nullptr detaches; SsdSim attaches
-     * automatically via setHealthMonitor). SSD snapshots then report
-     * mapping-layer health: free-block fraction, cumulative migrate /
-     * erase / merge counts and the exact write-amplification ratio
-     * (integer numerator/denominator plus the derived value).
-     */
-    void attachFtl(const FtlInterface *ftl) { ftl_ = ftl; }
-
-    /**
      * Start a new observation run (e.g. one workload/policy pair).
      * Resets the windowed-delta state and stamps every following
      * record with @p context.
@@ -136,9 +105,14 @@ class HealthMonitor
 
     /**
      * Advance the simulated clock; emits one "ssd" snapshot whenever
-     * a full interval has elapsed since the last one.
+     * a full interval has elapsed since the last one. A snapshot
+     * reads the device passed in: its live @p metrics, its @p ftl
+     * (nullptr: no "ftl_*" fields) and its @p scrub (nullptr or
+     * disabled: no "scrub_*" or "model_*" fields).
      */
-    void onRequest(double t_us, const util::MetricsRegistry &metrics);
+    void onRequest(double t_us, const util::MetricsRegistry &metrics,
+                   const FtlInterface *ftl = nullptr,
+                   const Scrubber *scrub = nullptr);
 
     /**
      * Note a request's completion time. Completions extend the run
@@ -154,31 +128,37 @@ class HealthMonitor
      * then the final partial window ("final": 1). Runs shorter than
      * one interval still emit their final snapshot.
      */
-    void finishRun(const util::MetricsRegistry &metrics);
+    void finishRun(const util::MetricsRegistry &metrics,
+                   const FtlInterface *ftl = nullptr,
+                   const Scrubber *scrub = nullptr);
 
     /**
      * Probe one block's device state and emit a "chip" record at
      * simulated time @p t_us. @p tables enables offset inference
      * (nullptr skips the offset fields); @p overlay locates the
-     * sentinel cells.
+     * sentinel cells. @p model adds its predicted offset, its
+     * residual against the probed mean and the block's confidence
+     * (nullptr skips them), which is what lets fleet_report
+     * attribute tail mass to low-confidence blocks.
      */
     void probeBlock(const nand::Chip &chip, int block,
                     const core::Characterization *tables,
-                    const nand::SentinelOverlay &overlay, double t_us);
+                    const nand::SentinelOverlay &overlay,
+                    const core::VoltagePredictor *model, double t_us);
 
     /** Records emitted so far (both kinds). */
     std::uint64_t records() const { return records_; }
 
   private:
+    /** Emit the boundary snapshots up to @p t_us. */
+    void closeWindows(double t_us, const util::MetricsRegistry &metrics,
+                      const FtlInterface *ftl, const Scrubber *scrub);
     void ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
+                     const FtlInterface *ftl, const Scrubber *scrub,
                      bool final_snapshot);
 
     std::ostream *os_;
     HealthMonitorOptions options_;
-    const core::VoltageCache *cache_ = nullptr;
-    const Scrubber *scrub_ = nullptr;
-    const core::VoltagePredictor *model_ = nullptr;
-    const FtlInterface *ftl_ = nullptr;
     std::string context_;
     std::uint64_t records_ = 0;
 
@@ -186,10 +166,13 @@ class HealthMonitor
     double windowStartUs_ = 0.0;
     double lastUs_ = 0.0;
     double lastCompletionUs_ = 0.0;
-    std::uint64_t prevPageOps_ = 0;
-    std::uint64_t prevAttempts_ = 0;
-    std::uint64_t prevSenseOps_ = 0;
-    std::uint64_t prevAssists_ = 0;
+    /** Registry counters behind the windowed read deltas. */
+    static constexpr std::array<const char *, 4> kWindowCounters{
+        "ssd.read.page_ops", "ssd.read.attempts", "ssd.read.sense_ops",
+        "ssd.read.assist_reads"};
+
+    /** kWindowCounters' values at the last snapshot (0 after beginRun). */
+    std::array<std::uint64_t, kWindowCounters.size()> windowBase_{};
 };
 
 } // namespace flash::ssd

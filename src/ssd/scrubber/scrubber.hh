@@ -177,6 +177,9 @@ class Scrubber
     /** Blocks currently queued for refresh. */
     std::size_t refreshQueueDepth() const { return refreshQueue_.size(); }
 
+    /** The predictive model its probes train (nullptr: none). */
+    const core::VoltagePredictor *model() const { return model_; }
+
   private:
     void init(const ScrubHost &host);
     void runScan(const ScrubHost &host, double scan_us, double until_us);

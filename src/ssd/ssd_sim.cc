@@ -130,14 +130,6 @@ SsdSim::attachScrubber(Scrubber *scrub)
     }
 }
 
-void
-SsdSim::setHealthMonitor(HealthMonitor *health)
-{
-    health_ = health;
-    if (health_)
-        health_->attachFtl(ftl_.get());
-}
-
 bool
 SsdSim::scrubActive() const
 {
@@ -146,7 +138,7 @@ SsdSim::scrubActive() const
 
 double
 SsdSim::readPageOp(double arrival, const PhysAddr &addr,
-                   LatencyBreakdown &bd, util::SpanBuffer *sb, int parent)
+                   util::SpanBuffer *sb, int parent)
 {
     const int plane = addr.plane;
     const int ch = channelOf(plane);
@@ -177,10 +169,13 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
     const bool pipelined = config_.pipelinedRetry;
     const double xfer_us = config_.pageKb * timing_.transferUsPerKb;
 
-    bd.senseUs = cost.senseOps * timing_.senseUs;
-    bd.baseUs = (attempts + assists) * timing_.readBaseUs;
-    bd.decodeUs = attempts * timing_.decodeUs;
-    bd.xferUs = attempts * xfer_us;
+    // Resource occupancies of the whole session. They are not
+    // wall-clock segments: under pipelined retry the stages of
+    // consecutive attempts overlap.
+    const double sense_total = cost.senseOps * timing_.senseUs;
+    const double base_total = (attempts + assists) * timing_.readBaseUs;
+    const double decode_total = attempts * timing_.decodeUs;
+    const double xfer_total = attempts * xfer_us;
 
     // The die is claimed once for the whole session: assist senses
     // first, then the attempt senses. Sequential retry waits for the
@@ -237,14 +232,13 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
     }
     planeFree_[static_cast<std::size_t>(plane)] = last_sense_end;
 
-    bd.queueUs = queue_us;
     // Stage time the pipeline hid: occupancy sum minus elapsed time.
     // Sequential retry has no overlap by construction, and the
     // subtraction below reproduces that exactly (same terms, same
     // order) — asserted by the decomposition tests.
     const double elapsed = done - arrival;
-    bd.overlapUs = (bd.queueUs + bd.senseUs + bd.baseUs + bd.decodeUs
-                    + bd.xferUs)
+    const double overlap_us = (queue_us + sense_total + base_total
+                               + decode_total + xfer_total)
         - elapsed;
 
     ops_.readPageOps.add();
@@ -252,14 +246,14 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
     ops_.readSenseOps.add(static_cast<std::uint64_t>(cost.senseOps));
     ops_.readAssistReads.add(static_cast<std::uint64_t>(cost.assistReads));
     ops_.readLatencyUs.observe(elapsed);
-    ops_.readQueueUs.observe(bd.queueUs);
+    ops_.readQueueUs.observe(queue_us);
     ops_.readQueueUsByChannel[static_cast<std::size_t>(ch)].observe(
-        bd.queueUs);
-    ops_.readSenseUs.observe(bd.senseUs);
-    ops_.readDecodeUs.observe(bd.decodeUs);
-    ops_.readXferUs.observe(bd.xferUs);
+        queue_us);
+    ops_.readSenseUs.observe(sense_total);
+    ops_.readDecodeUs.observe(decode_total);
+    ops_.readXferUs.observe(xfer_total);
     if (pipelined)
-        ops_.readOverlapUs.observe(bd.overlapUs);
+        ops_.readOverlapUs.observe(overlap_us);
     if (sb) {
         sb->num(op, "plane", static_cast<double>(plane));
         sb->num(op, "channel", static_cast<double>(ch));
@@ -275,8 +269,8 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
 }
 
 double
-SsdSim::writePageOp(double arrival, std::int64_t lpn, LatencyBreakdown &bd,
-                    util::SpanBuffer *sb, int parent)
+SsdSim::writePageOp(double arrival, std::int64_t lpn, util::SpanBuffer *sb,
+                    int parent)
 {
     const WriteEffect effect = ftl_->write(lpn);
     const int plane = effect.target.plane;
@@ -286,33 +280,31 @@ SsdSim::writePageOp(double arrival, std::int64_t lpn, LatencyBreakdown &bd,
     // page moves and erases) occupies the plane first.
     const double bus_start =
         std::max(arrival, channelFree_[static_cast<std::size_t>(ch)]);
-    bd.xferUs = config_.pageKb * timing_.transferUsPerKb;
-    const double bus_done = bus_start + bd.xferUs;
+    const double xfer_us = config_.pageKb * timing_.transferUsPerKb;
+    const double bus_done = bus_start + xfer_us;
     channelFree_[static_cast<std::size_t>(ch)] = bus_done;
 
+    double gc_us = 0.0;
     if (effect.gcTriggered) {
-        bd.gcUs = effect.gcMigratedPages
+        gc_us = effect.gcMigratedPages
                 * (timing_.readBaseUs + timing_.senseUs + timing_.programUs)
             + effect.gcErases * timing_.eraseUs;
     }
 
     const double start = std::max(
         bus_done, planeFree_[static_cast<std::size_t>(plane)]);
-    bd.flashUs = timing_.programUs;
-    const double done = start + bd.gcUs + bd.flashUs;
+    const double done = start + gc_us + timing_.programUs;
     planeFree_[static_cast<std::size_t>(plane)] = done;
-
-    bd.queueUs = (bus_start - arrival) + (start - bus_done);
 
     ops_.writePageOps.add();
     ops_.writeLatencyUs.observe(done - arrival);
-    ops_.writeQueueUs.observe(bd.queueUs);
+    ops_.writeQueueUs.observe((bus_start - arrival) + (start - bus_done));
     if (effect.gcTriggered) {
         ops_.gcTriggeredWrites.add();
         ops_.gcMigratedPages.add(
             static_cast<std::uint64_t>(effect.gcMigratedPages));
         ops_.gcErases.add(static_cast<std::uint64_t>(effect.gcErases));
-        ops_.writeGcStallUs.observe(bd.gcUs);
+        ops_.writeGcStallUs.observe(gc_us);
     }
     const int merges =
         effect.switchMerges + effect.partialMerges + effect.fullMerges;
@@ -326,7 +318,7 @@ SsdSim::writePageOp(double arrival, std::int64_t lpn, LatencyBreakdown &bd,
         sb->num(mop, "full", static_cast<double>(effect.fullMerges));
         sb->num(mop, "pages", static_cast<double>(effect.gcMigratedPages));
         sb->num(mop, "erases", static_cast<double>(effect.gcErases));
-        sb->time(mop, start, bd.gcUs);
+        sb->time(mop, start, gc_us);
     }
     if (sb) {
         const int op = sb->begin("write_op", parent);
@@ -335,10 +327,10 @@ SsdSim::writePageOp(double arrival, std::int64_t lpn, LatencyBreakdown &bd,
         sb->num(op, "channel", static_cast<double>(ch));
         sb->time(op, arrival, done - arrival);
         childSpan(sb, op, "channel_wait", arrival, bus_start - arrival);
-        childSpan(sb, op, "xfer", bus_start, bd.xferUs);
+        childSpan(sb, op, "xfer", bus_start, xfer_us);
         childSpan(sb, op, "plane_wait", bus_done, start - bus_done);
-        childSpan(sb, op, "gc", start, bd.gcUs);
-        childSpan(sb, op, "program", start + bd.gcUs, bd.flashUs);
+        childSpan(sb, op, "gc", start, gc_us);
+        childSpan(sb, op, "program", start + gc_us, timing_.programUs);
     }
     return done;
 }
@@ -378,15 +370,14 @@ SsdSim::submit(const trace::TraceRecord &req, double submit_us, int queue)
     double done = submit_us;
     for (std::int64_t p = first; p < last; ++p) {
         const std::int64_t lpn = p % logical_pages;
-        LatencyBreakdown bd;
         double page_done;
         util::SpanBuffer *op_sb = spans_ ? &sb : nullptr;
         if (req.isRead) {
             const PhysAddr addr = ftl_->translate(lpn);
-            page_done = readPageOp(submit_us, addr, bd, op_sb, root);
+            page_done = readPageOp(submit_us, addr, op_sb, root);
             ++report_.pageReads;
         } else {
-            page_done = writePageOp(submit_us, lpn, bd, op_sb, root);
+            page_done = writePageOp(submit_us, lpn, op_sb, root);
             ++report_.pageWrites;
         }
         done = std::max(done, page_done);
@@ -411,7 +402,7 @@ SsdSim::submit(const trace::TraceRecord &req, double submit_us, int queue)
         spans_->emit(sb);
     }
     if (health_) {
-        health_->onRequest(submit_us, metrics_);
+        health_->onRequest(submit_us, metrics_, ftl_.get(), scrub_);
         health_->noteCompletion(done);
     }
     return done;
@@ -421,7 +412,7 @@ SimReport
 SsdSim::finishRun()
 {
     if (health_)
-        health_->finishRun(metrics_);
+        health_->finishRun(metrics_, ftl_.get(), scrub_);
     report_.ftl = ftl_->stats();
 
     // Export the FTL's cumulative counters (including the exact WAF

@@ -14,10 +14,10 @@
  * speculation, cf. Park et al., "Reducing SSD Read Latency by
  * Optimizing Read-Retry").
  *
- * Every page operation is decomposed into a LatencyBreakdown
- * (queueing / sense / transfer / decode / GC-stall components) that
- * feeds the run's metrics registry ("ssd.*" counters and histograms)
- * and, when attached, a causal span trace.
+ * Every page operation's latency is decomposed into queueing / sense /
+ * transfer / decode / GC-stall components that feed the run's metrics
+ * registry ("ssd.*" counters and histograms) and, when attached, a
+ * causal span trace.
  *
  * An optional background Scrubber (ssd/scrubber) runs in the gaps
  * between requests: it probes blocks with sentinel-only assist reads
@@ -55,32 +55,6 @@ namespace flash::ssd
 
 class HealthMonitor;
 class Scrubber;
-
-/**
- * Where the time of one page operation went. Components are resource
- * occupancies, not wall-clock segments: under pipelined retry the
- * stages of consecutive attempts overlap, so the components sum to
- * the elapsed latency plus overlapUs (sequential retry: overlap 0,
- * components sum to the elapsed latency exactly).
- */
-struct LatencyBreakdown
-{
-    double queueUs = 0.0;   ///< waiting for the plane and the channel
-    double senseUs = 0.0;   ///< read-voltage applications on-die
-    double baseUs = 0.0;    ///< fixed per-attempt command overhead
-    double decodeUs = 0.0;  ///< ECC decode attempts
-    double xferUs = 0.0;    ///< channel transfers (one per attempt)
-    double gcUs = 0.0;      ///< GC work serialized before this op
-    double flashUs = 0.0;   ///< program time (writes)
-    double overlapUs = 0.0; ///< stage time hidden by pipelined retry
-
-    double
-    totalUs() const
-    {
-        return queueUs + senseUs + baseUs + decodeUs + xferUs + gcUs
-            + flashUs - overlapUs;
-    }
-};
 
 /** Results of one trace replay. */
 struct SimReport
@@ -145,11 +119,11 @@ class SsdSim
      * Attach a device-health monitor: onRequest() is called once per
      * request (with the submission clock and the live metrics),
      * noteCompletion() with each request's completion time,
-     * finishRun() once at the end of the run. Pass nullptr to detach;
-     * the monitor must outlive the run. The monitor is also attached
-     * to the FTL so its snapshots can report mapping-layer health.
+     * finishRun() once at the end of the run, each time with this
+     * device's registry, FTL and scrubber. Pass nullptr to detach;
+     * the monitor must outlive the run.
      */
-    void setHealthMonitor(HealthMonitor *health);
+    void setHealthMonitor(HealthMonitor *health) { health_ = health; }
 
     /**
      * Attach a background scrubber (nullptr detaches). The scrubber
@@ -246,11 +220,9 @@ class SsdSim
     bool scrubActive() const;
 
     double readPageOp(double arrival, const PhysAddr &addr,
-                      LatencyBreakdown &bd, util::SpanBuffer *sb,
-                      int parent);
+                      util::SpanBuffer *sb, int parent);
     double writePageOp(double arrival, std::int64_t lpn,
-                       LatencyBreakdown &bd, util::SpanBuffer *sb,
-                       int parent);
+                       util::SpanBuffer *sb, int parent);
 
     SsdConfig config_;
     SsdTiming timing_;

@@ -12,6 +12,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "mon/health_follow.hh"
+#include "mon/rules.hh"
+#include "mon/timeseries.hh"
 #include "ssd/fleet/fleet.hh"
 #include "ssd/fleet/report.hh"
 #include "ssd/health_monitor.hh"
@@ -215,6 +218,35 @@ TEST(Fleet, HealthLinesAreCompleteTaggedAndOrdered)
     EXPECT_EQ(scan.malformed, 0u);
     EXPECT_EQ(scan.devices, 8u);
     EXPECT_TRUE(scan.ordered);
+}
+
+TEST(Fleet, HealthLinesCarryScrubStateWhenScrubbing)
+{
+    // Each device's snapshots read its own scrubber, so the monitor's
+    // scrub rules (e.g. a stuck refresh queue) evaluate on fleets.
+    const FleetConfig cfg = testConfig(4, true, true);
+    FixedFleetEnv env(FixedReadCost(5, 3, 1), FixedReadCost(1));
+    const FleetResult fleet = runFleet(cfg, env, 1);
+    std::ostringstream os;
+    writeHealthLines(fleet, os);
+
+    std::size_t ssd_records = 0;
+    mon::HealthFollower follower([&](const mon::HealthRecord &rec) {
+        ASSERT_EQ(rec.kind, "ssd");
+        EXPECT_NE(rec.json.find("scrub_warm_fraction"), nullptr);
+        EXPECT_NE(rec.json.find("scrub_refresh_queue"), nullptr);
+        mon::DeviceSeries series(rec.device, 2);
+        series.addSsd(rec);
+        double queue = -1.0;
+        EXPECT_TRUE(
+            mon::metricValue(*series.latest(), "refresh_queue", queue));
+        EXPECT_GE(queue, 0.0);
+        ++ssd_records;
+    });
+    follower.feed(os.str());
+    follower.finish();
+    EXPECT_EQ(follower.stats().malformed, 0u);
+    EXPECT_GE(ssd_records, 4u);
 }
 
 TEST(Fleet, HealthMonitorStampsDeviceId)

@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "core/characterization.hh"
-#include "core/voltage_cache.hh"
+#include "core/voltage_predictor.hh"
 #include "ssd/health_monitor.hh"
+#include "ssd/scrubber/scrubber.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
 #include "util/json.hh"
@@ -78,13 +79,15 @@ TEST_F(HealthMonitorTest, ChipProbeIsDeterministicAndComplete)
     {
         HealthMonitor monitor(a, opt);
         monitor.beginRun("probe");
-        monitor.probeBlock(*chip, 1, tables.get(), overlay, 123.0);
+        monitor.probeBlock(*chip, 1, tables.get(), overlay, nullptr,
+                           123.0);
         EXPECT_EQ(monitor.records(), 1u);
     }
     {
         HealthMonitor monitor(b, opt);
         monitor.beginRun("probe");
-        monitor.probeBlock(*chip, 1, tables.get(), overlay, 123.0);
+        monitor.probeBlock(*chip, 1, tables.get(), overlay, nullptr,
+                           123.0);
     }
     // The probe draws noise from its own read stream: reruns are
     // byte-identical and the chip under test is untouched.
@@ -118,7 +121,7 @@ TEST_F(HealthMonitorTest, ChipProbeWithoutTablesSkipsOffsetFields)
     std::ostringstream os;
     HealthMonitor monitor(os);
     monitor.beginRun("probe");
-    monitor.probeBlock(*chip, 1, nullptr, overlay, 0.0);
+    monitor.probeBlock(*chip, 1, nullptr, overlay, nullptr, 0.0);
 
     const auto records = parsedLines(os.str());
     ASSERT_EQ(records.size(), 1u);
@@ -210,12 +213,21 @@ TEST(HealthMonitor, WindowIndexIsMonotoneAcrossRuns)
     EXPECT_EQ(records[1].find("reads")->number, 5.0);
 }
 
-TEST(HealthMonitor, ReportsCacheRatesAndLatencyPercentilesWhenPresent)
+/** Whether @p record has a field whose name starts with @p prefix. */
+bool
+hasFieldWithPrefix(const util::JsonValue &record, const std::string &prefix)
+{
+    for (const auto &[key, value] : record.object) {
+        if (key.compare(0, prefix.size(), prefix) == 0)
+            return true;
+    }
+    return false;
+}
+
+TEST(HealthMonitor, ReportsLatencyPercentilesAndNoCacheRates)
 {
     std::ostringstream os;
     HealthMonitor monitor(os);
-    const core::VoltageCache cache;
-    monitor.attachCache(&cache);
 
     util::MetricsRegistry m;
     m.observe("ssd.read.request_latency_us", 50.0);
@@ -228,9 +240,9 @@ TEST(HealthMonitor, ReportsCacheRatesAndLatencyPercentilesWhenPresent)
     ASSERT_NE(records[0].find("read_p50_us"), nullptr);
     ASSERT_NE(records[0].find("read_p99_us"), nullptr);
     ASSERT_NE(records[0].find("read_p999_us"), nullptr);
-    ASSERT_NE(records[0].find("cache_hit_rate"), nullptr);
-    EXPECT_EQ(records[0].find("cache_hit_rate")->number, 0.0);
-    EXPECT_EQ(records[0].find("cache_stale_rate")->number, 0.0);
+    // Devices read no voltage cache, so snapshots carry no cache
+    // rates; the measurement cache's counts live in metrics.json.
+    EXPECT_FALSE(hasFieldWithPrefix(records[0], "cache_"));
 }
 
 TEST(HealthMonitor, ShortRunEmitsFinalPartialWindow)
@@ -324,6 +336,104 @@ TEST(HealthMonitor, SsdSimDrivesPeriodicSnapshots)
         prev = r.find("t_us")->number;
     }
     EXPECT_EQ(records.back().find("final")->number, 1.0);
+}
+
+/** Probe source that reports the same observation everywhere. */
+class ConstantScrubDevice : public ScrubDevice
+{
+  public:
+    ScrubProbe
+    probe(int, int, std::uint64_t) override
+    {
+        ScrubProbe p;
+        p.rber = 1e-4;
+        p.dRate = 1e-4;
+        p.sentinelOffset = -3;
+        return p;
+    }
+};
+
+/** "ssd" records of one SsdSim run, with @p scrub attached if set. */
+std::vector<util::JsonValue>
+scrubRunRecords(Scrubber *scrub, SimReport &report)
+{
+    SsdConfig cfg;
+    cfg.channels = 2;
+    cfg.chipsPerChannel = 1;
+    cfg.diesPerChip = 1;
+    cfg.planesPerDie = 2;
+    cfg.blocksPerPlane = 32;
+    cfg.pagesPerBlock = 64;
+    cfg.pageKb = 4;
+    cfg.overprovision = 0.2;
+
+    // Sparse reads leave the idle plane time probes need.
+    std::vector<trace::TraceRecord> trace;
+    for (int i = 0; i < 400; ++i) {
+        trace::TraceRecord r;
+        r.timestampUs = i * 500.0;
+        r.offsetBytes = static_cast<std::uint64_t>(i) * 4096;
+        r.sizeBytes = 4096;
+        r.isRead = true;
+        trace.push_back(r);
+    }
+
+    std::ostringstream os;
+    HealthMonitorOptions opt;
+    opt.intervalUs = 50000.0;
+    HealthMonitor monitor(os, opt);
+    FixedReadCost cost(3, 1, 0);
+    SsdSim sim(cfg, SsdTiming{}, cost, 1);
+    sim.setHealthMonitor(&monitor);
+    sim.attachScrubber(scrub);
+    monitor.beginRun("scrub");
+    report = sim.run(trace);
+    return parsedLines(os.str());
+}
+
+TEST(HealthMonitor, SnapshotsReadTheSimulatedDevicesScrubberAndModel)
+{
+    ScrubberConfig scfg;
+    scfg.intervalUs = 200.0;
+    scfg.probeBudget = 16;
+    ConstantScrubDevice device;
+    core::VoltagePredictor model;
+    Scrubber scrub(scfg, device, nullptr, &model);
+    SimReport with_scrub;
+    const auto scrubbed = scrubRunRecords(&scrub, with_scrub);
+    ASSERT_GE(scrubbed.size(), 2u);
+    for (const util::JsonValue &r : scrubbed) {
+        for (const char *key :
+             {"scrub_probes", "scrub_rewarms", "scrub_refresh_done",
+              "scrub_refresh_queue", "scrub_warm_fraction",
+              "scrub_warm_read_rate", "model_observes",
+              "model_mean_confidence", "model_confident_fraction",
+              "ftl_free_frac"})
+            EXPECT_NE(r.find(key), nullptr) << key;
+        EXPECT_FALSE(hasFieldWithPrefix(r, "cache_"));
+    }
+    // The closing snapshot agrees with the run's own counters and
+    // with the model the scrubber trained.
+    const util::JsonValue &last = scrubbed.back();
+    const std::uint64_t probes = with_scrub.metrics.counter("scrub.probes");
+    EXPECT_GT(probes, 0u);
+    EXPECT_EQ(last.find("scrub_probes")->number,
+              static_cast<double>(probes));
+    EXPECT_EQ(last.find("model_observes")->number,
+              static_cast<double>(model.stats().observes));
+    EXPECT_EQ(last.find("model_mean_confidence")->number,
+              model.meanConfidence());
+    EXPECT_GT(last.find("scrub_warm_fraction")->number, 0.0);
+
+    SimReport without_scrub;
+    const auto plain = scrubRunRecords(nullptr, without_scrub);
+    ASSERT_GE(plain.size(), 2u);
+    for (const util::JsonValue &r : plain) {
+        EXPECT_NE(r.find("ftl_free_frac"), nullptr);
+        EXPECT_FALSE(hasFieldWithPrefix(r, "scrub_"));
+        EXPECT_FALSE(hasFieldWithPrefix(r, "model_"));
+        EXPECT_FALSE(hasFieldWithPrefix(r, "cache_"));
+    }
 }
 
 } // namespace
