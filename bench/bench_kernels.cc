@@ -5,7 +5,8 @@
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Seven rows, each timed as reference ("scalar") vs fast path
+ * Seven rows, plus sense_dispatch on a CPU that runs a wider level
+ * than the baseline, each timed as reference ("scalar") vs fast path
  * ("packed") and checked for identical results before any timing is
  * trusted:
  *
@@ -13,6 +14,11 @@
  *                     trueState + Chip::cellVth + std::lround vs the
  *                     chunked SenseKernel pass. Every read session,
  *                     characterization and accuracy wordline pays it.
+ *   sense_dispatch    the same snapshot sensed by the baseline
+ *                     (SSE2) kernel vs the level this CPU selects
+ *                     (util/cpu_level.hh); the two snapshots must be
+ *                     equal. Left out when the baseline is selected,
+ *                     so no row times a path against itself.
  *   sense_count_page  one read session (4 voltage sets) over a full
  *                     wordline: per-voltage Chip::readBits + byte
  *                     compare vs one WordlineVthView + packed
@@ -56,6 +62,7 @@
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "util/bitplane.hh"
+#include "util/cpu_level.hh"
 #include "util/histogram.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -195,6 +202,27 @@ main(int argc, char **argv)
         };
         results.push_back(
             measure("snapshot_build", reps, scalar, packed, same));
+    }
+
+    // --- sense_dispatch ---------------------------------------------
+    if (util::selectedCpuLevel() != util::CpuLevel::Baseline) {
+        const nand::SenseKernel baseline(chip, block, wl,
+                                         util::CpuLevel::Baseline);
+        const nand::SenseKernel selected(chip, block, wl);
+        std::optional<nand::WordlineSnapshot> baseline_snap, selected_snap;
+        const auto scalar = [&] {
+            baseline_snap.emplace(baseline, 3000, 0, cells);
+            g_sink = baseline_snap->cells();
+        };
+        const auto packed = [&] {
+            selected_snap.emplace(selected, 3000, 0, cells);
+            g_sink = selected_snap->cells();
+        };
+        std::cout << "sense_dispatch: baseline vs "
+                  << util::cpuLevelName(util::selectedCpuLevel()) << "\n";
+        results.push_back(
+            measure("sense_dispatch", reps, scalar, packed,
+                    [&] { return *baseline_snap == *selected_snap; }));
     }
 
     // --- sense_count_page -------------------------------------------

@@ -92,9 +92,9 @@ ReadContext::pageErrors(const std::vector<int> &voltages)
 }
 
 bool
-ReadContext::decodable(const std::vector<int> &voltages)
+ReadContext::decodable(std::uint64_t page_errors)
 {
-    return ecc_->pageDecodable(pageErrors(voltages), dataSnap().cells());
+    return ecc_->pageDecodable(page_errors, dataSnap().cells());
 }
 
 int
@@ -140,7 +140,7 @@ attempt(ReadContext &ctx, const std::vector<int> &voltages,
     session.senseOps += sense_ops;
     session.finalVoltages = voltages;
     session.finalErrors = ctx.pageErrors(voltages);
-    session.success = ctx.decodable(voltages);
+    session.success = ctx.decodable(session.finalErrors);
     if (util::SpanBuffer *sb = ctx.spanBuffer()) {
         const int s = sb->begin("attempt", ctx.spanRoot());
         sb->num(s, "n", session.attempts);

@@ -130,8 +130,8 @@ class ReadContext
     /** Data-region bit errors of the page at a voltage set. */
     std::uint64_t pageErrors(const std::vector<int> &voltages);
 
-    /** Whether the page decodes at a voltage set. */
-    bool decodable(const std::vector<int> &voltages);
+    /** Whether the page decodes with @p page_errors (a pageErrors()). */
+    bool decodable(std::uint64_t page_errors);
 
     /** Sense operations of one attempt of this page. */
     int pageSenseOps() const;

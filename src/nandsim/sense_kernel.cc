@@ -1,14 +1,189 @@
 #include "nandsim/sense_kernel.hh"
 
+#include "util/gaussian_batch.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace flash::nand
 {
 
-SenseKernel::SenseKernel(const Chip &chip, int block, int wl)
-    : content_(&chip.content(block, wl)),
+/**
+ * The chunk steps, written once. Each CPU level's wrappers below
+ * inline these bodies, so the same source compiles at that level's
+ * vector width; the callers have checked every chunk.
+ */
+struct SenseBodies
+{
+    static FLASH_ALWAYS_INLINE void
+    states(const SenseKernel &k, int col, int n, std::uint8_t *out)
+    {
+        const WordlineContent &c = *k.content_;
+        // The sentinel overlay wins over both data sources; only the
+        // columns outside it draw a data state.
+        int ov_lo = col + n, ov_hi = col + n;
+        if (c.sentinels) {
+            ov_lo = std::clamp(c.sentinels->start, col, col + n);
+            ov_hi = std::clamp(c.sentinels->start + c.sentinels->count,
+                               ov_lo, col + n);
+        }
+        const auto data = [&](int lo, int hi) {
+            if (!c.explicitStates.empty()) {
+                std::copy(c.explicitStates.begin() + lo,
+                          c.explicitStates.begin() + hi, out + (lo - col));
+                return;
+            }
+            for (int i = lo; i < hi; ++i) {
+                const std::uint64_t h = util::mix64(util::fastHashAbsorb(
+                    k.dataState_, static_cast<std::uint64_t>(i)));
+                out[i - col] = static_cast<std::uint8_t>(h & k.stateMask_);
+            }
+        };
+        data(col, ov_lo);
+        for (int i = ov_lo; i < ov_hi; ++i)
+            out[i - col] = c.sentinels->stateOf(i - c.sentinels->start);
+        data(ov_hi, col + n);
+    }
+
+    static FLASH_ALWAYS_INLINE void
+    staticVth(const SenseKernel &k, int col, int n,
+              const std::uint8_t *states, double *out)
+    {
+        // Zeroed so -Wmaybe-uninitialized sees the buffer written for
+        // n = 0.
+        std::uint64_t zh[SenseKernel::kChunk] = {};
+        double z[SenseKernel::kChunk];
+        for (int i = 0; i < n; ++i) {
+            zh[i] = util::mix64(util::fastHashAbsorb(
+                k.staticState_, static_cast<std::uint64_t>(col + i)));
+        }
+        util::gaussian::batchBody(zh, z, static_cast<std::size_t>(n));
+
+        const WordlineContext &ctx = k.ctx_;
+        const double *mean = ctx.mean.data();
+        const double *sigma = ctx.sigma.data();
+        const double *tail_mean = ctx.tailMean.data();
+        const double *tail_sigma = ctx.tailSigma.data();
+        for (int i = 0; i < n; ++i) {
+            // Chip::staticCellVth, term for term.
+            const bool tail = (zh[i] & 0x7ff) < ctx.tailThresh;
+            const double frac =
+                static_cast<double>(col + i) / k.lastCol_ - 0.5;
+            const std::uint8_t s = states[i];
+            out[i] = (tail ? tail_mean[s] : mean[s])
+                + (tail ? tail_sigma[s] : sigma[s]) * z[i]
+                + ctx.gradient * frac;
+        }
+    }
+
+    static FLASH_ALWAYS_INLINE void
+    addReadNoise(const SenseKernel &k, int col, int n,
+                 std::uint64_t read_seq, double *vth)
+    {
+        const double noise_sigma = k.ctx_.readNoiseSigma;
+        if (!(noise_sigma > 0.0))
+            return;
+        const std::uint64_t prefix = util::fastHashState(
+            k.noiseKey_, read_seq, static_cast<std::uint64_t>(k.block_),
+            static_cast<std::uint64_t>(k.wl_));
+        std::uint64_t nh[SenseKernel::kChunk] = {};
+        double z[SenseKernel::kChunk];
+        for (int i = 0; i < n; ++i) {
+            nh[i] = util::mix64(util::fastHashAbsorb(
+                prefix, static_cast<std::uint64_t>(col + i)));
+        }
+        util::gaussian::batchBody(nh, z, static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i)
+            vth[i] += noise_sigma * z[i];
+    }
+
+    static FLASH_ALWAYS_INLINE void
+    sense(const SenseKernel &k, int col_begin, int col_end,
+          std::uint64_t read_seq, DacBins &bins)
+    {
+        const int lo = bins.lo;
+        const int hi = bins.hi;
+        const int width = hi - lo + 1;
+        std::uint32_t *counts = bins.counts;
+        int min_dac = bins.minDac, max_dac = bins.maxDac;
+        for (int col = col_begin; col < col_end; col += SenseKernel::kChunk) {
+            const int n = std::min(SenseKernel::kChunk, col_end - col);
+            std::uint8_t st[SenseKernel::kChunk];
+            double vth[SenseKernel::kChunk];
+            int slot[SenseKernel::kChunk];
+            states(k, col, n, st);
+            staticVth(k, col, n, st, vth);
+            addReadNoise(k, col, n, read_seq, vth);
+            // Round and clamp the whole chunk first (a vector loop),
+            // then count: one increment per cell, no per-cell total or
+            // flag store in the way.
+            for (int i = 0; i < n; ++i) {
+                const int d = std::clamp(roundDac(vth[i]), lo, hi);
+                min_dac = std::min(min_dac, d);
+                max_dac = std::max(max_dac, d);
+                slot[i] = st[i] * width + (d - lo);
+            }
+            for (int i = 0; i < n; ++i)
+                ++counts[slot[i]];
+        }
+        bins.minDac = min_dac;
+        bins.maxDac = max_dac;
+    }
+};
+
+/** The chunk steps compiled for one CPU level. */
+struct SenseSteps
+{
+    void (*states)(const SenseKernel &, int, int, std::uint8_t *);
+    void (*staticVth)(const SenseKernel &, int, int, const std::uint8_t *,
+                      double *);
+    void (*addReadNoise)(const SenseKernel &, int, int, std::uint64_t,
+                         double *);
+    void (*sense)(const SenseKernel &, int, int, std::uint64_t, DacBins &);
+};
+
+namespace
+{
+
+// One wrapper per step and level around the shared body; TARGET is
+// empty (baseline) or a util/cpu_level.hh target attribute.
+#define FLASH_SENSE_STEPS(TARGET, NAME)                                     \
+    TARGET void NAME##States(const SenseKernel &k, int col, int n,          \
+                             std::uint8_t *out)                             \
+    {                                                                       \
+        SenseBodies::states(k, col, n, out);                                \
+    }                                                                       \
+    TARGET void NAME##StaticVth(const SenseKernel &k, int col, int n,       \
+                                const std::uint8_t *st, double *out)        \
+    {                                                                       \
+        SenseBodies::staticVth(k, col, n, st, out);                         \
+    }                                                                       \
+    TARGET void NAME##AddReadNoise(const SenseKernel &k, int col, int n,    \
+                                   std::uint64_t seq, double *vth)          \
+    {                                                                       \
+        SenseBodies::addReadNoise(k, col, n, seq, vth);                     \
+    }                                                                       \
+    TARGET void NAME##Sense(const SenseKernel &k, int b, int e,             \
+                            std::uint64_t seq, DacBins &bins)               \
+    {                                                                       \
+        SenseBodies::sense(k, b, e, seq, bins);                             \
+    }                                                                       \
+    constexpr SenseSteps NAME = {NAME##States, NAME##StaticVth,             \
+                                 NAME##AddReadNoise, NAME##Sense};
+
+FLASH_SENSE_STEPS(, kBaselineSteps)
+FLASH_SENSE_STEPS(FLASH_TARGET_V3, kV3Steps)
+FLASH_SENSE_STEPS(FLASH_TARGET_V4, kV4Steps)
+
+#undef FLASH_SENSE_STEPS
+
+} // namespace
+
+SenseKernel::SenseKernel(const Chip &chip, int block, int wl,
+                         util::CpuLevel level)
+    : chip_(&chip), content_(&chip.content(block, wl)),
       ctx_(chip.wordlineContext(block, wl)), block_(block), wl_(wl),
+      steps_(util::forCpuLevel(level, &kBaselineSteps, &kV3Steps,
+                               &kV4Steps)),
       stateMask_(static_cast<std::uint64_t>(chip.geometry().states()) - 1),
       bitlines_(chip.geometry().bitlines()),
       lastCol_(static_cast<double>(chip.geometry().bitlines() - 1)),
@@ -19,6 +194,8 @@ SenseKernel::SenseKernel(const Chip &chip, int block, int wl)
           static_cast<std::uint64_t>(wl))),
       noiseKey_(chip.seed() ^ Chip::kReadNoiseSalt)
 {
+    util::fatalIf(!util::cpuLevelSupported(level),
+                  "sense kernel: this CPU cannot run the requested level");
 }
 
 void
@@ -32,31 +209,7 @@ void
 SenseKernel::states(int col, int n, std::uint8_t *out) const
 {
     checkChunk(col, n);
-    const WordlineContent &c = *content_;
-    // The sentinel overlay wins over both data sources; only the
-    // columns outside it draw a data state.
-    int ov_lo = col + n, ov_hi = col + n;
-    if (c.sentinels) {
-        ov_lo = std::clamp(c.sentinels->start, col, col + n);
-        ov_hi = std::clamp(c.sentinels->start + c.sentinels->count, ov_lo,
-                           col + n);
-    }
-    const auto data = [&](int lo, int hi) {
-        if (!c.explicitStates.empty()) {
-            std::copy(c.explicitStates.begin() + lo,
-                      c.explicitStates.begin() + hi, out + (lo - col));
-            return;
-        }
-        for (int k = lo; k < hi; ++k) {
-            const std::uint64_t h = util::mix64(util::fastHashAbsorb(
-                dataState_, static_cast<std::uint64_t>(k)));
-            out[k - col] = static_cast<std::uint8_t>(h & stateMask_);
-        }
-    };
-    data(col, ov_lo);
-    for (int k = ov_lo; k < ov_hi; ++k)
-        out[k - col] = c.sentinels->stateOf(k - c.sentinels->start);
-    data(ov_hi, col + n);
+    steps_->states(*this, col, n, out);
 }
 
 void
@@ -64,29 +217,7 @@ SenseKernel::staticVth(int col, int n, const std::uint8_t *states,
                        double *out) const
 {
     checkChunk(col, n);
-    // Zeroed so -Wmaybe-uninitialized sees the buffer written for n = 0.
-    std::uint64_t zh[kChunk] = {};
-    double z[kChunk];
-    for (int i = 0; i < n; ++i) {
-        zh[i] = util::mix64(util::fastHashAbsorb(
-            staticState_, static_cast<std::uint64_t>(col + i)));
-    }
-    util::toGaussianBatch(zh, z, static_cast<std::size_t>(n));
-
-    const double *mean = ctx_.mean.data();
-    const double *sigma = ctx_.sigma.data();
-    const double *tail_mean = ctx_.tailMean.data();
-    const double *tail_sigma = ctx_.tailSigma.data();
-    for (int i = 0; i < n; ++i) {
-        // Chip::staticCellVth, term for term.
-        const bool tail = (zh[i] & 0x7ff) < ctx_.tailThresh;
-        const double frac =
-            static_cast<double>(col + i) / lastCol_ - 0.5;
-        const std::uint8_t s = states[i];
-        out[i] = (tail ? tail_mean[s] : mean[s])
-            + (tail ? tail_sigma[s] : sigma[s]) * z[i]
-            + ctx_.gradient * frac;
-    }
+    steps_->staticVth(*this, col, n, states, out);
 }
 
 void
@@ -94,35 +225,18 @@ SenseKernel::addReadNoise(int col, int n, std::uint64_t read_seq,
                           double *vth) const
 {
     checkChunk(col, n);
-    if (!(ctx_.readNoiseSigma > 0.0))
-        return;
-    const std::uint64_t prefix = util::fastHashState(
-        noiseKey_, read_seq, static_cast<std::uint64_t>(block_),
-        static_cast<std::uint64_t>(wl_));
-    std::uint64_t nh[kChunk] = {};
-    double z[kChunk];
-    for (int i = 0; i < n; ++i) {
-        nh[i] = util::mix64(util::fastHashAbsorb(
-            prefix, static_cast<std::uint64_t>(col + i)));
-    }
-    util::toGaussianBatch(nh, z, static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        vth[i] += ctx_.readNoiseSigma * z[i];
+    steps_->addReadNoise(*this, col, n, read_seq, vth);
 }
 
 void
 SenseKernel::sense(int col_begin, int col_end, std::uint64_t read_seq,
-                   std::vector<util::Histogram> &hist) const
+                   DacBins &bins) const
 {
-    forEachChunk(col_begin, col_end, [&](int col, int n) {
-        std::uint8_t st[kChunk];
-        double vth[kChunk];
-        states(col, n, st);
-        staticVth(col, n, st, vth);
-        addReadNoise(col, n, read_seq, vth);
-        for (int i = 0; i < n; ++i)
-            hist[st[i]].add(roundDac(vth[i]));
-    });
+    util::panicIf(col_begin < 0 || col_end > bitlines_
+                      || col_begin > col_end,
+                  "sense kernel: column range outside the wordline");
+    util::panicIf(bins.hi < bins.lo, "sense kernel: empty DAC range");
+    steps_->sense(*this, col_begin, col_end, read_seq, bins);
 }
 
 } // namespace flash::nand

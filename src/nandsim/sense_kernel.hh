@@ -10,6 +10,11 @@
  * the per-cell reference: the kernel performs the same IEEE
  * operations in the same order, so its DAC values are bit-identical
  * (tests/test_sense_kernel.cc pins this).
+ *
+ * The steps are compiled once per x86-64 level (util/cpu_level.hh)
+ * from one always-inline body; a kernel runs the level the CPU
+ * supports best unless a caller (a test, the microbenchmark) names
+ * another. Every level produces the same bits.
  */
 
 #ifndef SENTINELFLASH_NANDSIM_SENSE_KERNEL_HH
@@ -17,10 +22,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "nandsim/chip.hh"
-#include "util/histogram.hh"
+#include "util/cpu_level.hh"
 
 namespace flash::nand
 {
@@ -32,13 +36,29 @@ namespace flash::nand
  * of the fractional part against +-0.5 is too (unlike
  * floor(x + 0.5), which rounds 0.49999999999999994 up).
  */
-inline int
+FLASH_ALWAYS_INLINE int
 roundDac(double x)
 {
     const int t = static_cast<int>(x);
     const double frac = x - static_cast<double>(t);
     return t + (frac >= 0.5) - (frac <= -0.5);
 }
+
+/**
+ * Flat per-state DAC counters a sense adds into: state s, DAC value d
+ * (clamped into [lo, hi]) is counts[s * (hi - lo + 1) + d - lo].
+ * [minDac, maxDac] is the clamped DAC window the senses touched so
+ * far (empty while minDac > maxDac).
+ */
+struct DacBins
+{
+    std::uint32_t *counts;
+    int lo, hi;
+    int minDac, maxDac;
+};
+
+struct SenseSteps;   // one compiled CPU level (sense_kernel.cc)
+struct SenseBodies;  // the steps' shared bodies (sense_kernel.cc)
 
 /**
  * Chunked sensing of one wordline under its current age. Holds the
@@ -51,7 +71,12 @@ class SenseKernel
     /** Columns per chunk: the stack buffers of one pipeline pass. */
     static constexpr int kChunk = 256;
 
-    SenseKernel(const Chip &chip, int block, int wl);
+    /** Kernel at @p level, which this CPU must support. */
+    SenseKernel(const Chip &chip, int block, int wl,
+                util::CpuLevel level = util::selectedCpuLevel());
+
+    /** The sensed chip. */
+    const Chip &chip() const { return *chip_; }
 
     /** Distribution context of the wordline. */
     const WordlineContext &context() const { return ctx_; }
@@ -84,19 +109,25 @@ class SenseKernel
                       double *vth) const;
 
     /**
-     * One sense of columns [col_begin, col_end) binned into
-     * @p hist (one histogram per true state) at roundDac(vth).
+     * One sense of columns [col_begin, col_end): add each cell to
+     * @p bins at (true state, roundDac(vth) clamped into
+     * [bins.lo, bins.hi]) and widen the touched window. The counters
+     * must hold geometry().states() rows.
      */
     void sense(int col_begin, int col_end, std::uint64_t read_seq,
-               std::vector<util::Histogram> &hist) const;
+               DacBins &bins) const;
 
   private:
+    friend struct SenseBodies;
+
     /** panic() unless [col, col + n) is a chunk of the wordline. */
     void checkChunk(int col, int n) const;
 
+    const Chip *chip_;
     const WordlineContent *content_;
     WordlineContext ctx_;
     int block_, wl_;
+    const SenseSteps *steps_;      ///< the level's compiled steps
     std::uint64_t stateMask_;      ///< states - 1: h % 2^bits == h & mask
     int bitlines_;
     double lastCol_;               ///< bitlines - 1 (gradient scale)

@@ -1,31 +1,116 @@
 #include "nandsim/snapshot.hh"
 
+#include <algorithm>
 #include <utility>
 
-#include "nandsim/sense_kernel.hh"
 #include "util/logging.hh"
 
 namespace flash::nand
 {
 
+namespace
+{
+
+/**
+ * This thread's binning counters, at least @p size of them. All zero
+ * between senses: each snapshot clears the window it touched, so a
+ * sense costs no allocation and no full-range zero fill.
+ */
+std::uint32_t *
+binScratch(std::size_t size)
+{
+    thread_local std::vector<std::uint32_t> scratch;
+    if (scratch.size() < size)
+        scratch.resize(size); // the new tail is zero, too
+    return scratch.data();
+}
+
+} // namespace
+
 WordlineSnapshot::WordlineSnapshot(const Chip &chip, int block, int wl,
                                    std::uint64_t read_seq, int col_begin,
                                    int col_end)
-    : code_(&chip.grayCode())
+    : WordlineSnapshot(SenseKernel(chip, block, wl), read_seq, col_begin,
+                       col_end)
 {
-    const auto &geom = chip.geometry();
-    util::fatalIf(col_begin < 0 || col_end > geom.bitlines()
+}
+
+WordlineSnapshot::WordlineSnapshot(const SenseKernel &kernel,
+                                   std::uint64_t read_seq, int col_begin,
+                                   int col_end)
+    : code_(&kernel.chip().grayCode()),
+      states_(kernel.chip().geometry().states())
+{
+    const Chip &chip = kernel.chip();
+    util::fatalIf(col_begin < 0 || col_end > chip.geometry().bitlines()
                       || col_begin > col_end,
                   "snapshot: bad column range");
+    util::panicIf(states_ > kMaxStates, "snapshot: too many states");
 
     const int lo = chip.model().vthMin();
     const int hi = chip.model().vthMax();
-    hist_.reserve(static_cast<std::size_t>(geom.states()));
-    for (int s = 0; s < geom.states(); ++s)
-        hist_.emplace_back(lo, hi);
+    const auto width = static_cast<std::size_t>(hi - lo + 1);
+    DacBins bins{binScratch(width * static_cast<std::size_t>(states_)), lo,
+                 hi, hi + 1, lo - 1};
+    // Clear what the sense touched on every exit, so the scratch
+    // stays zero even if building the prefix array throws.
+    struct ClearTouched
+    {
+        const DacBins &bins;
+        std::size_t width;
+        int states;
 
-    SenseKernel(chip, block, wl).sense(col_begin, col_end, read_seq, hist_);
+        ~ClearTouched()
+        {
+            if (bins.minDac > bins.maxDac)
+                return;
+            for (int s = 0; s < states; ++s) {
+                std::uint32_t *row =
+                    bins.counts + static_cast<std::size_t>(s) * width;
+                std::fill(row + (bins.minDac - bins.lo),
+                          row + (bins.maxDac - bins.lo + 1), 0u);
+            }
+        }
+    } clear{bins, width, states_};
+
+    kernel.sense(col_begin, col_end, read_seq, bins);
     cells_ = static_cast<std::uint64_t>(col_end - col_begin);
+    if (bins.minDac > bins.maxDac)
+        return; // no cells: every window stays empty
+
+    // Row s of the scratch: row(s)[v - lo] counts DAC value v.
+    const auto row = [&](int s) {
+        return bins.counts + static_cast<std::size_t>(s) * width;
+    };
+    // Each state's window: its first and last nonzero counter.
+    std::size_t size = 0;
+    for (int s = 0; s < states_; ++s) {
+        const std::uint32_t *r = row(s);
+        int first = bins.minDac, last = bins.maxDac;
+        while (first <= last && r[first - lo] == 0)
+            ++first;
+        while (last > first && r[last - lo] == 0)
+            --last;
+        if (first > last)
+            continue; // no cell in this state: the empty window
+        StateWindow &w = windows_[static_cast<std::size_t>(s)];
+        w.lo = first;
+        w.hi = last;
+        w.offset = static_cast<std::uint32_t>(size);
+        size += static_cast<std::size_t>(last - first + 1);
+    }
+    prefix_.resize(size);
+    for (int s = 0; s < states_; ++s) {
+        StateWindow &w = windows_[static_cast<std::size_t>(s)];
+        const std::uint32_t *in = row(s) + (w.lo - lo);
+        std::uint32_t *out = prefix_.data() + w.offset;
+        std::uint32_t sum = 0;
+        for (int i = 0; i <= w.hi - w.lo; ++i) {
+            sum += in[i];
+            out[i] = sum;
+        }
+        w.total = sum;
+    }
 }
 
 WordlineSnapshot
@@ -48,21 +133,21 @@ std::uint64_t
 WordlineSnapshot::cellsInState(int s) const
 {
     util::fatalIf(s < 0 || s >= states(), "snapshot: state out of range");
-    return hist_[static_cast<std::size_t>(s)].total();
+    return windows_[static_cast<std::size_t>(s)].total;
 }
 
 std::uint64_t
 WordlineSnapshot::upErrors(int k, int v) const
 {
     util::fatalIf(k < 1 || k >= states(), "snapshot: boundary out of range");
-    return hist_[static_cast<std::size_t>(k - 1)].countAbove(v);
+    return cellsInState(k - 1) - countAtOrBelow(k - 1, v);
 }
 
 std::uint64_t
 WordlineSnapshot::downErrors(int k, int v) const
 {
     util::fatalIf(k < 1 || k >= states(), "snapshot: boundary out of range");
-    return hist_[static_cast<std::size_t>(k)].countAtOrBelow(v);
+    return countAtOrBelow(k, v);
 }
 
 std::uint64_t
@@ -77,21 +162,20 @@ WordlineSnapshot::pageErrors(int page, const std::vector<int> &voltages) const
     const int bit0 = code_->bit(0, page);
     std::uint64_t errors = 0;
     for (int s = 0; s < states(); ++s) {
-        const auto &h = hist_[static_cast<std::size_t>(s)];
-        if (h.total() == 0)
+        const std::uint64_t total = cellsInState(s);
+        if (total == 0)
             continue;
         const int want = code_->bit(s, page);
-        int region_lo = h.lo() - 1; // exclusive lower edge
+        std::uint64_t below = 0; // cells at or below the region's floor
         for (std::size_t r = 0; r <= ks.size(); ++r) {
-            const int region_hi = r < ks.size()
-                ? voltages[static_cast<std::size_t>(ks[r])]
-                : h.hi();
+            const std::uint64_t upto = r < ks.size()
+                ? countAtOrBelow(
+                      s, voltages[static_cast<std::size_t>(ks[r])])
+                : total;
             const int bit = bit0 ^ (static_cast<int>(r) & 1);
-            if (bit != want) {
-                errors += h.countAtOrBelow(region_hi)
-                    - h.countAtOrBelow(region_lo);
-            }
-            region_lo = region_hi;
+            if (bit != want)
+                errors += upto - below;
+            below = upto;
         }
     }
     return errors;
@@ -111,8 +195,8 @@ WordlineSnapshot::cellsInVthRange(int lo, int hi) const
     if (hi < lo)
         std::swap(lo, hi);
     std::uint64_t n = 0;
-    for (const auto &h : hist_)
-        n += h.countAtOrBelow(hi) - h.countAtOrBelow(lo);
+    for (int s = 0; s < states(); ++s)
+        n += countAtOrBelow(s, hi) - countAtOrBelow(s, lo);
     return n;
 }
 
@@ -122,8 +206,7 @@ WordlineSnapshot::stateCellsInRange(int s, int lo, int hi) const
     util::fatalIf(s < 0 || s >= states(), "snapshot: state out of range");
     if (hi < lo)
         std::swap(lo, hi);
-    const auto &h = hist_[static_cast<std::size_t>(s)];
-    return h.countAtOrBelow(hi) - h.countAtOrBelow(lo);
+    return countAtOrBelow(s, hi) - countAtOrBelow(s, lo);
 }
 
 } // namespace flash::nand

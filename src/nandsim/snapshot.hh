@@ -1,7 +1,7 @@
 /**
  * @file
  * WordlineSnapshot: one sensing pass over a wordline, binned into
- * per-true-state Vth histograms.
+ * per-true-state Vth counts.
  *
  * Every question the read policies and the oracle ask — up/down
  * errors of a boundary at any threshold, exact page error counts for
@@ -9,33 +9,46 @@
  * then a prefix-sum lookup instead of another pass over the cells.
  * A snapshot embeds one draw of per-read sensing noise; building a
  * new snapshot with a different read sequence redraws it.
+ *
+ * Layout: the sense bins into per-thread scratch that covers the
+ * model's whole DAC range [vthMin, vthMax]; the snapshot then keeps,
+ * per state, only the window of DAC values its cells actually fell
+ * in, as one flat array of inclusive prefix sums built eagerly, and
+ * clears the touched scratch for the next sense. A count query below
+ * a state's window is 0 and one at or above it is the state's total,
+ * exactly what a full-range histogram answers.
  */
 
 #ifndef SENTINELFLASH_NANDSIM_SNAPSHOT_HH
 #define SENTINELFLASH_NANDSIM_SNAPSHOT_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "nandsim/chip.hh"
-#include "util/histogram.hh"
+#include "nandsim/sense_kernel.hh"
 
 namespace flash::nand
 {
 
 /**
- * Histogrammed sensing pass over a column range of one wordline.
+ * Binned sensing pass over a column range of one wordline.
  */
 class WordlineSnapshot
 {
   public:
     /**
      * Sense columns [col_begin, col_end) of the wordline with the
-     * given read-sequence number and build the histograms, in one
-     * streaming SenseKernel pass (no per-cell arrays).
+     * given read-sequence number and bin them, in one streaming
+     * SenseKernel pass (no per-cell arrays).
      */
     WordlineSnapshot(const Chip &chip, int block, int wl,
                      std::uint64_t read_seq, int col_begin, int col_end);
+
+    /** The same sense through @p kernel (and its CPU level). */
+    WordlineSnapshot(const SenseKernel &kernel, std::uint64_t read_seq,
+                     int col_begin, int col_end);
 
     /** Snapshot of the user-data region only. */
     static WordlineSnapshot dataRegion(const Chip &chip, int block, int wl,
@@ -90,12 +103,44 @@ class WordlineSnapshot
     const GrayCode &grayCode() const { return *code_; }
 
     /** Number of states. */
-    int states() const { return static_cast<int>(hist_.size()); }
+    int states() const { return states_; }
+
+    /** Same chip, same cells and the same count at every DAC value. */
+    bool operator==(const WordlineSnapshot &other) const = default;
 
   private:
+    static constexpr int kMaxStates = 16; ///< QLC
+
+    /**
+     * One state's observed window [lo, hi]: prefix_[offset + v - lo]
+     * counts its cells sensed at or below v, for v in [lo, hi).
+     */
+    struct StateWindow
+    {
+        int lo = 0, hi = -1;
+        std::uint32_t offset = 0;
+        std::uint32_t total = 0;
+
+        bool operator==(const StateWindow &) const = default;
+    };
+
+    /** Cells of state @p s sensed at or below DAC value @p v. */
+    std::uint64_t
+    countAtOrBelow(int s, int v) const
+    {
+        const StateWindow &w = windows_[static_cast<std::size_t>(s)];
+        if (v < w.lo)
+            return 0;
+        if (v >= w.hi)
+            return w.total;
+        return prefix_[w.offset + static_cast<std::uint32_t>(v - w.lo)];
+    }
+
     const GrayCode *code_;
-    std::vector<util::Histogram> hist_; // one per true state
+    int states_;
     std::uint64_t cells_ = 0;
+    std::array<StateWindow, kMaxStates> windows_{};
+    std::vector<std::uint32_t> prefix_; // every state's window, in order
 };
 
 } // namespace flash::nand

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <initializer_list>
 
+#include "util/cpu_level.hh"
+
 namespace flash::util
 {
 
@@ -91,11 +93,13 @@ double toGaussian(std::uint64_t h);
 
 /**
  * toGaussian() of @p n hashes, bit-identical element by element. The
- * central rational runs branch-free over the whole batch; only the
- * tail elements (u < plow or u > phigh, about 5 %) are recomputed
- * with the scalar toGaussian().
+ * central rational runs branch-free over the whole batch at the
+ * vector width of @p level (util/cpu_level.hh), which the CPU must
+ * run; only the tail elements (u < plow or u > phigh, about 5 %) are
+ * recomputed with the scalar toGaussian().
  */
-void toGaussianBatch(const std::uint64_t *h, double *z, std::size_t n);
+void toGaussianBatch(const std::uint64_t *h, double *z, std::size_t n,
+                     CpuLevel level = selectedCpuLevel());
 
 /**
  * A small keyed generator for streaming use (experiment harnesses,

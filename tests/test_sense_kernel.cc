@@ -4,26 +4,36 @@
  * roundDac vs std::lround, and kernel-built snapshots and views vs
  * Chip::trueState / Chip::cellVth + std::lround — on TLC and QLC,
  * fresh and aged, with a sentinel overlay, explicit states and no read
- * noise, over chunk-edge column ranges.
+ * noise, over chunk-edge column ranges, at every CPU level the host
+ * can execute. The compact snapshot must answer every count query as
+ * a full-range histogram of the same cells does.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <climits>
 #include <cmath>
+#include <iostream>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/sentinel_layout.hh"
 #include "nandsim/sense_kernel.hh"
 #include "nandsim/snapshot.hh"
 #include "nandsim/vth_view.hh"
 #include "test_support.hh"
+#include "util/cpu_level.hh"
+#include "util/gaussian_batch.hh"
 #include "util/histogram.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
 
 namespace flash::nand
 {
@@ -69,6 +79,72 @@ TEST(ToGaussianBatch, MatchesScalarAtEdges)
                   std::bit_cast<std::uint64_t>(util::toGaussian(h[i])))
             << "hash " << h[i];
     }
+    // Every level this CPU runs, not only the selected one.
+    for (const util::CpuLevel level : util::compiledCpuLevels()) {
+        if (!util::cpuLevelSupported(level))
+            continue;
+        std::vector<double> zl(h.size());
+        util::toGaussianBatch(h.data(), zl.data(), h.size(), level);
+        for (std::size_t i = 0; i < h.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(zl[i]),
+                      std::bit_cast<std::uint64_t>(z[i]))
+                << util::cpuLevelName(level) << " hash " << h[i];
+        }
+    }
+}
+
+TEST(ToGaussianBatch, IntegerTailTestMatchesTheUniformCompare)
+{
+    // isTail() compares the 53-bit mantissa against integer bounds;
+    // toGaussian() compares u = toUnitUniform(h) against plow/phigh.
+    constexpr double plow = 0.02425;
+    constexpr double phigh = 1.0 - plow;
+    for (const double edge : {plow, phigh, 0.5, 1e-12, 1.0 - 1e-12}) {
+        const std::uint64_t m = mantissaOf(edge);
+        for (std::uint64_t d = 0; d <= 8; ++d) {
+            for (const std::uint64_t mm : {m + d, m - d}) {
+                const std::uint64_t h = hashWithMantissa(mm) | (d * 0x111);
+                const double u = util::toUnitUniform(h);
+                EXPECT_EQ(util::gaussian::isTail(h),
+                          u < plow || u > phigh)
+                    << "mantissa " << mm;
+            }
+        }
+    }
+    EXPECT_TRUE(util::gaussian::isTail(0));
+    EXPECT_TRUE(util::gaussian::isTail(~0ULL));
+    EXPECT_FALSE(util::gaussian::isTail(hashWithMantissa(1ULL << 52)));
+}
+
+TEST(ToGaussianBatch, RejectsALevelTheCpuCannotRun)
+{
+    for (const util::CpuLevel level : util::compiledCpuLevels()) {
+        if (util::cpuLevelSupported(level))
+            continue;
+        double z = 0.0;
+        const std::uint64_t h = 1;
+        EXPECT_THROW(util::toGaussianBatch(&h, &z, 1, level),
+                     util::FatalError);
+    }
+}
+
+TEST(CpuLevels, SelectedLevelIsTheWidestSupported)
+{
+    const util::CpuLevel selected = util::selectedCpuLevel();
+    EXPECT_TRUE(util::cpuLevelSupported(selected));
+    EXPECT_TRUE(util::cpuLevelSupported(util::CpuLevel::Baseline));
+    std::string ran;
+    for (const util::CpuLevel level : util::compiledCpuLevels()) {
+        if (util::cpuLevelSupported(level)) {
+            EXPECT_LE(static_cast<int>(level), static_cast<int>(selected));
+            ran += std::string(ran.empty() ? "" : ", ")
+                + util::cpuLevelName(level);
+        } else {
+            EXPECT_GT(static_cast<int>(level), static_cast<int>(selected));
+        }
+    }
+    std::cout << "[ LEVELS   ] selected " << util::cpuLevelName(selected)
+              << "; this CPU runs: " << ran << "\n";
 }
 
 TEST(ToGaussianBatch, BothSidesOfTheTailSplitArePresent)
@@ -123,10 +199,8 @@ TEST(RoundDac, MatchesLroundAtHalves)
     }
 }
 
-// Kernel vs per-cell reference. Param: cell type, aged, read noise.
-using KernelParam = std::tuple<CellType, bool, bool>;
-
-class SenseKernelTest : public ::testing::TestWithParam<KernelParam>
+/** A chip with a procedural and an explicit-state block, both overlaid. */
+class ChipFixture : public ::testing::Test
 {
   protected:
     static constexpr int kProcBlock = 0;
@@ -134,9 +208,8 @@ class SenseKernelTest : public ::testing::TestWithParam<KernelParam>
     static constexpr int kWl = 5;
 
     void
-    SetUp() override
+    build(CellType type, bool aged, bool noise)
     {
-        const auto [type, aged, noise] = GetParam();
         ChipGeometry g = test::mediumQlcGeometry();
         g.cellType = type;
         VoltageModelParams p = type == CellType::TLC ? tlcVoltageParams()
@@ -202,8 +275,55 @@ class SenseKernelTest : public ::testing::TestWithParam<KernelParam>
             chip_->cellVth(ctx, block, kWl, col, state, seq)));
     }
 
+    /** Per-state full-range histograms of the per-cell reference. */
+    std::vector<util::Histogram>
+    referenceHistograms(int block, int b, int e, std::uint64_t seq) const
+    {
+        const WordlineContext ctx = chip_->wordlineContext(block, kWl);
+        std::vector<util::Histogram> want(
+            static_cast<std::size_t>(chip_->geometry().states()),
+            util::Histogram(chip_->model().vthMin(),
+                            chip_->model().vthMax()));
+        for (int col = b; col < e; ++col) {
+            want[chip_->trueState(block, kWl, col)].add(
+                referenceDac(ctx, block, col, seq));
+        }
+        return want;
+    }
+
     std::unique_ptr<Chip> chip_;
     SentinelOverlay overlay_;
+};
+
+/** Assert @p snap holds the reference histograms' count at every bin. */
+void
+expectSameBins(const WordlineSnapshot &snap,
+               const std::vector<util::Histogram> &want,
+               const std::string &where)
+{
+    for (int s = 0; s < snap.states(); ++s) {
+        const auto &h = want[static_cast<std::size_t>(s)];
+        ASSERT_EQ(snap.cellsInState(s), h.total()) << where;
+        for (int v = h.lo(); v <= h.hi(); ++v) {
+            ASSERT_EQ(snap.stateCellsInRange(s, v - 1, v), h.binCount(v))
+                << where << " state " << s << " dac " << v;
+        }
+    }
+}
+
+// Kernel vs per-cell reference. Param: cell type, aged, read noise.
+using KernelParam = std::tuple<CellType, bool, bool>;
+
+class SenseKernelTest : public ChipFixture,
+                        public ::testing::WithParamInterface<KernelParam>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const auto [type, aged, noise] = GetParam();
+        build(type, aged, noise);
+    }
 };
 
 TEST_P(SenseKernelTest, StatesAndStaticVthMatchChip)
@@ -234,32 +354,15 @@ TEST_P(SenseKernelTest, StatesAndStaticVthMatchChip)
 
 TEST_P(SenseKernelTest, SnapshotHistogramsMatchPerCellReference)
 {
-    const int lo = chip_->model().vthMin();
-    const int hi = chip_->model().vthMax();
-    const int states = chip_->geometry().states();
     for (const int block : {kProcBlock, kExplicitBlock}) {
-        const WordlineContext ctx = chip_->wordlineContext(block, kWl);
         for (const auto [b, e] : ranges()) {
             const std::uint64_t seq = 1000 + static_cast<std::uint64_t>(b);
-            std::vector<util::Histogram> want(
-                static_cast<std::size_t>(states), util::Histogram(lo, hi));
-            for (int col = b; col < e; ++col) {
-                want[chip_->trueState(block, kWl, col)].add(
-                    referenceDac(ctx, block, col, seq));
-            }
             const WordlineSnapshot snap(*chip_, block, kWl, seq, b, e);
             ASSERT_EQ(snap.cells(), static_cast<std::uint64_t>(e - b));
-            for (int s = 0; s < states; ++s) {
-                const auto &h = want[static_cast<std::size_t>(s)];
-                ASSERT_EQ(snap.cellsInState(s), h.total())
-                    << "block " << block << " [" << b << ", " << e << ")";
-                for (int v = lo; v <= hi; ++v) {
-                    ASSERT_EQ(snap.stateCellsInRange(s, v - 1, v),
-                              h.binCount(v))
-                        << "block " << block << " [" << b << ", " << e
-                        << ") state " << s << " dac " << v;
-                }
-            }
+            expectSameBins(snap, referenceHistograms(block, b, e, seq),
+                           "block " + std::to_string(block) + " ["
+                               + std::to_string(b) + ", "
+                               + std::to_string(e) + ")");
         }
     }
 }
@@ -327,6 +430,332 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CellType::TLC, CellType::QLC),
                        ::testing::Bool(), ::testing::Bool()),
     kernelParamName);
+
+// Every compiled CPU level vs the per-cell reference. Param: level,
+// cell type, aged, read noise. Levels this CPU cannot run are skipped.
+using LevelParam = std::tuple<util::CpuLevel, CellType, bool, bool>;
+
+class SenseLevelTest : public ChipFixture,
+                       public ::testing::WithParamInterface<LevelParam>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const auto [lvl, type, aged, noise] = GetParam();
+        if (!util::cpuLevelSupported(lvl)) {
+            GTEST_SKIP() << "this CPU cannot run "
+                         << util::cpuLevelName(lvl);
+        }
+        build(type, aged, noise);
+    }
+
+    util::CpuLevel level() const { return std::get<0>(GetParam()); }
+};
+
+TEST_P(SenseLevelTest, StepsAndSnapshotMatchPerCellReference)
+{
+    for (const int block : {kProcBlock, kExplicitBlock}) {
+        const SenseKernel kernel(*chip_, block, kWl, level());
+        const WordlineContext ctx = chip_->wordlineContext(block, kWl);
+        for (const auto [b, e] : ranges()) {
+            const std::uint64_t seq = 2000 + static_cast<std::uint64_t>(b);
+            SenseKernel::forEachChunk(b, e, [&](int col, int n) {
+                std::uint8_t st[SenseKernel::kChunk];
+                double vth[SenseKernel::kChunk];
+                kernel.states(col, n, st);
+                kernel.staticVth(col, n, st, vth);
+                for (int i = 0; i < n; ++i) {
+                    ASSERT_EQ(st[i], chip_->trueState(block, kWl, col + i));
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(vth[i]),
+                              std::bit_cast<std::uint64_t>(
+                                  chip_->staticCellVth(ctx, block, kWl,
+                                                       col + i, st[i])))
+                        << "block " << block << " col " << col + i;
+                }
+                kernel.addReadNoise(col, n, seq, vth);
+                for (int i = 0; i < n; ++i) {
+                    ASSERT_EQ(roundDac(vth[i]),
+                              referenceDac(ctx, block, col + i, seq))
+                        << "block " << block << " col " << col + i;
+                }
+            });
+            const WordlineSnapshot snap(kernel, seq, b, e);
+            const std::string where = std::string(util::cpuLevelName(level()))
+                + " block " + std::to_string(block) + " ["
+                + std::to_string(b) + ", " + std::to_string(e) + ")";
+            expectSameBins(snap, referenceHistograms(block, b, e, seq),
+                           where);
+            // The selected level's snapshot, count for count.
+            EXPECT_TRUE(snap == WordlineSnapshot(*chip_, block, kWl, seq, b, e))
+                << where;
+        }
+    }
+}
+
+std::string
+levelParamName(const ::testing::TestParamInfo<LevelParam> &info)
+{
+    const auto [level, type, aged, noise] = info.param;
+    std::string name = util::cpuLevelName(level);
+    for (char &c : name) {
+        if (c == '-')
+            c = '_';
+    }
+    return name + "_"
+        + kernelParamName(::testing::TestParamInfo<KernelParam>(
+            {type, aged, noise}, info.index));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, SenseLevelTest,
+    ::testing::Combine(::testing::ValuesIn(util::compiledCpuLevels()),
+                       ::testing::Values(CellType::TLC, CellType::QLC),
+                       ::testing::Bool(), ::testing::Bool()),
+    levelParamName);
+
+/**
+ * The snapshot before compaction: one full-range histogram per state
+ * over [vthMin, vthMax], queried as the old WordlineSnapshot did.
+ */
+struct FullRangeOracle
+{
+    const GrayCode *code;
+    std::vector<util::Histogram> hist;
+
+    const util::Histogram &
+    at(int s) const
+    {
+        return hist[static_cast<std::size_t>(s)];
+    }
+
+    std::uint64_t up(int k, int v) const { return at(k - 1).countAbove(v); }
+
+    std::uint64_t down(int k, int v) const
+    {
+        return at(k).countAtOrBelow(v);
+    }
+
+    std::uint64_t
+    stateInRange(int s, int lo, int hi) const
+    {
+        if (hi < lo)
+            std::swap(lo, hi);
+        return at(s).countAtOrBelow(hi) - at(s).countAtOrBelow(lo);
+    }
+
+    std::uint64_t
+    inVthRange(int lo, int hi) const
+    {
+        std::uint64_t n = 0;
+        for (int s = 0; s < static_cast<int>(hist.size()); ++s)
+            n += stateInRange(s, lo, hi);
+        return n;
+    }
+
+    std::uint64_t
+    pageErrors(int page, const std::vector<int> &voltages) const
+    {
+        const auto &ks = code->boundariesOfPage(page);
+        const int bit0 = code->bit(0, page);
+        std::uint64_t errors = 0;
+        for (int s = 0; s < static_cast<int>(hist.size()); ++s) {
+            const auto &h = at(s);
+            if (h.total() == 0)
+                continue;
+            const int want = code->bit(s, page);
+            int region_lo = h.lo() - 1;
+            for (std::size_t r = 0; r <= ks.size(); ++r) {
+                const int region_hi = r < ks.size()
+                    ? voltages[static_cast<std::size_t>(ks[r])]
+                    : h.hi();
+                if ((bit0 ^ (static_cast<int>(r) & 1)) != want) {
+                    errors += h.countAtOrBelow(region_hi)
+                        - h.countAtOrBelow(region_lo);
+                }
+                region_lo = region_hi;
+            }
+        }
+        return errors;
+    }
+};
+
+TEST_P(SenseKernelTest, CompactSnapshotAnswersLikeAFullRangeHistogram)
+{
+    // The paper-scale sentinel overlay (298 cells at ratio 0.002) at
+    // the end of a third block: only two states have cells there.
+    const CellType type = std::get<0>(GetParam());
+    const SentinelOverlay paper = core::makeOverlay(
+        type == CellType::TLC ? paperTlcGeometry() : paperQlcGeometry(),
+        core::SentinelConfig{});
+    ASSERT_EQ(paper.count, 298);
+    constexpr int kSentinelBlock = 2;
+    SentinelOverlay sent = paper;
+    sent.start = chip_->geometry().bitlines() - sent.count;
+    chip_->programBlock(kSentinelBlock, 123, sent);
+    if (std::get<1>(GetParam())) {
+        chip_->setPeCycles(kSentinelBlock, 5000);
+        chip_->age(kSentinelBlock, 8760.0, 25.0);
+    }
+
+    const int vmin = chip_->model().vthMin();
+    const int vmax = chip_->model().vthMax();
+    const int states = chip_->geometry().states();
+    struct Case
+    {
+        int block, b, e;
+        const char *what;
+    };
+    const Case cases[] = {
+        {kProcBlock, 0, chip_->geometry().dataBitlines, "data region"},
+        {kExplicitBlock, 0, chip_->geometry().bitlines(), "full wordline"},
+        {kProcBlock, 100, 100, "0 cells"},
+        {kProcBlock, 7, 8, "1 cell"},
+        {kSentinelBlock, sent.start, sent.start + sent.count,
+         "298-cell sentinel range"},
+    };
+    bool saw_empty_state = false;
+    for (const Case &c : cases) {
+        const std::uint64_t seq = 77 + static_cast<std::uint64_t>(c.b);
+        const WordlineSnapshot snap(*chip_, c.block, kWl, seq, c.b, c.e);
+        const FullRangeOracle oracle{
+            &chip_->grayCode(), referenceHistograms(c.block, c.b, c.e, seq)};
+        SCOPED_TRACE(c.what);
+        ASSERT_EQ(snap.cells(), static_cast<std::uint64_t>(c.e - c.b));
+
+        // Query values: the clamp range's edges and beyond, int
+        // extremes, and every state's observed window edges +- 1.
+        std::set<int> edges = {INT_MIN, INT_MIN + 1, vmin - 1000, vmin - 1,
+                               vmin, vmin + 1, 0, vmax - 1, vmax, vmax + 1,
+                               vmax + 1000, INT_MAX - 1, INT_MAX};
+        for (int s = 0; s < states; ++s) {
+            const auto &h = oracle.at(s);
+            ASSERT_EQ(snap.cellsInState(s), h.total()) << "state " << s;
+            if (h.total() == 0) {
+                saw_empty_state = true;
+                continue;
+            }
+            int first = vmin, last = vmax;
+            while (h.binCount(first) == 0)
+                ++first;
+            while (h.binCount(last) == 0)
+                --last;
+            for (const int v : {first, last}) {
+                edges.insert(v - 1);
+                edges.insert(v);
+                edges.insert(v + 1);
+            }
+        }
+
+        // Every DAC value across the clamp range and a step beyond.
+        for (int v = vmin - 2; v <= vmax + 2; ++v) {
+            for (int s = 0; s < states; ++s) {
+                ASSERT_EQ(snap.stateCellsInRange(s, v - 1, v),
+                          oracle.stateInRange(s, v - 1, v))
+                    << "state " << s << " v " << v;
+            }
+            for (int k = 1; k < states; ++k) {
+                ASSERT_EQ(snap.upErrors(k, v), oracle.up(k, v))
+                    << "k " << k << " v " << v;
+                ASSERT_EQ(snap.downErrors(k, v), oracle.down(k, v))
+                    << "k " << k << " v " << v;
+            }
+        }
+        for (const int lo : edges) {
+            for (int k = 1; k < states; ++k) {
+                ASSERT_EQ(snap.upErrors(k, lo), oracle.up(k, lo));
+                ASSERT_EQ(snap.downErrors(k, lo), oracle.down(k, lo));
+            }
+            for (const int hi : edges) {
+                ASSERT_EQ(snap.cellsInVthRange(lo, hi),
+                          oracle.inVthRange(lo, hi))
+                    << "(" << lo << ", " << hi << "]";
+                for (int s = 0; s < states; ++s) {
+                    ASSERT_EQ(snap.stateCellsInRange(s, lo, hi),
+                              oracle.stateInRange(s, lo, hi))
+                        << "state " << s << " (" << lo << ", " << hi << "]";
+                }
+            }
+        }
+
+        // Page error counts: defaults, shifted defaults, every
+        // threshold at one edge value, and random (unsorted) sets.
+        std::vector<std::vector<int>> sets;
+        const std::vector<int> defaults = chip_->model().defaultVoltages();
+        for (int shift = -400; shift <= 400; shift += 50) {
+            std::vector<int> v = defaults;
+            for (std::size_t k = 1; k < v.size(); ++k)
+                v[k] += shift;
+            sets.push_back(v);
+        }
+        for (const int edge : edges)
+            sets.emplace_back(static_cast<std::size_t>(states), edge);
+        util::Rng rng(0x5eed + static_cast<std::uint64_t>(c.b));
+        for (int i = 0; i < 32; ++i) {
+            std::vector<int> v(static_cast<std::size_t>(states));
+            for (auto &x : v) {
+                x = vmin - 50
+                    + static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(vmax - vmin + 101)));
+            }
+            sets.push_back(v);
+        }
+        for (int page = 0; page < chip_->geometry().pagesPerWordline();
+             ++page) {
+            for (const auto &v : sets) {
+                ASSERT_EQ(snap.pageErrors(page, v), oracle.pageErrors(page, v))
+                    << "page " << page;
+            }
+        }
+    }
+    EXPECT_TRUE(saw_empty_state);
+}
+
+TEST(SnapshotScratch, ReusedScratchGivesTheSameSnapshot)
+{
+    // A wide QLC sense, a narrow TLC one and the QLC one again: the
+    // scratch each leaves behind must not leak into the next.
+    const Chip qlc = test::agedQlcChip();
+    const Chip tlc = test::agedTlcChip();
+    const auto q1 = WordlineSnapshot::fullWordline(qlc, 0, 3, 11);
+    const auto t1 = WordlineSnapshot(tlc, 1, 4, 12, 500, 900);
+    const auto q2 = WordlineSnapshot::fullWordline(qlc, 0, 3, 11);
+    const auto t2 = WordlineSnapshot(tlc, 1, 4, 12, 500, 900);
+    EXPECT_TRUE(q1 == q2);
+    EXPECT_TRUE(t1 == t2);
+    // Equality compares counts: another noise draw differs.
+    EXPECT_FALSE(q1 == WordlineSnapshot::fullWordline(qlc, 0, 3, 12));
+}
+
+TEST(SnapshotScratch, PoolThreadsMatchTheCallingThread)
+{
+    // Each pool thread bins into its own scratch; alternating QLC and
+    // TLC senses make every thread grow and reuse it.
+    const Chip qlc = test::agedQlcChip();
+    const Chip tlc = test::agedTlcChip();
+    constexpr int kItems = 24;
+    const auto sense = [&](int i) {
+        const Chip &chip = (i % 2) ? qlc : tlc;
+        const int wl = i % chip.geometry().wordlinesPerBlock();
+        return (i % 3) ? WordlineSnapshot::dataRegion(chip, i % 3, wl, 5 + i)
+                       : WordlineSnapshot(chip, 2, wl, 9 + i, 30000, 30298);
+    };
+    std::vector<WordlineSnapshot> want;
+    for (int i = 0; i < kItems; ++i)
+        want.push_back(sense(i));
+    util::ThreadPool pool(4);
+    for (int pass = 0; pass < 2; ++pass) {
+        std::vector<std::optional<WordlineSnapshot>> got(kItems);
+        pool.parallelFor(kItems, [&](int i) {
+            got[static_cast<std::size_t>(i)].emplace(sense(i));
+        });
+        for (int i = 0; i < kItems; ++i) {
+            EXPECT_TRUE(*got[static_cast<std::size_t>(i)]
+                        == want[static_cast<std::size_t>(i)])
+                << "pass " << pass << " item " << i;
+        }
+    }
+}
 
 } // namespace
 } // namespace flash::nand
