@@ -5,27 +5,32 @@
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Seven rows, plus sense_dispatch on a CPU that runs a wider level
+ * Six rows, plus sense_dispatch on a CPU that runs a wider level
  * than the baseline, each timed as reference ("scalar") vs fast path
  * ("packed") and checked for identical results before any timing is
  * trusted:
  *
  *   snapshot_build    one data-region WordlineSnapshot: per-cell
- *                     trueState + Chip::cellVth + std::lround vs the
- *                     chunked SenseKernel pass. Every read session,
- *                     characterization and accuracy wordline pays it.
+ *                     trueState + Chip::cellVth + std::lround into
+ *                     per-state bins vs the chunked SenseKernel pass.
+ *                     Every read session, characterization and
+ *                     accuracy wordline pays it.
  *   sense_dispatch    the same snapshot sensed by the baseline
  *                     (SSE2) kernel vs the level this CPU selects
  *                     (util/cpu_level.hh); the two snapshots must be
  *                     equal. Left out when the baseline is selected,
  *                     so no row times a path against itself.
- *   sense_count_page  one read session (4 voltage sets) over a full
- *                     wordline: per-voltage Chip::readBits + byte
- *                     compare vs one WordlineVthView + packed
- *                     pageRead. The repo's sense+count hot path.
- *   soft_agreement    6-extra-sense agreement accumulation: byte adds
- *                     vs XOR/flip + bit-sliced counter.
- *   bit_errors        raw mismatch count: byte loop vs diffCount.
+ *   sense_count_page  one read session (4 voltage sets) over the data
+ *                     region: per-voltage Chip::readBits + byte
+ *                     compare vs one WordlineSnapshot and its
+ *                     pageErrors at each set — the read session's
+ *                     sense+count path.
+ *   soft_agreement    a 3-bit soft read (7 senses) of the data
+ *                     region: per-cell Chip::readBits at each shifted
+ *                     voltage set + byte agreement counts vs
+ *                     ecc::softReadRange on the kernel's chunk steps.
+ *                     Same hard bits, and |LLR| increasing in the
+ *                     reference agreement count.
  *   model_predict     per-read voltage-model prediction: a fresh 4x4
  *                     elimination on every call (predictFresh) vs the
  *                     cached solve the read path pays (predict),
@@ -59,11 +64,9 @@
 #include "bench_support.hh"
 #include "core/sentinel_layout.hh"
 #include "core/voltage_predictor.hh"
+#include "ecc/soft_sensing.hh"
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
-#include "util/bitplane.hh"
 #include "util/cpu_level.hh"
-#include "util/histogram.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 
@@ -168,21 +171,23 @@ main(int argc, char **argv)
         const int hi = chip.model().vthMax();
         const auto states =
             static_cast<std::size_t>(chip.geometry().states());
-        std::vector<util::Histogram> scalar_hist;
+        const auto width = static_cast<std::size_t>(hi - lo + 1);
+        std::vector<std::vector<std::uint64_t>> scalar_bins;
         std::optional<nand::WordlineSnapshot> packed_snap;
         const auto scalar = [&] {
-            std::vector<util::Histogram> hist(states,
-                                              util::Histogram(lo, hi));
+            std::vector<std::vector<std::uint64_t>> bins(
+                states, std::vector<std::uint64_t>(width));
             const nand::WordlineContext ctx =
                 chip.wordlineContext(block, wl);
             for (int col = 0; col < cells; ++col) {
                 const int s = chip.trueState(block, wl, col);
-                hist[static_cast<std::size_t>(s)].add(
-                    static_cast<int>(std::lround(
-                        chip.cellVth(ctx, block, wl, col, s, 3000))));
+                const int d = static_cast<int>(std::lround(
+                    chip.cellVth(ctx, block, wl, col, s, 3000)));
+                ++bins[static_cast<std::size_t>(s)]
+                      [static_cast<std::size_t>(std::clamp(d, lo, hi) - lo)];
             }
-            g_sink = hist[0].total();
-            scalar_hist = std::move(hist);
+            g_sink = bins[0][width / 2];
+            scalar_bins = std::move(bins);
         };
         const auto packed = [&] {
             packed_snap.emplace(
@@ -194,7 +199,7 @@ main(int argc, char **argv)
                 for (int v = lo; v <= hi; ++v) {
                     if (packed_snap->stateCellsInRange(static_cast<int>(s),
                                                        v - 1, v)
-                        != scalar_hist[s].binCount(v))
+                        != scalar_bins[s][static_cast<std::size_t>(v - lo)])
                         return false;
                 }
             }
@@ -229,9 +234,9 @@ main(int argc, char **argv)
     {
         // Session semantics (see ReadContext): one noise draw per
         // session, reused across every voltage set. The byte-wise
-        // chip API has no way to reuse a sense, so the oracle rehashes
-        // every cell once per voltage set; the view senses once and
-        // re-thresholds the same DAC values.
+        // chip API has no way to reuse a sense, so the reference
+        // rehashes every cell once per voltage set; the session senses
+        // one snapshot and counts each set's errors from its bins.
         std::uint64_t scalar_errs = 0, packed_errs = 0;
         const auto scalar = [&] {
             std::vector<std::uint8_t> tb, bits;
@@ -247,12 +252,11 @@ main(int argc, char **argv)
             g_sink = errs;
         };
         const auto packed = [&] {
-            const nand::WordlineVthView view =
-                nand::WordlineVthView::dataRegion(chip, block, wl);
-            const std::vector<int> dac = view.senseDac(1000);
+            const auto snap =
+                nand::WordlineSnapshot::dataRegion(chip, block, wl, 1000);
             std::uint64_t errs = 0;
             for (std::size_t i = 0; i < sets.size(); ++i)
-                errs += view.pageRead(page, sets[i], dac).bitErrors;
+                errs += snap.pageErrors(page, sets[i]);
             packed_errs = errs;
             g_sink = errs;
         };
@@ -261,86 +265,72 @@ main(int argc, char **argv)
     }
 
     // --- soft_agreement ---------------------------------------------
-    // Both paths consume what the sensing layer produces — packed
-    // bitplanes from WordlineVthView::packBits — and both end with
-    // the per-cell agreement bytes the LLR mapping needs. The scalar
-    // oracle (the pre-packed softReadRange shape) expands every sense
-    // to bytes and byte-adds; the packed path XORs planes into the
-    // bit-sliced counter and expands once at the end.
     {
-        const std::size_t n = static_cast<std::size_t>(cells);
-        util::Rng rng(0x50f7);
-        std::vector<util::Bitplane> sense_planes(7, util::Bitplane(n));
-        for (int s = 0; s < 7; ++s) {
-            auto &plane = sense_planes[static_cast<std::size_t>(s)];
-            for (std::size_t i = 0; i < n; ++i)
-                plane.assign(i, rng.uniformInt(16) != 0); // mostly agree
-        }
-        std::vector<std::uint8_t> scalar_out(n), packed_out(n);
+        // A 3-bit soft read of the data region. The reference senses
+        // cell by cell: Chip::readBits at the center voltages, then at
+        // each of the six shifted sets (-3..-1, +1..+3 steps, read
+        // seqs base + 1..6), counting agreements with the center in
+        // bytes. The fast path hashes each cell's static Vth once.
+        // Both must give the same hard bits, and every cell's |LLR|
+        // must be an increasing function of its reference agreement.
+        constexpr double kDelta = 6.0;
+        constexpr std::uint64_t kBase = 2000;
+        std::vector<std::uint8_t> hard;
+        std::vector<std::uint8_t> agree;
+        ecc::SoftReadResult soft;
         const auto scalar = [&] {
-            std::vector<std::uint8_t> hard(n), bits(n);
-            sense_planes[0].expand(hard.data());
-            std::fill(scalar_out.begin(), scalar_out.end(), 0);
-            for (int s = 1; s < 7; ++s) {
-                sense_planes[static_cast<std::size_t>(s)].expand(
-                    bits.data());
-                for (std::size_t i = 0; i < n; ++i)
-                    scalar_out[i] = static_cast<std::uint8_t>(
-                        scalar_out[i] + (bits[i] == hard[i]));
+            std::vector<std::uint8_t> center, bits;
+            chip.readBits(block, wl, page, defaults, kBase, 0, cells, center);
+            std::vector<std::uint8_t> count(center.size(), 0);
+            std::uint64_t seq = kBase;
+            for (int s = -3; s <= 3; ++s) {
+                if (s == 0)
+                    continue;
+                std::vector<int> shifted = defaults;
+                for (std::size_t k = 1; k < shifted.size(); ++k)
+                    shifted[k] += static_cast<int>(s * kDelta);
+                chip.readBits(block, wl, page, shifted, ++seq, 0, cells,
+                              bits);
+                for (std::size_t i = 0; i < bits.size(); ++i)
+                    count[i] = static_cast<std::uint8_t>(
+                        count[i] + (bits[i] == center[i]));
             }
-            g_sink = scalar_out[n / 2];
+            g_sink = count[count.size() / 2];
+            hard = std::move(center);
+            agree = std::move(count);
         };
         const auto packed = [&] {
-            util::SlicedCounter3 agreement(n);
-            const auto &hard = sense_planes[0];
-            for (int s = 1; s < 7; ++s) {
-                util::Bitplane match =
-                    sense_planes[static_cast<std::size_t>(s)];
-                match ^= hard;
-                match.flip();
-                agreement.add(match);
+            soft = ecc::softReadRange(chip, block, wl, page, defaults,
+                                      ecc::SensingMode::Soft3Bit, kDelta,
+                                      kBase, 0, cells);
+            g_sink = soft.hardBits[soft.hardBits.size() / 2];
+        };
+        const auto same = [&] {
+            if (soft.hardBits != hard)
+                return false;
+            float mag_of[8] = {};
+            for (std::size_t i = 0; i < hard.size(); ++i) {
+                const float mag = std::abs(soft.llr[i]);
+                if ((soft.llr[i] < 0.0f) != (hard[i] == 1))
+                    return false;
+                float &m = mag_of[agree[i]];
+                if (m == 0.0f)
+                    m = mag;
+                else if (m != mag)
+                    return false;
             }
-            agreement.expand(packed_out.data());
-            g_sink = packed_out[n / 2];
-        };
-        results.push_back(measure("soft_agreement", reps, scalar, packed,
-                                  [&] { return scalar_out == packed_out; }));
-    }
-
-    // --- bit_errors -------------------------------------------------
-    {
-        const std::size_t n = static_cast<std::size_t>(cells);
-        util::Rng rng(0xb17e);
-        std::vector<std::uint8_t> a_bytes(n), b_bytes(n);
-        util::Bitplane a_plane(n), b_plane(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const bool a = rng.uniformInt(2) != 0;
-            const bool b = rng.uniformInt(50) == 0 ? !a : a;
-            a_bytes[i] = a ? 1 : 0;
-            b_bytes[i] = b ? 1 : 0;
-            a_plane.assign(i, a);
-            b_plane.assign(i, b);
-        }
-        std::uint64_t scalar_acc = 0, packed_acc = 0;
-        const auto scalar = [&] {
-            std::uint64_t errs = 0;
-            // 16 passes so the kernel dominates the timer resolution.
-            for (int r = 0; r < 16; ++r) {
-                for (std::size_t i = 0; i < n; ++i)
-                    errs += a_bytes[i] != b_bytes[i];
+            float prev = 0.0f;
+            for (const float m : mag_of) {
+                if (m == 0.0f)
+                    continue;
+                if (m <= prev)
+                    return false;
+                prev = m;
             }
-            scalar_acc = errs;
-            g_sink = errs;
+            return true;
         };
-        const auto packed = [&] {
-            std::uint64_t errs = 0;
-            for (int r = 0; r < 16; ++r)
-                errs += util::diffCount(a_plane, b_plane);
-            packed_acc = errs;
-            g_sink = errs;
-        };
-        results.push_back(measure("bit_errors", reps, scalar, packed,
-                                  [&] { return scalar_acc == packed_acc; }));
+        results.push_back(
+            measure("soft_agreement", reps, scalar, packed, same));
     }
 
     // --- voltage model ----------------------------------------------

@@ -7,6 +7,11 @@
  * soft uses 7. A bit's confidence is how many senses agree with the
  * center sense, which measures how far the cell's Vth sits from the
  * threshold — the information soft LDPC decoding feeds on.
+ *
+ * The senses run on nand::SenseKernel's chunk steps: each cell's
+ * static Vth is computed once, and every sense only adds its own read
+ * noise and compares. Chip::readBits at the same voltages and read
+ * sequences is the per-cell reference (tests/test_soft_sensing.cc).
  */
 
 #ifndef SENTINELFLASH_ECC_SOFT_SENSING_HH
@@ -48,8 +53,11 @@ struct SoftReadResult
  * @param voltages Read voltages indexed by boundary (1-based).
  * @param mode Sensing precision.
  * @param delta_dac Spacing of the extra senses in DAC units.
- * @param read_seq_base Each sense uses read_seq_base + its index,
- *        so every sense op draws fresh sensing noise.
+ * @param read_seq_base The center sense uses read_seq_base and the
+ *        shifted senses (-half..-1, +1..+half steps of delta_dac)
+ *        read_seq_base + 1.., so every sense op draws fresh noise.
+ * @throws util::FatalError on a column range outside the wordline, a
+ *         page out of range or a voltage vector shorter than states().
  */
 SoftReadResult softReadRange(const nand::Chip &chip, int block, int wl,
                              int page, const std::vector<int> &voltages,

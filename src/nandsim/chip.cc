@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nandsim/vth_view.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -257,24 +256,6 @@ Chip::senseVth(int block, int wl, int col, std::uint64_t read_seq) const
 {
     const WordlineContext ctx = wordlineContext(block, wl);
     return cellVth(ctx, block, wl, col, trueState(block, wl, col), read_seq);
-}
-
-PageReadResult
-Chip::readPage(int block, int wl, int page,
-               const std::vector<int> &voltages,
-               std::uint64_t read_seq) const
-{
-    checkAddress(block, wl);
-    util::fatalIf(page < 0 || page >= geom_.pagesPerWordline(),
-                  "chip: page out of range");
-    util::fatalIf(static_cast<int>(voltages.size()) < geom_.states(),
-                  "chip: voltage vector must be indexed 1..boundaries");
-    // One WordlineContext and one content/hash pass for the whole
-    // read (the old path walked the cells twice, byte per bit, and
-    // re-derived the context on every call); the error count is a
-    // packed XOR/popcount against the true bitplane.
-    const WordlineVthView view(*this, block, wl, 0, geom_.dataBitlines);
-    return view.pageRead(page, voltages, read_seq);
 }
 
 void

@@ -82,21 +82,6 @@ struct WordlineContext
     double readNoiseSigma = 0.0;
 };
 
-/** Result of an exact page read. */
-struct PageReadResult
-{
-    std::uint64_t bitErrors = 0; ///< misread bits vs programmed data
-    std::uint64_t bits = 0;      ///< bits read
-
-    /** Raw bit error rate of this read. */
-    double rber() const
-    {
-        return bits ? static_cast<double>(bitErrors)
-                / static_cast<double>(bits)
-                    : 0.0;
-    }
-};
-
 /**
  * One simulated chip. Fully immutable after programming and aging:
  * every sensing entry point is const, keeps no hidden state, and
@@ -213,17 +198,11 @@ class Chip
                      std::uint64_t read_seq) const;
 
     /**
-     * Exact page read: applies the page's read voltages (indexed by
-     * boundary, 1-based; only the page's boundaries are consulted)
-     * and counts misread bits against the programmed data.
-     */
-    PageReadResult readPage(int block, int wl, int page,
-                            const std::vector<int> &voltages,
-                            std::uint64_t read_seq) const;
-
-    /**
      * Read raw bits of a column range of a page into @p bits_out
-     * (one byte per bit). Used by the ECC experiments.
+     * (one byte per bit), cell by cell through cellVth() and
+     * std::lround: the per-cell reference the kernel's page reads
+     * and soft reads are tested against. @p voltages is indexed by
+     * boundary, 1-based; only the page's boundaries are consulted.
      */
     void readBits(int block, int wl, int page,
                   const std::vector<int> &voltages, std::uint64_t read_seq,

@@ -2,14 +2,17 @@
  * @file
  * SenseKernel: the chunked, bit-exact sensing kernel of one wordline.
  *
- * Every snapshot and Vth view of the simulator senses its cells here,
- * kChunk columns at a time: true states, static-Vth hashes, Gaussians,
- * per-read noise, rounding to the DAC grid and binning, each step one
- * tight loop over a chunk held on the stack. No per-cell array
- * outlives a chunk. Chip::cellVth() (rounded with std::lround) stays
- * the per-cell reference: the kernel performs the same IEEE
- * operations in the same order, so its DAC values are bit-identical
- * (tests/test_sense_kernel.cc pins this).
+ * The simulator's one sensing path: every snapshot and soft read
+ * senses its cells here, kChunk columns at a time: true states,
+ * static-Vth hashes, Gaussians, per-read noise, rounding to the DAC
+ * grid and binning, each step one tight loop over a chunk held on the
+ * stack. WordlineSnapshot calls sense(), which runs every step and
+ * bins; ecc::softReadRange calls states() and staticVth() once per
+ * chunk, then addReadNoise() and roundDac() once per sense. No
+ * per-cell array outlives a chunk. Chip::cellVth() (rounded with
+ * std::lround) stays the per-cell reference: the kernel performs the
+ * same IEEE operations in the same order, so its DAC values are
+ * bit-identical (tests/test_sense_kernel.cc pins this).
  *
  * The steps are compiled once per x86-64 level (util/cpu_level.hh)
  * from one always-inline body; a kernel runs the level the CPU

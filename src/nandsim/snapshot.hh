@@ -16,7 +16,10 @@
  * in, as one flat array of inclusive prefix sums built eagerly, and
  * clears the touched scratch for the next sense. A count query below
  * a state's window is 0 and one at or above it is the state's total,
- * exactly what a full-range histogram answers.
+ * exactly what full-range per-state counts over [vthMin, vthMax]
+ * answer. Exact page error counts equal a cell-by-cell
+ * Chip::readBits read at the same read sequence, which the tests use
+ * as their independent oracle.
  */
 
 #ifndef SENTINELFLASH_NANDSIM_SNAPSHOT_HH

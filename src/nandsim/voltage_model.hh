@@ -185,7 +185,7 @@ class VoltageModel
     double readNoiseSigma() const { return params_.readNoiseSigma; }
 
     /**
-     * Lowest/highest representable sensed voltage (histogram bounds),
+     * Lowest/highest representable sensed voltage (the snapshot DAC range),
      * with generous margins for aged distributions.
      */
     int vthMin() const;

@@ -179,9 +179,10 @@ TEST_F(ChipTest, RefreshClearsAging)
 TEST_F(ChipTest, FreshChipReadsAlmostCleanly)
 {
     const auto v = chip.model().defaultVoltages();
+    const double cells = chip.geometry().dataBitlines;
     for (int page = 0; page < chip.geometry().pagesPerWordline(); ++page) {
-        const PageReadResult r = chip.readPage(0, 0, page, v, 123);
-        EXPECT_LT(r.rber(), 2e-3) << "page " << page;
+        const auto errors = test::exactPageErrors(chip, 0, 0, page, v, 123);
+        EXPECT_LT(static_cast<double>(errors) / cells, 2e-3) << "page " << page;
     }
 }
 
@@ -189,11 +190,11 @@ TEST_F(ChipTest, AgedChipHasManyMoreErrors)
 {
     const auto v = chip.model().defaultVoltages();
     const int msb = chip.grayCode().msbPage();
-    const auto fresh = chip.readPage(0, 0, msb, v, 5);
+    const std::uint64_t fresh = test::exactPageErrors(chip, 0, 0, msb, v, 5);
     chip.setPeCycles(0, 5000);
     chip.age(0, 8760.0, 25.0);
-    const auto aged = chip.readPage(0, 0, msb, v, 6);
-    EXPECT_GT(aged.bitErrors, 5 * (fresh.bitErrors + 1));
+    const std::uint64_t aged = test::exactPageErrors(chip, 0, 0, msb, v, 6);
+    EXPECT_GT(aged, 5 * (fresh + 1));
 }
 
 TEST_F(ChipTest, ReadBitsMatchesTrueBitsOnCleanCells)
@@ -263,14 +264,23 @@ TEST_F(ChipTest, WordlineContextMatchesModel)
 TEST_F(ChipTest, ReadPageRejectsBadArguments)
 {
     const auto v = chip.model().defaultVoltages();
-    EXPECT_THROW(chip.readPage(0, 0, 7, v, 1), util::FatalError);
-    std::vector<int> short_v{0, 1};
-    EXPECT_THROW(chip.readPage(0, 0, 0, short_v, 1), util::FatalError);
     std::vector<std::uint8_t> bits;
+    EXPECT_THROW(chip.readBits(0, 0, 7, v, 1, 0, 10, bits),
+                 util::FatalError);
+    EXPECT_THROW(chip.readBits(0, 0, -1, v, 1, 0, 10, bits),
+                 util::FatalError);
+    std::vector<int> short_v{0, 1};
+    EXPECT_THROW(chip.readBits(0, 0, 0, short_v, 1, 0, 10, bits),
+                 util::FatalError);
     EXPECT_THROW(chip.readBits(0, 0, 0, v, 1, -1, 10, bits),
                  util::FatalError);
     EXPECT_THROW(chip.readBits(0, 0, 0, v, 1, 10, 5, bits),
                  util::FatalError);
+    EXPECT_THROW(chip.readBits(0, 0, 0, v, 1, 0,
+                               chip.geometry().bitlines() + 1, bits),
+                 util::FatalError);
+    EXPECT_NO_THROW(chip.readBits(0, 0, 0, v, 1, 0,
+                                  chip.geometry().bitlines(), bits));
 }
 
 } // namespace

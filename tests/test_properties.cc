@@ -52,7 +52,7 @@ TEST_P(ConditionSweep, PageErrorCountsAgreeWithExactReads)
     const auto snap = nand::WordlineSnapshot::dataRegion(chip, 0, 5, seq);
     for (int p = 0; p < chip.geometry().pagesPerWordline(); ++p) {
         EXPECT_EQ(snap.pageErrors(p, v),
-                  chip.readPage(0, 5, p, v, seq).bitErrors)
+                  test::exactPageErrors(chip, 0, 5, p, v, seq))
             << "page " << p;
     }
 }

@@ -1,8 +1,8 @@
 /**
  * SenseKernel equivalence suite: the chunked kernel must reproduce the
  * per-cell reference bit for bit — toGaussianBatch vs toGaussian,
- * roundDac vs std::lround, and kernel-built snapshots and views vs
- * Chip::trueState / Chip::cellVth + std::lround — on TLC and QLC,
+ * roundDac vs std::lround, and kernel-built snapshots and chunk steps
+ * vs Chip::trueState / Chip::cellVth + std::lround — on TLC and QLC,
  * fresh and aged, with a sentinel overlay, explicit states and no read
  * noise, over chunk-edge column ranges, at every CPU level the host
  * can execute. The compact snapshot must answer every count query as
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <cmath>
@@ -26,11 +27,9 @@
 #include "core/sentinel_layout.hh"
 #include "nandsim/sense_kernel.hh"
 #include "nandsim/snapshot.hh"
-#include "nandsim/vth_view.hh"
 #include "test_support.hh"
 #include "util/cpu_level.hh"
 #include "util/gaussian_batch.hh"
-#include "util/histogram.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
@@ -199,6 +198,63 @@ TEST(RoundDac, MatchesLroundAtHalves)
     }
 }
 
+/**
+ * Reference counts of one state's DAC values over [lo, hi], one
+ * counter per value and clamped on add: the full-range counts whose
+ * answers a compact snapshot must reproduce.
+ */
+class DacCounts
+{
+  public:
+    DacCounts(int lo, int hi)
+        : lo_(lo), hi_(hi), bins_(static_cast<std::size_t>(hi - lo + 1))
+    {
+    }
+
+    void
+    add(int v)
+    {
+        ++bins_[static_cast<std::size_t>(std::clamp(v, lo_, hi_) - lo_)];
+        ++total_;
+        atOrBelow_.clear();
+    }
+
+    int lo() const { return lo_; }
+    int hi() const { return hi_; }
+    std::uint64_t total() const { return total_; }
+
+    std::uint64_t
+    binCount(int v) const
+    {
+        return bins_[static_cast<std::size_t>(std::clamp(v, lo_, hi_) - lo_)];
+    }
+
+    /** Count of values <= v: 0 below lo(), total() from hi() up. */
+    std::uint64_t
+    countAtOrBelow(int v) const
+    {
+        if (v < lo_)
+            return 0;
+        if (v >= hi_)
+            return total_;
+        if (atOrBelow_.empty()) {
+            atOrBelow_.resize(bins_.size());
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < bins_.size(); ++i)
+                atOrBelow_[i] = sum += bins_[i];
+        }
+        return atOrBelow_[static_cast<std::size_t>(v - lo_)];
+    }
+
+    std::uint64_t countAbove(int v) const { return total_ - countAtOrBelow(v); }
+
+  private:
+    int lo_, hi_;
+    std::uint64_t total_ = 0;
+    std::vector<std::uint64_t> bins_;
+    mutable std::vector<std::uint64_t> atOrBelow_; ///< built on query
+};
+
 /** A chip with a procedural and an explicit-state block, both overlaid. */
 class ChipFixture : public ::testing::Test
 {
@@ -275,15 +331,14 @@ class ChipFixture : public ::testing::Test
             chip_->cellVth(ctx, block, kWl, col, state, seq)));
     }
 
-    /** Per-state full-range histograms of the per-cell reference. */
-    std::vector<util::Histogram>
+    /** Per-state full-range counts of the per-cell reference. */
+    std::vector<DacCounts>
     referenceHistograms(int block, int b, int e, std::uint64_t seq) const
     {
         const WordlineContext ctx = chip_->wordlineContext(block, kWl);
-        std::vector<util::Histogram> want(
+        std::vector<DacCounts> want(
             static_cast<std::size_t>(chip_->geometry().states()),
-            util::Histogram(chip_->model().vthMin(),
-                            chip_->model().vthMax()));
+            DacCounts(chip_->model().vthMin(), chip_->model().vthMax()));
         for (int col = b; col < e; ++col) {
             want[chip_->trueState(block, kWl, col)].add(
                 referenceDac(ctx, block, col, seq));
@@ -295,10 +350,10 @@ class ChipFixture : public ::testing::Test
     SentinelOverlay overlay_;
 };
 
-/** Assert @p snap holds the reference histograms' count at every bin. */
+/** Assert @p snap holds the reference counts at every bin. */
 void
 expectSameBins(const WordlineSnapshot &snap,
-               const std::vector<util::Histogram> &want,
+               const std::vector<DacCounts> &want,
                const std::string &where)
 {
     for (int s = 0; s < snap.states(); ++s) {
@@ -309,6 +364,26 @@ expectSameBins(const WordlineSnapshot &snap,
                 << where << " state " << s << " dac " << v;
         }
     }
+}
+
+/**
+ * One sense of columns [b, e) as DAC values, from the kernel's chunk
+ * steps: states, static Vth, read noise, roundDac.
+ */
+std::vector<int>
+senseDac(const SenseKernel &kernel, int b, int e, std::uint64_t seq)
+{
+    std::vector<int> dac;
+    SenseKernel::forEachChunk(b, e, [&](int col, int n) {
+        std::uint8_t st[SenseKernel::kChunk];
+        double vth[SenseKernel::kChunk];
+        kernel.states(col, n, st);
+        kernel.staticVth(col, n, st, vth);
+        kernel.addReadNoise(col, n, seq, vth);
+        for (int i = 0; i < n; ++i)
+            dac.push_back(roundDac(vth[i]));
+    });
+    return dac;
 }
 
 // Kernel vs per-cell reference. Param: cell type, aged, read noise.
@@ -370,16 +445,14 @@ TEST_P(SenseKernelTest, SnapshotHistogramsMatchPerCellReference)
 TEST_P(SenseKernelTest, SenseDacMatchesPerCellReference)
 {
     for (const int block : {kProcBlock, kExplicitBlock}) {
+        const SenseKernel kernel(*chip_, block, kWl);
         const WordlineContext ctx = chip_->wordlineContext(block, kWl);
         for (const auto [b, e] : ranges()) {
-            const WordlineVthView view(*chip_, block, kWl, b, e);
             for (const std::uint64_t seq : {3ULL, 0xfeedULL}) {
-                const std::vector<int> dac = view.senseDac(seq);
+                const std::vector<int> dac = senseDac(kernel, b, e, seq);
                 ASSERT_EQ(dac.size(), static_cast<std::size_t>(e - b));
                 for (int col = b; col < e; ++col) {
                     const auto i = static_cast<std::size_t>(col - b);
-                    ASSERT_EQ(view.state(i),
-                              chip_->trueState(block, kWl, col));
                     ASSERT_EQ(dac[i], referenceDac(ctx, block, col, seq))
                         << "block " << block << " col " << col;
                 }
@@ -411,8 +484,9 @@ TEST_P(SenseKernelTest, NoiseFreeModelIgnoresReadSeq)
 {
     const bool noise = std::get<2>(GetParam());
     const int all = chip_->geometry().bitlines();
-    const WordlineVthView view(*chip_, kProcBlock, kWl, 0, all);
-    const bool same = view.senseDac(1) == view.senseDac(2);
+    const SenseKernel kernel(*chip_, kProcBlock, kWl);
+    const bool same =
+        senseDac(kernel, 0, all, 1) == senseDac(kernel, 0, all, 2);
     EXPECT_EQ(same, !noise);
 }
 
@@ -521,9 +595,9 @@ INSTANTIATE_TEST_SUITE_P(
 struct FullRangeOracle
 {
     const GrayCode *code;
-    std::vector<util::Histogram> hist;
+    std::vector<DacCounts> hist;
 
-    const util::Histogram &
+    const DacCounts &
     at(int s) const
     {
         return hist[static_cast<std::size_t>(s)];

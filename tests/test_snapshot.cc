@@ -70,8 +70,8 @@ TEST_F(SnapshotTest, PageErrorsMatchExactChipRead)
     const auto snap = WordlineSnapshot::dataRegion(chip, 0, 1, seq);
     const auto v = chip.model().defaultVoltages();
     for (int page = 0; page < chip.geometry().pagesPerWordline(); ++page) {
-        const PageReadResult exact = chip.readPage(0, 1, page, v, seq);
-        EXPECT_EQ(snap.pageErrors(page, v), exact.bitErrors)
+        EXPECT_EQ(snap.pageErrors(page, v),
+                  test::exactPageErrors(chip, 0, 1, page, v, seq))
             << "page " << page;
     }
 }
@@ -84,8 +84,8 @@ TEST_F(SnapshotTest, PageErrorsMatchExactReadAtTunedVoltages)
     for (std::size_t k = 1; k < v.size(); ++k)
         v[k] -= 15;
     for (int page = 0; page < chip.geometry().pagesPerWordline(); ++page) {
-        const PageReadResult exact = chip.readPage(0, 2, page, v, seq);
-        EXPECT_EQ(snap.pageErrors(page, v), exact.bitErrors)
+        EXPECT_EQ(snap.pageErrors(page, v),
+                  test::exactPageErrors(chip, 0, 2, page, v, seq))
             << "page " << page;
     }
 }

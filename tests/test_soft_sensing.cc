@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "ecc/soft_sensing.hh"
 #include "test_support.hh"
+#include "util/logging.hh"
 
 namespace flash::ecc
 {
@@ -126,6 +130,96 @@ TEST_F(SoftSensingTest, DeterministicForSameReadSeqBase)
                                  SensingMode::Soft2Bit, 6.0, 700, 0, 128);
     EXPECT_EQ(a.hardBits, b.hardBits);
     EXPECT_EQ(a.llr, b.llr);
+}
+
+TEST_F(SoftSensingTest, MatchesPerCellReference)
+{
+    // Block 1 carries a sentinel overlay in its OOB tail, so the last
+    // range senses sentinel cells too.
+    const auto &geom = chip.geometry();
+    nand::SentinelOverlay overlay;
+    overlay.start = geom.dataBitlines + 5;
+    overlay.count = 301;
+    overlay.lowState = static_cast<std::uint8_t>(geom.states() / 2 - 1);
+    overlay.highState = static_cast<std::uint8_t>(geom.states() / 2);
+    chip.programBlock(1, 55, overlay);
+    chip.setPeCycles(1, 2000);
+    chip.age(1, 4380.0, 25.0);
+
+    constexpr int kWl = 2;
+    constexpr double kDelta = 6.0;
+    const std::pair<int, int> ranges[] = {
+        {0, geom.dataBitlines}, {100, 700}, {3000, geom.bitlines()}};
+    for (const auto mode : {SensingMode::Hard, SensingMode::Soft2Bit,
+                            SensingMode::Soft3Bit}) {
+        const int half = (senseOps(mode) - 1) / 2;
+        for (const auto [b, e] : ranges) {
+            for (int page = 0; page < geom.pagesPerWordline(); ++page) {
+                const std::uint64_t base =
+                    1000 + static_cast<std::uint64_t>(b + page);
+                SCOPED_TRACE(std::string(sensingModeName(mode)) + " ["
+                             + std::to_string(b) + ", " + std::to_string(e)
+                             + ") page " + std::to_string(page));
+                const auto r = softReadRange(chip, 1, kWl, page, voltages,
+                                             mode, kDelta, base, b, e);
+
+                // Center sense at base, then the shifted senses in
+                // order -half..-1, +1..+half at base + 1...
+                std::vector<std::uint8_t> hard, bits;
+                chip.readBits(1, kWl, page, voltages, base, b, e, hard);
+                ASSERT_EQ(r.hardBits, hard);
+                std::vector<int> agree(hard.size(), 0);
+                std::uint64_t seq = base;
+                for (int s = -half; s <= half; ++s) {
+                    if (s == 0)
+                        continue;
+                    std::vector<int> shifted = voltages;
+                    for (std::size_t k = 1; k < shifted.size(); ++k)
+                        shifted[k] += static_cast<int>(s * kDelta);
+                    chip.readBits(1, kWl, page, shifted, ++seq, b, e, bits);
+                    for (std::size_t i = 0; i < bits.size(); ++i)
+                        agree[i] += bits[i] == hard[i];
+                }
+
+                ASSERT_EQ(r.llr.size(), hard.size());
+                std::map<int, float> mag_of;
+                for (std::size_t i = 0; i < hard.size(); ++i) {
+                    const float mag = std::abs(r.llr[i]);
+                    ASSERT_EQ(r.llr[i] < 0.0f, hard[i] == 1) << "cell " << i;
+                    const auto [it, fresh] = mag_of.emplace(agree[i], mag);
+                    ASSERT_EQ(it->second, mag)
+                        << "cell " << i << " agreement " << agree[i];
+                }
+                float prev = 0.0f;
+                for (const auto [count, mag] : mag_of) {
+                    EXPECT_GT(mag, prev) << "agreement " << count;
+                    prev = mag;
+                }
+                if (mode != SensingMode::Hard && b == 0)
+                    EXPECT_GE(mag_of.size(), 2u);
+            }
+        }
+    }
+}
+
+TEST_F(SoftSensingTest, RejectsBadArguments)
+{
+    const int all = chip.geometry().bitlines();
+    const auto read = [&](int page, const std::vector<int> &v, int b,
+                          int e) {
+        return softReadRange(chip, 0, 0, page, v, SensingMode::Soft3Bit,
+                             6.0, 1, b, e);
+    };
+    EXPECT_THROW(read(0, voltages, -1, 10), util::FatalError);
+    EXPECT_THROW(read(0, voltages, 10, 5), util::FatalError);
+    EXPECT_THROW(read(0, voltages, 0, all + 1), util::FatalError);
+    EXPECT_THROW(read(-1, voltages, 0, 10), util::FatalError);
+    EXPECT_THROW(read(chip.geometry().pagesPerWordline(), voltages, 0, 10),
+                 util::FatalError);
+    const std::vector<int> short_v(voltages.begin(), voltages.end() - 1);
+    EXPECT_THROW(read(0, short_v, 0, 10), util::FatalError);
+    EXPECT_EQ(read(0, voltages, all - 3, all).hardBits.size(), 3u);
+    EXPECT_TRUE(read(0, voltages, 7, 7).llr.empty());
 }
 
 } // namespace

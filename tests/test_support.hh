@@ -6,6 +6,9 @@
 #ifndef SENTINELFLASH_TESTS_TEST_SUPPORT_HH
 #define SENTINELFLASH_TESTS_TEST_SUPPORT_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "nandsim/chip.hh"
 #include "nandsim/geometry.hh"
 #include "nandsim/voltage_model.hh"
@@ -62,6 +65,25 @@ agedTlcChip(std::uint64_t seed = 1234, std::uint32_t pe = 5000,
         chip.age(b, hours, 25.0);
     }
     return chip;
+}
+
+/**
+ * Bit errors of one read of a page's data region, counted cell by
+ * cell from Chip::readBits (cellVth + std::lround) against
+ * Chip::trueBits: an exact-read oracle independent of SenseKernel.
+ */
+inline std::uint64_t
+exactPageErrors(const nand::Chip &chip, int block, int wl, int page,
+                const std::vector<int> &voltages, std::uint64_t read_seq)
+{
+    const int cells = chip.geometry().dataBitlines;
+    std::vector<std::uint8_t> read, truth;
+    chip.readBits(block, wl, page, voltages, read_seq, 0, cells, read);
+    chip.trueBits(block, wl, page, 0, cells, truth);
+    std::uint64_t errors = 0;
+    for (std::size_t i = 0; i < read.size(); ++i)
+        errors += read[i] != truth[i];
+    return errors;
 }
 
 } // namespace flash::test
