@@ -7,6 +7,7 @@
 #define SENTINELFLASH_SSD_CONFIG_HH
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "util/logging.hh"
 
@@ -82,6 +83,15 @@ struct SsdConfig
                           || planesPerDie < 1 || blocksPerPlane < 2
                           || pagesPerBlock < 1 || pageKb < 1,
                       "SsdConfig: bad organization");
+        // Stepwise in 64 bits: no product overflows before its check.
+        std::int64_t n = channels;
+        for (int f : {chipsPerChannel, diesPerChip, planesPerDie})
+            util::fatalIf((n *= f) > INT32_MAX,
+                          "SsdConfig: plane count overflows int");
+        for (int f : {blocksPerPlane, pagesPerBlock})
+            util::fatalIf((n *= f) > INT32_MAX,
+                          "SsdConfig: physical pages overflow the 32-bit "
+                          "page tables");
         util::fatalIf(overprovision <= 0.0 || overprovision >= 0.5,
                       "SsdConfig: bad over-provisioning");
     }

@@ -8,9 +8,10 @@ namespace flash::ssd
 {
 
 FastFtl::FastFtl(const SsdConfig &config, bool precondition)
-    : config_(config), logicalPages_(config.logicalPages())
+    : config_(config)
 {
     config_.validate();
+    logicalPages_ = config_.logicalPages();
     logicalBlocks_ = (logicalPages_ + config_.pagesPerBlock - 1)
         / config_.pagesPerBlock;
     const int planes = config_.totalPlanes();

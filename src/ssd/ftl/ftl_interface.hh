@@ -140,6 +140,7 @@ class FtlInterface
     /** Fraction of all physical blocks currently free. */
     virtual double freeFraction() const = 0;
 
+    /** Bytes of the tables at their allocated size, not as touched. */
     virtual std::size_t footprintBytes() const = 0;
 
     /**

@@ -9,18 +9,25 @@ namespace flash::ssd
 {
 
 PageFtl::PageFtl(const SsdConfig &config, bool precondition)
-    : config_(config), logicalPages_(config.logicalPages())
+    : config_(config)
 {
     config_.validate();
+    logicalPages_ = config_.logicalPages();
 
-    // Reserve every table before filling any, so the heap layout is
-    // one fixed order whether or not the drive is preconditioned.
-    map_.reserve(static_cast<std::size_t>(logicalPages_));
+    // Allocated, not initialized: a table page is first touched when
+    // a chunk or block goes live (mapSlot(), ownerRow()). Until then
+    // an entry reads as its closed form: the sequential layout below
+    // filled_, unmapped / invalid (-1) above it.
+    map_ = std::make_unique_for_overwrite<std::int32_t[]>(
+        static_cast<std::size_t>(logicalPages_));
+    mapLive_.assign(
+        static_cast<std::size_t>((logicalPages_ + kMapChunk - 1) / kMapChunk),
+        false);
+    owner_ = std::make_unique_for_overwrite<std::int32_t[]>(
+        static_cast<std::size_t>(config_.physicalPages()));
     planes_.resize(static_cast<std::size_t>(config_.totalPlanes()));
     for (auto &plane : planes_) {
         plane.blocks.resize(static_cast<std::size_t>(config_.blocksPerPlane));
-        for (auto &blk : plane.blocks)
-            blk.owner.reserve(static_cast<std::size_t>(config_.pagesPerBlock));
         plane.freeList.reserve(
             static_cast<std::size_t>(config_.blocksPerPlane));
         for (int b = config_.blocksPerPlane - 1; b >= 0; --b)
@@ -29,25 +36,17 @@ PageFtl::PageFtl(const SsdConfig &config, bool precondition)
 
     if (precondition)
         fillSequential();
-
-    // What the fill left unwritten (everything, without one) is
-    // unmapped (map_) or invalid (owner): -1.
-    map_.resize(static_cast<std::size_t>(logicalPages_), -1);
-    for (auto &plane : planes_) {
-        for (auto &blk : plane.blocks)
-            blk.owner.resize(static_cast<std::size_t>(config_.pagesPerBlock),
-                             -1);
-    }
 }
 
 void
 PageFtl::fillSequential()
 {
-    // The state write(0), ..., write(L - 1) leaves on an empty drive,
-    // built directly: LPN k*P + p lands on plane p, block k / ppb,
-    // page k % ppb, every plane taking blocks from the back of its
-    // free list (0, 1, 2, ...) in the same global order. Stats stay
-    // zero: preconditioning is not host traffic.
+    // The state write(0), ..., write(L - 1) leaves on an empty drive:
+    // LPN k*P + p lands on plane p, block k / ppb, page k % ppb, every
+    // plane taking blocks from the back of its free list (0, 1, 2, ...)
+    // in the same global order. Only the per-block counters and free
+    // lists are built; the map and owner entries stay implicit below
+    // filled_. Stats stay zero: preconditioning is not host traffic.
     const int planes = config_.totalPlanes();
     const int blocks = config_.blocksPerPlane;
     const int ppb = config_.pagesPerBlock;
@@ -78,8 +77,7 @@ PageFtl::fillSequential()
                         + " while filling the drive");
         }
 
-        // Block b was the (b*P + p + 1)-th activation overall; its pages
-        // hold LPNs (b*ppb + page)*P + p, each written once in order.
+        // Block b was the (b*P + p + 1)-th activation overall.
         Plane &plane = planes_[static_cast<std::size_t>(p)];
         for (int b = 0; b < used; ++b) {
             Block &blk = plane.blocks[static_cast<std::size_t>(b)];
@@ -87,22 +85,95 @@ PageFtl::fillSequential()
                 ppb, pages - static_cast<std::int64_t>(b) * ppb));
             blk.validPages = blk.nextPage;
             blk.stampedAt = static_cast<std::uint64_t>(b) * planes + p + 1;
-            std::int64_t lpn = static_cast<std::int64_t>(b) * ppb * planes + p;
-            for (int page = 0; page < blk.nextPage; ++page, lpn += planes)
-                blk.owner.push_back(lpn);
         }
         plane.freeList.resize(static_cast<std::size_t>(blocks - used));
         plane.activeBlock = used - 1;
         allocClock_ += static_cast<std::uint64_t>(used);
     }
-
-    // map_ in LPN order: k*P + p -> pack({p, k / ppb, k % ppb}).
-    const std::int64_t plane_pages = static_cast<std::int64_t>(blocks) * ppb;
-    for (std::int64_t k = 0, lpn = 0; lpn < logicalPages_; ++k) {
-        for (int p = 0; p < planes && lpn < logicalPages_; ++p, ++lpn)
-            map_.push_back(p * plane_pages + k);
-    }
+    filled_ = logicalPages_;
     writeCursor_ = static_cast<std::uint64_t>(logicalPages_);
+}
+
+std::int32_t
+PageFtl::mapped(std::int64_t lpn) const
+{
+    if (mapLive_[static_cast<std::size_t>(lpn / kMapChunk)])
+        return map_[static_cast<std::size_t>(lpn)];
+    if (lpn >= filled_)
+        return -1;
+    // LPN k*P + p -> pack({p, k / ppb, k % ppb}) = p*B*ppb + k.
+    const int planes = config_.totalPlanes();
+    return static_cast<std::int32_t>(lpn % planes * config_.blocksPerPlane
+                                         * config_.pagesPerBlock
+                                     + lpn / planes);
+}
+
+std::int32_t &
+PageFtl::mapSlot(std::int64_t lpn)
+{
+    const std::int64_t chunk = lpn / kMapChunk;
+    if (!mapLive_[static_cast<std::size_t>(chunk)]) {
+        // mapped()'s closed form, stepped through the chunk.
+        const int planes = config_.totalPlanes();
+        std::int64_t l = chunk * kMapChunk, k = l / planes, p = l % planes;
+        const std::int64_t end = std::min(l + kMapChunk, logicalPages_);
+        for (; l < end; ++l) {
+            map_[static_cast<std::size_t>(l)] = l < filled_
+                ? static_cast<std::int32_t>(
+                    p * config_.blocksPerPlane * config_.pagesPerBlock + k)
+                : -1;
+            if (++p == planes) {
+                p = 0;
+                ++k;
+            }
+        }
+        mapLive_[static_cast<std::size_t>(chunk)] = true;
+    }
+    return map_[static_cast<std::size_t>(lpn)];
+}
+
+std::int32_t
+PageFtl::owner(int plane, int block, int page) const
+{
+    if (planes_[static_cast<std::size_t>(plane)]
+            .blocks[static_cast<std::size_t>(block)]
+            .ownersLive)
+        return owner_[static_cast<std::size_t>(pack({plane, block, page}))];
+    const std::int64_t lpn =
+        (static_cast<std::int64_t>(block) * config_.pagesPerBlock + page)
+            * config_.totalPlanes()
+        + plane;
+    return lpn < filled_ ? static_cast<std::int32_t>(lpn) : -1;
+}
+
+std::int32_t *
+PageFtl::ownerRow(int plane, int block)
+{
+    std::int32_t *row = owner_.get() + pack({plane, block, 0});
+    Block &blk = planes_[static_cast<std::size_t>(plane)]
+                     .blocks[static_cast<std::size_t>(block)];
+    if (!blk.ownersLive) {
+        // owner()'s closed form, stepped through the row.
+        const int planes = config_.totalPlanes();
+        std::int64_t lpn =
+            static_cast<std::int64_t>(block) * config_.pagesPerBlock * planes
+            + plane;
+        for (int page = 0; page < config_.pagesPerBlock; ++page, lpn += planes)
+            row[page] = lpn < filled_ ? static_cast<std::int32_t>(lpn) : -1;
+        blk.ownersLive = true;
+    }
+    return row;
+}
+
+void
+PageFtl::place(const PhysAddr &addr, std::int64_t lpn)
+{
+    ownerRow(addr.plane, addr.block)[addr.page] =
+        static_cast<std::int32_t>(lpn);
+    ++planes_[static_cast<std::size_t>(addr.plane)]
+          .blocks[static_cast<std::size_t>(addr.block)]
+          .validPages;
+    mapSlot(lpn) = static_cast<std::int32_t>(pack(addr));
 }
 
 PhysAddr
@@ -110,7 +181,7 @@ PageFtl::translate(std::int64_t lpn) const
 {
     util::fatalIf(lpn < 0 || lpn >= logicalPages_,
                   "ftl: logical page out of range");
-    const std::int64_t packed = map_[static_cast<std::size_t>(lpn)];
+    const std::int32_t packed = mapped(lpn);
     if (packed < 0)
         return {};
     return unpack(packed);
@@ -180,11 +251,12 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
         return step;
     }
 
+    std::int32_t *const row = ownerRow(plane, block);
     for (int p = 0;
          p < config_.pagesPerBlock && step.migratedPages < max_pages; ++p) {
         if (block == pl.activeBlock)
             break; // nested GC erased and re-activated the block
-        const std::int64_t lpn = blk.owner[static_cast<std::size_t>(p)];
+        const std::int32_t lpn = row[p];
         if (lpn < 0)
             continue;
         WriteEffect sub;
@@ -195,15 +267,11 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
         // pages of this very block; only complete the move if the
         // page still belongs to the LPN we saw (otherwise the freshly
         // allocated page simply stays unused).
-        if (blk.owner[static_cast<std::size_t>(p)] != lpn)
+        if (row[p] != lpn)
             continue;
-        blk.owner[static_cast<std::size_t>(p)] = -1;
+        row[p] = -1;
         --blk.validPages;
-        auto &dst = planes_[static_cast<std::size_t>(addr.plane)]
-                        .blocks[static_cast<std::size_t>(addr.block)];
-        dst.owner[static_cast<std::size_t>(addr.page)] = lpn;
-        ++dst.validPages;
-        map_[static_cast<std::size_t>(lpn)] = pack(addr);
+        place(addr, lpn);
         ++stats_.migratedPages;
         ++stats_.refreshPages;
         ++step.migratedPages;
@@ -220,8 +288,7 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
         return step;
     }
     if (blk.validPages == 0) {
-        blk.owner.assign(static_cast<std::size_t>(config_.pagesPerBlock),
-                         -1);
+        std::fill_n(row, config_.pagesPerBlock, -1);
         blk.nextPage = 0;
         blk.validPages = 0;
         pl.freeList.push_back(block);
@@ -241,7 +308,7 @@ PageFtl::checkInvariants() const
     // Forward direction: every mapped LPN points at a page whose
     // owner record names that LPN.
     for (std::int64_t lpn = 0; lpn < logicalPages_; ++lpn) {
-        const std::int64_t packed = map_[static_cast<std::size_t>(lpn)];
+        const std::int32_t packed = mapped(lpn);
         if (packed < 0)
             continue;
         const PhysAddr a = unpack(packed);
@@ -250,9 +317,7 @@ PageFtl::checkInvariants() const
                           || a.block >= config_.blocksPerPlane || a.page < 0
                           || a.page >= config_.pagesPerBlock,
                       "ftl: mapped address out of range");
-        const auto &blk = planes_[static_cast<std::size_t>(a.plane)]
-                              .blocks[static_cast<std::size_t>(a.block)];
-        util::panicIf(blk.owner[static_cast<std::size_t>(a.page)] != lpn,
+        util::panicIf(owner(a.plane, a.block, a.page) != lpn,
                       "ftl: lost LPN mapping (owner mismatch)");
     }
 
@@ -263,8 +328,8 @@ PageFtl::checkInvariants() const
             const Block &blk = plane.blocks[bi];
             int valid = 0;
             for (int p = 0; p < config_.pagesPerBlock; ++p) {
-                const std::int64_t lpn =
-                    blk.owner[static_cast<std::size_t>(p)];
+                const std::int32_t lpn = owner(static_cast<int>(pi),
+                                               static_cast<int>(bi), p);
                 if (lpn < 0)
                     continue;
                 ++valid;
@@ -274,8 +339,7 @@ PageFtl::checkInvariants() const
                 a.plane = static_cast<int>(pi);
                 a.block = static_cast<int>(bi);
                 a.page = p;
-                util::panicIf(map_[static_cast<std::size_t>(lpn)]
-                                  != pack(a),
+                util::panicIf(mapped(lpn) != pack(a),
                               "ftl: stale owner (LPN maps elsewhere)");
             }
             util::panicIf(valid != blk.validPages,
@@ -292,11 +356,12 @@ PageFtl::checkInvariants() const
 void
 PageFtl::invalidate(const PhysAddr &addr)
 {
-    auto &blk = planes_[static_cast<std::size_t>(addr.plane)]
-                    .blocks[static_cast<std::size_t>(addr.block)];
-    if (blk.owner[static_cast<std::size_t>(addr.page)] >= 0) {
-        blk.owner[static_cast<std::size_t>(addr.page)] = -1;
-        --blk.validPages;
+    std::int32_t &lpn = ownerRow(addr.plane, addr.block)[addr.page];
+    if (lpn >= 0) {
+        lpn = -1;
+        --planes_[static_cast<std::size_t>(addr.plane)]
+              .blocks[static_cast<std::size_t>(addr.block)]
+              .validPages;
     }
 }
 
@@ -378,15 +443,15 @@ PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
     // Migrate valid pages into the plane's free space. Use a scratch
     // destination block taken from the free list first so migration
     // cannot recurse into GC.
+    std::int32_t *const vrow = ownerRow(plane_idx, victim);
     std::vector<std::int64_t> movers;
     for (int p = 0; p < config_.pagesPerBlock; ++p) {
-        const std::int64_t lpn = vblk.owner[static_cast<std::size_t>(p)];
-        if (lpn >= 0)
-            movers.push_back(lpn);
+        if (vrow[p] >= 0)
+            movers.push_back(vrow[p]);
     }
 
     // Erase the victim.
-    vblk.owner.assign(static_cast<std::size_t>(config_.pagesPerBlock), -1);
+    std::fill_n(vrow, config_.pagesPerBlock, -1);
     vblk.nextPage = 0;
     vblk.validPages = 0;
     plane.freeList.push_back(victim);
@@ -404,11 +469,7 @@ PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
         // Propagate any nested GC effects into the caller's effect.
         effect.gcMigratedPages += sub.gcMigratedPages;
         effect.gcErases += sub.gcErases;
-        auto &blk = planes_[static_cast<std::size_t>(addr.plane)]
-                        .blocks[static_cast<std::size_t>(addr.block)];
-        blk.owner[static_cast<std::size_t>(addr.page)] = lpn;
-        ++blk.validPages;
-        map_[static_cast<std::size_t>(lpn)] = pack(addr);
+        place(addr, lpn);
         ++stats_.migratedPages;
         ++effect.gcMigratedPages;
     }
@@ -421,18 +482,14 @@ PageFtl::write(std::int64_t lpn)
                   "ftl: logical page out of range");
 
     WriteEffect effect;
-    const std::int64_t old = map_[static_cast<std::size_t>(lpn)];
+    const std::int32_t old = mapSlot(lpn);
     if (old >= 0)
         invalidate(unpack(old));
 
     const int plane = static_cast<int>(
         writeCursor_++ % static_cast<std::uint64_t>(config_.totalPlanes()));
     const PhysAddr addr = allocate(plane, effect);
-    auto &blk = planes_[static_cast<std::size_t>(addr.plane)]
-                    .blocks[static_cast<std::size_t>(addr.block)];
-    blk.owner[static_cast<std::size_t>(addr.page)] = lpn;
-    ++blk.validPages;
-    map_[static_cast<std::size_t>(lpn)] = pack(addr);
+    place(addr, lpn);
     effect.target = addr;
     ++stats_.hostWrites;
     return effect;
@@ -441,13 +498,14 @@ PageFtl::write(std::int64_t lpn)
 std::size_t
 PageFtl::footprintBytes() const
 {
-    std::size_t bytes =
-        sizeof(PageFtl) + map_.size() * sizeof(std::int64_t);
+    std::size_t bytes = sizeof(PageFtl)
+        + static_cast<std::size_t>(logicalPages_) * sizeof(std::int32_t)
+        + (mapLive_.size() + 7) / 8
+        + static_cast<std::size_t>(config_.physicalPages())
+            * sizeof(std::int32_t);
     for (const Plane &plane : planes_) {
         bytes += plane.blocks.size() * sizeof(Block)
             + plane.freeList.size() * sizeof(int);
-        for (const Block &block : plane.blocks)
-            bytes += block.owner.size() * sizeof(std::int64_t);
     }
     return bytes;
 }

@@ -14,6 +14,7 @@
 #ifndef SENTINELFLASH_SSD_FTL_PAGE_FTL_HH
 #define SENTINELFLASH_SSD_FTL_PAGE_FTL_HH
 
+#include <memory>
 #include <vector>
 
 #include "ssd/ftl/ftl_interface.hh"
@@ -29,10 +30,12 @@ class PageFtl : public FtlInterface
      * @param precondition When true, every logical page is mapped
      *        sequentially up front (a full drive), so reads always
      *        hit mapped pages and GC pressure is realistic. The
-     *        layout is built directly and equals what write(0), ...,
-     *        write(logicalPages() - 1) leaves on an empty drive, minus
-     *        the stats. Fatal when those writes would run GC, i.e.
-     *        when `overprovision` is too small for `gcThreshold`.
+     *        layout equals what write(0), ..., write(logicalPages() -
+     *        1) leaves on an empty drive, minus the stats, and stays
+     *        implicit until each part of it is first changed (see
+     *        mapped(), owner()). Fatal when those writes would run
+     *        GC, i.e. when `overprovision` is too small for
+     *        `gcThreshold`.
      */
     explicit PageFtl(const SsdConfig &config, bool precondition = true);
 
@@ -58,10 +61,10 @@ class PageFtl : public FtlInterface
   private:
     struct Block
     {
-        std::vector<std::int64_t> owner; ///< lpn per page (-1 invalid)
         int nextPage = 0;
         int validPages = 0;
         std::uint64_t stampedAt = 0; ///< alloc clock when activated
+        bool ownersLive = false;     ///< owner_ row copied in
 
         bool full(int pages_per_block) const
         {
@@ -76,14 +79,31 @@ class PageFtl : public FtlInterface
         int activeBlock = -1;
     };
 
+    /** LPNs per map_ chunk (one materialized flag each). */
+    static constexpr std::int64_t kMapChunk = 256;
+
     void fillSequential();
     PhysAddr allocate(int plane_idx, WriteEffect &effect);
     void collectGarbage(int plane_idx, WriteEffect &effect);
     void invalidate(const PhysAddr &addr);
 
+    /** map_[lpn], or its closed form while the chunk is not live. */
+    std::int32_t mapped(std::int64_t lpn) const;
+    /** Writable map_[lpn]; copies the chunk's closed form in first. */
+    std::int32_t &mapSlot(std::int64_t lpn);
+    /** Owner of (plane, block, page), closed form until live. */
+    std::int32_t owner(int plane, int block, int page) const;
+    /** Writable owner row of (plane, block); copies it in first. */
+    std::int32_t *ownerRow(int plane, int block);
+    /** Records `lpn` as written at `addr`: owner, count and map. */
+    void place(const PhysAddr &addr, std::int64_t lpn);
+
     SsdConfig config_;
-    std::int64_t logicalPages_;
-    std::vector<std::int64_t> map_; ///< lpn -> packed phys page (-1)
+    std::int64_t logicalPages_ = 0;
+    std::int64_t filled_ = 0; ///< LPNs below hold the sequential layout
+    std::unique_ptr<std::int32_t[]> map_; ///< lpn -> packed page (-1)
+    std::vector<bool> mapLive_;           ///< per kMapChunk LPNs
+    std::unique_ptr<std::int32_t[]> owner_; ///< packed page -> lpn (-1)
     std::vector<Plane> planes_;
     FtlStats stats_;
     std::uint64_t writeCursor_ = 0;

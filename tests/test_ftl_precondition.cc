@@ -7,15 +7,21 @@
  * stats, GC victims) to one random overwrite stream, which also pins
  * the hidden allocation clock, block stamps and write cursor. The
  * guard tests check that preconditioning is refused exactly when the
- * oracle's fill would have run GC.
+ * oracle's fill would have run GC. The layout is kept implicit until a
+ * map chunk or block is first changed, so the edge cases below drive
+ * the first change of each kind against the oracle, and a fault count
+ * checks that sparse writes leave most of the tables untouched.
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "ssd/fleet/fleet.hh"
 #include "ssd/ftl/page_ftl.hh"
@@ -307,6 +313,220 @@ TEST(PageFtlPreconditionGuard, MessageNamesBothKnobs)
     // Without preconditioning the same drive is fine: GC is legitimate
     // once the host fills it.
     EXPECT_NO_THROW(PageFtl(c, false));
+}
+
+/** A preconditioned FTL next to its write-filled oracle. */
+struct FilledPair
+{
+    explicit FilledPair(const SsdConfig &c)
+        : config(c), direct(c, true), oracle(c, false)
+    {
+        fillByWrites(oracle);
+    }
+
+    /** The same host write on both; their effects must agree. */
+    void
+    write(std::int64_t lpn)
+    {
+        const WriteEffect a = direct.write(lpn);
+        const WriteEffect b = oracle.write(lpn);
+        ASSERT_TRUE(sameAddr(a.target, b.target)) << "lpn " << lpn;
+        ASSERT_EQ(a.gcTriggered, b.gcTriggered) << "lpn " << lpn;
+        ASSERT_EQ(a.gcMigratedPages, b.gcMigratedPages) << "lpn " << lpn;
+        ASSERT_EQ(a.gcErases, b.gcErases) << "lpn " << lpn;
+    }
+
+    void
+    expectSame() const
+    {
+        direct.checkInvariants();
+        oracle.checkInvariants();
+        expectSameLayout(direct, oracle, config);
+    }
+
+    SsdConfig config;
+    PageFtl direct;
+    PageFtl oracle;
+};
+
+TEST(PageFtlImplicitLayout, RefreshOfAnUntouchedBlock)
+{
+    for (Shape shape : {Shape::FleetSmall, Shape::Uneven}) {
+        FilledPair ftls(shapeConfig(shape));
+        // Block 0 of plane 0 is full and no write has touched it.
+        ASSERT_TRUE(ftls.direct.refreshCandidate(0, 0));
+        RefreshStep a, b;
+        int steps = 0;
+        do {
+            a = ftls.direct.refreshBlock(0, 0, 3);
+            b = ftls.oracle.refreshBlock(0, 0, 3);
+            ASSERT_EQ(a.migratedPages, b.migratedPages);
+            ASSERT_EQ(a.gcMigratedPages, b.gcMigratedPages);
+            ASSERT_EQ(a.gcErases, b.gcErases);
+            ASSERT_EQ(a.erased, b.erased);
+            ASSERT_EQ(a.done, b.done);
+            ASSERT_EQ(a.busy, b.busy);
+            ASSERT_LT(++steps, 1000);
+        } while (!a.done && !a.busy);
+        EXPECT_TRUE(a.erased);
+        EXPECT_EQ(ftls.direct.stats().refreshErases, 1u);
+        ftls.expectSame();
+    }
+}
+
+TEST(PageFtlImplicitLayout, WriteToTheLastLpn)
+{
+    // The map goes live in chunks of 256 LPNs; L - 1 sits in the
+    // last one, which is partial.
+    for (Shape shape : {Shape::FleetSmall, Shape::Uneven}) {
+        FilledPair ftls(shapeConfig(shape));
+        const std::int64_t last = ftls.config.logicalPages() - 1;
+        ASSERT_NE(ftls.config.logicalPages() % 256, 0);
+        ftls.write(last);
+        ftls.write(last);
+        ftls.write(last - 1);
+        ftls.expectSame();
+    }
+}
+
+TEST(PageFtlImplicitLayout, WritesIntoEachPlanesLastPartialBlock)
+{
+    // Uneven: plane p holds ceil((307 - p) / 3) = 103, 102, 102 pages,
+    // so every plane's active block (12) is partial. The next P
+    // writes land there, one per plane.
+    const SsdConfig c = shapeConfig(Shape::Uneven);
+    FilledPair ftls(c);
+    for (int p = 0; p < c.totalPlanes(); ++p) {
+        ASSERT_FALSE(ftls.direct.refreshCandidate(p, 12)) << "plane " << p;
+        ASSERT_GT(ftls.direct.blockValidPages(p, 12), 0) << "plane " << p;
+    }
+    for (std::int64_t lpn : {0, 100, 200}) {
+        const PhysAddr before = ftls.direct.translate(lpn);
+        ftls.write(lpn);
+        const PhysAddr after = ftls.direct.translate(lpn);
+        EXPECT_EQ(after.block, 12) << "lpn " << lpn;
+        EXPECT_FALSE(sameAddr(before, after)) << "lpn " << lpn;
+    }
+    ftls.expectSame();
+}
+
+TEST(PageFtlImplicitLayout, GcCollectsAnUntouchedVictim)
+{
+    // Only LPNs of plane 1 (LPN = 1 mod 4) are rewritten, each once,
+    // so plane 0 takes new valid pages and loses none: when it runs
+    // out of free blocks every full block there is all-valid, and both
+    // policies pick block 0, which nothing has touched.
+    for (GcVictimPolicy policy :
+         {GcVictimPolicy::Greedy, GcVictimPolicy::CostBenefit}) {
+        SsdConfig c = shapeConfig(Shape::FleetSmall);
+        c.gcPolicy = policy;
+        ASSERT_EQ(c.totalPlanes(), 4);
+        FilledPair ftls(c);
+        std::vector<std::pair<int, int>> erased;
+        ftls.direct.setEraseHook(
+            [&](int plane, int block) { erased.emplace_back(plane, block); });
+        std::int64_t lpn = 1;
+        auto plane0Erased = [&] {
+            return std::any_of(erased.begin(), erased.end(),
+                               [](const auto &e) { return e.first == 0; });
+        };
+        while (!plane0Erased()) {
+            ASSERT_LT(lpn, c.logicalPages()) << "plane 0 never ran GC";
+            ftls.write(lpn);
+            lpn += 4;
+        }
+        const auto first0 = std::find_if(
+            erased.begin(), erased.end(),
+            [](const auto &e) { return e.first == 0; });
+        EXPECT_EQ(first0->second, 0);
+        ftls.expectSame();
+    }
+}
+
+TEST(PageFtlImplicitLayout, EmptyDriveIsUnmappedUntilWritten)
+{
+    for (Shape shape : {Shape::FleetSmall, Shape::Uneven}) {
+        const SsdConfig c = shapeConfig(shape);
+        PageFtl empty(c, false);
+        for (std::int64_t lpn = 0; lpn < c.logicalPages(); ++lpn)
+            ASSERT_FALSE(empty.translate(lpn).valid()) << "lpn " << lpn;
+        for (int p = 0; p < c.totalPlanes(); ++p) {
+            ASSERT_EQ(empty.freeBlocks(p), c.blocksPerPlane);
+            for (int b = 0; b < c.blocksPerPlane; ++b)
+                ASSERT_EQ(empty.blockValidPages(p, b), 0);
+        }
+        empty.checkInvariants();
+
+        // Filled by writes, it is the oracle of the implicit layout.
+        PageFtl direct(c, true);
+        fillByWrites(empty);
+        direct.checkInvariants();
+        empty.checkInvariants();
+        expectSameLayout(direct, empty, c);
+    }
+}
+
+TEST(PageFtlImplicitLayout, SparseWritesFaultInFewTablePages)
+{
+    // Counted, not timed: minor page faults of this process. Built
+    // eagerly, the map and owner arrays fault in every one of their
+    // pages. Built lazily, writes fault in only the map chunks and
+    // owner rows they change. The writes fall in a hot set of 1% of
+    // the LPNs, as a trace's do; a write anywhere on the drive costs
+    // up to one map page and two owner pages, so 1 000 of them spread
+    // over all of it would near the bound by themselves.
+    const SsdConfig c;
+    const std::int64_t table_pages =
+        (c.logicalPages() + c.physicalPages()) * 4 / 4096;
+    const auto hot = static_cast<std::uint64_t>(c.logicalPages() / 100);
+    auto minorFaults = [] {
+        rusage u{};
+        getrusage(RUSAGE_SELF, &u);
+        return static_cast<std::int64_t>(u.ru_minflt);
+    };
+
+    const std::int64_t before = minorFaults();
+    PageFtl ftl(c, true);
+    util::Rng rng(2024);
+    for (int i = 0; i < 1000; ++i)
+        ftl.write(static_cast<std::int64_t>(rng.uniformInt(hot)));
+    const std::int64_t faults = minorFaults() - before;
+    EXPECT_LT(faults, table_pages / 4)
+        << faults << " minor faults against " << table_pages
+        << " table pages";
+}
+
+/** validate()'s message, or "" when it accepts the organization. */
+std::string
+validateError(const SsdConfig &c)
+{
+    try {
+        c.validate();
+        return "";
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+}
+
+TEST(SsdConfigRange, RejectsOrganizationsPastThe32BitTables)
+{
+    // 2^16 channels x 2^16 chips: the plane count overflows int.
+    SsdConfig planes;
+    planes.channels = 1 << 16;
+    planes.chipsPerChannel = 1 << 16;
+    EXPECT_NE(validateError(planes).find("plane count"), std::string::npos)
+        << validateError(planes);
+
+    // 2^12 planes x 2^11 blocks x 2^8 pages = 2^31 physical pages: one
+    // past what a packed int32 page number holds.
+    SsdConfig pages = organization(1 << 12, 1 << 11, 1 << 8, 0.1);
+    EXPECT_NE(validateError(pages).find("physical pages"), std::string::npos)
+        << validateError(pages);
+    EXPECT_THROW(pages.validate(), util::FatalError);
+
+    // 255 pages per block leaves 2^31 - 2^23 pages, which fit.
+    pages.pagesPerBlock = (1 << 8) - 1;
+    EXPECT_EQ(validateError(pages), "");
 }
 
 } // namespace
