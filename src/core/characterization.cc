@@ -126,7 +126,7 @@ FactoryCharacterizer::run(nand::Chip &chip, double temp_band_c) const
         }
     }
 
-    chip.blockAge(block) = saved;
+    chip.setBlockAge(block, saved);
 
     out.samples = out.dSamples.size();
     const auto [dmin, dmax] = std::minmax_element(out.dSamples.begin(),

@@ -68,8 +68,8 @@ const nand::WordlineSnapshot &
 ReadContext::dataSnap()
 {
     if (!data_) {
-        data_.emplace(nand::WordlineSnapshot::dataRegion(*chip_, block_, wl_,
-                                                         seq_.next()));
+        data_ = chip_->memoSnapshot(block_, wl_, seq_.next(), 0,
+                                    chip_->geometry().dataBitlines);
     }
     return *data_;
 }
@@ -79,8 +79,9 @@ ReadContext::sentSnap()
 {
     util::fatalIf(!overlay_, "ReadContext: no sentinel overlay");
     if (!sent_) {
-        sent_.emplace(*chip_, block_, wl_, seq_.next(), overlay_->start,
-                      overlay_->start + overlay_->count);
+        sent_ = chip_->memoSnapshot(block_, wl_, seq_.next(),
+                                    overlay_->start,
+                                    overlay_->start + overlay_->count);
     }
     return *sent_;
 }

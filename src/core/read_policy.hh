@@ -101,12 +101,16 @@ void recordSession(util::MetricsRegistry &metrics,
                    const ReadSessionResult &session, double latency_us);
 
 /**
- * Shared state of one read session: lazily-built data and sentinel
+ * Shared state of one read session: lazily-fetched data and sentinel
  * snapshots plus the decodability oracle against the ECC model. One
  * data snapshot is reused across the session's attempts (retries only
  * re-tune voltages; fresh sensing noise across retries is a
- * second-order effect the paper also neglects). Each snapshot is one
- * streaming nand::SenseKernel pass over its column range.
+ * second-order effect the paper also neglects). Each snapshot comes
+ * from the chip's snapshot memo (nand::Chip::memoSnapshot): the first
+ * session to read a (block, wordline, read_seq, column range) senses
+ * it in one streaming nand::SenseKernel pass, and every later session
+ * of the same stream on the unmutated block, e.g. another policy's
+ * arm over the same wordlines, shares that snapshot.
  *
  * Read sequencing is caller-owned: sensing-noise seeds derive from
  * the clock's stream and this context's (block, wordline, read
@@ -121,10 +125,10 @@ class ReadContext
                 std::optional<nand::SentinelOverlay> overlay,
                 nand::ReadClock clock = nand::ReadClock());
 
-    /** Lazily-built data-region snapshot. */
+    /** Lazily-fetched data-region snapshot. */
     const nand::WordlineSnapshot &dataSnap();
 
-    /** Lazily-built sentinel snapshot (requires an overlay). */
+    /** Lazily-fetched sentinel snapshot (requires an overlay). */
     const nand::WordlineSnapshot &sentSnap();
 
     /** Data-region bit errors of the page at a voltage set. */
@@ -170,8 +174,8 @@ class ReadContext
     const ecc::EccModel *ecc_;
     std::optional<nand::SentinelOverlay> overlay_;
     nand::ReadSeq seq_;
-    std::optional<nand::WordlineSnapshot> data_;
-    std::optional<nand::WordlineSnapshot> sent_;
+    std::shared_ptr<const nand::WordlineSnapshot> data_;
+    std::shared_ptr<const nand::WordlineSnapshot> sent_;
     util::SpanBuffer *spans_ = nullptr;
     int spanRoot_ = -1;
 };

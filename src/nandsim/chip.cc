@@ -1,7 +1,11 @@
 #include "nandsim/chip.hh"
 
 #include <cmath>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 
+#include "nandsim/snapshot.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -15,15 +19,128 @@ constexpr std::uint64_t kSaltCellState = 0x63656c6c53740001ULL;
 
 } // namespace
 
+/**
+ * LRU memo of sensed snapshots, bounded by Chip::kSenseMemoBytes of
+ * WordlineSnapshot::bytes(). One mutex guards it; senses run outside
+ * the lock.
+ */
+class Chip::SenseMemo
+{
+  public:
+    struct Key
+    {
+        int block, wl, colBegin, colEnd;
+        std::uint64_t readSeq, generation;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    /** The memoized snapshot of @p key (nullptr on a miss). */
+    std::shared_ptr<const WordlineSnapshot>
+    find(const Key &key)
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        const auto it = index_.find(key);
+        if (it == index_.end())
+            return nullptr;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->snap;
+    }
+
+    /**
+     * Memoize @p snap under @p key, evicting least recently used
+     * entries past the bound; returns the memo's snapshot of the key
+     * (an equal one another thread inserted first wins).
+     */
+    std::shared_ptr<const WordlineSnapshot>
+    insert(const Key &key, std::shared_ptr<const WordlineSnapshot> snap)
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (const auto it = index_.find(key); it != index_.end())
+            return it->second->snap;
+        const std::size_t bytes = snap->bytes();
+        lru_.push_front(Entry{key, snap, bytes});
+        index_.emplace(key, lru_.begin());
+        bytes_ += bytes;
+        while (bytes_ > kSenseMemoBytes)
+            erase(std::prev(lru_.end()));
+        return snap;
+    }
+
+    /** Drop every entry. */
+    void
+    clear()
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        lru_.clear();
+        index_.clear();
+        bytes_ = 0;
+    }
+
+    /** Drop every entry of @p block. */
+    void
+    dropBlock(int block)
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        for (auto it = lru_.begin(); it != lru_.end();)
+            it = it->key.block == block ? erase(it) : std::next(it);
+    }
+
+    std::size_t
+    bytes() const
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        return bytes_;
+    }
+
+  private:
+    struct Entry
+    {
+        Key key;
+        std::shared_ptr<const WordlineSnapshot> snap;
+        std::size_t bytes;
+    };
+
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            return static_cast<std::size_t>(util::hashWords(
+                {static_cast<std::uint64_t>(k.block),
+                 static_cast<std::uint64_t>(k.wl),
+                 static_cast<std::uint64_t>(k.colBegin),
+                 static_cast<std::uint64_t>(k.colEnd), k.readSeq,
+                 k.generation}));
+        }
+    };
+
+    using Iter = std::list<Entry>::iterator;
+
+    Iter
+    erase(Iter it)
+    {
+        bytes_ -= it->bytes;
+        index_.erase(it->key);
+        return lru_.erase(it);
+    }
+
+    mutable std::mutex mu_;
+    std::list<Entry> lru_; ///< most recently used first
+    std::unordered_map<Key, Iter, KeyHash> index_;
+    std::size_t bytes_ = 0;
+};
+
 Chip::Chip(const ChipGeometry &geometry, const VoltageModelParams &params,
            std::uint64_t seed)
     : geom_(geometry),
       model_(geometry.cellType, params),
       code_(geometry.cellType),
-      seed_(seed)
+      seed_(seed), memo_(std::make_unique<SenseMemo>())
 {
     geom_.validate();
     ages_.resize(static_cast<std::size_t>(geom_.blocks));
+    generation_.resize(static_cast<std::size_t>(geom_.blocks));
     content_.resize(static_cast<std::size_t>(geom_.blocks));
     for (int b = 0; b < geom_.blocks; ++b) {
         auto &blk = content_[static_cast<std::size_t>(b)];
@@ -36,6 +153,20 @@ Chip::Chip(const ChipGeometry &geometry, const VoltageModelParams &params,
     }
 }
 
+Chip::~Chip() = default;
+
+Chip::Chip(Chip &&other) noexcept
+    : geom_(std::move(other.geom_)), model_(std::move(other.model_)),
+      code_(std::move(other.code_)), seed_(other.seed_),
+      ages_(std::move(other.ages_)), content_(std::move(other.content_)),
+      generation_(std::move(other.generation_)),
+      memo_(std::move(other.memo_))
+{
+    // A memoized snapshot points at the Gray code of the chip that
+    // sensed it, which was other's.
+    memo_->clear();
+}
+
 void
 Chip::checkAddress(int block, int wl) const
 {
@@ -46,9 +177,17 @@ Chip::checkAddress(int block, int wl) const
 }
 
 void
+Chip::touch(int block)
+{
+    ++generation_[static_cast<std::size_t>(block)];
+    memo_->dropBlock(block);
+}
+
+void
 Chip::setPeCycles(int block, std::uint32_t pe)
 {
     checkAddress(block, 0);
+    touch(block);
     ages_[static_cast<std::size_t>(block)].peCycles = pe;
 }
 
@@ -57,6 +196,7 @@ Chip::age(int block, double hours, double tempC)
 {
     checkAddress(block, 0);
     util::fatalIf(hours < 0.0, "chip: negative retention hours");
+    touch(block);
     auto &a = ages_[static_cast<std::size_t>(block)];
     const double eff = hours * model_.arrheniusFactor(tempC);
     const double total = a.effRetentionHours + eff;
@@ -71,6 +211,7 @@ void
 Chip::refresh(int block)
 {
     checkAddress(block, 0);
+    touch(block);
     auto &a = ages_[static_cast<std::size_t>(block)];
     a.effRetentionHours = 0.0;
     a.retentionTempC = 25.0;
@@ -81,6 +222,7 @@ void
 Chip::recordReads(int block, std::uint64_t n)
 {
     checkAddress(block, 0);
+    touch(block);
     ages_[static_cast<std::size_t>(block)].readCount += n;
 }
 
@@ -91,11 +233,12 @@ Chip::blockAge(int block) const
     return ages_[static_cast<std::size_t>(block)];
 }
 
-BlockAge &
-Chip::blockAge(int block)
+void
+Chip::setBlockAge(int block, const BlockAge &age)
 {
     checkAddress(block, 0);
-    return ages_[static_cast<std::size_t>(block)];
+    touch(block);
+    ages_[static_cast<std::size_t>(block)] = age;
 }
 
 void
@@ -120,6 +263,7 @@ Chip::programWordline(int block, int wl, WordlineContent content)
                           || o.highState >= geom_.states(),
                       "chip: sentinel state out of range");
     }
+    touch(block);
     content_[static_cast<std::size_t>(block)][static_cast<std::size_t>(wl)] =
         std::move(content);
 }
@@ -297,6 +441,26 @@ Chip::readBits(int block, int wl, int page,
         bits_out.push_back(
             static_cast<std::uint8_t>(bit0 ^ (region & 1)));
     }
+}
+
+std::shared_ptr<const WordlineSnapshot>
+Chip::memoSnapshot(int block, int wl, std::uint64_t read_seq, int col_begin,
+                   int col_end) const
+{
+    checkAddress(block, wl);
+    const SenseMemo::Key key{block, wl, col_begin, col_end, read_seq,
+                             generation_[static_cast<std::size_t>(block)]};
+    if (auto hit = memo_->find(key))
+        return hit;
+    return memo_->insert(key, std::make_shared<const WordlineSnapshot>(
+                                  *this, block, wl, read_seq, col_begin,
+                                  col_end));
+}
+
+std::size_t
+Chip::senseMemoBytes() const
+{
+    return memo_->bytes();
 }
 
 void

@@ -13,7 +13,9 @@
 #ifndef SENTINELFLASH_NANDSIM_CHIP_HH
 #define SENTINELFLASH_NANDSIM_CHIP_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -82,14 +84,24 @@ struct WordlineContext
     double readNoiseSigma = 0.0;
 };
 
+class WordlineSnapshot;
+
 /**
- * One simulated chip. Fully immutable after programming and aging:
- * every sensing entry point is const, keeps no hidden state, and
- * derives all noise from pure hashes of (seed, address, read_seq) —
- * so concurrent sensing from any number of threads is safe and
- * reproducible. Read-sequence numbers are caller-owned (see
+ * One simulated chip. Every sensing entry point is const and derives
+ * all noise from pure hashes of (seed, address, read_seq), so a sense
+ * is a pure function of the chip's programmed and aged state and its
+ * arguments, and concurrent sensing from any number of threads is
+ * safe and reproducible. Read-sequence numbers are caller-owned (see
  * nandsim/read_seq.hh); mutation (aging/programming) is not
  * thread-safe.
+ *
+ * The chip caches one kind of result: memoSnapshot() keeps recently
+ * sensed snapshots in a bounded, thread-safe LRU memo, so read
+ * policies that replay the same read stream share one sense per
+ * (block, wordline, read_seq, column range). Every mutator bumps the
+ * block's generation, which is part of the memo key, and drops the
+ * block's entries; a memo hit is therefore always the snapshot a
+ * fresh sense would build.
  */
 class Chip
 {
@@ -105,6 +117,19 @@ class Chip
      */
     Chip(const ChipGeometry &geometry, const VoltageModelParams &params,
          std::uint64_t seed);
+
+    ~Chip();
+
+    /** Takes @p other's state; the memo starts empty. */
+    Chip(Chip &&other) noexcept;
+
+    /**
+     * Byte bound of the snapshot memo, 832 KiB: one block's stride-8
+     * policy sweep of a paper-scale TLC chip, 32 wordlines x (a 20 KiB
+     * data snapshot + a 4 KiB sentinel snapshot, each plus ~0.3 KiB)
+     * ~ 787 KiB, and two wordlines of slack (DESIGN.md section 11).
+     */
+    static constexpr std::size_t kSenseMemoBytes = std::size_t{832} << 10;
 
     /** Chip geometry. */
     const ChipGeometry &geometry() const { return geom_; }
@@ -141,8 +166,8 @@ class Chip
     /** Aging state of a block. */
     const BlockAge &blockAge(int block) const;
 
-    /** Mutable aging state (experiment harnesses). */
-    BlockAge &blockAge(int block);
+    /** Replace a block's aging state (e.g. restore a saved one). */
+    void setBlockAge(int block, const BlockAge &age);
 
     /// @}
     /// @name Content
@@ -213,10 +238,29 @@ class Chip
     void trueBits(int block, int wl, int page, int col_begin, int col_end,
                   std::vector<std::uint8_t> &bits_out) const;
 
+    /**
+     * Snapshot of columns [col_begin, col_end) of a wordline at
+     * @p read_seq, served from the memo when the same read was sensed
+     * since the block's last mutation, else sensed and memoized.
+     * Equal to WordlineSnapshot(*this, block, wl, read_seq,
+     * col_begin, col_end). Thread-safe against other const calls.
+     */
+    std::shared_ptr<const WordlineSnapshot>
+    memoSnapshot(int block, int wl, std::uint64_t read_seq, int col_begin,
+                 int col_end) const;
+
+    /** Bytes of snapshots the memo holds (at most kSenseMemoBytes). */
+    std::size_t senseMemoBytes() const;
+
     /// @}
 
   private:
+    class SenseMemo;
+
     void checkAddress(int block, int wl) const;
+
+    /** Invalidate a block's memoized senses (every mutator calls it). */
+    void touch(int block);
 
     ChipGeometry geom_;
     VoltageModel model_;
@@ -225,6 +269,8 @@ class Chip
 
     std::vector<BlockAge> ages_;
     std::vector<std::vector<WordlineContent>> content_;
+    std::vector<std::uint64_t> generation_; ///< [block], bumped by touch()
+    std::unique_ptr<SenseMemo> memo_;
 };
 
 } // namespace flash::nand

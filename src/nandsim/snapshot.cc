@@ -99,6 +99,12 @@ WordlineSnapshot::WordlineSnapshot(const SenseKernel &kernel,
         w.offset = static_cast<std::uint32_t>(size);
         size += static_cast<std::size_t>(last - first + 1);
     }
+    // Capacity in 4 KiB steps: a snapshot Chip's memo evicts leaves a
+    // hole the next one of its width fits exactly. At exact sizes,
+    // which vary by a few counters, the memo's churn fragments the
+    // heap and its peak RSS keeps growing (DESIGN.md section 11).
+    prefix_.reserve((size + kCapacityStep - 1) / kCapacityStep
+                    * kCapacityStep);
     prefix_.resize(size);
     for (int s = 0; s < states_; ++s) {
         StateWindow &w = windows_[static_cast<std::size_t>(s)];

@@ -26,6 +26,7 @@
 #define SENTINELFLASH_NANDSIM_SNAPSHOT_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -108,11 +109,21 @@ class WordlineSnapshot
     /** Number of states. */
     int states() const { return states_; }
 
+    /** Bytes the snapshot holds: the object and its prefix array. */
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) + prefix_.capacity() * sizeof(std::uint32_t);
+    }
+
     /** Same chip, same cells and the same count at every DAC value. */
     bool operator==(const WordlineSnapshot &other) const = default;
 
   private:
     static constexpr int kMaxStates = 16; ///< QLC
+
+    /// The prefix array's capacity is a multiple of this (4 KiB).
+    static constexpr std::size_t kCapacityStep = 1024;
 
     /**
      * One state's observed window [lo, hi]: prefix_[offset + v - lo]

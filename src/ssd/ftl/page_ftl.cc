@@ -305,41 +305,75 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
 void
 PageFtl::checkInvariants() const
 {
+    // Both directions walk the tables one map chunk or owner row at a
+    // time and step the sequential layout's closed form alongside, the
+    // way mapSlot() and ownerRow() fill them: an entry that matches it
+    // needs no division to locate.
+    const int planes = config_.totalPlanes();
+    const int ppb = config_.pagesPerBlock;
+
     // Forward direction: every mapped LPN points at a page whose
-    // owner record names that LPN.
-    for (std::int64_t lpn = 0; lpn < logicalPages_; ++lpn) {
-        const std::int32_t packed = mapped(lpn);
-        if (packed < 0)
-            continue;
-        const PhysAddr a = unpack(packed);
-        util::panicIf(a.plane < 0 || a.plane >= config_.totalPlanes()
-                          || a.block < 0
-                          || a.block >= config_.blocksPerPlane || a.page < 0
-                          || a.page >= config_.pagesPerBlock,
-                      "ftl: mapped address out of range");
-        util::panicIf(owner(a.plane, a.block, a.page) != lpn,
-                      "ftl: lost LPN mapping (owner mismatch)");
+    // owner record names that LPN. LPN k*P + p's sequential page is
+    // {p, k / ppb, k % ppb}; (p, block, page) step with the LPN.
+    PhysAddr seq{0, 0, 0};
+    for (std::int64_t chunk = 0; chunk * kMapChunk < logicalPages_; ++chunk) {
+        const bool live = mapLive_[static_cast<std::size_t>(chunk)];
+        const std::int64_t end =
+            std::min((chunk + 1) * kMapChunk, logicalPages_);
+        for (std::int64_t lpn = chunk * kMapChunk; lpn < end; ++lpn) {
+            const PhysAddr here = seq;
+            if (++seq.plane == planes) {
+                seq.plane = 0;
+                if (++seq.page == ppb) {
+                    seq.page = 0;
+                    ++seq.block;
+                }
+            }
+            const std::int32_t closed =
+                lpn < filled_ ? static_cast<std::int32_t>(pack(here)) : -1;
+            const std::int32_t packed =
+                live ? map_[static_cast<std::size_t>(lpn)] : closed;
+            if (packed < 0)
+                continue;
+            const PhysAddr a = packed == closed ? here : unpack(packed);
+            util::panicIf(a.plane < 0 || a.plane >= planes || a.block < 0
+                              || a.block >= config_.blocksPerPlane
+                              || a.page < 0 || a.page >= ppb,
+                          "ftl: mapped address out of range");
+            util::panicIf(owner(a.plane, a.block, a.page) != lpn,
+                          "ftl: lost LPN mapping (owner mismatch)");
+        }
     }
 
     // Reverse direction: per-block counters and free-list purity.
-    for (std::size_t pi = 0; pi < planes_.size(); ++pi) {
-        const Plane &plane = planes_[pi];
-        for (std::size_t bi = 0; bi < plane.blocks.size(); ++bi) {
-            const Block &blk = plane.blocks[bi];
+    for (int pi = 0; pi < planes; ++pi) {
+        const Plane &plane = planes_[static_cast<std::size_t>(pi)];
+        for (int bi = 0; bi < config_.blocksPerPlane; ++bi) {
+            const Block &blk = plane.blocks[static_cast<std::size_t>(bi)];
+            const std::int64_t base = pack({pi, bi, 0});
+            const std::int32_t *row =
+                blk.ownersLive ? owner_.get() + base : nullptr;
+            // owner()'s closed form, stepped through the row.
+            std::int64_t closed =
+                static_cast<std::int64_t>(bi) * ppb * planes + pi;
             int valid = 0;
-            for (int p = 0; p < config_.pagesPerBlock; ++p) {
-                const std::int32_t lpn = owner(static_cast<int>(pi),
-                                               static_cast<int>(bi), p);
+            for (int p = 0; p < ppb; ++p, closed += planes) {
+                const std::int32_t lpn = row ? row[p]
+                    : closed < filled_     ? static_cast<std::int32_t>(closed)
+                                           : -1;
                 if (lpn < 0)
                     continue;
                 ++valid;
                 util::panicIf(p >= blk.nextPage,
                               "ftl: owner past the write point");
-                PhysAddr a;
-                a.plane = static_cast<int>(pi);
-                a.block = static_cast<int>(bi);
-                a.page = p;
-                util::panicIf(mapped(lpn) != pack(a),
+                util::panicIf(lpn >= logicalPages_,
+                              "ftl: owner names an LPN past the drive");
+                // The sequential LPN of this page maps here while its
+                // chunk is not live (mapped()'s closed form inverts
+                // owner()'s).
+                const bool sequential = lpn == closed && closed < filled_
+                    && !mapLive_[static_cast<std::size_t>(lpn / kMapChunk)];
+                util::panicIf(!sequential && mapped(lpn) != base + p,
                               "ftl: stale owner (LPN maps elsewhere)");
             }
             util::panicIf(valid != blk.validPages,

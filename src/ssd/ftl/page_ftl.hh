@@ -59,6 +59,9 @@ class PageFtl : public FtlInterface
     void checkInvariants() const override;
 
   private:
+    /// Corrupts the tables in the checkInvariants() tests.
+    friend struct PageFtlProbe;
+
     struct Block
     {
         int nextPage = 0;

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -463,6 +464,118 @@ TEST(PageFtlImplicitLayout, EmptyDriveIsUnmappedUntilWritten)
         direct.checkInvariants();
         empty.checkInvariants();
         expectSameLayout(direct, empty, c);
+    }
+}
+
+} // namespace
+
+/** Reaches into PageFtl's tables to corrupt them. */
+struct PageFtlProbe
+{
+    static std::int32_t &
+    mapEntry(PageFtl &ftl, std::int64_t lpn)
+    {
+        return ftl.mapSlot(lpn);
+    }
+
+    static std::int32_t &
+    ownerEntry(PageFtl &ftl, const PhysAddr &a)
+    {
+        return ftl.ownerRow(a.plane, a.block)[a.page];
+    }
+
+    static int &
+    validPages(PageFtl &ftl, int plane, int block)
+    {
+        return ftl.planes_[static_cast<std::size_t>(plane)]
+            .blocks[static_cast<std::size_t>(block)]
+            .validPages;
+    }
+
+    static std::int64_t
+    pack(const PageFtl &ftl, const PhysAddr &a)
+    {
+        return ftl.pack(a);
+    }
+};
+
+namespace
+{
+
+/** checkInvariants() panics with a message containing @p what. */
+void
+expectAuditPanic(const PageFtl &ftl, const std::string &what)
+{
+    try {
+        ftl.checkInvariants();
+        ADD_FAILURE() << "no panic; expected \"" << what << '"';
+    } catch (const util::PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PageFtlAudit, CatchesCorruptedTables)
+{
+    // Rewriting LPN 5 makes its map chunk live, and the owner rows of
+    // its old page's block and of its new page's block; everything
+    // else stays implicit.
+    const SsdConfig c = shapeConfig(Shape::FleetSmall);
+    PhysAddr old_page, new_page;
+    const auto ftl = [&] {
+        auto f = std::make_unique<PageFtl>(c, true);
+        old_page = f->translate(5);
+        f->write(5);
+        new_page = f->translate(5);
+        f->checkInvariants();
+        return f;
+    };
+    {
+        SCOPED_TRACE("live map entry names another LPN's page");
+        auto f = ftl();
+        PageFtlProbe::mapEntry(*f, 6) = static_cast<std::int32_t>(
+            PageFtlProbe::pack(*f, f->translate(7)));
+        expectAuditPanic(*f, "lost LPN mapping");
+    }
+    {
+        SCOPED_TRACE("live map entry past the drive");
+        auto f = ftl();
+        PageFtlProbe::mapEntry(*f, 6) =
+            static_cast<std::int32_t>(c.physicalPages());
+        expectAuditPanic(*f, "mapped address out of range");
+    }
+    {
+        SCOPED_TRACE("live map entry dropped under a sequential owner");
+        auto f = ftl();
+        PageFtlProbe::mapEntry(*f, 6) = -1;
+        expectAuditPanic(*f, "stale owner");
+    }
+    {
+        SCOPED_TRACE("live owner row names another LPN");
+        auto f = ftl();
+        PageFtlProbe::ownerEntry(*f, new_page) = 9;
+        expectAuditPanic(*f, "lost LPN mapping");
+    }
+    {
+        SCOPED_TRACE("invalidated owner entry revived");
+        auto f = ftl();
+        PageFtlProbe::ownerEntry(*f, old_page) = 5;
+        expectAuditPanic(*f, "stale owner");
+    }
+    {
+        SCOPED_TRACE("invalidated owner entry names an LPN past the drive");
+        auto f = ftl();
+        PageFtlProbe::ownerEntry(*f, old_page) =
+            static_cast<std::int32_t>(c.logicalPages() + 300);
+        expectAuditPanic(*f, "owner names an LPN past the drive");
+    }
+    for (const PhysAddr &a : {old_page, new_page, PhysAddr{2, 3, 0}}) {
+        SCOPED_TRACE("wrong valid count on plane "
+                     + std::to_string(a.plane) + " block "
+                     + std::to_string(a.block));
+        auto f = ftl();
+        ++PageFtlProbe::validPages(*f, a.plane, a.block);
+        expectAuditPanic(*f, "valid-page count mismatch");
     }
 }
 

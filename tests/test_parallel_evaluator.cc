@@ -34,9 +34,26 @@ class ParallelEvaluatorTest : public ::testing::Test
         tables = std::make_unique<Characterization>(characterizer.run(*chip));
         overlay = makeOverlay(chip->geometry(), opt.sentinel);
 
-        chip->programBlock(1, 9, overlay);
-        chip->setPeCycles(1, 3000);
-        chip->age(1, 8760.0, 25.0);
+        prepareEvalBlock(*chip);
+    }
+
+    /** Program and age block 1, the evaluated block. */
+    static void
+    prepareEvalBlock(nand::Chip &c)
+    {
+        c.programBlock(1, 9, overlay);
+        c.setPeCycles(1, 3000);
+        c.age(1, 8760.0, 25.0);
+    }
+
+    /** A chip in the fixture chip's block-1 state with an empty memo. */
+    static std::unique_ptr<nand::Chip>
+    coldChip()
+    {
+        auto c = std::make_unique<nand::Chip>(test::mediumQlcGeometry(),
+                                              nand::qlcVoltageParams(), 888);
+        prepareEvalBlock(*c);
+        return c;
     }
 
     static void
@@ -96,6 +113,37 @@ TEST_F(ParallelEvaluatorTest, EvaluateBlockBitIdenticalAcrossThreadCounts)
         const auto parallel = evaluateBlock(*chip, 1, policy, ecc, overlay,
                                             LatencyParams{}, -1, 1, threads);
         expectSameStats(serial, parallel);
+    }
+}
+
+TEST_F(ParallelEvaluatorTest, WarmMemoMatchesColdChip)
+{
+    const auto ecc = eccModel();
+    const VendorRetryPolicy vendor(chip->model());
+    const SentinelPolicy sentinel(*tables, chip->model().defaultVoltages());
+    const auto run = [&](const nand::Chip &c, const ReadPolicy &policy,
+                         int threads) {
+        return evaluateBlock(c, 1, policy, ecc, overlay, LatencyParams{}, -1,
+                             1, threads);
+    };
+    // Each arm alone on a cold chip senses every snapshot itself.
+    const auto cold_vendor = run(*coldChip(), vendor, 1);
+    const auto cold_sentinel = run(*coldChip(), sentinel, 1);
+
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        // The vendor arm warms the memo; the sentinel arm then shares
+        // its data snapshots, and a second round shares everything.
+        const auto warm = coldChip();
+        for (int round = 0; round < 2; ++round) {
+            const auto v = run(*warm, vendor, threads);
+            EXPECT_GT(warm->senseMemoBytes(), 0u);
+            const auto s = run(*warm, sentinel, threads);
+            expectSameStats(v, cold_vendor);
+            expectSameStats(s, cold_sentinel);
+            EXPECT_EQ(v.metrics.toJson(), cold_vendor.metrics.toJson());
+            EXPECT_EQ(s.metrics.toJson(), cold_sentinel.metrics.toJson());
+        }
     }
 }
 

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/sentinel_layout.hh"
+#include "nandsim/read_seq.hh"
 #include "nandsim/snapshot.hh"
 #include "test_support.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace flash::nand
 {
@@ -175,6 +183,167 @@ TEST_F(SnapshotTest, BadArgumentsFatal)
     EXPECT_THROW(snap.upErrors(0, 0), util::FatalError);
     EXPECT_THROW(snap.upErrors(16, 0), util::FatalError);
     EXPECT_THROW(snap.cellsInState(-1), util::FatalError);
+}
+
+// The chip's snapshot memo (Chip::memoSnapshot).
+
+TEST_F(SnapshotTest, MemoHitEqualsFreshSnapshot)
+{
+    const int n = chip.geometry().dataBitlines;
+    const int all = chip.geometry().bitlines();
+    const auto first = chip.memoSnapshot(0, 3, 11, 0, n);
+    EXPECT_EQ(chip.senseMemoBytes(), first->bytes());
+    const auto hit = chip.memoSnapshot(0, 3, 11, 0, n);
+    EXPECT_EQ(hit, first) << "a repeated read must share the snapshot";
+    EXPECT_TRUE(*hit == WordlineSnapshot(chip, 0, 3, 11, 0, n));
+
+    // Each key field selects its own sense.
+    const auto seq = chip.memoSnapshot(0, 3, 12, 0, n);
+    const auto wl = chip.memoSnapshot(0, 4, 11, 0, n);
+    const auto block = chip.memoSnapshot(1, 3, 11, 0, n);
+    const auto begin = chip.memoSnapshot(0, 3, 11, 1, n);
+    const auto end = chip.memoSnapshot(0, 3, 11, 0, all);
+    for (const auto &other : {seq, wl, block, begin, end})
+        EXPECT_NE(other, first);
+    EXPECT_TRUE(*seq == WordlineSnapshot(chip, 0, 3, 12, 0, n));
+    EXPECT_TRUE(*wl == WordlineSnapshot(chip, 0, 4, 11, 0, n));
+    EXPECT_TRUE(*block == WordlineSnapshot(chip, 1, 3, 11, 0, n));
+    EXPECT_TRUE(*begin == WordlineSnapshot(chip, 0, 3, 11, 1, n));
+    EXPECT_TRUE(*end == WordlineSnapshot(chip, 0, 3, 11, 0, all));
+
+    EXPECT_THROW(chip.memoSnapshot(9, 0, 1, 0, n), util::FatalError);
+    EXPECT_THROW(chip.memoSnapshot(0, 0, 1, 10, 5), util::FatalError);
+}
+
+TEST(SenseMemo, EveryMutatorInvalidatesItsBlock)
+{
+    const std::vector<std::pair<std::string, std::function<void(Chip &)>>>
+        mutators = {
+            {"setPeCycles", [](Chip &c) { c.setPeCycles(0, 5000); }},
+            {"age", [](Chip &c) { c.age(0, 8760.0, 25.0); }},
+            {"refresh", [](Chip &c) { c.refresh(0); }},
+            {"recordReads", [](Chip &c) { c.recordReads(0, 1000000); }},
+            {"setBlockAge",
+             [](Chip &c) {
+                 BlockAge a = c.blockAge(0);
+                 a.peCycles = 500;
+                 c.setBlockAge(0, a);
+             }},
+            {"programWordline",
+             [](Chip &c) {
+                 WordlineContent w;
+                 w.dataSeed = 77;
+                 c.programWordline(0, 2, w);
+             }},
+            {"programBlock", [](Chip &c) { c.programBlock(0, 77); }},
+        };
+    for (const auto &[name, mutate] : mutators) {
+        Chip c(tinyQlcGeometry(), qlcVoltageParams(), 31);
+        c.setPeCycles(0, 3000);
+        c.age(0, 8760.0, 25.0);
+        const int n = c.geometry().dataBitlines;
+        const auto before = c.memoSnapshot(0, 2, 9, 0, n);
+        const auto bystander = c.memoSnapshot(1, 2, 9, 0, n);
+
+        mutate(c);
+        EXPECT_EQ(c.senseMemoBytes(), bystander->bytes())
+            << name << ": the block's entries must be dropped";
+        const auto after = c.memoSnapshot(0, 2, 9, 0, n);
+        EXPECT_TRUE(*after == WordlineSnapshot(c, 0, 2, 9, 0, n))
+            << name << ": the next read must see the new state";
+        EXPECT_FALSE(*after == *before)
+            << name << ": the mutation must change what a sense sees";
+        EXPECT_EQ(c.memoSnapshot(1, 2, 9, 0, n), bystander)
+            << name << ": other blocks keep their entries";
+    }
+}
+
+TEST(SenseMemo, MovedChipStartsEmpty)
+{
+    Chip from(tinyQlcGeometry(), qlcVoltageParams(), 31);
+    const int n = from.geometry().dataBitlines;
+    const auto warm = from.memoSnapshot(0, 1, 5, 0, n);
+    ASSERT_GT(from.senseMemoBytes(), 0u);
+
+    // Snapshots point at their chip's Gray code, so the moved-to chip
+    // must sense its own.
+    const Chip to(std::move(from));
+    EXPECT_EQ(to.senseMemoBytes(), 0u);
+    const auto fresh = to.memoSnapshot(0, 1, 5, 0, n);
+    EXPECT_NE(fresh, warm);
+    EXPECT_EQ(&fresh->grayCode(), &to.grayCode());
+    EXPECT_TRUE(*fresh == WordlineSnapshot(to, 0, 1, 5, 0, n));
+}
+
+TEST(SenseMemo, PaperSweepStaysWithinTheByteBound)
+{
+    ChipGeometry g = paperTlcGeometry();
+    g.blocks = 2;
+    Chip chip(g, tlcVoltageParams(), 7);
+    const SentinelOverlay overlay = core::makeOverlay(g, {});
+    chip.programBlock(1, 3, overlay);
+    chip.setPeCycles(1, 3000);
+    chip.age(1, 8760.0, 25.0);
+    const ReadClock clock(1);
+    // A policy session's two snapshots: data first, then sentinel.
+    const auto session = [&](int wl) {
+        return std::pair{
+            chip.memoSnapshot(1, wl, clock.at(1, wl, 0), 0, g.dataBitlines),
+            chip.memoSnapshot(1, wl, clock.at(1, wl, 1), overlay.start,
+                              overlay.start + overlay.count)};
+    };
+
+    // One block's stride-8 sweep fits whole: a second arm over the
+    // same stream shares every snapshot.
+    std::vector<std::pair<std::shared_ptr<const WordlineSnapshot>,
+                          std::shared_ptr<const WordlineSnapshot>>>
+        first;
+    for (int wl = 0; wl < g.wordlinesPerBlock(); wl += 8)
+        first.push_back(session(wl));
+    EXPECT_LE(chip.senseMemoBytes(), Chip::kSenseMemoBytes);
+    for (int wl = 0; wl < g.wordlinesPerBlock(); wl += 8)
+        EXPECT_EQ(session(wl), first[static_cast<std::size_t>(wl / 8)])
+            << "wordline " << wl;
+
+    // The stride-1 sweep does not fit: the memo evicts the least
+    // recently used entries and never holds more than the bound.
+    for (int wl = 0; wl < g.wordlinesPerBlock(); ++wl) {
+        session(wl);
+        ASSERT_LE(chip.senseMemoBytes(), Chip::kSenseMemoBytes)
+            << "wordline " << wl;
+    }
+    EXPECT_GT(chip.senseMemoBytes(), Chip::kSenseMemoBytes / 2);
+    const auto resensed = session(0);
+    EXPECT_NE(resensed.first, first[0].first);
+    EXPECT_TRUE(*resensed.first == *first[0].first);
+    EXPECT_TRUE(*resensed.second == *first[0].second);
+}
+
+TEST(SenseMemo, ConcurrentReadersShareOneSnapshot)
+{
+    Chip chip(test::mediumTlcGeometry(), tlcVoltageParams(), 5);
+    chip.setPeCycles(0, 3000);
+    chip.age(0, 8760.0, 25.0);
+    const int n = chip.geometry().dataBitlines;
+    // Every thread asks for the same 16 wordlines in the same order,
+    // so threads race on each key's miss and insert.
+    constexpr int kKeys = 16, kThreads = 4;
+    std::vector<std::shared_ptr<const WordlineSnapshot>> got(kKeys
+                                                             * kThreads);
+    util::parallelFor(kThreads, kKeys * kThreads, [&](int i) {
+        got[static_cast<std::size_t>(i)] =
+            chip.memoSnapshot(0, i % kKeys, 7, 0, n);
+    });
+    for (int i = 0; i < kKeys * kThreads; ++i) {
+        EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                  got[static_cast<std::size_t>(i % kKeys)])
+            << "read " << i;
+    }
+    for (int wl = 0; wl < kKeys; ++wl) {
+        EXPECT_TRUE(*got[static_cast<std::size_t>(wl)]
+                    == WordlineSnapshot(chip, 0, wl, 7, 0, n))
+            << "wordline " << wl;
+    }
 }
 
 } // namespace
