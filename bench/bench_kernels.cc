@@ -5,7 +5,7 @@
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Six rows, plus sense_dispatch on a CPU that runs a wider level
+ * Seven rows, plus sense_dispatch on a CPU that runs a wider level
  * than the baseline, each timed as reference ("scalar") vs fast path
  * ("packed") and checked for identical results before any timing is
  * trusted:
@@ -20,6 +20,13 @@
  *                     (util/cpu_level.hh); the two snapshots must be
  *                     equal. Left out when the baseline is selected,
  *                     so no row times a path against itself.
+ *   sense_ages        the factory sweep's senses of one wordline:
+ *                     16 data-region snapshots at the default
+ *                     characterization grid, one WordlineSnapshot per
+ *                     age after Chip::setBlockAge vs one multi-age
+ *                     WordlineSnapshot::senseAges sweep that draws the
+ *                     cells' age-independent terms once. All 16 pairs
+ *                     must be equal.
  *   sense_count_page  one read session (4 voltage sets) over the data
  *                     region: per-voltage Chip::readBits + byte
  *                     compare vs one WordlineSnapshot and its
@@ -62,6 +69,7 @@
 #include <vector>
 
 #include "bench_support.hh"
+#include "core/characterization.hh"
 #include "core/sentinel_layout.hh"
 #include "core/voltage_predictor.hh"
 #include "ecc/soft_sensing.hh"
@@ -228,6 +236,39 @@ main(int argc, char **argv)
         results.push_back(
             measure("sense_dispatch", reps, scalar, packed,
                     [&] { return *baseline_snap == *selected_snap; }));
+    }
+
+    // --- sense_ages -------------------------------------------------
+    {
+        // The default grid's ages, set through the chip's mutators as
+        // the characterizer sets them; the block's age is restored.
+        const nand::BlockAge saved = chip.blockAge(block);
+        const core::FactoryCharacterizer grid{core::CharOptions{}};
+        std::vector<nand::WordlineSnapshot::AgedRead> reads;
+        for (const core::CharCondition &c : grid.options().conditions) {
+            reads.push_back({core::applyCondition(chip, block, c, 25.0),
+                             4000 + reads.size()});
+        }
+        chip.setBlockAge(block, saved);
+        std::vector<nand::WordlineSnapshot> one_by_one, swept;
+        const auto scalar = [&] {
+            std::vector<nand::WordlineSnapshot> snaps;
+            for (const auto &r : reads) {
+                chip.setBlockAge(block, r.age);
+                snaps.push_back(nand::WordlineSnapshot::dataRegion(
+                    chip, block, wl, r.readSeq));
+            }
+            chip.setBlockAge(block, saved);
+            g_sink = snaps.back().cells();
+            one_by_one = std::move(snaps);
+        };
+        const auto packed = [&] {
+            const nand::SenseKernel kernel(chip, block, wl);
+            swept = nand::WordlineSnapshot::senseAges(kernel, reads, 0, cells);
+            g_sink = swept.back().cells();
+        };
+        results.push_back(measure("sense_ages", reps, scalar, packed,
+                                  [&] { return one_by_one == swept; }));
     }
 
     // --- sense_count_page -------------------------------------------

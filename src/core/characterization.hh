@@ -51,10 +51,12 @@ struct CharOptions
     int block = 0;
 
     /**
-     * Worker threads of the per-condition wordline sweep. The chip is
-     * only read inside the sweep, and each wordline's sensing noise
-     * derives from (readStream, condition, wordline), so the fitted
-     * tables are bit-identical at every thread count.
+     * Worker threads of the wordline sweep, which senses each sampled
+     * wordline at every condition in one pass. The chip is only read
+     * inside the sweep, each wordline's sensing noise derives from
+     * (readStream, condition, wordline), and the samples are reduced
+     * in condition-major, wordline order, so the fitted tables are
+     * bit-identical at every thread count.
      */
     int threads = 1;
 
@@ -92,19 +94,42 @@ struct Characterization
 };
 
 /**
+ * Put @p block at aging condition @p cond through the chip's own
+ * mutators (P/E count, refresh, then retention at @p temp_band_c
+ * long enough to reach the condition's room-equivalent hours) and
+ * return the block's resulting age. fatal(), leaving the chip as it
+ * was, unless the band is a temperature above absolute zero and the
+ * hours it needs are finite.
+ */
+nand::BlockAge applyCondition(nand::Chip &chip, int block,
+                              const CharCondition &cond,
+                              double temp_band_c);
+
+/**
  * Runs the factory sweep on a chip. The sweep mutates the target
  * block's age and content (it is a factory process); the block age is
- * restored afterwards, the sentinel overlay stays programmed.
+ * restored afterwards, the sentinel overlay stays programmed. The
+ * conditions and band temperatures are checked before the chip is
+ * touched.
  */
 class FactoryCharacterizer
 {
   public:
+    /**
+     * fatal() on a stride, degree or thread count below 1, or on a
+     * condition whose retention hours are negative or not finite.
+     */
     explicit FactoryCharacterizer(CharOptions options);
 
-    /** Characterize one temperature band. */
+    /** Characterize one temperature band: runBands() of one band. */
     Characterization run(nand::Chip &chip, double temp_band_c = 25.0) const;
 
-    /** Characterize several bands (paper III-D keeps one table each). */
+    /**
+     * Characterize several bands (paper III-D keeps one table each).
+     * Every band reprograms the same content, so one pass per
+     * wordline senses every band's conditions; entry b equals
+     * run(chip, band_temps[b]).
+     */
     std::vector<Characterization>
     runBands(nand::Chip &chip, const std::vector<double> &band_temps) const;
 

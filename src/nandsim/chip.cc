@@ -17,6 +17,9 @@ namespace
 
 constexpr std::uint64_t kSaltCellState = 0x63656c6c53740001ULL;
 
+/** 0 K in degrees Celsius: VoltageModel::arrheniusFactor's pole. */
+constexpr double kAbsoluteZeroC = -273.15;
+
 } // namespace
 
 /**
@@ -195,15 +198,21 @@ void
 Chip::age(int block, double hours, double tempC)
 {
     checkAddress(block, 0);
-    util::fatalIf(hours < 0.0, "chip: negative retention hours");
-    touch(block);
+    util::fatalIf(!std::isfinite(hours) || hours < 0.0,
+                  "chip: retention hours must be finite and >= 0");
+    util::fatalIf(!std::isfinite(tempC) || tempC <= kAbsoluteZeroC,
+                  "chip: retention temperature must be finite and above "
+                  "absolute zero");
     auto &a = ages_[static_cast<std::size_t>(block)];
     const double eff = hours * model_.arrheniusFactor(tempC);
     const double total = a.effRetentionHours + eff;
-    if (total > 0.0) {
-        a.retentionTempC =
-            (a.retentionTempC * a.effRetentionHours + tempC * eff) / total;
-    }
+    const double temp = total > 0.0
+        ? (a.retentionTempC * a.effRetentionHours + tempC * eff) / total
+        : a.retentionTempC;
+    util::fatalIf(!std::isfinite(total) || !std::isfinite(temp),
+                  "chip: retention overflows a double");
+    touch(block);
+    a.retentionTempC = temp;
     a.effRetentionHours = total;
 }
 
@@ -322,7 +331,13 @@ WordlineContext
 Chip::wordlineContext(int block, int wl) const
 {
     checkAddress(block, wl);
-    const BlockAge &age = ages_[static_cast<std::size_t>(block)];
+    return wordlineContext(block, wl, ages_[static_cast<std::size_t>(block)]);
+}
+
+WordlineContext
+Chip::wordlineContext(int block, int wl, const BlockAge &age) const
+{
+    checkAddress(block, wl);
     const int layer = geom_.layerOf(wl);
     const double ret_f = model_.layerRetentionFactor(seed_, block, layer)
         * model_.wordlineFactor(seed_, block, wl);

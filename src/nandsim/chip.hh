@@ -82,6 +82,8 @@ struct WordlineContext
     std::uint32_t tailThresh = 0;   ///< tail gate on 11 hash bits
     double gradient = 0.0;          ///< DAC from first to last bitline
     double readNoiseSigma = 0.0;
+
+    bool operator==(const WordlineContext &) const = default;
 };
 
 class WordlineSnapshot;
@@ -153,7 +155,9 @@ class Chip
      * Let a block sit for @p hours at @p tempC. Retention is
      * Arrhenius-accelerated into room-equivalent hours; the block's
      * retention temperature is updated as an effective-hours-weighted
-     * mean.
+     * mean. fatal() on negative or non-finite hours, a non-finite
+     * temperature or one at or below absolute zero, or effective
+     * hours that overflow; the block is then left as it was.
      */
     void age(int block, double hours, double tempC = 25.0);
 
@@ -197,6 +201,15 @@ class Chip
 
     /** Distribution context of a wordline under its current age. */
     WordlineContext wordlineContext(int block, int wl) const;
+
+    /**
+     * Distribution context of a wordline were its block at @p age:
+     * equal to wordlineContext(block, wl) after setBlockAge(block,
+     * age). Only mean, sigma, tailMean and tailSigma depend on the
+     * age; a multi-age sense (SenseKernel::senseAges) shares the rest.
+     */
+    WordlineContext wordlineContext(int block, int wl,
+                                    const BlockAge &age) const;
 
     /**
      * Sense one cell's threshold voltage. @p read_seq distinguishes

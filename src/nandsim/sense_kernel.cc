@@ -44,35 +44,70 @@ struct SenseBodies
         data(ov_hi, col + n);
     }
 
+    /**
+     * The age-independent terms of Chip::staticCellVth for columns
+     * [col, col + n) in the given true states: each cell's row in an
+     * applyAge() table (its state, plus the state count if the
+     * heavy-tail gate picks it), standard normal draw and gradient
+     * term.
+     */
     static FLASH_ALWAYS_INLINE void
-    staticVth(const SenseKernel &k, int col, int n,
-              const std::uint8_t *states, double *out)
+    staticDraws(const SenseKernel &k, int col, int n,
+                const std::uint8_t *states, std::uint8_t *row, double *z,
+                double *slope)
     {
         // Zeroed so -Wmaybe-uninitialized sees the buffer written for
         // n = 0.
         std::uint64_t zh[SenseKernel::kChunk] = {};
-        double z[SenseKernel::kChunk];
         for (int i = 0; i < n; ++i) {
             zh[i] = util::mix64(util::fastHashAbsorb(
                 k.staticState_, static_cast<std::uint64_t>(col + i)));
         }
         util::gaussian::batchBody(zh, z, static_cast<std::size_t>(n));
-
-        const WordlineContext &ctx = k.ctx_;
-        const double *mean = ctx.mean.data();
-        const double *sigma = ctx.sigma.data();
-        const double *tail_mean = ctx.tailMean.data();
-        const double *tail_sigma = ctx.tailSigma.data();
+        const std::uint32_t tail_thresh = k.ctx_.tailThresh;
+        const auto tail_row = static_cast<std::uint8_t>(k.stateMask_ + 1);
+        const double gradient = k.ctx_.gradient;
         for (int i = 0; i < n; ++i) {
-            // Chip::staticCellVth, term for term.
-            const bool tail = (zh[i] & 0x7ff) < ctx.tailThresh;
+            const bool tail = (zh[i] & 0x7ff) < tail_thresh;
+            row[i] =
+                static_cast<std::uint8_t>(states[i] + (tail ? tail_row : 0));
             const double frac =
                 static_cast<double>(col + i) / k.lastCol_ - 0.5;
-            const std::uint8_t s = states[i];
-            out[i] = (tail ? tail_mean[s] : mean[s])
-                + (tail ? tail_sigma[s] : sigma[s]) * z[i]
-                + ctx.gradient * frac;
+            slope[i] = gradient * frac;
         }
+    }
+
+    /**
+     * Static Vth of n cells at the age of @p ctx from their
+     * staticDraws() terms: Chip::staticCellVth, term for term. The
+     * main and heavy-tail populations' means and sigmas sit in one
+     * table each, indexed by the cell's row.
+     */
+    static FLASH_ALWAYS_INLINE void
+    applyAge(const WordlineContext &ctx, int n, const std::uint8_t *row,
+             const double *z, const double *slope, double *out)
+    {
+        constexpr std::size_t kMaxRows = 32; // main + tail, QLC
+        double mean[kMaxRows], sigma[kMaxRows];
+        const std::size_t tail_row = ctx.mean.size();
+        std::copy(ctx.mean.begin(), ctx.mean.end(), mean);
+        std::copy(ctx.tailMean.begin(), ctx.tailMean.end(), mean + tail_row);
+        std::copy(ctx.sigma.begin(), ctx.sigma.end(), sigma);
+        std::copy(ctx.tailSigma.begin(), ctx.tailSigma.end(),
+                  sigma + tail_row);
+        for (int i = 0; i < n; ++i)
+            out[i] = mean[row[i]] + sigma[row[i]] * z[i] + slope[i];
+    }
+
+    static FLASH_ALWAYS_INLINE void
+    staticVth(const SenseKernel &k, int col, int n,
+              const std::uint8_t *states, double *out)
+    {
+        std::uint8_t row[SenseKernel::kChunk];
+        double z[SenseKernel::kChunk];
+        double slope[SenseKernel::kChunk];
+        staticDraws(k, col, n, states, row, z, slope);
+        applyAge(k.ctx_, n, row, z, slope, out);
     }
 
     static FLASH_ALWAYS_INLINE void
@@ -96,37 +131,51 @@ struct SenseBodies
             vth[i] += noise_sigma * z[i];
     }
 
+    /** Round, clamp and count n cells' Vth into @p bins. */
     static FLASH_ALWAYS_INLINE void
-    sense(const SenseKernel &k, int col_begin, int col_end,
-          std::uint64_t read_seq, DacBins &bins)
+    bin(int n, const std::uint8_t *states, const double *vth, DacBins &bins)
     {
         const int lo = bins.lo;
         const int hi = bins.hi;
         const int width = hi - lo + 1;
-        std::uint32_t *counts = bins.counts;
         int min_dac = bins.minDac, max_dac = bins.maxDac;
+        int slot[SenseKernel::kChunk];
+        // Round and clamp the whole chunk first (a vector loop), then
+        // count: one increment per cell, no per-cell total or flag
+        // store in the way.
+        for (int i = 0; i < n; ++i) {
+            const int d = std::clamp(roundDac(vth[i]), lo, hi);
+            min_dac = std::min(min_dac, d);
+            max_dac = std::max(max_dac, d);
+            slot[i] = states[i] * width + (d - lo);
+        }
+        std::uint32_t *counts = bins.counts;
+        for (int i = 0; i < n; ++i)
+            ++counts[slot[i]];
+        bins.minDac = min_dac;
+        bins.maxDac = max_dac;
+    }
+
+    static FLASH_ALWAYS_INLINE void
+    senseAges(const SenseKernel &k, int col_begin, int col_end,
+              AgedSense *senses, std::size_t count)
+    {
         for (int col = col_begin; col < col_end; col += SenseKernel::kChunk) {
             const int n = std::min(SenseKernel::kChunk, col_end - col);
             std::uint8_t st[SenseKernel::kChunk];
+            std::uint8_t row[SenseKernel::kChunk];
+            double z[SenseKernel::kChunk];
+            double slope[SenseKernel::kChunk];
             double vth[SenseKernel::kChunk];
-            int slot[SenseKernel::kChunk];
             states(k, col, n, st);
-            staticVth(k, col, n, st, vth);
-            addReadNoise(k, col, n, read_seq, vth);
-            // Round and clamp the whole chunk first (a vector loop),
-            // then count: one increment per cell, no per-cell total or
-            // flag store in the way.
-            for (int i = 0; i < n; ++i) {
-                const int d = std::clamp(roundDac(vth[i]), lo, hi);
-                min_dac = std::min(min_dac, d);
-                max_dac = std::max(max_dac, d);
-                slot[i] = st[i] * width + (d - lo);
+            staticDraws(k, col, n, st, row, z, slope);
+            for (std::size_t a = 0; a < count; ++a) {
+                AgedSense &sense = senses[a];
+                applyAge(*sense.context, n, row, z, slope, vth);
+                addReadNoise(k, col, n, sense.readSeq, vth);
+                bin(n, st, vth, sense.bins);
             }
-            for (int i = 0; i < n; ++i)
-                ++counts[slot[i]];
         }
-        bins.minDac = min_dac;
-        bins.maxDac = max_dac;
     }
 };
 
@@ -138,7 +187,8 @@ struct SenseSteps
                       double *);
     void (*addReadNoise)(const SenseKernel &, int, int, std::uint64_t,
                          double *);
-    void (*sense)(const SenseKernel &, int, int, std::uint64_t, DacBins &);
+    void (*senseAges)(const SenseKernel &, int, int, AgedSense *,
+                      std::size_t);
 };
 
 namespace
@@ -162,13 +212,13 @@ namespace
     {                                                                       \
         SenseBodies::addReadNoise(k, col, n, seq, vth);                     \
     }                                                                       \
-    TARGET void NAME##Sense(const SenseKernel &k, int b, int e,             \
-                            std::uint64_t seq, DacBins &bins)               \
+    TARGET void NAME##SenseAges(const SenseKernel &k, int b, int e,         \
+                                AgedSense *senses, std::size_t count)       \
     {                                                                       \
-        SenseBodies::sense(k, b, e, seq, bins);                             \
+        SenseBodies::senseAges(k, b, e, senses, count);                     \
     }                                                                       \
     constexpr SenseSteps NAME = {NAME##States, NAME##StaticVth,             \
-                                 NAME##AddReadNoise, NAME##Sense};
+                                 NAME##AddReadNoise, NAME##SenseAges};
 
 FLASH_SENSE_STEPS(, kBaselineSteps)
 FLASH_SENSE_STEPS(FLASH_TARGET_V3, kV3Steps)
@@ -229,14 +279,28 @@ SenseKernel::addReadNoise(int col, int n, std::uint64_t read_seq,
 }
 
 void
-SenseKernel::sense(int col_begin, int col_end, std::uint64_t read_seq,
-                   DacBins &bins) const
+SenseKernel::senseAges(int col_begin, int col_end,
+                       std::span<AgedSense> senses) const
 {
     util::panicIf(col_begin < 0 || col_end > bitlines_
                       || col_begin > col_end,
                   "sense kernel: column range outside the wordline");
-    util::panicIf(bins.hi < bins.lo, "sense kernel: empty DAC range");
-    steps_->sense(*this, col_begin, col_end, read_seq, bins);
+    const auto n_states = static_cast<std::size_t>(stateMask_ + 1);
+    for (const AgedSense &s : senses) {
+        util::panicIf(s.bins.hi < s.bins.lo, "sense kernel: empty DAC range");
+        // The shared terms are this wordline's: only the per-state
+        // means and sigmas may differ.
+        const WordlineContext &c = *s.context;
+        util::panicIf(c.mean.size() != n_states || c.sigma.size() != n_states
+                          || c.tailMean.size() != n_states
+                          || c.tailSigma.size() != n_states
+                          || c.tailThresh != ctx_.tailThresh
+                          || c.gradient != ctx_.gradient
+                          || c.readNoiseSigma != ctx_.readNoiseSigma,
+                      "sense kernel: context of another wordline");
+    }
+    steps_->senseAges(*this, col_begin, col_end, senses.data(),
+                      senses.size());
 }
 
 } // namespace flash::nand

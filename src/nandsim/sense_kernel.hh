@@ -6,10 +6,14 @@
  * senses its cells here, kChunk columns at a time: true states,
  * static-Vth hashes, Gaussians, per-read noise, rounding to the DAC
  * grid and binning, each step one tight loop over a chunk held on the
- * stack. WordlineSnapshot calls sense(), which runs every step and
- * bins; ecc::softReadRange calls states() and staticVth() once per
- * chunk, then addReadNoise() and roundDac() once per sense. No
- * per-cell array outlives a chunk. Chip::cellVth() (rounded with
+ * stack. WordlineSnapshot calls senseAges(), which runs every step
+ * and bins, for one block age or several: a chunk's true
+ * states, static-Vth hashes, their Gaussians and tail gates and the
+ * gradient term do not depend on the age, so they are computed once
+ * and each age then applies only its own means and sigmas, its
+ * read's noise and the rounding. ecc::softReadRange calls states()
+ * and staticVth() once per chunk, then addReadNoise() and roundDac()
+ * once per sense. No per-cell array outlives a chunk. Chip::cellVth() (rounded with
  * std::lround) stays the per-cell reference: the kernel performs the
  * same IEEE operations in the same order, so its DAC values are
  * bit-identical (tests/test_sense_kernel.cc pins this).
@@ -25,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "nandsim/chip.hh"
 #include "util/cpu_level.hh"
@@ -60,6 +65,18 @@ struct DacBins
     int minDac, maxDac;
 };
 
+/**
+ * One read of a multi-age sense: the block age it senses under, as
+ * the wordline's Chip::wordlineContext(block, wl, age), the read's
+ * sequence number and the counters its cells go to.
+ */
+struct AgedSense
+{
+    const WordlineContext *context;
+    std::uint64_t readSeq;
+    DacBins bins;
+};
+
 struct SenseSteps;   // one compiled CPU level (sense_kernel.cc)
 struct SenseBodies;  // the steps' shared bodies (sense_kernel.cc)
 
@@ -81,8 +98,12 @@ class SenseKernel
     /** The sensed chip. */
     const Chip &chip() const { return *chip_; }
 
-    /** Distribution context of the wordline. */
+    /** Distribution context of the wordline under its current age. */
     const WordlineContext &context() const { return ctx_; }
+
+    /** The sensed block and wordline. */
+    int block() const { return block_; }
+    int wordline() const { return wl_; }
 
     /** Call fn(col, n) for consecutive chunks covering [begin, end). */
     template <typename Fn>
@@ -112,13 +133,18 @@ class SenseKernel
                       double *vth) const;
 
     /**
-     * One sense of columns [col_begin, col_end): add each cell to
-     * @p bins at (true state, roundDac(vth) clamped into
-     * [bins.lo, bins.hi]) and widen the touched window. The counters
-     * must hold geometry().states() rows.
+     * One sense of columns [col_begin, col_end) per entry of
+     * @p senses, in one pass over the columns: add each cell to the
+     * entry's bins at (true state, roundDac(vth) clamped into
+     * [bins.lo, bins.hi]), with vth sensed at the entry's age and
+     * read seq, and widen the bins' touched window. The counters must
+     * hold geometry().states() rows. The age-independent terms of
+     * each chunk are computed once for all entries; a one-age sense
+     * is the one-entry case. Every context must be one of this
+     * wordline.
      */
-    void sense(int col_begin, int col_end, std::uint64_t read_seq,
-               DacBins &bins) const;
+    void senseAges(int col_begin, int col_end,
+                   std::span<AgedSense> senses) const;
 
   private:
     friend struct SenseBodies;

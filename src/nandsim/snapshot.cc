@@ -1,6 +1,9 @@
 #include "nandsim/snapshot.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "util/logging.hh"
@@ -13,16 +16,41 @@ namespace
 
 /**
  * This thread's binning counters, at least @p size of them. All zero
- * between senses: each snapshot clears the window it touched, so a
- * sense costs no allocation and no full-range zero fill.
+ * between senses: each snapshot clears the windows it touched, so a
+ * sense costs no allocation and no full-range zero fill. The counters
+ * are an anonymous mapping, so a page no sense has written is never
+ * faulted in: a multi-age sweep's bin sets take resident memory only
+ * where their cells fell. (calloc would not promise that: once the
+ * allocator's mmap threshold has risen past the request, it serves
+ * it from a heap and zero-fills all of it.)
  */
 std::uint32_t *
 binScratch(std::size_t size)
 {
-    thread_local std::vector<std::uint32_t> scratch;
-    if (scratch.size() < size)
-        scratch.resize(size); // the new tail is zero, too
-    return scratch.data();
+    struct Scratch
+    {
+        void *base = nullptr;
+        std::size_t bytes = 0;
+
+        ~Scratch()
+        {
+            if (base != nullptr)
+                ::munmap(base, bytes);
+        }
+    };
+    thread_local Scratch scratch;
+    const std::size_t bytes = size * sizeof(std::uint32_t);
+    if (scratch.bytes < bytes) {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        if (scratch.base != nullptr)
+            ::munmap(scratch.base, scratch.bytes);
+        scratch.base = p;
+        scratch.bytes = bytes;
+    }
+    return static_cast<std::uint32_t *>(scratch.base);
 }
 
 } // namespace
@@ -38,46 +66,125 @@ WordlineSnapshot::WordlineSnapshot(const Chip &chip, int block, int wl,
 WordlineSnapshot::WordlineSnapshot(const SenseKernel &kernel,
                                    std::uint64_t read_seq, int col_begin,
                                    int col_end)
-    : code_(&kernel.chip().grayCode()),
-      states_(kernel.chip().geometry().states())
+    : WordlineSnapshot(kernel.chip())
+{
+    AgedSense one{&kernel.context(), read_seq, {}};
+    sweep(kernel, std::span(&one, 1), col_begin, col_end, this);
+}
+
+WordlineSnapshot::WordlineSnapshot(const Chip &chip)
+    : code_(&chip.grayCode()), states_(chip.geometry().states())
+{
+    util::panicIf(states_ > kMaxStates, "snapshot: too many states");
+}
+
+std::vector<WordlineSnapshot>
+WordlineSnapshot::senseAges(const SenseKernel &kernel,
+                            std::span<const AgedRead> reads, int col_begin,
+                            int col_end)
+{
+    const Chip &chip = kernel.chip();
+    std::vector<WordlineContext> contexts;
+    contexts.reserve(reads.size());
+    for (const AgedRead &r : reads) {
+        contexts.push_back(
+            chip.wordlineContext(kernel.block(), kernel.wordline(), r.age));
+    }
+    std::vector<WordlineSnapshot> out(reads.size(), WordlineSnapshot(chip));
+
+    // Equal groups of at most kSweepScratchBytes of bin sets each.
+    const std::size_t set_bytes = sizeof(std::uint32_t)
+        * static_cast<std::size_t>(chip.model().vthMax()
+                                   - chip.model().vthMin() + 1)
+        * static_cast<std::size_t>(chip.geometry().states());
+    const std::size_t per_group =
+        std::max<std::size_t>(1, kSweepScratchBytes / set_bytes);
+    const std::size_t groups = (reads.size() + per_group - 1) / per_group;
+    std::vector<AgedSense> senses;
+    for (std::size_t g = 0, i = 0; g < groups; ++g) {
+        const std::size_t n =
+            (reads.size() - i + (groups - g) - 1) / (groups - g);
+        senses.clear();
+        for (std::size_t j = i; j < i + n; ++j)
+            senses.push_back({&contexts[j], reads[j].readSeq, {}});
+        sweep(kernel, senses, col_begin, col_end, out.data() + i);
+        i += n;
+    }
+    return out;
+}
+
+void
+WordlineSnapshot::sweep(const SenseKernel &kernel,
+                        std::span<AgedSense> senses, int col_begin,
+                        int col_end, WordlineSnapshot *out)
 {
     const Chip &chip = kernel.chip();
     util::fatalIf(col_begin < 0 || col_end > chip.geometry().bitlines()
                       || col_begin > col_end,
                   "snapshot: bad column range");
-    util::panicIf(states_ > kMaxStates, "snapshot: too many states");
 
     const int lo = chip.model().vthMin();
     const int hi = chip.model().vthMax();
+    const int states = chip.geometry().states();
     const auto width = static_cast<std::size_t>(hi - lo + 1);
-    DacBins bins{binScratch(width * static_cast<std::size_t>(states_)), lo,
-                 hi, hi + 1, lo - 1};
-    // Clear what the sense touched on every exit, so the scratch
-    // stays zero even if building the prefix array throws.
-    struct ClearTouched
+    const std::size_t set = width * static_cast<std::size_t>(states);
+    std::uint32_t *scratch = binScratch(set * senses.size());
+    for (std::size_t i = 0; i < senses.size(); ++i)
+        senses[i].bins = DacBins{scratch + i * set, lo, hi, hi + 1, lo - 1};
+    // The scratch must be all zero again on every exit. A compacted
+    // sense clears just its states' windows below, which hold all its
+    // nonzero counters; one still pending when something throws is
+    // cleared over its whole touched DAC range.
+    struct ClearPending
     {
-        const DacBins &bins;
+        std::span<AgedSense> senses;
         std::size_t width;
         int states;
 
-        ~ClearTouched()
+        ~ClearPending()
         {
-            if (bins.minDac > bins.maxDac)
-                return;
-            for (int s = 0; s < states; ++s) {
-                std::uint32_t *row =
-                    bins.counts + static_cast<std::size_t>(s) * width;
-                std::fill(row + (bins.minDac - bins.lo),
-                          row + (bins.maxDac - bins.lo + 1), 0u);
+            for (const AgedSense &a : senses) {
+                const DacBins &bins = a.bins;
+                if (bins.minDac > bins.maxDac)
+                    continue;
+                for (int s = 0; s < states; ++s) {
+                    std::uint32_t *row =
+                        bins.counts + static_cast<std::size_t>(s) * width;
+                    std::fill(row + (bins.minDac - bins.lo),
+                              row + (bins.maxDac - bins.lo + 1), 0u);
+                }
             }
         }
-    } clear{bins, width, states_};
+    } clear{senses, width, states};
 
-    kernel.sense(col_begin, col_end, read_seq, bins);
-    cells_ = static_cast<std::uint64_t>(col_end - col_begin);
+    kernel.senseAges(col_begin, col_end, senses);
+    for (std::size_t i = 0; i < senses.size(); ++i) {
+        DacBins &bins = senses[i].bins;
+        WordlineSnapshot &snap = out[i];
+        snap.compact(bins, static_cast<std::uint64_t>(col_end - col_begin));
+        for (int s = 0; s < states; ++s) {
+            const StateWindow &w =
+                snap.windows_[static_cast<std::size_t>(s)];
+            if (w.lo > w.hi)
+                continue;
+            std::uint32_t *row =
+                bins.counts + static_cast<std::size_t>(s) * width;
+            std::fill(row + (w.lo - lo), row + (w.hi - lo + 1), 0u);
+        }
+        bins.minDac = hi + 1; // cleared
+        bins.maxDac = lo - 1;
+    }
+}
+
+void
+WordlineSnapshot::compact(const DacBins &bins, std::uint64_t cells)
+{
+    cells_ = cells;
     if (bins.minDac > bins.maxDac)
         return; // no cells: every window stays empty
 
+    const int lo = bins.lo;
+    const auto width = static_cast<std::size_t>(bins.hi - lo + 1);
     // Row s of the scratch: row(s)[v - lo] counts DAC value v.
     const auto row = [&](int s) {
         return bins.counts + static_cast<std::size_t>(s) * width;

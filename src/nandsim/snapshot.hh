@@ -11,7 +11,8 @@
  * new snapshot with a different read sequence redraws it.
  *
  * Layout: the sense bins into per-thread scratch that covers the
- * model's whole DAC range [vthMin, vthMax]; the snapshot then keeps,
+ * model's whole DAC range [vthMin, vthMax] (one such bin set per read
+ * of a multi-age sweep, senseAges()); the snapshot then keeps,
  * per state, only the window of DAC values its cells actually fell
  * in, as one flat array of inclusive prefix sums built eagerly, and
  * clears the touched scratch for the next sense. A count query below
@@ -28,6 +29,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nandsim/chip.hh"
@@ -53,6 +55,34 @@ class WordlineSnapshot
     /** The same sense through @p kernel (and its CPU level). */
     WordlineSnapshot(const SenseKernel &kernel, std::uint64_t read_seq,
                      int col_begin, int col_end);
+
+    /** One read of a multi-age sweep. */
+    struct AgedRead
+    {
+        BlockAge age;                ///< the block age it senses under
+        std::uint64_t readSeq = 0;   ///< its read-sequence number
+    };
+
+    /**
+     * Byte bound of one thread's binning scratch in a multi-age
+     * sweep, 2 MiB: 15 paper-TLC bin sets (8 states x 4 301 DAC
+     * values x 4 B = 134 KiB each) or 7 QLC ones. senseAges() splits
+     * longer sweeps into equal groups that fit (DESIGN.md section 11).
+     */
+    static constexpr std::size_t kSweepScratchBytes = std::size_t{2} << 20;
+
+    /**
+     * One snapshot per entry of @p reads of columns [col_begin,
+     * col_end) of @p kernel's wordline: entry i equals the snapshot
+     * sensed with reads[i].readSeq after Chip::setBlockAge(block,
+     * reads[i].age). Each group of reads whose bin sets fit
+     * kSweepScratchBytes is one SenseKernel::senseAges pass, so the
+     * cells' age-independent terms are drawn once per group, not once
+     * per read.
+     */
+    static std::vector<WordlineSnapshot>
+    senseAges(const SenseKernel &kernel, std::span<const AgedRead> reads,
+              int col_begin, int col_end);
 
     /** Snapshot of the user-data region only. */
     static WordlineSnapshot dataRegion(const Chip &chip, int block, int wl,
@@ -137,6 +167,20 @@ class WordlineSnapshot
 
         bool operator==(const StateWindow &) const = default;
     };
+
+    /** An empty snapshot of @p chip, for sweep() to fill. */
+    explicit WordlineSnapshot(const Chip &chip);
+
+    /**
+     * Sense columns [col_begin, col_end) once per entry of @p senses
+     * (their bins are assigned here, in this thread's scratch) and
+     * compact entry i into out[i].
+     */
+    static void sweep(const SenseKernel &kernel, std::span<AgedSense> senses,
+                      int col_begin, int col_end, WordlineSnapshot *out);
+
+    /** Take the windows and prefix sums of @p bins' filled counters. */
+    void compact(const DacBins &bins, std::uint64_t cells);
 
     /** Cells of state @p s sensed at or below DAC value @p v. */
     std::uint64_t

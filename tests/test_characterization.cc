@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/characterization.hh"
+#include "core/error_difference.hh"
+#include "nandsim/oracle.hh"
+#include "nandsim/read_seq.hh"
+#include "nandsim/snapshot.hh"
 #include "test_support.hh"
 #include "util/logging.hh"
 
@@ -139,6 +146,227 @@ TEST_F(CharacterizationTest, DefaultConditionGridNonEmpty)
     CharOptions opt;
     const FactoryCharacterizer characterizer(opt);
     EXPECT_GE(characterizer.options().conditions.size(), 8u);
+}
+
+/**
+ * The sweep as it ran one condition at a time: age the block through
+ * its mutators, then sense each sampled wordline's data region and
+ * sentinel range at that age. An independent reference for run().
+ */
+Characterization
+referenceRun(nand::Chip &chip, const CharOptions &options,
+             double temp_band_c)
+{
+    // The options as the characterizer completes them (default grid).
+    const CharOptions opt = FactoryCharacterizer(options).options();
+    const auto &geom = chip.geometry();
+    const int block = opt.block;
+    const int k_s = resolveSentinelBoundary(geom, opt.sentinel);
+    const auto overlay = makeOverlay(geom, opt.sentinel);
+    const auto defaults = chip.model().defaultVoltages();
+    const int v_s = defaults[static_cast<std::size_t>(k_s)];
+    const nand::OracleSearch oracle;
+    chip.programBlock(block, chip.seed() ^ 0xc4a7ULL, overlay);
+    const nand::BlockAge saved = chip.blockAge(block);
+
+    Characterization out;
+    out.sentinelBoundary = k_s;
+    out.tempBandC = temp_band_c;
+    const auto nb = static_cast<std::size_t>(geom.states());
+    std::vector<std::vector<double>> xs(nb), ys(nb);
+    for (std::size_t ci = 0; ci < opt.conditions.size(); ++ci) {
+        const CharCondition &cond = opt.conditions[ci];
+        chip.setPeCycles(block, cond.peCycles);
+        chip.refresh(block);
+        chip.age(block,
+                 cond.effRetentionHours
+                     / chip.model().arrheniusFactor(temp_band_c),
+                 temp_band_c);
+        const nand::ReadClock clock(util::hashCombine(opt.readStream, ci));
+        for (int wl = 0; wl < geom.wordlinesPerBlock();
+             wl += opt.wordlineStride) {
+            nand::ReadSeq seq = clock.session(block, wl);
+            const auto data =
+                nand::WordlineSnapshot::dataRegion(chip, block, wl, seq.next());
+            const auto sent =
+                sentinelSnapshot(chip, block, wl, overlay, seq.next());
+            const auto opts = oracle.optimalOffsets(data, defaults);
+            const double opt_s = opts[static_cast<std::size_t>(k_s)].offset;
+            out.dSamples.push_back(
+                countSentinelErrors(sent, k_s, v_s).dRate());
+            out.voptSamples.push_back(opt_s);
+            for (int k = 1; k < geom.states(); ++k) {
+                xs[static_cast<std::size_t>(k)].push_back(opt_s);
+                ys[static_cast<std::size_t>(k)].push_back(
+                    opts[static_cast<std::size_t>(k)].offset);
+            }
+        }
+    }
+    chip.setBlockAge(block, saved);
+
+    out.samples = out.dSamples.size();
+    out.dToVopt = util::polyfit(out.dSamples, out.voptSamples,
+                                static_cast<std::size_t>(opt.polyDegree));
+    out.dFitRmse =
+        util::polyfitRmse(out.dToVopt, out.dSamples, out.voptSamples);
+    out.crossVoltage.resize(nb);
+    for (int k = 1; k < geom.states(); ++k) {
+        out.crossVoltage[static_cast<std::size_t>(k)] = util::linearFit(
+            xs[static_cast<std::size_t>(k)], ys[static_cast<std::size_t>(k)]);
+    }
+    return out;
+}
+
+/** Every fitted number and sample of two tables, bit for bit. */
+void
+expectSameTables(const Characterization &got, const Characterization &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.sentinelBoundary, want.sentinelBoundary) << where;
+    EXPECT_EQ(got.tempBandC, want.tempBandC) << where;
+    EXPECT_EQ(got.samples, want.samples) << where;
+    EXPECT_EQ(got.dSamples, want.dSamples) << where;
+    EXPECT_EQ(got.voptSamples, want.voptSamples) << where;
+    EXPECT_EQ(got.dToVopt.coeffs(), want.dToVopt.coeffs()) << where;
+    EXPECT_EQ(got.dToVopt.xShift(), want.dToVopt.xShift()) << where;
+    EXPECT_EQ(got.dToVopt.xScale(), want.dToVopt.xScale()) << where;
+    EXPECT_EQ(got.dFitRmse, want.dFitRmse) << where;
+    ASSERT_EQ(got.crossVoltage.size(), want.crossVoltage.size()) << where;
+    for (std::size_t k = 0; k < got.crossVoltage.size(); ++k) {
+        const auto &g = got.crossVoltage[k];
+        const auto &w = want.crossVoltage[k];
+        EXPECT_EQ(g.slope, w.slope) << where << " V" << k;
+        EXPECT_EQ(g.intercept, w.intercept) << where << " V" << k;
+        EXPECT_EQ(g.r2, w.r2) << where << " V" << k;
+        EXPECT_EQ(g.n, w.n) << where << " V" << k;
+    }
+}
+
+/** A medium chip of @p type and sweep options that fit it. */
+struct SweepSetup
+{
+    std::unique_ptr<nand::Chip> chip;
+    CharOptions options;
+};
+
+SweepSetup
+mediumSetup(nand::CellType type)
+{
+    SweepSetup s;
+    const bool tlc = type == nand::CellType::TLC;
+    s.chip = std::make_unique<nand::Chip>(
+        tlc ? test::mediumTlcGeometry() : test::mediumQlcGeometry(),
+        tlc ? nand::tlcVoltageParams() : nand::qlcVoltageParams(), 808);
+    s.options.sentinel.ratio = 0.01;
+    s.options.wordlineStride = 4;
+    s.options.block = 1;
+    return s;
+}
+
+TEST(CharacterizationSweep, OnePassEqualsTheConditionByConditionLoop)
+{
+    for (const nand::CellType type :
+         {nand::CellType::TLC, nand::CellType::QLC}) {
+        SweepSetup s = mediumSetup(type);
+        const Characterization want =
+            referenceRun(*s.chip, s.options, 25.0);
+        ASSERT_GT(want.samples, 100u);
+        for (const int threads : {1, 4}) {
+            s.options.threads = threads;
+            const std::string where =
+                std::string(type == nand::CellType::TLC ? "TLC" : "QLC")
+                + " threads " + std::to_string(threads);
+            expectSameTables(FactoryCharacterizer(s.options).run(*s.chip),
+                             want, where);
+        }
+    }
+}
+
+TEST(CharacterizationSweep, BandsInOnePassEqualOneRunPerBand)
+{
+    for (const nand::CellType type :
+         {nand::CellType::TLC, nand::CellType::QLC}) {
+        SweepSetup s = mediumSetup(type);
+        s.options.conditions = {{1000, 720.0}, {3000, 4380.0},
+                                {5000, 8760.0}, {0, 24.0}};
+        s.options.threads = 3;
+        const FactoryCharacterizer characterizer(s.options);
+        const std::vector<double> temps = {25.0, 55.0, 80.0};
+        const auto bands = characterizer.runBands(*s.chip, temps);
+        ASSERT_EQ(bands.size(), temps.size());
+        for (std::size_t b = 0; b < temps.size(); ++b) {
+            const std::string where =
+                std::string(type == nand::CellType::TLC ? "TLC" : "QLC")
+                + " band " + std::to_string(temps[b]);
+            expectSameTables(bands[b], characterizer.run(*s.chip, temps[b]),
+                             where);
+            expectSameTables(bands[b],
+                             referenceRun(*s.chip, s.options, temps[b]),
+                             where + " (reference)");
+        }
+        // Bands differ only in their retention temperature.
+        EXPECT_NE(bands[0].dSamples, bands[2].dSamples);
+    }
+}
+
+TEST(CharacterizationSweep, RejectsBadInputsBeforeTouchingTheChip)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double hours : {-1.0, nan, inf}) {
+        CharOptions opt;
+        opt.conditions = {{1000, 720.0}, {3000, hours}};
+        EXPECT_THROW(FactoryCharacterizer{opt}, util::FatalError)
+            << "hours " << hours;
+    }
+
+    SweepSetup s = mediumSetup(nand::CellType::QLC);
+    nand::Chip &chip = *s.chip;
+    const int block = s.options.block;
+    chip.setPeCycles(block, 42);
+    const nand::BlockAge age = chip.blockAge(block);
+    const auto untouched = [&] {
+        const nand::BlockAge now = chip.blockAge(block);
+        return now.peCycles == age.peCycles
+            && now.effRetentionHours == age.effRetentionHours
+            && !chip.content(block, 0).sentinels.has_value();
+    };
+    const FactoryCharacterizer characterizer(s.options);
+    for (const double temp : {nan, inf, -inf, -273.15, -400.0}) {
+        EXPECT_THROW(characterizer.run(chip, temp), util::FatalError)
+            << "band " << temp;
+        EXPECT_TRUE(untouched()) << "band " << temp;
+    }
+    // A valid band after an invalid one is refused as a whole.
+    EXPECT_THROW(characterizer.runBands(chip, {25.0, nan}),
+                 util::FatalError);
+    EXPECT_TRUE(untouched());
+    // So close to absolute zero that no real time reaches the hours.
+    EXPECT_THROW(characterizer.run(chip, -273.0), util::FatalError);
+    EXPECT_TRUE(untouched());
+    CharOptions bad_block = s.options;
+    bad_block.block = chip.geometry().blocks;
+    EXPECT_THROW(FactoryCharacterizer(bad_block).run(chip),
+                 util::FatalError);
+    EXPECT_TRUE(untouched());
+}
+
+TEST(CharacterizationSweep, ApplyConditionLandsOnTheCondition)
+{
+    SweepSetup s = mediumSetup(nand::CellType::TLC);
+    nand::Chip &chip = *s.chip;
+    chip.recordReads(0, 1000);
+    const nand::BlockAge a =
+        applyCondition(chip, 0, CharCondition{3000, 4380.0}, 80.0);
+    EXPECT_EQ(a.peCycles, 3000u);
+    EXPECT_NEAR(a.effRetentionHours, 4380.0, 1e-6);
+    EXPECT_NEAR(a.retentionTempC, 80.0, 1e-9);
+    EXPECT_EQ(a.readCount, 0u);
+    EXPECT_EQ(chip.blockAge(0).effRetentionHours, a.effRetentionHours);
+    const nand::BlockAge before = chip.blockAge(0);
+    EXPECT_THROW(applyCondition(chip, 0, CharCondition{1, -5.0}, 25.0),
+                 util::FatalError);
+    EXPECT_EQ(chip.blockAge(0).peCycles, before.peCycles);
 }
 
 } // namespace

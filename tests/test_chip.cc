@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nandsim/chip.hh"
 #include "test_support.hh"
 #include "util/logging.hh"
@@ -114,6 +116,65 @@ TEST_F(ChipTest, AddressChecks)
     EXPECT_THROW(chip.trueState(0, 0, -1), util::FatalError);
     EXPECT_THROW(chip.blockAge(99), util::FatalError);
     EXPECT_THROW(chip.age(0, -1.0, 25.0), util::FatalError);
+}
+
+TEST_F(ChipTest, AgeRejectsNonFiniteAndImpossibleInputs)
+{
+    // A NaN fails `hours < 0.0` as well as `hours >= 0.0`; left
+    // through, it would make every later sense of the block NaN.
+    chip.setPeCycles(0, 1000);
+    chip.age(0, 100.0, 55.0);
+    const BlockAge before = chip.blockAge(0);
+    const WordlineContext ctx = chip.wordlineContext(0, 3);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double hours : {nan, inf, -inf, -1.0, -0.0001}) {
+        EXPECT_THROW(chip.age(0, hours, 25.0), util::FatalError)
+            << "hours " << hours;
+    }
+    for (const double temp : {nan, inf, -inf, -273.15, -300.0, -1e300}) {
+        EXPECT_THROW(chip.age(0, 10.0, temp), util::FatalError)
+            << "temp " << temp;
+    }
+    // Effective hours past a double.
+    EXPECT_THROW(chip.age(0, 1e306, 150.0), util::FatalError);
+    // A rejected call leaves the block as it was.
+    const BlockAge after = chip.blockAge(0);
+    EXPECT_EQ(after.peCycles, before.peCycles);
+    EXPECT_EQ(after.effRetentionHours, before.effRetentionHours);
+    EXPECT_EQ(after.retentionTempC, before.retentionTempC);
+    EXPECT_TRUE(chip.wordlineContext(0, 3) == ctx);
+    // Just above absolute zero is a (frozen) temperature, and zero
+    // hours are a no-op.
+    EXPECT_NO_THROW(chip.age(0, 10.0, -273.0));
+    EXPECT_NO_THROW(chip.age(0, 0.0, 25.0));
+    EXPECT_EQ(chip.blockAge(0).effRetentionHours, before.effRetentionHours);
+}
+
+TEST_F(ChipTest, ContextAtAnAgeEqualsTheContextAfterSetBlockAge)
+{
+    BlockAge hot;
+    hot.peCycles = 3000;
+    hot.effRetentionHours = 4380.0;
+    hot.retentionTempC = 80.0;
+    hot.readCount = 250000;
+    const BlockAge saved = chip.blockAge(1);
+    for (const BlockAge &age : {BlockAge{}, hot}) {
+        for (const int wl : {0, 5, chip.geometry().wordlinesPerBlock() - 1}) {
+            const WordlineContext at = chip.wordlineContext(1, wl, age);
+            chip.setBlockAge(1, age);
+            EXPECT_TRUE(at == chip.wordlineContext(1, wl)) << "wl " << wl;
+            chip.setBlockAge(1, saved);
+        }
+    }
+    // The age changes only the per-state means and sigmas.
+    const WordlineContext fresh = chip.wordlineContext(1, 5, BlockAge{});
+    const WordlineContext aged = chip.wordlineContext(1, 5, hot);
+    EXPECT_NE(fresh.mean, aged.mean);
+    EXPECT_EQ(fresh.gradient, aged.gradient);
+    EXPECT_EQ(fresh.tailThresh, aged.tailThresh);
+    EXPECT_EQ(fresh.readNoiseSigma, aged.readNoiseSigma);
+    EXPECT_THROW(chip.wordlineContext(99, 0, hot), util::FatalError);
 }
 
 TEST_F(ChipTest, SenseIsDeterministicPerReadSeq)

@@ -6,7 +6,8 @@
  * fresh and aged, with a sentinel overlay, explicit states and no read
  * noise, over chunk-edge column ranges, at every CPU level the host
  * can execute. The compact snapshot must answer every count query as
- * a full-range histogram of the same cells does.
+ * a full-range histogram of the same cells does, and a multi-age sweep
+ * must give, age for age, the snapshot a sense at that age gives.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/characterization.hh"
 #include "core/sentinel_layout.hh"
 #include "nandsim/sense_kernel.hh"
 #include "nandsim/snapshot.hh"
@@ -830,6 +832,179 @@ TEST(SnapshotScratch, PoolThreadsMatchTheCallingThread)
         }
     }
 }
+
+// Multi-age sweep vs one snapshot per age. Param: level, cell type.
+using SweepParam = std::tuple<util::CpuLevel, CellType>;
+
+class SenseAgesTest : public ::testing::TestWithParam<SweepParam>
+{
+  protected:
+    static constexpr int kBlock = 1;
+    static constexpr int kWl = 6;
+
+    void
+    SetUp() override
+    {
+        const auto [lvl, type] = GetParam();
+        if (!util::cpuLevelSupported(lvl)) {
+            GTEST_SKIP() << "this CPU cannot run "
+                         << util::cpuLevelName(lvl);
+        }
+        const bool tlc = type == CellType::TLC;
+        chip_ = std::make_unique<Chip>(
+            tlc ? tinyTlcGeometry() : tinyQlcGeometry(),
+            tlc ? tlcVoltageParams() : qlcVoltageParams(), 2026);
+        overlay_ = core::makeOverlay(chip_->geometry(),
+                                     core::SentinelConfig{.ratio = 0.02});
+        chip_->programBlock(kBlock, 5150, overlay_);
+
+        // The factory grid at two band temperatures, set through the
+        // chip's mutators, then ages no condition reaches: read
+        // disturb and an age with a hot retention history.
+        const core::FactoryCharacterizer grid{core::CharOptions{}};
+        for (const double band : {25.0, 70.0}) {
+            for (const core::CharCondition &c : grid.options().conditions) {
+                ages_.push_back(
+                    core::applyCondition(*chip_, kBlock, c, band));
+            }
+        }
+        chip_->refresh(kBlock);
+        chip_->recordReads(kBlock, 400000);
+        ages_.push_back(chip_->blockAge(kBlock));
+        chip_->age(kBlock, 900.0, 85.0);
+        chip_->setPeCycles(kBlock, 7000);
+        ages_.push_back(chip_->blockAge(kBlock));
+        saved_ = chip_->blockAge(kBlock);
+    }
+
+    util::CpuLevel level() const { return std::get<0>(GetParam()); }
+
+    /** The first @p k ages, each with its own read seq. */
+    std::vector<WordlineSnapshot::AgedRead>
+    reads(std::size_t k) const
+    {
+        std::vector<WordlineSnapshot::AgedRead> out;
+        for (std::size_t i = 0; i < k; ++i)
+            out.push_back({ages_[i], 0x5eed00 + 7 * i});
+        return out;
+    }
+
+    /**
+     * One snapshot per read, each sensed on its own after
+     * setBlockAge() to the read's age; the block's age is restored.
+     */
+    std::vector<WordlineSnapshot>
+    oneByOne(const std::vector<WordlineSnapshot::AgedRead> &rs, int b,
+             int e)
+    {
+        std::vector<WordlineSnapshot> out;
+        for (const auto &r : rs) {
+            chip_->setBlockAge(kBlock, r.age);
+            const SenseKernel kernel(*chip_, kBlock, kWl, level());
+            out.emplace_back(kernel, r.readSeq, b, e);
+        }
+        chip_->setBlockAge(kBlock, saved_);
+        return out;
+    }
+
+    std::unique_ptr<Chip> chip_;
+    SentinelOverlay overlay_;
+    std::vector<BlockAge> ages_;
+    BlockAge saved_;
+};
+
+TEST_P(SenseAgesTest, SweepEqualsOneSnapshotPerAge)
+{
+    const int data = chip_->geometry().dataBitlines;
+    const int all = chip_->geometry().bitlines();
+    const std::pair<int, int> ranges[] = {
+        {0, 0},                  // empty
+        {17, 17},                // empty, mid-wordline
+        {0, 1},
+        {3, 3 + 2 * SenseKernel::kChunk + 45}, // ends mid-chunk
+        {0, data},
+        {overlay_.start, overlay_.start + overlay_.count},
+        {data - 100, all},
+        {0, all},
+    };
+    // K = 16 is one scratch group of TLC bin sets and two of QLC ones
+    // (8, 8); all 34 ages are three TLC groups (12, 11, 11) and four
+    // QLC ones (9, 9, 8, 8).
+    for (const std::size_t k : {std::size_t{1}, std::size_t{16},
+                                ages_.size()}) {
+        const auto rs = reads(k);
+        for (const auto &[b, e] : ranges) {
+            const std::string where = std::string(util::cpuLevelName(level()))
+                + " K " + std::to_string(k) + " [" + std::to_string(b) + ", "
+                + std::to_string(e) + ")";
+            const SenseKernel kernel(*chip_, kBlock, kWl, level());
+            const auto swept = WordlineSnapshot::senseAges(kernel, rs, b, e);
+            const auto want = oneByOne(rs, b, e);
+            ASSERT_EQ(swept.size(), k) << where;
+            for (std::size_t i = 0; i < k; ++i) {
+                EXPECT_EQ(swept[i].cells(), static_cast<std::uint64_t>(e - b));
+                EXPECT_TRUE(swept[i] == want[i]) << where << " age " << i;
+            }
+        }
+    }
+    // No reads: no snapshots, and the chip is untouched.
+    const SenseKernel kernel(*chip_, kBlock, kWl, level());
+    EXPECT_TRUE(WordlineSnapshot::senseAges(kernel, {}, 0, all).empty());
+    const BlockAge now = chip_->blockAge(kBlock);
+    EXPECT_EQ(now.peCycles, saved_.peCycles);
+    EXPECT_EQ(now.effRetentionHours, saved_.effRetentionHours);
+}
+
+TEST_P(SenseAgesTest, AgesReallyDiffer)
+{
+    // The sweep is not vacuous: distinct ages give distinct snapshots
+    // at one read seq, and the one-entry sweep is sense() at the
+    // block's own age.
+    const int data = chip_->geometry().dataBitlines;
+    const SenseKernel kernel(*chip_, kBlock, kWl, level());
+    const auto swept = WordlineSnapshot::senseAges(
+        kernel,
+        std::vector<WordlineSnapshot::AgedRead>{{ages_[0], 9},
+                                                {ages_[15], 9},
+                                                {saved_, 9}},
+        0, data);
+    EXPECT_FALSE(swept[0] == swept[1]);
+    EXPECT_TRUE(swept[2] == WordlineSnapshot(kernel, 9, 0, data));
+}
+
+TEST_P(SenseAgesTest, RejectsAContextOfAnotherWordline)
+{
+    const SenseKernel kernel(*chip_, kBlock, kWl, level());
+    const WordlineContext other = chip_->wordlineContext(kBlock, kWl + 1);
+    ASSERT_NE(other.gradient, kernel.context().gradient);
+    std::vector<std::uint32_t> counts(
+        static_cast<std::size_t>(chip_->geometry().states())
+        * static_cast<std::size_t>(chip_->model().vthMax()
+                                   - chip_->model().vthMin() + 1));
+    AgedSense bad{&other, 1,
+                  DacBins{counts.data(), chip_->model().vthMin(),
+                          chip_->model().vthMax(), 1, 0}};
+    EXPECT_THROW(kernel.senseAges(0, 10, std::span(&bad, 1)),
+                 util::PanicError);
+}
+
+std::string
+sweepParamName(const ::testing::TestParamInfo<SweepParam> &info)
+{
+    const auto [level, type] = info.param;
+    std::string name = util::cpuLevelName(level);
+    for (char &c : name) {
+        if (c == '-')
+            c = '_';
+    }
+    return name + (type == CellType::TLC ? "_TLC" : "_QLC");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, SenseAgesTest,
+    ::testing::Combine(::testing::ValuesIn(util::compiledCpuLevels()),
+                       ::testing::Values(CellType::TLC, CellType::QLC)),
+    sweepParamName);
 
 } // namespace
 } // namespace flash::nand
