@@ -1,0 +1,82 @@
+#include "ssd/ftl/block_table.hh"
+
+#include <algorithm>
+
+namespace flash::ssd
+{
+
+BlockTable::BlockTable(const SsdConfig &config)
+{
+    config.validate(); // before anything is sized from it
+    planes_ = config.totalPlanes();
+    blocksPerPlane_ = config.blocksPerPlane;
+    pagesPerBlock_ = config.pagesPerBlock;
+    owners_ = std::make_unique_for_overwrite<std::int32_t[]>(
+        static_cast<std::size_t>(config.physicalPages()));
+    blocks_.resize(static_cast<std::size_t>(planes_)
+                   * static_cast<std::size_t>(blocksPerPlane_));
+    free_.resize(static_cast<std::size_t>(planes_));
+    for (auto &list : free_) {
+        list.reserve(static_cast<std::size_t>(blocksPerPlane_));
+        for (int b = blocksPerPlane_ - 1; b >= 0; --b)
+            list.push_back(b);
+    }
+}
+
+const BlockTable::Block &
+BlockTable::block(int plane, int block) const
+{
+    util::fatalIf(plane < 0 || plane >= planes_ || block < 0
+                      || block >= blocksPerPlane_,
+                  "ftl: block out of range");
+    return at(plane, block);
+}
+
+double
+BlockTable::freeFraction() const
+{
+    std::size_t free = 0;
+    for (const auto &list : free_)
+        free += list.size();
+    return static_cast<double>(free) / static_cast<double>(blocks_.size());
+}
+
+int
+BlockTable::take(int plane)
+{
+    auto &list = free_[static_cast<std::size_t>(plane)];
+    util::fatalIf(list.empty(), "ftl: no free block (drive overfull)");
+    const int b = list.back();
+    list.pop_back();
+    at(plane, b).stampedAt = ++clock_;
+    return b;
+}
+
+void
+BlockTable::giveBack(int plane, int block)
+{
+    free_[static_cast<std::size_t>(plane)].push_back(block);
+}
+
+void
+BlockTable::erase(int plane, int block)
+{
+    std::fill_n(row(plane, block), pagesPerBlock_, -1);
+    Block &blk = at(plane, block);
+    blk.nextPage = 0;
+    blk.validPages = 0;
+    free_[static_cast<std::size_t>(plane)].push_back(block);
+    if (eraseHook_)
+        eraseHook_(plane, block);
+}
+
+std::size_t
+BlockTable::footprintBytes() const
+{
+    return blocks_.size()
+        * (static_cast<std::size_t>(pagesPerBlock_) * sizeof(std::int32_t)
+           + sizeof(Block) + sizeof(int))
+        + free_.size() * sizeof(free_[0]);
+}
+
+} // namespace flash::ssd

@@ -18,10 +18,11 @@
  *                   recycled by rebuilding every logical block that
  *                   still has valid pages in it, then erased.
  *
- * Cf. SNIPPETS.md Snippet 3 (SimpleSSD FAST deliverable). Physical
- * bookkeeping (owner arrays, valid counts, lpn->phys map) is shared
- * in structure with the page FTL, so reads, refresh and invariant
- * audits look identical from the outside.
+ * Cf. SNIPPETS.md Snippet 3 (SimpleSSD FAST deliverable). The
+ * physical bookkeeping (owners, write points, valid counts, free
+ * lists, take, erase and the block audit) is the BlockTable the page
+ * FTL uses too; this class keeps only FAST's policy: each block's
+ * role and lbn, the slot map, the SW log and the RW ring.
  */
 
 #ifndef SENTINELFLASH_SSD_FTL_FAST_FTL_HH
@@ -44,22 +45,17 @@ class FastFtl : public FtlInterface
     PhysAddr translate(std::int64_t lpn) const override;
     WriteEffect write(std::int64_t lpn) override;
     RefreshStep refreshBlock(int plane, int block, int max_pages) override;
-    int blockValidPages(int plane, int block) const override;
     bool refreshCandidate(int plane, int block) const override;
-
-    void setEraseHook(EraseHook hook) override
-    {
-        eraseHook_ = std::move(hook);
-    }
-
     std::int64_t logicalPages() const override { return logicalPages_; }
     const FtlStats &stats() const override { return stats_; }
-    int freeBlocks(int plane) const override;
-    double freeFraction() const override;
+    const BlockTable &blocks() const override { return blocks_; }
     std::size_t footprintBytes() const override;
     void checkInvariants() const override;
 
   private:
+    /// Corrupts the tables in the checkInvariants() tests.
+    friend struct FastFtlProbe;
+
     enum class Role : std::uint8_t
     {
         Free,     ///< erased, on the free list
@@ -69,29 +65,21 @@ class FastFtl : public FtlInterface
         Retiring, ///< former data block being drained by refresh
     };
 
-    struct Block
+    /** What a block is for; indexed by BlockTable::index(). */
+    struct Use
     {
-        std::vector<std::int64_t> owner; ///< lpn per page (-1 invalid)
-        int nextPage = 0;
-        int validPages = 0;
         Role role = Role::Free;
-        std::int64_t lbn = -1;       ///< served lbn (Data/SwLog only)
-        std::uint64_t stampedAt = 0; ///< alloc clock at allocation
-
-        bool full(int pages_per_block) const
-        {
-            return nextPage >= pages_per_block;
-        }
+        std::int64_t lbn = -1; ///< served lbn (Data/SwLog/Retiring)
     };
 
     struct Plane
     {
-        std::vector<Block> blocks;
-        std::vector<int> freeList;
         std::vector<int> slotToBlock; ///< local lbn slot -> data pbn (-1)
         int swBlock = -1;             ///< current SW log (-1 none)
         std::vector<int> rwBlocks;    ///< RW logs, oldest first
     };
+
+    BlockTable &table() override { return blocks_; }
 
     void writePage(std::int64_t lpn, WriteEffect &effect);
     int dataBlockFor(std::int64_t lbn, WriteEffect &effect);
@@ -101,8 +89,18 @@ class FastFtl : public FtlInterface
     void fullMerge(int plane_idx, WriteEffect &effect);
     void rebuildLbn(int plane_idx, std::int64_t lbn, WriteEffect &effect);
     int takeFreeBlock(int plane_idx, WriteEffect &effect);
-    int rawTakeFree(int plane_idx);
     void eraseBlock(int plane_idx, int pbn);
+
+    Use &
+    use(int plane, int block)
+    {
+        return uses_[blocks_.index(plane, block)];
+    }
+    const Use &
+    use(int plane, int block) const
+    {
+        return uses_[blocks_.index(plane, block)];
+    }
 
     int slotOf(std::int64_t lbn) const
     {
@@ -115,34 +113,13 @@ class FastFtl : public FtlInterface
     }
 
     SsdConfig config_;
+    BlockTable blocks_;
     std::int64_t logicalPages_;
-    std::int64_t logicalBlocks_;
     int rwCap_; ///< max RW log blocks per plane
-    std::vector<std::int64_t> map_; ///< lpn -> packed phys page (-1)
+    std::vector<std::int32_t> map_; ///< lpn -> packed phys page (-1)
+    std::vector<Use> uses_;
     std::vector<Plane> planes_;
     FtlStats stats_;
-    std::uint64_t allocClock_ = 0;
-    EraseHook eraseHook_;
-
-    std::int64_t
-    pack(const PhysAddr &a) const
-    {
-        return (static_cast<std::int64_t>(a.plane) * config_.blocksPerPlane
-                + a.block)
-            * config_.pagesPerBlock
-            + a.page;
-    }
-
-    PhysAddr
-    unpack(std::int64_t packed) const
-    {
-        PhysAddr a;
-        a.page = static_cast<int>(packed % config_.pagesPerBlock);
-        const std::int64_t rest = packed / config_.pagesPerBlock;
-        a.block = static_cast<int>(rest % config_.blocksPerPlane);
-        a.plane = static_cast<int>(rest / config_.blocksPerPlane);
-        return a;
-    }
 };
 
 } // namespace flash::ssd

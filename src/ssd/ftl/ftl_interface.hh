@@ -5,7 +5,9 @@
  * Every FTL in the zoo implements this contract: logical-to-physical
  * mapping, host writes (reporting any garbage-collection or merge
  * work folded into the write), budgeted block refresh for the
- * scrubber, erase hooks, invariant checking, and exact statistics.
+ * scrubber, invariant checking, and exact statistics. Each FTL owns
+ * a BlockTable with its per-block state; the block queries and the
+ * erase hook are the table's, so they have one implementation here.
  * SsdSim, the scrubber, the health monitor and the fleet driver all
  * operate on `FtlInterface` alone — no caller names a concrete FTL.
  *
@@ -18,22 +20,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
-#include "ssd/config.hh"
+#include "ssd/ftl/block_table.hh"
 
 namespace flash::ssd
 {
-
-/** Physical page address. */
-struct PhysAddr
-{
-    int plane = -1;
-    int block = -1;
-    int page = -1;
-
-    bool valid() const { return plane >= 0; }
-};
 
 /**
  * Side effects of a host write: where the page landed and any
@@ -99,8 +91,7 @@ struct FtlStats
 class FtlInterface
 {
   public:
-    /** Called as (plane, block) after every physical block erase. */
-    using EraseHook = std::function<void(int, int)>;
+    using EraseHook = BlockTable::EraseHook;
 
     virtual ~FtlInterface() = default;
 
@@ -121,24 +112,31 @@ class FtlInterface
      */
     virtual RefreshStep refreshBlock(int plane, int block, int max_pages) = 0;
 
-    /** Valid pages currently in a physical block. */
-    virtual int blockValidPages(int plane, int block) const = 0;
-
     /** Whether (plane, block) is currently eligible for refresh. */
     virtual bool refreshCandidate(int plane, int block) const = 0;
-
-    /** Install the erase notification hook (single hook). */
-    virtual void setEraseHook(EraseHook hook) = 0;
 
     virtual std::int64_t logicalPages() const = 0;
 
     virtual const FtlStats &stats() const = 0;
 
+    /** The FTL's per-block state: owners, counters and free lists. */
+    virtual const BlockTable &blocks() const = 0;
+
+    /** Valid pages currently in a physical block. */
+    int
+    blockValidPages(int plane, int block) const
+    {
+        return blocks().block(plane, block).validPages;
+    }
+
+    /** Install the erase notification hook (single hook). */
+    void setEraseHook(EraseHook hook) { table().setEraseHook(std::move(hook)); }
+
     /** Free (erased, unallocated) blocks in one plane. */
-    virtual int freeBlocks(int plane) const = 0;
+    int freeBlocks(int plane) const { return blocks().freeBlocks(plane); }
 
     /** Fraction of all physical blocks currently free. */
-    virtual double freeFraction() const = 0;
+    double freeFraction() const { return blocks().freeFraction(); }
 
     /** Bytes of the tables at their allocated size, not as touched. */
     virtual std::size_t footprintBytes() const = 0;
@@ -149,6 +147,10 @@ class FtlInterface
      * tests and the scrubber's debug flag, not hot paths.
      */
     virtual void checkInvariants() const = 0;
+
+  protected:
+    /** Writable blocks(). */
+    virtual BlockTable &table() = 0;
 };
 
 } // namespace flash::ssd

@@ -9,9 +9,8 @@ namespace flash::ssd
 {
 
 PageFtl::PageFtl(const SsdConfig &config, bool precondition)
-    : config_(config)
+    : config_(config), blocks_(config_)
 {
-    config_.validate();
     logicalPages_ = config_.logicalPages();
 
     // Allocated, not initialized: a table page is first touched when
@@ -23,16 +22,10 @@ PageFtl::PageFtl(const SsdConfig &config, bool precondition)
     mapLive_.assign(
         static_cast<std::size_t>((logicalPages_ + kMapChunk - 1) / kMapChunk),
         false);
-    owner_ = std::make_unique_for_overwrite<std::int32_t[]>(
-        static_cast<std::size_t>(config_.physicalPages()));
-    planes_.resize(static_cast<std::size_t>(config_.totalPlanes()));
-    for (auto &plane : planes_) {
-        plane.blocks.resize(static_cast<std::size_t>(config_.blocksPerPlane));
-        plane.freeList.reserve(
-            static_cast<std::size_t>(config_.blocksPerPlane));
-        for (int b = config_.blocksPerPlane - 1; b >= 0; --b)
-            plane.freeList.push_back(b);
-    }
+    ownersLive_.assign(static_cast<std::size_t>(config_.totalPlanes())
+                           * static_cast<std::size_t>(config_.blocksPerPlane),
+                       0);
+    active_.assign(static_cast<std::size_t>(config_.totalPlanes()), -1);
 
     if (precondition)
         fillSequential();
@@ -76,19 +69,19 @@ PageFtl::fillSequential()
                         + std::to_string(config_.gcThreshold)
                         + " while filling the drive");
         }
+    }
 
-        // Block b was the (b*P + p + 1)-th activation overall.
-        Plane &plane = planes_[static_cast<std::size_t>(p)];
-        for (int b = 0; b < used; ++b) {
-            Block &blk = plane.blocks[static_cast<std::size_t>(b)];
+    // Each block is taken at its first LPN, k*P + p with k % ppb == 0,
+    // and holds the plane's next min(ppb, ceil((L - lpn) / P)) pages.
+    for (std::int64_t k = 0; k * planes < logicalPages_; k += ppb) {
+        for (int p = 0; p < planes && k * planes + p < logicalPages_; ++p) {
+            const int b = blocks_.take(p);
+            BlockTable::Block &blk = blocks_.at(p, b);
             blk.nextPage = static_cast<int>(std::min<std::int64_t>(
-                ppb, pages - static_cast<std::int64_t>(b) * ppb));
+                ppb, (logicalPages_ - k * planes - p + planes - 1) / planes));
             blk.validPages = blk.nextPage;
-            blk.stampedAt = static_cast<std::uint64_t>(b) * planes + p + 1;
+            active_[static_cast<std::size_t>(p)] = b;
         }
-        plane.freeList.resize(static_cast<std::size_t>(blocks - used));
-        plane.activeBlock = used - 1;
-        allocClock_ += static_cast<std::uint64_t>(used);
     }
     filled_ = logicalPages_;
     writeCursor_ = static_cast<std::uint64_t>(logicalPages_);
@@ -135,10 +128,8 @@ PageFtl::mapSlot(std::int64_t lpn)
 std::int32_t
 PageFtl::owner(int plane, int block, int page) const
 {
-    if (planes_[static_cast<std::size_t>(plane)]
-            .blocks[static_cast<std::size_t>(block)]
-            .ownersLive)
-        return owner_[static_cast<std::size_t>(pack({plane, block, page}))];
+    if (ownersLive_[blocks_.index(plane, block)])
+        return blocks_.row(plane, block)[page];
     const std::int64_t lpn =
         (static_cast<std::int64_t>(block) * config_.pagesPerBlock + page)
             * config_.totalPlanes()
@@ -149,10 +140,9 @@ PageFtl::owner(int plane, int block, int page) const
 std::int32_t *
 PageFtl::ownerRow(int plane, int block)
 {
-    std::int32_t *row = owner_.get() + pack({plane, block, 0});
-    Block &blk = planes_[static_cast<std::size_t>(plane)]
-                     .blocks[static_cast<std::size_t>(block)];
-    if (!blk.ownersLive) {
+    std::int32_t *row = blocks_.row(plane, block);
+    const std::size_t i = blocks_.index(plane, block);
+    if (!ownersLive_[i]) {
         // owner()'s closed form, stepped through the row.
         const int planes = config_.totalPlanes();
         std::int64_t lpn =
@@ -160,7 +150,7 @@ PageFtl::ownerRow(int plane, int block)
             + plane;
         for (int page = 0; page < config_.pagesPerBlock; ++page, lpn += planes)
             row[page] = lpn < filled_ ? static_cast<std::int32_t>(lpn) : -1;
-        blk.ownersLive = true;
+        ownersLive_[i] = 1;
     }
     return row;
 }
@@ -170,10 +160,8 @@ PageFtl::place(const PhysAddr &addr, std::int64_t lpn)
 {
     ownerRow(addr.plane, addr.block)[addr.page] =
         static_cast<std::int32_t>(lpn);
-    ++planes_[static_cast<std::size_t>(addr.plane)]
-          .blocks[static_cast<std::size_t>(addr.block)]
-          .validPages;
-    mapSlot(lpn) = static_cast<std::int32_t>(pack(addr));
+    ++blocks_.at(addr.plane, addr.block).validPages;
+    mapSlot(lpn) = static_cast<std::int32_t>(blocks_.pack(addr));
 }
 
 PhysAddr
@@ -184,69 +172,29 @@ PageFtl::translate(std::int64_t lpn) const
     const std::int32_t packed = mapped(lpn);
     if (packed < 0)
         return {};
-    return unpack(packed);
-}
-
-int
-PageFtl::freeBlocks(int plane) const
-{
-    util::fatalIf(plane < 0 || plane >= config_.totalPlanes(),
-                  "ftl: plane out of range");
-    return static_cast<int>(
-        planes_[static_cast<std::size_t>(plane)].freeList.size());
-}
-
-double
-PageFtl::freeFraction() const
-{
-    std::size_t free = 0;
-    for (const Plane &plane : planes_)
-        free += plane.freeList.size();
-    return static_cast<double>(free)
-        / static_cast<double>(static_cast<std::size_t>(config_.totalPlanes())
-                              * static_cast<std::size_t>(
-                                  config_.blocksPerPlane));
-}
-
-int
-PageFtl::blockValidPages(int plane, int block) const
-{
-    util::fatalIf(plane < 0 || plane >= config_.totalPlanes() || block < 0
-                      || block >= config_.blocksPerPlane,
-                  "ftl: block out of range");
-    return planes_[static_cast<std::size_t>(plane)]
-        .blocks[static_cast<std::size_t>(block)]
-        .validPages;
+    return blocks_.unpack(packed);
 }
 
 bool
 PageFtl::refreshCandidate(int plane, int block) const
 {
-    util::fatalIf(plane < 0 || plane >= config_.totalPlanes() || block < 0
-                      || block >= config_.blocksPerPlane,
-                  "ftl: block out of range");
-    const Plane &pl = planes_[static_cast<std::size_t>(plane)];
-    return block != pl.activeBlock
-        && pl.blocks[static_cast<std::size_t>(block)].full(
-            config_.pagesPerBlock);
+    return blocks_.full(blocks_.block(plane, block))
+        && block != active_[static_cast<std::size_t>(plane)];
 }
 
 RefreshStep
 PageFtl::refreshBlock(int plane, int block, int max_pages)
 {
-    util::fatalIf(plane < 0 || plane >= config_.totalPlanes() || block < 0
-                      || block >= config_.blocksPerPlane,
-                  "ftl: block out of range");
-
+    blocks_.block(plane, block); // range check
     RefreshStep step;
-    Plane &pl = planes_[static_cast<std::size_t>(plane)];
-    Block &blk = pl.blocks[static_cast<std::size_t>(block)];
+    BlockTable::Block &blk = blocks_.at(plane, block);
+    const int &active = active_[static_cast<std::size_t>(plane)];
 
     if (blk.nextPage == 0 && blk.validPages == 0) {
         step.done = true; // already erased (free list / GC beat us)
         return step;
     }
-    if (block == pl.activeBlock || !blk.full(config_.pagesPerBlock)) {
+    if (block == active || !blocks_.full(blk)) {
         step.busy = true;
         return step;
     }
@@ -254,7 +202,7 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
     std::int32_t *const row = ownerRow(plane, block);
     for (int p = 0;
          p < config_.pagesPerBlock && step.migratedPages < max_pages; ++p) {
-        if (block == pl.activeBlock)
+        if (block == active)
             break; // nested GC erased and re-activated the block
         const std::int32_t lpn = row[p];
         if (lpn < 0)
@@ -269,8 +217,7 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
         // allocated page simply stays unused).
         if (row[p] != lpn)
             continue;
-        row[p] = -1;
-        --blk.validPages;
+        blocks_.invalidate({plane, block, p});
         place(addr, lpn);
         ++stats_.migratedPages;
         ++stats_.refreshPages;
@@ -279,7 +226,7 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
 
     // Nested GC may have erased and even re-activated the block; in
     // either case the refresh goal (data off, block recycled) is met.
-    if (block == pl.activeBlock) {
+    if (block == active) {
         step.done = true;
         return step;
     }
@@ -288,16 +235,11 @@ PageFtl::refreshBlock(int plane, int block, int max_pages)
         return step;
     }
     if (blk.validPages == 0) {
-        std::fill_n(row, config_.pagesPerBlock, -1);
-        blk.nextPage = 0;
-        blk.validPages = 0;
-        pl.freeList.push_back(block);
         ++stats_.erases;
         ++stats_.refreshErases;
         step.erased = true;
         step.done = true;
-        if (eraseHook_)
-            eraseHook_(plane, block);
+        blocks_.erase(plane, block);
     }
     return step;
 }
@@ -329,96 +271,69 @@ PageFtl::checkInvariants() const
                     ++seq.block;
                 }
             }
-            const std::int32_t closed =
-                lpn < filled_ ? static_cast<std::int32_t>(pack(here)) : -1;
+            const std::int32_t closed = lpn < filled_
+                ? static_cast<std::int32_t>(blocks_.pack(here))
+                : -1;
             const std::int32_t packed =
                 live ? map_[static_cast<std::size_t>(lpn)] : closed;
             if (packed < 0)
                 continue;
-            const PhysAddr a = packed == closed ? here : unpack(packed);
-            util::panicIf(a.plane < 0 || a.plane >= planes || a.block < 0
-                              || a.block >= config_.blocksPerPlane
-                              || a.page < 0 || a.page >= ppb,
+            const PhysAddr a = packed == closed ? here : blocks_.unpack(packed);
+            util::panicIf(a.plane >= planes,
                           "ftl: mapped address out of range");
             util::panicIf(owner(a.plane, a.block, a.page) != lpn,
                           "ftl: lost LPN mapping (owner mismatch)");
         }
     }
 
-    // Reverse direction: per-block counters and free-list purity.
-    for (int pi = 0; pi < planes; ++pi) {
-        const Plane &plane = planes_[static_cast<std::size_t>(pi)];
-        for (int bi = 0; bi < config_.blocksPerPlane; ++bi) {
-            const Block &blk = plane.blocks[static_cast<std::size_t>(bi)];
-            const std::int64_t base = pack({pi, bi, 0});
-            const std::int32_t *row =
-                blk.ownersLive ? owner_.get() + base : nullptr;
-            // owner()'s closed form, stepped through the row.
-            std::int64_t closed =
-                static_cast<std::int64_t>(bi) * ppb * planes + pi;
-            int valid = 0;
-            for (int p = 0; p < ppb; ++p, closed += planes) {
-                const std::int32_t lpn = row ? row[p]
-                    : closed < filled_     ? static_cast<std::int32_t>(closed)
-                                           : -1;
-                if (lpn < 0)
-                    continue;
-                ++valid;
-                util::panicIf(p >= blk.nextPage,
-                              "ftl: owner past the write point");
-                util::panicIf(lpn >= logicalPages_,
-                              "ftl: owner names an LPN past the drive");
-                // The sequential LPN of this page maps here while its
-                // chunk is not live (mapped()'s closed form inverts
-                // owner()'s).
-                const bool sequential = lpn == closed && closed < filled_
-                    && !mapLive_[static_cast<std::size_t>(lpn / kMapChunk)];
-                util::panicIf(!sequential && mapped(lpn) != base + p,
-                              "ftl: stale owner (LPN maps elsewhere)");
+    // Reverse direction: the table's audit, over owner() rows (a row
+    // that is not live reads as its closed form). The sequential LPN
+    // of a page maps back to it while its chunk is not live either
+    // (mapped()'s closed form inverts owner()'s).
+    std::vector<std::int32_t> closed_row(static_cast<std::size_t>(ppb));
+    blocks_.audit(
+        logicalPages_,
+        [&](int plane, int block) -> const std::int32_t * {
+            if (ownersLive_[blocks_.index(plane, block)])
+                return blocks_.row(plane, block);
+            std::int64_t lpn =
+                static_cast<std::int64_t>(block) * ppb * planes + plane;
+            for (auto &entry : closed_row) {
+                entry = lpn < filled_ ? static_cast<std::int32_t>(lpn) : -1;
+                lpn += planes;
             }
-            util::panicIf(valid != blk.validPages,
-                          "ftl: valid-page count mismatch");
-        }
-        for (int b : plane.freeList) {
-            const Block &blk = plane.blocks[static_cast<std::size_t>(b)];
-            util::panicIf(blk.nextPage != 0 || blk.validPages != 0,
-                          "ftl: non-empty block on the free list");
-        }
-    }
+            return closed_row.data();
+        },
+        [&](std::int32_t lpn, const PhysAddr &a) {
+            const std::int64_t closed =
+                (static_cast<std::int64_t>(a.block) * ppb + a.page) * planes
+                + a.plane;
+            const bool sequential = lpn == closed && closed < filled_
+                && !mapLive_[static_cast<std::size_t>(lpn / kMapChunk)];
+            return sequential || mapped(lpn) == blocks_.pack(a);
+        });
 }
 
-void
-PageFtl::invalidate(const PhysAddr &addr)
+bool
+PageFtl::activeFull(int plane_idx) const
 {
-    std::int32_t &lpn = ownerRow(addr.plane, addr.block)[addr.page];
-    if (lpn >= 0) {
-        lpn = -1;
-        --planes_[static_cast<std::size_t>(addr.plane)]
-              .blocks[static_cast<std::size_t>(addr.block)]
-              .validPages;
-    }
+    const int active = active_[static_cast<std::size_t>(plane_idx)];
+    return active < 0 || blocks_.full(blocks_.at(plane_idx, active));
 }
 
 PhysAddr
 PageFtl::allocate(int plane_idx, WriteEffect &effect)
 {
-    auto &plane = planes_[static_cast<std::size_t>(plane_idx)];
+    int &active = active_[static_cast<std::size_t>(plane_idx)];
 
-    if (plane.activeBlock < 0
-        || plane.blocks[static_cast<std::size_t>(plane.activeBlock)].full(
-            config_.pagesPerBlock)) {
-        if (plane.freeList.empty())
+    if (activeFull(plane_idx)) {
+        if (blocks_.freeBlocks(plane_idx) == 0)
             collectGarbage(plane_idx, effect);
-        util::fatalIf(plane.freeList.empty(),
-                      "ftl: no free block after GC (drive overfull)");
-        plane.activeBlock = plane.freeList.back();
-        plane.freeList.pop_back();
-        plane.blocks[static_cast<std::size_t>(plane.activeBlock)].stampedAt =
-            ++allocClock_;
+        active = blocks_.take(plane_idx);
     } else {
         // GC ahead of demand when the plane is running low.
         const double free_frac =
-            static_cast<double>(plane.freeList.size())
+            static_cast<double>(blocks_.freeBlocks(plane_idx))
             / static_cast<double>(config_.blocksPerPlane);
         if (free_frac < config_.gcThreshold) {
             collectGarbage(plane_idx, effect);
@@ -426,58 +341,35 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
             // active block without switching it: the deeper allocate
             // only switches when it sees the block already full. Take
             // a fresh block rather than writing past the end.
-            if (plane.blocks[static_cast<std::size_t>(plane.activeBlock)]
-                    .full(config_.pagesPerBlock)) {
-                util::fatalIf(plane.freeList.empty(),
-                              "ftl: no free block after GC (drive "
-                              "overfull)");
-                plane.activeBlock = plane.freeList.back();
-                plane.freeList.pop_back();
-                plane.blocks[static_cast<std::size_t>(plane.activeBlock)]
-                    .stampedAt = ++allocClock_;
-            }
+            if (activeFull(plane_idx))
+                active = blocks_.take(plane_idx);
         }
     }
 
-    auto &blk = plane.blocks[static_cast<std::size_t>(plane.activeBlock)];
     PhysAddr addr;
     addr.plane = plane_idx;
-    addr.block = plane.activeBlock;
-    addr.page = blk.nextPage++;
+    addr.block = active;
+    addr.page = blocks_.at(plane_idx, active).nextPage++;
     return addr;
 }
 
 void
 PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
 {
-    auto &plane = planes_[static_cast<std::size_t>(plane_idx)];
-
     // Victim selection through the configured policy; greedy scans
     // blocks in id order for the fewest valid pages, excluding the
     // active block and blocks that are not yet full (identical to the
     // historic hard-coded loop).
     const int victim = selectVictim(
-        config_.gcPolicy, config_.blocksPerPlane, plane.activeBlock,
-        config_.pagesPerBlock, allocClock_,
-        [&](int b) {
-            return plane.blocks[static_cast<std::size_t>(b)].full(
-                config_.pagesPerBlock);
-        },
-        [&](int b) {
-            return plane.blocks[static_cast<std::size_t>(b)].validPages;
-        },
-        [&](int b) {
-            return plane.blocks[static_cast<std::size_t>(b)].stampedAt;
-        });
+        config_.gcPolicy, blocks_, plane_idx, config_.blocksPerPlane,
+        active_[static_cast<std::size_t>(plane_idx)], [](int b) { return b; });
     if (victim < 0)
         return;
-
-    auto &vblk = plane.blocks[static_cast<std::size_t>(victim)];
 
     // Migrate valid pages into the plane's free space. Use a scratch
     // destination block taken from the free list first so migration
     // cannot recurse into GC.
-    std::int32_t *const vrow = ownerRow(plane_idx, victim);
+    const std::int32_t *const vrow = ownerRow(plane_idx, victim);
     std::vector<std::int64_t> movers;
     for (int p = 0; p < config_.pagesPerBlock; ++p) {
         if (vrow[p] >= 0)
@@ -485,16 +377,11 @@ PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
     }
 
     // Erase the victim.
-    std::fill_n(vrow, config_.pagesPerBlock, -1);
-    vblk.nextPage = 0;
-    vblk.validPages = 0;
-    plane.freeList.push_back(victim);
     ++stats_.gcRuns;
     ++stats_.erases;
     ++effect.gcErases;
     effect.gcTriggered = true;
-    if (eraseHook_)
-        eraseHook_(plane_idx, victim);
+    blocks_.erase(plane_idx, victim);
 
     // Re-home the movers (within this plane).
     for (std::int64_t lpn : movers) {
@@ -517,8 +404,11 @@ PageFtl::write(std::int64_t lpn)
 
     WriteEffect effect;
     const std::int32_t old = mapSlot(lpn);
-    if (old >= 0)
-        invalidate(unpack(old));
+    if (old >= 0) {
+        const PhysAddr a = blocks_.unpack(old);
+        ownerRow(a.plane, a.block); // live before it changes
+        blocks_.invalidate(a);
+    }
 
     const int plane = static_cast<int>(
         writeCursor_++ % static_cast<std::uint64_t>(config_.totalPlanes()));
@@ -532,16 +422,10 @@ PageFtl::write(std::int64_t lpn)
 std::size_t
 PageFtl::footprintBytes() const
 {
-    std::size_t bytes = sizeof(PageFtl)
+    return sizeof(PageFtl) + blocks_.footprintBytes()
         + static_cast<std::size_t>(logicalPages_) * sizeof(std::int32_t)
-        + (mapLive_.size() + 7) / 8
-        + static_cast<std::size_t>(config_.physicalPages())
-            * sizeof(std::int32_t);
-    for (const Plane &plane : planes_) {
-        bytes += plane.blocks.size() * sizeof(Block)
-            + plane.freeList.size() * sizeof(int);
-    }
-    return bytes;
+        + (mapLive_.size() + 7) / 8 + ownersLive_.size()
+        + active_.size() * sizeof(int);
 }
 
 } // namespace flash::ssd

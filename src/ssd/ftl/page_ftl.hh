@@ -43,18 +43,10 @@ class PageFtl : public FtlInterface
     PhysAddr translate(std::int64_t lpn) const override;
     WriteEffect write(std::int64_t lpn) override;
     RefreshStep refreshBlock(int plane, int block, int max_pages) override;
-    int blockValidPages(int plane, int block) const override;
     bool refreshCandidate(int plane, int block) const override;
-
-    void setEraseHook(EraseHook hook) override
-    {
-        eraseHook_ = std::move(hook);
-    }
-
     std::int64_t logicalPages() const override { return logicalPages_; }
     const FtlStats &stats() const override { return stats_; }
-    int freeBlocks(int plane) const override;
-    double freeFraction() const override;
+    const BlockTable &blocks() const override { return blocks_; }
     std::size_t footprintBytes() const override;
     void checkInvariants() const override;
 
@@ -62,33 +54,16 @@ class PageFtl : public FtlInterface
     /// Corrupts the tables in the checkInvariants() tests.
     friend struct PageFtlProbe;
 
-    struct Block
-    {
-        int nextPage = 0;
-        int validPages = 0;
-        std::uint64_t stampedAt = 0; ///< alloc clock when activated
-        bool ownersLive = false;     ///< owner_ row copied in
-
-        bool full(int pages_per_block) const
-        {
-            return nextPage >= pages_per_block;
-        }
-    };
-
-    struct Plane
-    {
-        std::vector<Block> blocks;
-        std::vector<int> freeList;
-        int activeBlock = -1;
-    };
-
     /** LPNs per map_ chunk (one materialized flag each). */
     static constexpr std::int64_t kMapChunk = 256;
+
+    BlockTable &table() override { return blocks_; }
 
     void fillSequential();
     PhysAddr allocate(int plane_idx, WriteEffect &effect);
     void collectGarbage(int plane_idx, WriteEffect &effect);
-    void invalidate(const PhysAddr &addr);
+    /** Whether the plane's active block is missing or full. */
+    bool activeFull(int plane_idx) const;
 
     /** map_[lpn], or its closed form while the chunk is not live. */
     std::int32_t mapped(std::int64_t lpn) const;
@@ -102,36 +77,15 @@ class PageFtl : public FtlInterface
     void place(const PhysAddr &addr, std::int64_t lpn);
 
     SsdConfig config_;
+    BlockTable blocks_;
     std::int64_t logicalPages_ = 0;
     std::int64_t filled_ = 0; ///< LPNs below hold the sequential layout
     std::unique_ptr<std::int32_t[]> map_; ///< lpn -> packed page (-1)
     std::vector<bool> mapLive_;           ///< per kMapChunk LPNs
-    std::unique_ptr<std::int32_t[]> owner_; ///< packed page -> lpn (-1)
-    std::vector<Plane> planes_;
+    std::vector<std::uint8_t> ownersLive_; ///< per table index: row copied in
+    std::vector<int> active_;             ///< per plane: active block (-1)
     FtlStats stats_;
     std::uint64_t writeCursor_ = 0;
-    std::uint64_t allocClock_ = 0; ///< block-age clock for cost-benefit
-    EraseHook eraseHook_;
-
-    std::int64_t
-    pack(const PhysAddr &a) const
-    {
-        return (static_cast<std::int64_t>(a.plane) * config_.blocksPerPlane
-                + a.block)
-            * config_.pagesPerBlock
-            + a.page;
-    }
-
-    PhysAddr
-    unpack(std::int64_t packed) const
-    {
-        PhysAddr a;
-        a.page = static_cast<int>(packed % config_.pagesPerBlock);
-        const std::int64_t rest = packed / config_.pagesPerBlock;
-        a.block = static_cast<int>(rest % config_.blocksPerPlane);
-        a.plane = static_cast<int>(rest / config_.blocksPerPlane);
-        return a;
-    }
 };
 
 } // namespace flash::ssd

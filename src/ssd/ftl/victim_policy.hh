@@ -2,73 +2,66 @@
  * @file
  * Pluggable GC victim selection, shared by every FTL.
  *
- * A policy picks one block from a candidate set described by
- * callables, so each FTL can expose whatever block universe it
- * garbage-collects (whole plane for the page FTL, the RW log set for
- * FAST) without copying state. Both policies are deterministic:
- * ties break toward the lowest candidate index.
+ * A policy picks one block of a plane's BlockTable rows from a
+ * candidate set given by index, so each FTL can name whatever block
+ * universe it garbage-collects (whole plane for the page FTL, the RW
+ * log set for FAST) without copying state. Both policies are
+ * deterministic: ties break toward the lowest candidate index.
  */
 
 #ifndef SENTINELFLASH_SSD_FTL_VICTIM_POLICY_HH
 #define SENTINELFLASH_SSD_FTL_VICTIM_POLICY_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "ssd/config.hh"
+#include "ssd/ftl/block_table.hh"
 
 namespace flash::ssd
 {
 
 /**
- * Select a GC victim among `count` candidate indices.
+ * Select a GC victim among `count` candidate indices; candidate i is
+ * block `block_of(i)` of `plane` in `table`.
  *
- * A candidate is eligible when it is not `active` and `full(i)` is
- * true. Greedy picks the eligible candidate with the fewest valid
- * pages (first index wins ties) — byte-compatible with the historic
- * page-FTL scan. CostBenefit maximizes (age + 1) * (1 - u) / (1 + u)
- * with u = valid/pages_per_block and age = now - stamped allocation
- * clock (cf. FEMU's victim priority queue): old, mostly-invalid
- * blocks win, so hot blocks get time to accumulate invalidations.
+ * A candidate is eligible when it is not `active` and its block is
+ * full. Greedy picks the eligible candidate with the fewest valid
+ * pages — byte-compatible with the historic page-FTL scan.
+ * CostBenefit maximizes (age + 1) * (1 - u) / (1 + u) with u =
+ * valid/pages_per_block and age = table.clock() - the block's stamp
+ * (cf. FEMU's victim priority queue): old, mostly-invalid blocks
+ * win, so hot blocks get time to accumulate invalidations. Ties
+ * break toward the lowest index.
  *
  * Returns -1 when no candidate is eligible.
  */
-template <typename FullFn, typename ValidFn, typename AgeFn>
+template <typename BlockOf>
 int
-selectVictim(GcVictimPolicy policy, int count, int active,
-             int pages_per_block, std::uint64_t now, const FullFn &full,
-             const ValidFn &valid, const AgeFn &age)
+selectVictim(GcVictimPolicy policy, const BlockTable &table, int plane,
+             int count, int active, const BlockOf &block_of)
 {
-    if (policy == GcVictimPolicy::Greedy) {
-        int victim = -1;
-        int victim_valid = pages_per_block + 1;
-        for (int b = 0; b < count; ++b) {
-            if (b == active)
-                continue;
-            if (!full(b))
-                continue;
-            if (valid(b) < victim_valid) {
-                victim = b;
-                victim_valid = valid(b);
-            }
-        }
-        return victim;
-    }
+    const double ppb = static_cast<double>(table.pagesPerBlock());
     int victim = -1;
-    double best = -1.0;
-    for (int b = 0; b < count; ++b) {
-        if (b == active)
+    double best = -std::numeric_limits<double>::infinity();
+    for (int i = 0; i < count; ++i) {
+        if (i == active)
             continue;
-        if (!full(b))
+        const BlockTable::Block &blk = table.at(plane, block_of(i));
+        if (!table.full(blk))
             continue;
-        const std::uint64_t stamped = age(b);
-        const double blk_age =
-            now >= stamped ? static_cast<double>(now - stamped) : 0.0;
-        const double u = static_cast<double>(valid(b))
-            / static_cast<double>(pages_per_block);
-        const double score = (blk_age + 1.0) * (1.0 - u) / (1.0 + u);
+        double score = -static_cast<double>(blk.validPages);
+        if (policy == GcVictimPolicy::CostBenefit) {
+            const std::uint64_t now = table.clock();
+            const double age = now >= blk.stampedAt
+                ? static_cast<double>(now - blk.stampedAt)
+                : 0.0;
+            const double u = static_cast<double>(blk.validPages) / ppb;
+            score = (age + 1.0) * (1.0 - u) / (1.0 + u);
+        }
         if (score > best) {
             best = score;
-            victim = b;
+            victim = i;
         }
     }
     return victim;

@@ -5,8 +5,9 @@
  * consistency under random and wrap-around write stress, exact
  * effect-vs-stats accounting, erase-hook firing for every erase,
  * refresh-to-completion through the interface (standalone and driven
- * by the background scrubber with the invariant-audit flag on), and
- * the exact write-amplification identities.
+ * by the background scrubber with the invariant-audit flag on), the
+ * exact write-amplification identities, a footprint that stays at the
+ * allocated size, and fatal out-of-range block queries.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,12 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ssd/ftl/ftl_factory.hh"
 #include "ssd/scrubber/scrubber.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace flash::ssd
@@ -317,6 +320,57 @@ TEST_P(FtlConformance, ScrubberDrivesRefreshOverTheInterface)
     EXPECT_GT(metrics.counter("scrub.refresh.queued"), 0u);
     EXPECT_GT(ftl->stats().refreshPages + ftl->stats().refreshErases, 0u)
         << "scrubber never refreshed through the interface";
+}
+
+TEST_P(FtlConformance, FootprintIsTheAllocatedSize)
+{
+    // The footprint counts the tables at their allocated size, so GC,
+    // merges and refresh, which move blocks on and off the free lists
+    // and through the RW ring, leave it where it started.
+    const auto ftl = make();
+    const std::size_t bytes = ftl->footprintBytes();
+    util::Rng rng(0xf007);
+    for (int i = 0; i < 3000; ++i) {
+        ftl->write(static_cast<std::int64_t>(rng.uniformInt(
+            static_cast<std::uint64_t>(ftl->logicalPages()))));
+        ASSERT_EQ(ftl->footprintBytes(), bytes) << "after write " << i;
+    }
+    ASSERT_GT(ftl->stats().erases, 0u) << "stream too light to run GC";
+
+    const SsdConfig cfg = config();
+    for (int plane = 0; plane < cfg.totalPlanes(); ++plane) {
+        for (int block = 0; block < cfg.blocksPerPlane; ++block) {
+            if (!ftl->refreshCandidate(plane, block))
+                continue;
+            RefreshStep r;
+            do {
+                r = ftl->refreshBlock(plane, block, 4);
+                ASSERT_EQ(ftl->footprintBytes(), bytes);
+            } while (!r.done && !r.busy);
+        }
+    }
+    EXPECT_GT(ftl->stats().refreshErases, 0u);
+    ftl->checkInvariants();
+}
+
+TEST_P(FtlConformance, OutOfRangeBlocksAreFatal)
+{
+    const auto ftl = make();
+    const SsdConfig cfg = config();
+    const int planes = cfg.totalPlanes();
+    const int blocks = cfg.blocksPerPlane;
+    for (int plane : {-1, planes})
+        EXPECT_THROW(ftl->freeBlocks(plane), util::FatalError) << plane;
+    const std::pair<int, int> outside[] = {
+        {-1, 0}, {planes, 0}, {0, -1}, {0, blocks}, {planes - 1, blocks}};
+    for (const auto &[plane, block] : outside) {
+        SCOPED_TRACE("plane " + std::to_string(plane) + " block "
+                     + std::to_string(block));
+        EXPECT_THROW(ftl->blockValidPages(plane, block), util::FatalError);
+        EXPECT_THROW(ftl->refreshCandidate(plane, block), util::FatalError);
+        EXPECT_THROW(ftl->refreshBlock(plane, block, 4), util::FatalError);
+    }
+    ftl->checkInvariants();
 }
 
 TEST_P(FtlConformance, NamesAndFactoryAgree)

@@ -10,7 +10,9 @@
  * oracle's fill would have run GC. The layout is kept implicit until a
  * map chunk or block is first changed, so the edge cases below drive
  * the first change of each kind against the oracle, and a fault count
- * checks that sparse writes leave most of the tables untouched.
+ * checks that sparse writes leave most of the tables untouched. The
+ * audit tests corrupt PageFtl's and FastFtl's tables one way at a time
+ * and expect checkInvariants() to name each corruption.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "ssd/fleet/fleet.hh"
+#include "ssd/ftl/fast_ftl.hh"
 #include "ssd/ftl/page_ftl.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -469,7 +472,7 @@ TEST(PageFtlImplicitLayout, EmptyDriveIsUnmappedUntilWritten)
 
 } // namespace
 
-/** Reaches into PageFtl's tables to corrupt them. */
+/** Reaches into PageFtl's map and block table to corrupt them. */
 struct PageFtlProbe
 {
     static std::int32_t &
@@ -478,24 +481,38 @@ struct PageFtlProbe
         return ftl.mapSlot(lpn);
     }
 
+    /** The table's owner entry, its row made live first. */
     static std::int32_t &
     ownerEntry(PageFtl &ftl, const PhysAddr &a)
     {
         return ftl.ownerRow(a.plane, a.block)[a.page];
     }
 
+    static BlockTable &table(PageFtl &ftl) { return ftl.blocks_; }
+};
+
+/** Reaches into FastFtl's block table and roles to corrupt them. */
+struct FastFtlProbe
+{
+    static BlockTable &table(FastFtl &ftl) { return ftl.blocks_; }
+
     static int &
-    validPages(PageFtl &ftl, int plane, int block)
+    slotToBlock(FastFtl &ftl, std::int64_t lbn)
     {
-        return ftl.planes_[static_cast<std::size_t>(plane)]
-            .blocks[static_cast<std::size_t>(block)]
-            .validPages;
+        return ftl.planes_[static_cast<std::size_t>(ftl.planeOf(lbn))]
+            .slotToBlock[static_cast<std::size_t>(ftl.slotOf(lbn))];
     }
 
-    static std::int64_t
-    pack(const PageFtl &ftl, const PhysAddr &a)
+    static int &
+    swBlock(FastFtl &ftl, int plane)
     {
-        return ftl.pack(a);
+        return ftl.planes_[static_cast<std::size_t>(plane)].swBlock;
+    }
+
+    static std::vector<int> &
+    rwBlocks(FastFtl &ftl, int plane)
+    {
+        return ftl.planes_[static_cast<std::size_t>(plane)].rwBlocks;
     }
 };
 
@@ -504,7 +521,7 @@ namespace
 
 /** checkInvariants() panics with a message containing @p what. */
 void
-expectAuditPanic(const PageFtl &ftl, const std::string &what)
+expectAuditPanic(const FtlInterface &ftl, const std::string &what)
 {
     try {
         ftl.checkInvariants();
@@ -534,7 +551,7 @@ TEST(PageFtlAudit, CatchesCorruptedTables)
         SCOPED_TRACE("live map entry names another LPN's page");
         auto f = ftl();
         PageFtlProbe::mapEntry(*f, 6) = static_cast<std::int32_t>(
-            PageFtlProbe::pack(*f, f->translate(7)));
+            f->blocks().pack(f->translate(7)));
         expectAuditPanic(*f, "lost LPN mapping");
     }
     {
@@ -574,7 +591,93 @@ TEST(PageFtlAudit, CatchesCorruptedTables)
                      + std::to_string(a.plane) + " block "
                      + std::to_string(a.block));
         auto f = ftl();
-        ++PageFtlProbe::validPages(*f, a.plane, a.block);
+        ++PageFtlProbe::table(*f).at(a.plane, a.block).validPages;
+        expectAuditPanic(*f, "valid-page count mismatch");
+    }
+    {
+        SCOPED_TRACE("write point moved back under a live owner");
+        auto f = ftl();
+        PageFtlProbe::table(*f).at(new_page.plane, new_page.block).nextPage =
+            new_page.page;
+        expectAuditPanic(*f, "owner past the write point");
+    }
+    {
+        SCOPED_TRACE("free-listed block with a write point");
+        auto f = ftl();
+        const int free_block = f->blocks().freeList(1).back();
+        PageFtlProbe::table(*f).at(1, free_block).nextPage = 1;
+        expectAuditPanic(*f, "non-empty block on the free list");
+    }
+}
+
+TEST(FastFtlAudit, CatchesCorruptedTables)
+{
+    // Rewriting LPN 5 (offset 5 of lbn 0, whose data block is full)
+    // lands in an RW log; writing offset 0 of lbn 2 opens the SW log.
+    // Both logs are on plane 0, as lbns 0 and 2 are; lbn 1's data
+    // block is on plane 1.
+    // Two planes of 24 blocks leave FAST six spare blocks per plane.
+    const SsdConfig c = organization(2, 24, 16, 0.25);
+    const std::int64_t lbn2 = 2 * c.pagesPerBlock;
+    PhysAddr old_page, new_page, sw_page;
+    const auto ftl = [&] {
+        auto f = std::make_unique<FastFtl>(c, true);
+        old_page = f->translate(5);
+        f->write(5);
+        new_page = f->translate(5);
+        f->write(lbn2);
+        sw_page = f->translate(lbn2);
+        f->checkInvariants();
+        return f;
+    };
+    {
+        SCOPED_TRACE("write point moved back under a live owner");
+        auto f = ftl();
+        FastFtlProbe::table(*f).at(new_page.plane, new_page.block).nextPage =
+            new_page.page;
+        expectAuditPanic(*f, "owner past the write point");
+    }
+    {
+        SCOPED_TRACE("invalidated owner entry revived");
+        auto f = ftl();
+        FastFtlProbe::table(*f).row(old_page.plane,
+                                    old_page.block)[old_page.page] = 5;
+        expectAuditPanic(*f, "stale owner");
+    }
+    {
+        SCOPED_TRACE("free-listed block with a write point");
+        auto f = ftl();
+        const int free_block = f->blocks().freeList(1).back();
+        FastFtlProbe::table(*f).at(1, free_block).nextPage = 1;
+        expectAuditPanic(*f, "non-empty block on the free list");
+    }
+    {
+        SCOPED_TRACE("data block no slot maps");
+        auto f = ftl();
+        FastFtlProbe::slotToBlock(*f, 1) = -1;
+        expectAuditPanic(*f, "orphan data block");
+    }
+    {
+        SCOPED_TRACE("SW log the plane does not name");
+        auto f = ftl();
+        ASSERT_EQ(FastFtlProbe::swBlock(*f, sw_page.plane), sw_page.block);
+        FastFtlProbe::swBlock(*f, sw_page.plane) = -1;
+        expectAuditPanic(*f, "orphan SW log block");
+    }
+    {
+        SCOPED_TRACE("RW log missing from the ring");
+        auto f = ftl();
+        std::vector<int> &ring = FastFtlProbe::rwBlocks(*f, new_page.plane);
+        ASSERT_EQ(ring, std::vector<int>{new_page.block});
+        ring.clear();
+        expectAuditPanic(*f, "orphan RW log block");
+    }
+    for (const PhysAddr &a : {old_page, new_page, PhysAddr{1, 3, 0}}) {
+        SCOPED_TRACE("wrong valid count on plane "
+                     + std::to_string(a.plane) + " block "
+                     + std::to_string(a.block));
+        auto f = ftl();
+        ++FastFtlProbe::table(*f).at(a.plane, a.block).validPages;
         expectAuditPanic(*f, "valid-page count mismatch");
     }
 }
