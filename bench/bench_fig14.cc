@@ -18,7 +18,6 @@
 #include "ssd/scrubber/scrubber.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
-#include "util/stats.hh"
 
 using namespace flash;
 
@@ -257,8 +256,8 @@ main(int argc, char **argv)
             mab_model_retry += mean_retries(*rm);
             mab_base_sense += mean_senses(base);
             mab_model_sense += mean_senses(*rm);
-            mab_base_p99 += util::percentile(base.readLatencies, 0.99);
-            mab_model_p99 += util::percentile(rm->readLatencies, 0.99);
+            mab_base_p99 += base.readLatencyUs.percentile(0.99);
+            mab_model_p99 += rm->readLatencyUs.percentile(0.99);
         }
 
         // The scrub-on arm: same trace, same cold cost source, plus a
@@ -287,8 +286,8 @@ main(int argc, char **argv)
 
             ab_off_retry += mean_retries(rs);
             ab_on_retry += mean_retries(*ro);
-            ab_off_p99 += util::percentile(rs.readLatencies, 0.99);
-            ab_on_p99 += util::percentile(ro->readLatencies, 0.99);
+            ab_off_p99 += rs.readLatencyUs.percentile(0.99);
+            ab_on_p99 += ro->readLatencyUs.percentile(0.99);
             scrub_total.merge(ro->metrics);
         }
 

@@ -23,7 +23,6 @@
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -194,8 +193,8 @@ main(int argc, char **argv)
                  + "/"
                  + util::fmtInt(
                      static_cast<std::int64_t>(f.fullMerges)),
-             util::fmt(util::percentile(r.readLatencies, 0.50), 0),
-             util::fmt(util::percentile(r.readLatencies, 0.99), 0)});
+             util::fmt(r.readLatencyUs.percentile(0.50), 0),
+             util::fmt(r.readLatencyUs.percentile(0.99), 0)});
     }
     table.print(std::cout);
 

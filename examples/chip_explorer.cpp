@@ -3,7 +3,9 @@
  * chip_explorer: a small characterization tool over the simulated
  * chip, the kind of probe you would run on a flash test platform.
  *
- * Usage: chip_explorer [tlc|qlc] [pe_cycles] [retention_hours] [temp_c]
+ * Usage: chip_explorer [--type tlc|qlc] [--pe N] [--hours H] [--temp C]
+ *   (defaults: qlc, 3000 P/E, 8760 h, 25 C). A mistyped flag or
+ *   number exits 2 before any work.
  *
  * Prints, for the chosen condition:
  *  - per-page RBER at the default voltages,
@@ -13,12 +15,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "nandsim/chip.hh"
 #include "nandsim/oracle.hh"
 #include "nandsim/snapshot.hh"
+#include "util/args.hh"
 #include "util/stats.hh"
 
 using namespace flash;
@@ -26,11 +28,13 @@ using namespace flash;
 int
 main(int argc, char **argv)
 {
-    const std::string type = argc > 1 ? argv[1] : "qlc";
-    const auto pe = static_cast<std::uint32_t>(
-        argc > 2 ? std::atoi(argv[2]) : 3000);
-    const double hours = argc > 3 ? std::atof(argv[3]) : 8760.0;
-    const double temp = argc > 4 ? std::atof(argv[4]) : 25.0;
+    util::Args args(argc, argv);
+    const std::string type = args.choice("type", {"tlc", "qlc"}, "qlc");
+    const auto pe =
+        static_cast<std::uint32_t>(args.number<int>("pe", 3000, 0, 100000));
+    const double hours = args.number<double>("hours", 8760.0, 0.0, 1e6);
+    const double temp = args.number<double>("temp", 25.0, -40.0, 125.0);
+    args.check();
 
     auto geometry =
         type == "tlc" ? nand::paperTlcGeometry() : nand::paperQlcGeometry();

@@ -3,9 +3,10 @@
  * ssd_trace_sim: trace-driven SSD simulation with a selectable read
  * policy, the system-level view of the sentinel technique.
  *
- * Usage: ssd_trace_sim [workload] [requests]
- *   workload: one of the MSR-like names (default usr_0)
- *   requests: trace length (default 40000)
+ * Usage: ssd_trace_sim [--workload NAME] [--requests N]
+ *   --workload: one of the MSR-like names (default usr_0)
+ *   --requests: trace length (default 40000)
+ * A mistyped flag or number exits 2 before any work.
  *
  * Replays the trace against an 8-channel SSD whose per-read retry
  * costs come from chip-level measurements of the vendor table, the
@@ -13,23 +14,29 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/characterization.hh"
 #include "core/read_policy.hh"
 #include "ssd/ssd_sim.hh"
 #include "trace/msr_workloads.hh"
-#include "util/stats.hh"
+#include "util/args.hh"
 
 using namespace flash;
 
 int
 main(int argc, char **argv)
 {
-    const std::string workload = argc > 1 ? argv[1] : "usr_0";
-    const std::size_t requests =
-        argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 40000;
+    util::Args args(argc, argv);
+    std::vector<std::string> workloads;
+    for (const trace::WorkloadSpec &w : trace::msrWorkloads())
+        workloads.push_back(w.name);
+    const std::string workload =
+        args.choice("workload", workloads, "usr_0");
+    const auto requests = static_cast<std::size_t>(
+        args.number<unsigned long>("requests", 40000, 1, 10000000));
+    args.check();
 
     // Chip-level setup: TLC at the paper's evaluation point.
     auto geometry = nand::paperTlcGeometry();
@@ -74,11 +81,19 @@ main(int argc, char **argv)
     for (ssd::EmpiricalReadCost *cost :
          {&vendor_cost, &sentinel_cost, &oracle_cost}) {
         ssd::SsdSim sim(config, timing, *cost, 1);
-        auto report = sim.run(tr);
+        const auto report = sim.run(tr);
+        // Each request's latency is recorded once, in the registry.
+        const auto latency = [&report](const char *name) {
+            const util::LatencyHistogram *h =
+                report.metrics.findHistogram(name);
+            return h ? *h : util::LatencyHistogram();
+        };
+        const auto reads = latency("ssd.read.request_latency_us");
+        const auto writes = latency("ssd.write.request_latency_us");
         std::printf("%-14s %12.0f %12.0f %12.0f %8.2f\n",
-                    report.policy.c_str(), report.readLatencyUs.mean(),
-                    util::percentile(report.readLatencies, 0.99),
-                    report.writeLatencyUs.mean(), report.ftl.waf());
+                    report.policy.c_str(), reads.mean(),
+                    reads.percentile(0.99), writes.mean(),
+                    report.ftl.waf());
     }
     std::printf("\n(read costs per policy: current flash %.2f retries, "
                 "sentinel %.2f, oracle %.2f)\n",

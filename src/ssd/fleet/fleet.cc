@@ -347,25 +347,6 @@ runFleet(const FleetConfig &cfg, FleetEnv &env, int threads)
     return out;
 }
 
-const util::LatencyHistogram *
-deviceLatencyHistogram(const DeviceResult &d)
-{
-    if (const auto *h =
-            d.metrics.findHistogram("frontend.request_latency_us"))
-        return h;
-    return d.metrics.findHistogram("ssd.read.request_latency_us");
-}
-
-std::string
-deviceLatencyMetric(const DeviceResult &d)
-{
-    if (d.metrics.findHistogram("frontend.request_latency_us"))
-        return "frontend.request_latency_us";
-    if (d.metrics.findHistogram("ssd.read.request_latency_us"))
-        return "ssd.read.request_latency_us";
-    return "";
-}
-
 std::string
 arrivalModeName(ArrivalMode mode)
 {
@@ -411,10 +392,9 @@ writeFleetJsonLines(const FleetResult &fleet, std::ostream &os)
                                 d.metrics.counter("ftl.waf.den"))
                       : 0.0)
            << ", \"footprint_bytes\": " << d.footprintBytes
-           << ", \"latency_metric\": \""
-           << util::jsonEscape(deviceLatencyMetric(d))
-           << "\", \"read_latency\": ";
-        if (const util::LatencyHistogram *h = deviceLatencyHistogram(d))
+           << ", \"read_latency\": ";
+        if (const util::LatencyHistogram *h =
+                d.metrics.findHistogram("frontend.read_latency_us"))
             h->writeBinsJson(os);
         else
             os << "null";
@@ -427,14 +407,9 @@ writeFleetJsonLines(const FleetResult &fleet, std::ostream &os)
        << ", \"max_footprint_bytes\": " << fleet.maxFootprintBytes
        << ", \"total_footprint_bytes\": " << fleet.totalFootprintBytes
        << ", \"read_latency\": ";
-    const util::LatencyHistogram *rollup_latency =
-        fleet.rollup.findHistogram("fleet.frontend.request_latency_us");
-    if (!rollup_latency) {
-        rollup_latency = fleet.rollup.findHistogram(
-            "fleet.ssd.read.request_latency_us");
-    }
-    if (rollup_latency)
-        rollup_latency->writeBinsJson(os);
+    if (const util::LatencyHistogram *h =
+            fleet.rollup.findHistogram("fleet.frontend.read_latency_us"))
+        h->writeBinsJson(os);
     else
         os << "null";
     os << ", \"metrics\": ";

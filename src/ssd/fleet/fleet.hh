@@ -28,9 +28,10 @@
  *    never holds interleaved partial JSON lines.
  *
  * writeFleetJsonLines() persists one JSON line per device (profile,
- * throughput, latency percentiles, memory footprint and the lossless
- * latency-histogram bins) plus one rollup line; tools/fleet_report
- * consumes the file for fleet-level tail attribution.
+ * throughput, read-latency percentiles, memory footprint and the
+ * lossless read-latency histogram bins, both from the host-side
+ * frontend.read_latency_us) plus one rollup line; tools/fleet_report
+ * consumes the file for fleet-level read-tail attribution.
  */
 
 #ifndef SENTINELFLASH_SSD_FLEET_FLEET_HH
@@ -276,6 +277,7 @@ struct DeviceResult
     std::uint64_t requests = 0;
     double makespanUs = 0.0;
     double iops = 0.0;
+    /** Percentiles of the frontend.read_latency_us in metrics. */
     double readP50Us = 0.0;
     double readP99Us = 0.0;
     double readP999Us = 0.0;
@@ -319,22 +321,16 @@ FleetResult runFleet(const FleetConfig &cfg, FleetEnv &env,
                      int threads = 1);
 
 /**
- * The host-visible latency histogram of one device
- * (frontend.request_latency_us; falls back to
- * ssd.read.request_latency_us, nullptr when neither exists).
- */
-const util::LatencyHistogram *
-deviceLatencyHistogram(const DeviceResult &d);
-
-/** Metric name deviceLatencyHistogram() resolved to. */
-std::string deviceLatencyMetric(const DeviceResult &d);
-
-/**
  * Persist the fleet as JSON lines: one {"fleet": "device", ...}
- * record per device — profile, throughput, percentiles, footprint and
- * the lossless latency bins (LatencyHistogram::writeBinsJson) — then
- * one {"fleet": "rollup", ...} record with the merged latency bins
- * and the full rollup registry. Byte-deterministic for a fixed run.
+ * record per device — profile, throughput, read percentiles,
+ * footprint and the lossless "read_latency" bins
+ * (LatencyHistogram::writeBinsJson) — then one {"fleet": "rollup",
+ * ...} record with the merged read-latency bins and the full rollup
+ * registry. A device line's bins and its read_p50/p99/p999_us come
+ * from one histogram, the host-side frontend.read_latency_us (reads
+ * only, completion minus host arrival; null when the device served
+ * no reads), and the rollup's bins are fleet.frontend.read_latency_us.
+ * Byte-deterministic for a fixed run.
  */
 void writeFleetJsonLines(const FleetResult &fleet, std::ostream &os);
 

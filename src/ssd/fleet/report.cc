@@ -345,8 +345,8 @@ printReport(std::ostream &os, const FleetReportData &data,
     }
     os << "fleet: " << data.devices.size() << " devices, " << requests
        << " requests, " << tail.fleet.count()
-       << " latency observations\n"
-       << "fleet latency: p50 "
+       << " read-latency observations\n"
+       << "fleet read latency: p50 "
        << util::fmt(tail.fleet.percentile(0.5), 0) << " us, p99 "
        << util::fmt(tail.p99Us, 0) << " us, p999 "
        << util::fmt(tail.p999Us, 0) << " us\n"

@@ -6,13 +6,14 @@
  * parseFleetLines() reads the per-device records back — skipping and
  * counting malformed or truncated lines instead of failing, so a
  * partially written fleet file still reports — and rebuilds every
- * device's lossless latency histogram. attributeTail() then merges
- * them into the fleet distribution and attributes the tail: because
- * all histograms share one bin layout, "observations in bins at or
- * beyond the fleet's p99/p999 bin" partitions exactly across devices,
- * so each device's tail contribution is an integer count that
- * reconciles with the fleet histogram's mass with no rounding — the
- * invariant checkReconciliation() gates on.
+ * device's lossless read-latency histogram (host-side, reads only).
+ * attributeTail() then merges them into the fleet read-latency
+ * distribution and attributes the tail: because all histograms share
+ * one bin layout, "observations in bins at or beyond the fleet's
+ * p99/p999 bin" partitions exactly across devices, so each device's
+ * tail contribution is an integer count that reconciles with the
+ * fleet histogram's mass with no rounding — the invariant
+ * checkReconciliation() gates on.
  */
 
 #ifndef SENTINELFLASH_SSD_FLEET_REPORT_HH

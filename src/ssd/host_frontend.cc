@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "util/rng.hh"
-#include "util/stats.hh"
 
 namespace flash::ssd
 {
@@ -77,11 +76,9 @@ HostFrontend::run(const std::vector<trace::TraceRecord> &trace)
     // valid until finishRun() moves the registry, after the loop.
     util::CounterHandle requests(metrics, "frontend.requests");
     util::HistogramHandle queue_wait(metrics, "frontend.queue_wait_us");
-    util::HistogramHandle request_latency(metrics,
-                                          "frontend.request_latency_us");
+    util::HistogramHandle read_latency(metrics, "frontend.read_latency_us");
 
     FrontendReport rep;
-    std::vector<double> read_latencies;
     double first_submit = 0.0, last_done = 0.0;
     bool any = false;
 
@@ -127,9 +124,8 @@ HostFrontend::run(const std::vector<trace::TraceRecord> &trace)
 
         requests.add();
         queue_wait.observe(best_us - arrival);
-        request_latency.observe(done - arrival);
         if (req.isRead)
-            read_latencies.push_back(done - arrival);
+            read_latency.observe(done - arrival);
 
         if (!any) {
             first_submit = best_us;
@@ -145,10 +141,11 @@ HostFrontend::run(const std::vector<trace::TraceRecord> &trace)
         rep.iops = static_cast<double>(rep.requests)
             / (rep.makespanUs * 1e-6);
     }
-    if (!read_latencies.empty()) {
-        rep.readP50Us = util::percentile(read_latencies, 0.50);
-        rep.readP99Us = util::percentile(read_latencies, 0.99);
-        rep.readP999Us = util::percentile(read_latencies, 0.999);
+    if (const util::LatencyHistogram *h =
+            rep.device.metrics.findHistogram("frontend.read_latency_us")) {
+        rep.readP50Us = h->percentile(0.50);
+        rep.readP99Us = h->percentile(0.99);
+        rep.readP999Us = h->percentile(0.999);
     }
     return rep;
 }

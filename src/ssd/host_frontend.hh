@@ -88,7 +88,8 @@ struct FrontendReport
 
     /**
      * Host-visible read latency (arrival to completion, host queue
-     * wait included) percentiles.
+     * wait included): percentiles of frontend.read_latency_us, which
+     * run() sets once from the registry after the run.
      */
     double readP50Us = 0.0;
     double readP99Us = 0.0;
@@ -100,8 +101,10 @@ struct FrontendReport
  * scrubber to the sim as usual); one run() per simulator, as with
  * SsdSim::run(). Adds "frontend.*" metrics to the device report:
  * counters frontend.requests / frontend.queues / frontend.queue_depth
- * and histograms frontend.queue_wait_us (submission minus arrival)
- * and frontend.request_latency_us (completion minus arrival).
+ * and histograms frontend.queue_wait_us (every request, submission
+ * minus arrival) and frontend.read_latency_us (reads only, completion
+ * minus host arrival). Host-side write latency is not recorded; the
+ * device's ssd.write.request_latency_us covers writes.
  */
 class HostFrontend
 {

@@ -36,22 +36,10 @@ channelQueueNames(int channels)
 void
 SimReport::writeJson(std::ostream &os) const
 {
-    const auto stats_obj = [&os](const util::RunningStats &s) {
-        os << "{\"count\": " << s.count()
-           << ", \"mean\": " << util::jsonNumber(s.mean())
-           << ", \"stddev\": " << util::jsonNumber(s.stddev())
-           << ", \"min\": "
-           << util::jsonNumber(s.count() ? s.min() : 0.0)
-           << ", \"max\": "
-           << util::jsonNumber(s.count() ? s.max() : 0.0) << "}";
-    };
     os << "{\"policy\": \"" << util::jsonEscape(policy) << '"'
        << ", \"page_reads\": " << pageReads
-       << ", \"page_writes\": " << pageWrites << ", \"read_latency_us\": ";
-    stats_obj(readLatencyUs);
-    os << ", \"write_latency_us\": ";
-    stats_obj(writeLatencyUs);
-    os << ", \"ftl\": {\"host_writes\": " << ftl.hostWrites
+       << ", \"page_writes\": " << pageWrites
+       << ", \"ftl\": {\"host_writes\": " << ftl.hostWrites
        << ", \"gc_runs\": " << ftl.gcRuns
        << ", \"migrated_pages\": " << ftl.migratedPages
        << ", \"erases\": " << ftl.erases
@@ -107,7 +95,6 @@ SsdSim::SsdSim(const SsdConfig &config, const SsdTiming &timing,
     timing_.validate();
     planeFree_.assign(static_cast<std::size_t>(config_.totalPlanes()), 0.0);
     channelFree_.assign(static_cast<std::size_t>(config_.channels), 0.0);
-    report_.policy = readCost_->name();
 }
 
 int
@@ -375,23 +362,15 @@ SsdSim::submit(const trace::TraceRecord &req, double submit_us, int queue)
         if (req.isRead) {
             const PhysAddr addr = ftl_->translate(lpn);
             page_done = readPageOp(submit_us, addr, op_sb, root);
-            ++report_.pageReads;
         } else {
             page_done = writePageOp(submit_us, lpn, op_sb, root);
-            ++report_.pageWrites;
         }
         done = std::max(done, page_done);
     }
 
     const double latency = done - submit_us;
-    if (req.isRead) {
-        report_.readLatencyUs.add(latency);
-        report_.readLatencies.push_back(latency);
-        ops_.readRequestLatencyUs.observe(latency);
-    } else {
-        report_.writeLatencyUs.add(latency);
-        ops_.writeRequestLatencyUs.observe(latency);
-    }
+    (req.isRead ? ops_.readRequestLatencyUs : ops_.writeRequestLatencyUs)
+        .observe(latency);
     if (spans_) {
         sb.num(root, "pages", static_cast<double>(last - first));
         sb.num(root, "offset", static_cast<double>(req.offsetBytes));
@@ -413,13 +392,15 @@ SsdSim::finishRun()
 {
     if (health_)
         health_->finishRun(metrics_, ftl_.get(), scrub_);
-    report_.ftl = ftl_->stats();
+    SimReport report;
+    report.policy = readCost_->name();
+    report.ftl = ftl_->stats();
 
     // Export the FTL's cumulative counters (including the exact WAF
     // integer ratio) as metrics so fleet rollups aggregate them
     // exactly; all names are emitted even at zero so the metric
     // schema is stable across FTLs.
-    const FtlStats &fs = report_.ftl;
+    const FtlStats &fs = report.ftl;
     metrics_.add("ftl.host_writes", fs.hostWrites);
     metrics_.add("ftl.gc_runs", fs.gcRuns);
     metrics_.add("ftl.migrated_pages", fs.migratedPages);
@@ -432,14 +413,15 @@ SsdSim::finishRun()
     metrics_.add("ftl.waf.num", fs.wafNumerator());
     metrics_.add("ftl.waf.den", fs.wafDenominator());
 
-    report_.metrics = std::move(metrics_);
+    report.metrics = std::move(metrics_);
     metrics_ = util::MetricsRegistry();
     ops_ = OpMetrics(metrics_, channelQueueNames_);
-    readCost_->appendMetrics(report_.metrics);
-
-    SimReport report = std::move(report_);
-    report_ = SimReport();
-    report_.policy = readCost_->name();
+    readCost_->appendMetrics(report.metrics);
+    if (const util::LatencyHistogram *h = report.metrics.findHistogram(
+            "ssd.read.request_latency_us"))
+        report.readLatencyUs = *h;
+    report.pageReads = report.metrics.counter("ssd.read.page_ops");
+    report.pageWrites = report.metrics.counter("ssd.write.page_ops");
     return report;
 }
 

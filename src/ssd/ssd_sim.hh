@@ -17,7 +17,10 @@
  * Every page operation's latency is decomposed into queueing / sense /
  * transfer / decode / GC-stall components that feed the run's metrics
  * registry ("ssd.*" counters and histograms) and, when attached, a
- * causal span trace.
+ * causal span trace. Each request's latency (completion minus
+ * submission) is recorded once, in ssd.read.request_latency_us or
+ * ssd.write.request_latency_us; every report field derives from the
+ * registry.
  *
  * An optional background Scrubber (ssd/scrubber) runs in the gaps
  * between requests: it probes blocks with sentinel-only assist reads
@@ -48,7 +51,6 @@
 #include "trace/trace.hh"
 #include "util/metrics.hh"
 #include "util/span_trace.hh"
-#include "util/stats.hh"
 
 namespace flash::ssd
 {
@@ -56,29 +58,36 @@ namespace flash::ssd
 class HealthMonitor;
 class Scrubber;
 
-/** Results of one trace replay. */
+/**
+ * Results of one trace replay. The metrics registry is the record:
+ * each request's latency is observed once, into
+ * ssd.read.request_latency_us or ssd.write.request_latency_us
+ * (completion minus submission). readLatencyUs, pageReads and
+ * pageWrites are copies finishRun() takes from the registry, and
+ * nothing else writes them.
+ */
 struct SimReport
 {
     std::string policy;
-    util::RunningStats readLatencyUs;
-    util::RunningStats writeLatencyUs;
-    std::vector<double> readLatencies; ///< per request, for percentiles
+
+    /** Copy of ssd.read.request_latency_us (empty when no reads). */
+    util::LatencyHistogram readLatencyUs;
     FtlStats ftl;
-    std::uint64_t pageReads = 0;
-    std::uint64_t pageWrites = 0;
+    std::uint64_t pageReads = 0;  ///< ssd.read.page_ops
+    std::uint64_t pageWrites = 0; ///< ssd.write.page_ops
 
     /**
      * Per-op decomposition and queue metrics ("ssd.*"): histograms
      * ssd.read.{latency,queue,sense,xfer,decode,attempt}_us,
      * per-channel queue delay ssd.read.queue_us.ch<K>, write-side GC
      * stalls ssd.write.gc_stall_us, the request-level
-     * ssd.read.request_latency_us, and ssd.read.overlap_us under
-     * pipelined retry.
+     * ssd.{read,write}.request_latency_us, and ssd.read.overlap_us
+     * under pipelined retry.
      */
     util::MetricsRegistry metrics;
 
     /**
-     * Serialize the whole report (policy, request stats, FTL counters
+     * Serialize the whole report (policy, page counts, FTL counters
      * and the metrics registry) as one JSON object. Deterministic
      * byte-for-byte for a fixed run.
      */
@@ -178,8 +187,9 @@ class SsdSim
 
     /**
      * Close the run started by the first submit(): emit the final
-     * health snapshot, collect FTL stats and move the metrics into
-     * the returned report. The simulator's resource clocks persist,
+     * health snapshot, collect FTL stats, move the metrics into the
+     * returned report and fill its readLatencyUs / pageReads /
+     * pageWrites from them. The simulator's resource clocks persist,
      * so a subsequent submit() starts a new report against the same
      * device state.
      */
@@ -237,7 +247,6 @@ class SsdSim
     Scrubber *scrub_ = nullptr;
     ReadCostSource *warmCost_ = nullptr;
 
-    SimReport report_;
     std::vector<double> planeFree_;
     std::vector<double> channelFree_;
 };

@@ -55,12 +55,6 @@ class RunningStats
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/**
- * Percentile of a sample by linear interpolation between order
- * statistics. @param q in [0, 1]. The input is copied and sorted.
- */
-double percentile(std::vector<double> values, double q);
-
 /** Arithmetic mean of a sample (0 when empty). */
 double mean(const std::vector<double> &values);
 

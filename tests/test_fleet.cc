@@ -155,6 +155,49 @@ TEST(Fleet, SingleDeviceDegeneratesToDirectFrontendRun)
     EXPECT_EQ(dev.metrics.toJson(), direct.device.metrics.toJson());
 }
 
+TEST(Fleet, DeviceLineDescribesOneReadPopulation)
+{
+    // A device line's read_latency bins and its read_p50/p99/p999_us
+    // come from one histogram that holds reads only: on a mixed
+    // read/write trace the bins count the device's read requests,
+    // and each percentile is the bins' own nearest-rank percentile.
+    FleetConfig cfg = testConfig(1);
+    cfg.requests = 200;
+    cfg.cohorts = {CohortSpec{}}; // usr_0: 60% reads
+    FixedFleetEnv env(FixedReadCost(5, 3, 1));
+    const FleetResult fleet = runFleet(cfg, env, 1);
+
+    const DeviceProfile p = drawProfiles(cfg)[0];
+    const auto tr = trace::generateTrace(
+        trace::msrWorkload(p.workload),
+        static_cast<std::size_t>(cfg.requests), traceSeed(p));
+    const auto reads = static_cast<std::uint64_t>(std::count_if(
+        tr.begin(), tr.end(),
+        [](const trace::TraceRecord &r) { return r.isRead; }));
+    ASSERT_GT(reads, 0u);
+    ASSERT_LT(reads, tr.size());
+
+    std::ostringstream os;
+    writeFleetJsonLines(fleet, os);
+    std::istringstream is(os.str());
+    std::string device_line, rollup_line;
+    ASSERT_TRUE(std::getline(is, device_line));
+    ASSERT_TRUE(std::getline(is, rollup_line));
+    const util::JsonValue dev = util::parseJson(device_line);
+    const util::LatencyHistogram bins =
+        util::LatencyHistogram::fromBinsJson(*dev.find("read_latency"));
+    EXPECT_EQ(bins.count(), reads);
+    EXPECT_EQ(dev.find("read_p50_us")->number, bins.percentile(0.50));
+    EXPECT_EQ(dev.find("read_p99_us")->number, bins.percentile(0.99));
+    EXPECT_EQ(dev.find("read_p999_us")->number, bins.percentile(0.999));
+
+    const util::JsonValue rollup = util::parseJson(rollup_line);
+    EXPECT_EQ(util::LatencyHistogram::fromBinsJson(
+                  *rollup.find("read_latency"))
+                  .count(),
+              reads);
+}
+
 TEST(Fleet, RollupEqualsManualPrefixedMerge)
 {
     const FleetConfig cfg = testConfig(6);

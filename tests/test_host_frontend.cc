@@ -82,9 +82,8 @@ TEST(HostFrontend, RunsEveryRequestAndReportsThroughput)
     EXPECT_EQ(rep.device.metrics.counter("frontend.requests"), 200u);
     ASSERT_NE(rep.device.metrics.findHistogram("frontend.queue_wait_us"),
               nullptr);
-    ASSERT_NE(
-        rep.device.metrics.findHistogram("frontend.request_latency_us"),
-        nullptr);
+    ASSERT_NE(rep.device.metrics.findHistogram("frontend.read_latency_us"),
+              nullptr);
 }
 
 TEST(HostFrontend, ByteIdenticalAcrossReruns)
@@ -128,7 +127,7 @@ TEST(HostFrontend, OpenModesAreDeterministicAndBackpressured)
         ASSERT_NE(wait, nullptr);
         EXPECT_GT(wait->sum(), 0.0);
         const auto *host = rep.device.metrics.findHistogram(
-            "frontend.request_latency_us");
+            "frontend.read_latency_us");
         const auto *dev = rep.device.metrics.findHistogram(
             "ssd.read.request_latency_us");
         ASSERT_NE(host, nullptr);
@@ -161,19 +160,26 @@ TEST(HostFrontend, DeeperQueuesRaiseThroughput)
 
 TEST(HostFrontend, PipelinedRetryNeverSlowerPerRequest)
 {
-    // Same submission sequence (SsdSim::run on one trace), retries
-    // forced on every read: the pipelined device must complete every
-    // request at or before the sequential one.
+    // Same submission sequence (SsdSim::run's submit() loop on one
+    // trace), retries forced on every read: the pipelined device must
+    // complete every request at or before the sequential one.
     FixedReadCost cost_s(12, 4, 1), cost_p(12, 4, 1);
     const auto tr = readTrace(500);
     SsdSim seq(smallConfig(false), SsdTiming{}, cost_s, 1);
     SsdSim pipe(smallConfig(true), SsdTiming{}, cost_p, 1);
-    const auto rs = seq.run(tr);
-    const auto rp = pipe.run(tr);
+    std::vector<double> seq_latency, pipe_latency;
+    for (const trace::TraceRecord &req : tr) {
+        seq_latency.push_back(seq.submit(req, req.timestampUs)
+                              - req.timestampUs);
+        pipe_latency.push_back(pipe.submit(req, req.timestampUs)
+                               - req.timestampUs);
+    }
+    const auto rs = seq.finishRun();
+    const auto rp = pipe.finishRun();
 
-    ASSERT_EQ(rs.readLatencies.size(), rp.readLatencies.size());
-    for (std::size_t i = 0; i < rs.readLatencies.size(); ++i)
-        EXPECT_LE(rp.readLatencies[i], rs.readLatencies[i] + 1e-9)
+    ASSERT_EQ(seq_latency.size(), pipe_latency.size());
+    for (std::size_t i = 0; i < seq_latency.size(); ++i)
+        EXPECT_LE(pipe_latency[i], seq_latency[i] + 1e-9)
             << "request " << i;
     EXPECT_LT(rp.readLatencyUs.mean(), rs.readLatencyUs.mean());
 

@@ -172,13 +172,22 @@ TEST(Scrubber, ProbesFillIdleWindowsWithoutDelayingReads)
 
     FixedReadCost cost(4);
     SsdSim plain(smallConfig(), SsdTiming{}, cost, 1);
-    const SimReport off = plain.run(tr);
-
     FakeScrubDevice dev;
     Scrubber scrub(scrubConfig(), dev);
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
     sim.attachScrubber(&scrub); // no warm source: timing must not move
-    const SimReport on = sim.run(tr);
+
+    // SsdSim::run() is exactly this submit() loop; driving it here
+    // keeps each request's latency.
+    std::vector<double> off_latency, on_latency;
+    for (const trace::TraceRecord &req : tr) {
+        off_latency.push_back(plain.submit(req, req.timestampUs)
+                              - req.timestampUs);
+        on_latency.push_back(sim.submit(req, req.timestampUs)
+                             - req.timestampUs);
+    }
+    plain.finishRun();
+    const SimReport on = sim.finishRun();
 
     const std::uint64_t probes = on.metrics.counter("scrub.probes");
     EXPECT_GT(probes, 0u);
@@ -186,7 +195,7 @@ TEST(Scrubber, ProbesFillIdleWindowsWithoutDelayingReads)
               on.metrics.counter("scrub.scans") * 64);
     // Probes only ever used idle plane time, so every foreground read
     // latency is bit-identical to the scrub-off run.
-    EXPECT_EQ(on.readLatencies, off.readLatencies);
+    EXPECT_EQ(on_latency, off_latency);
 }
 
 TEST(Scrubber, WarmReadsSampleTheWarmCostSource)

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/read_policy.hh"
 #include "ssd/ssd_sim.hh"
@@ -51,7 +52,8 @@ TEST(SsdSim, ReadsCompleteWithPositiveLatency)
     EXPECT_EQ(rep.readLatencyUs.count(), 100u);
     EXPECT_GT(rep.readLatencyUs.min(), 0.0);
     EXPECT_EQ(rep.pageReads, 100u);
-    EXPECT_EQ(rep.writeLatencyUs.count(), 0u);
+    EXPECT_EQ(rep.metrics.findHistogram("ssd.write.request_latency_us"),
+              nullptr);
 }
 
 TEST(SsdSim, IdleSystemLatencyMatchesServiceTime)
@@ -140,9 +142,12 @@ TEST(SsdSim, WritesProgramAndCount)
     FixedReadCost cost(4);
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
     const auto rep = sim.run(simpleTrace(50, false, 1000.0, 4096));
-    EXPECT_EQ(rep.writeLatencyUs.count(), 50u);
+    const auto *writes =
+        rep.metrics.findHistogram("ssd.write.request_latency_us");
+    ASSERT_NE(writes, nullptr);
+    EXPECT_EQ(writes->count(), 50u);
     EXPECT_EQ(rep.pageWrites, 50u);
-    EXPECT_GE(rep.writeLatencyUs.min(), SsdTiming{}.programUs);
+    EXPECT_GE(writes->min(), SsdTiming{}.programUs);
 }
 
 TEST(SsdSim, MultiPageRequestsSplit)
@@ -238,6 +243,53 @@ TEST(SsdSim, SecondRunUpdatesItsOwnRegistry)
     EXPECT_EQ(per_channel, 20u);
     EXPECT_TRUE(sim.metrics().counters().empty());
     EXPECT_TRUE(sim.metrics().histograms().empty());
+}
+
+TEST(SsdSim, ReportFieldsAreThisRunsRegistry)
+{
+    // readLatencyUs, pageReads and pageWrites are copies finishRun()
+    // takes from the run's own registry: over two submit() ...
+    // finishRun() runs on one device, each report matches its own
+    // run's ssd.read.request_latency_us and page_ops, not the sum.
+    FixedReadCost cost(4);
+    SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
+    auto first_trace = simpleTrace(60, true, 100.0, 8192);
+    for (std::size_t i = 0; i < first_trace.size(); i += 3)
+        first_trace[i].isRead = false;
+    auto second_trace = simpleTrace(30, true, 150.0, 4096);
+    for (std::size_t i = 0; i < second_trace.size(); ++i) {
+        second_trace[i].timestampUs += 1.0e5;
+        second_trace[i].isRead = i % 2 == 0;
+    }
+
+    std::vector<SimReport> reports;
+    for (const auto *tr : {&first_trace, &second_trace}) {
+        for (const trace::TraceRecord &req : *tr)
+            sim.submit(req, req.timestampUs);
+        reports.push_back(sim.finishRun());
+    }
+
+    const std::uint64_t expected_reads[] = {40, 15};
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+        const SimReport &rep = reports[r];
+        const auto *h =
+            rep.metrics.findHistogram("ssd.read.request_latency_us");
+        ASSERT_NE(h, nullptr);
+        EXPECT_EQ(h->count(), expected_reads[r]);
+        EXPECT_EQ(rep.readLatencyUs.count(), h->count());
+        EXPECT_EQ(rep.readLatencyUs.min(), h->min());
+        EXPECT_EQ(rep.readLatencyUs.max(), h->max());
+        EXPECT_EQ(rep.readLatencyUs.sum(), h->sum());
+        EXPECT_EQ(rep.readLatencyUs.bins(), h->bins());
+        EXPECT_EQ(rep.pageReads, rep.metrics.counter("ssd.read.page_ops"));
+        EXPECT_EQ(rep.pageWrites,
+                  rep.metrics.counter("ssd.write.page_ops"));
+    }
+    // 8 KiB requests are two pages; 4 KiB ones one.
+    EXPECT_EQ(reports[0].pageReads, 80u);
+    EXPECT_EQ(reports[0].pageWrites, 40u);
+    EXPECT_EQ(reports[1].pageReads, 15u);
+    EXPECT_EQ(reports[1].pageWrites, 15u);
 }
 
 TEST(SsdSim, SpanTraceRecordsEveryOperation)

@@ -75,41 +75,6 @@ TEST(RunningStats, MergeWithEmpty)
     EXPECT_EQ(b.mean(), mean);
 }
 
-TEST(Percentile, EdgesAndMiddle)
-{
-    std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.0);
-}
-
-TEST(Percentile, Interpolates)
-{
-    std::vector<double> v{0.0, 10.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.5), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.9), 9.0);
-}
-
-TEST(Percentile, UnsortedInput)
-{
-    std::vector<double> v{9.0, 1.0, 5.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 1.0), 9.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-}
-
-TEST(Percentile, EmptyReturnsZero)
-{
-    EXPECT_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(Percentile, ClampsOutOfRangeQ)
-{
-    std::vector<double> v{1.0, 2.0};
-    EXPECT_DOUBLE_EQ(percentile(v, -0.5), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 2.0), 2.0);
-}
-
 TEST(MeanStddev, Basics)
 {
     std::vector<double> v{1.0, 2.0, 3.0};
