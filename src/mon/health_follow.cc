@@ -1,5 +1,6 @@
 #include "mon/health_follow.hh"
 
+#include <climits>
 #include <utility>
 
 #include "util/logging.hh"
@@ -7,112 +8,61 @@
 namespace flash::mon
 {
 
-HealthFollower::HealthFollower(Sink sink) : sink_(std::move(sink))
+HealthFollower::HealthFollower(Sink sink)
+    : sink_(std::move(sink)),
+      reader_([this](util::JsonValue &json) { return onObject(json); })
 {
     util::fatalIf(!sink_, "HealthFollower: null sink");
 }
 
-void
-HealthFollower::feed(std::string_view chunk)
+FollowStats
+HealthFollower::stats() const
 {
-    util::fatalIf(finished_, "HealthFollower: feed after finish");
-    std::size_t start = 0;
-    while (start < chunk.size()) {
-        const std::size_t nl = chunk.find('\n', start);
-        if (nl == std::string_view::npos) {
-            partial_.append(chunk.substr(start));
-            return;
-        }
-        partial_.append(chunk.substr(start, nl - start));
-        consumeLine(partial_);
-        partial_.clear();
-        start = nl + 1;
-    }
+    FollowStats s = continuity_;
+    static_cast<util::JsonLinesStats &>(s) = reader_.stats();
+    return s;
 }
 
-void
-HealthFollower::finish()
+util::LineVerdict
+HealthFollower::onObject(util::JsonValue &json)
 {
-    if (finished_)
-        return;
-    finished_ = true;
-    if (partial_.empty())
-        return;
-    // An unterminated tail is usually a truncated write; if the bytes
-    // happen to form a complete record, take it, otherwise count the
-    // truncation on top of the malformed line.
-    const std::uint64_t malformed_before = stats_.malformed;
-    consumeLine(partial_);
-    partial_.clear();
-    if (stats_.malformed > malformed_before)
-        ++stats_.truncatedTail;
-}
-
-void
-HealthFollower::consumeLine(const std::string &line)
-{
-    if (line.find_first_not_of(" \t\r") == std::string::npos)
-        return;
-    ++stats_.lines;
-
     HealthRecord rec;
-    try {
-        rec.json = util::parseJson(line);
-    } catch (const util::FatalError &) {
-        ++stats_.malformed;
-        return;
-    }
-    if (!rec.json.isObject()) {
-        ++stats_.malformed;
-        return;
-    }
-    const util::JsonValue *kind = rec.json.find("health");
-    if (kind == nullptr
-        || kind->type != util::JsonValue::Type::String) {
-        ++stats_.ignored; // some other JSON-lines record
-        return;
-    }
-    rec.kind = kind->string;
-    if (const util::JsonValue *f = rec.json.find("context");
-        f != nullptr && f->type == util::JsonValue::Type::String)
-        rec.context = f->string;
-    if (const util::JsonValue *f = rec.json.find("device");
-        f != nullptr && f->isNumber())
-        rec.device = static_cast<int>(f->number);
-    if (const util::JsonValue *f = rec.json.find("schema");
-        f != nullptr && f->isNumber())
-        rec.schema = static_cast<int>(f->number);
-    if (const util::JsonValue *f = rec.json.find("t_us");
-        f != nullptr && f->isNumber())
-        rec.tUs = f->number;
-    if (const util::JsonValue *f = rec.json.find("final");
-        f != nullptr && f->isNumber())
-        rec.finalSnapshot = f->number != 0.0;
-    stats_.maxSchema = std::max(stats_.maxSchema, rec.schema);
+    if (!json.get("health", rec.kind))
+        return util::LineVerdict::Ignored; // some other JSON-lines record
+    std::uint64_t n = 0;
+    json.get("context", rec.context);
+    if (json.get("device", n, INT_MAX))
+        rec.device = static_cast<int>(n);
+    if (json.get("schema", n, INT_MAX))
+        rec.schema = static_cast<int>(n);
+    json.get("t_us", rec.tUs);
+    double final_flag = 0.0;
+    rec.finalSnapshot = json.get("final", final_flag) && final_flag != 0.0;
+    continuity_.maxSchema = std::max(continuity_.maxSchema, rec.schema);
 
     // Per-device window continuity. The emitting monitor stamps a
     // strictly increasing index on every record, so anything other
     // than last+1 is a discontinuity worth reporting.
-    const util::JsonValue *w = rec.json.find("window");
     auto [it, inserted] = lastWindow_.try_emplace(rec.device, kNoWindow);
-    if (w != nullptr && w->isNumber() && w->number >= 0.0) {
-        rec.window = static_cast<std::int64_t>(w->number);
+    if (json.get("window", n)) {
+        rec.window = static_cast<std::int64_t>(n);
         if (!inserted && it->second != kNoWindow) {
             if (rec.window > it->second + 1) {
-                ++stats_.gaps;
-                stats_.missedWindows += static_cast<std::uint64_t>(
+                ++continuity_.gaps;
+                continuity_.missedWindows += static_cast<std::uint64_t>(
                     rec.window - it->second - 1);
             } else if (rec.window <= it->second) {
-                ++stats_.restarts;
+                ++continuity_.restarts;
             }
         }
         it->second = rec.window;
     } else {
-        ++stats_.unwindowed; // schema-1 stream: no continuity check
+        ++continuity_.unwindowed; // schema-1 stream: no continuity check
     }
 
-    ++stats_.records;
+    rec.json = std::move(json);
     sink_(rec);
+    return util::LineVerdict::Record;
 }
 
 } // namespace flash::mon

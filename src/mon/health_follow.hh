@@ -4,12 +4,12 @@
  *
  * A HealthFollower is fed arbitrary byte chunks (a file read loop, a
  * pipe, a test splitting one stream at every possible offset) and
- * re-assembles complete lines across chunk boundaries: a partial
- * line is buffered until its newline arrives, so the parsed record
- * stream — and everything downstream of it — depends only on the
- * stream *content*, never on how the bytes were chunked. Lines that
- * are not valid JSON, including a truncated tail at end of stream,
- * are skipped and counted, never fatal.
+ * reads them through util::JsonLinesReader, so the record stream —
+ * and everything downstream of it — depends only on the stream
+ * *content*, never on how the bytes were chunked. Lines that are not
+ * valid JSON objects, including a truncated tail at end of stream,
+ * count as malformed; objects without a string "health" kind count
+ * as ignored. Neither is fatal.
  *
  * Records demultiplex by their "device" id (-1 for untagged
  * single-device streams). Schema-2 health records (see
@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <istream>
 #include <map>
 #include <string>
 #include <string_view>
@@ -49,15 +50,12 @@ struct HealthRecord
     util::JsonValue json;       ///< full parsed record
 };
 
-/** Stream-integrity counters of one follower. */
-struct FollowStats
+/**
+ * Stream-integrity counters of one follower: the reader's line counts
+ * (records are well-formed health records) plus window continuity.
+ */
+struct FollowStats : util::JsonLinesStats
 {
-    std::uint64_t lines = 0;     ///< complete non-blank lines seen
-    std::uint64_t records = 0;   ///< well-formed health records
-    std::uint64_t malformed = 0; ///< invalid JSON / non-object lines
-    std::uint64_t ignored = 0;   ///< valid JSON, not a health record
-    std::uint64_t truncatedTail = 0; ///< unterminated junk at stream end
-
     /** Window-continuity discontinuities (schema >= 2 records). */
     std::uint64_t gaps = 0;          ///< window jumped forward
     std::uint64_t missedWindows = 0; ///< total windows skipped in gaps
@@ -79,30 +77,32 @@ class HealthFollower
     /** @param sink Called once per well-formed record, in order. */
     explicit HealthFollower(Sink sink);
 
+    // The reader's sink points back at this follower.
+    HealthFollower(const HealthFollower &) = delete;
+    HealthFollower &operator=(const HealthFollower &) = delete;
+
     /** Consume one chunk of bytes (any chunking, incl. empty). */
-    void feed(std::string_view chunk);
+    void feed(std::string_view chunk) { reader_.feed(chunk); }
 
-    /**
-     * End of stream: a non-empty unterminated tail is parsed as a
-     * final line if possible, else counted as truncated + malformed.
-     * feed() after finish() is rejected (fatal).
-     */
-    void finish();
+    /** End of stream; see util::JsonLinesReader::finish(). */
+    void finish() { reader_.finish(); }
 
-    const FollowStats &stats() const { return stats_; }
+    /** feed() all of @p is, then finish(). */
+    void read(std::istream &is) { reader_.read(is); }
+
+    FollowStats stats() const;
 
     /** Distinct device ids seen so far. */
     std::size_t devicesSeen() const { return lastWindow_.size(); }
 
   private:
-    void consumeLine(const std::string &line);
+    util::LineVerdict onObject(util::JsonValue &json);
 
     Sink sink_;
-    std::string partial_;
     /** Last window index per device (kNoWindow until one is seen). */
     std::map<int, std::int64_t> lastWindow_;
-    FollowStats stats_;
-    bool finished_ = false;
+    FollowStats continuity_; ///< the window counters of stats()
+    util::JsonLinesReader reader_;
 
     static constexpr std::int64_t kNoWindow = -1;
 };

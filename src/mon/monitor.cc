@@ -109,7 +109,7 @@ FleetMonitor::feed(std::string_view chunk)
     follower_.feed(chunk);
 }
 
-const FollowStats &
+FollowStats
 FleetMonitor::followStats() const
 {
     return follower_.stats();
@@ -269,7 +269,7 @@ FleetMonitor::finish()
         emitFrame(simTUs_);
     }
 
-    const FollowStats &st = follower_.stats();
+    const FollowStats st = follower_.stats();
     const ReadTotals totals = series_.rollup();
     util::banner(frames_, "monitor summary");
     util::TextTable tbl;

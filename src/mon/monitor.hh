@@ -69,7 +69,7 @@ class FleetMonitor
     /** End of stream: flush a last frame and the summary block. */
     void finish();
 
-    const FollowStats &followStats() const;
+    FollowStats followStats() const;
     const FleetSeries &series() const { return series_; }
 
     /** Fire events emitted so far (rules + outliers). */

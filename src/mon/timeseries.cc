@@ -7,21 +7,6 @@
 namespace flash::mon
 {
 
-namespace
-{
-
-bool
-numberField(const util::JsonValue &v, const char *key, double &out)
-{
-    const util::JsonValue *f = v.find(key);
-    if (f == nullptr || !f->isNumber())
-        return false;
-    out = f->number;
-    return true;
-}
-
-} // namespace
-
 void
 ReadTotals::merge(const ReadTotals &other)
 {
@@ -73,13 +58,13 @@ DeviceSeries::addSsd(const HealthRecord &rec)
     s.window = rec.window;
     s.tUs = rec.tUs;
     s.finalSnapshot = rec.finalSnapshot;
-    numberField(rec.json, "reads", s.reads);
-    s.exactDeltas = numberField(rec.json, "retries", s.retries)
-        & numberField(rec.json, "senses", s.senses)
-        & numberField(rec.json, "assists", s.assists);
-    numberField(rec.json, "retries_per_read", s.retriesPerRead);
-    numberField(rec.json, "sense_ops_per_read", s.sensesPerRead);
-    numberField(rec.json, "assist_reads_per_read", s.assistsPerRead);
+    rec.json.get("reads", s.reads);
+    s.exactDeltas = rec.json.get("retries", s.retries)
+        & rec.json.get("senses", s.senses)
+        & rec.json.get("assists", s.assists);
+    rec.json.get("retries_per_read", s.retriesPerRead);
+    rec.json.get("sense_ops_per_read", s.sensesPerRead);
+    rec.json.get("assist_reads_per_read", s.assistsPerRead);
     if (!s.exactDeltas) {
         // Schema-1 stream: reconstruct approximate deltas from the
         // rates; totals are then flagged non-exact.
@@ -87,14 +72,14 @@ DeviceSeries::addSsd(const HealthRecord &rec)
         s.senses = s.sensesPerRead * s.reads;
         s.assists = s.assistsPerRead * s.reads;
     }
-    s.haveLatency = numberField(rec.json, "read_p99_us", s.readP99Us);
-    s.haveScrub = numberField(rec.json, "scrub_warm_fraction",
+    s.haveLatency = rec.json.get("read_p99_us", s.readP99Us);
+    s.haveScrub = rec.json.get("scrub_warm_fraction",
                               s.warmFraction);
-    numberField(rec.json, "scrub_refresh_queue", s.refreshQueue);
-    numberField(rec.json, "scrub_warm_read_rate", s.warmReadRate);
+    rec.json.get("scrub_refresh_queue", s.refreshQueue);
+    rec.json.get("scrub_warm_read_rate", s.warmReadRate);
     s.haveModel =
-        numberField(rec.json, "model_mean_confidence", s.modelConfidence);
-    numberField(rec.json, "model_confident_fraction",
+        rec.json.get("model_mean_confidence", s.modelConfidence);
+    rec.json.get("model_confident_fraction",
                 s.modelConfidentFraction);
 
     if (ring_.size() == capacity_)
@@ -115,7 +100,7 @@ DeviceSeries::addChip(const HealthRecord &rec)
     if (cohort_.empty())
         cohort_ = cohortOfContext(rec.context);
     double residual = 0.0;
-    if (numberField(rec.json, "model_residual", residual)) {
+    if (rec.json.get("model_residual", residual)) {
         haveResidual_ = true;
         lastResidual_ = residual;
     }

@@ -1,8 +1,10 @@
 #include "ssd/fleet/report.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "util/json.hh"
@@ -15,25 +17,23 @@ namespace flash::ssd::fleet
 namespace
 {
 
-/** Numeric member lookup; false when absent or mistyped. */
+/**
+ * The "read_latency" bins into @p out (null: no requests, empty
+ * histogram); false when absent or malformed.
+ */
 bool
-numberField(const util::JsonValue &v, const char *key, double &out)
+binsField(const util::JsonValue &v, util::LatencyHistogram &out)
 {
-    const util::JsonValue *f = v.find(key);
-    if (f == nullptr || !f->isNumber())
+    const util::JsonValue *latency = v.find("read_latency");
+    if (latency == nullptr)
         return false;
-    out = f->number;
-    return true;
-}
-
-/** String member lookup; false when absent or mistyped. */
-bool
-stringField(const util::JsonValue &v, const char *key, std::string &out)
-{
-    const util::JsonValue *f = v.find(key);
-    if (f == nullptr || f->type != util::JsonValue::Type::String)
+    if (latency->type == util::JsonValue::Type::Null)
+        return true;
+    try {
+        out = util::LatencyHistogram::fromBinsJson(*latency);
+    } catch (const util::FatalError &) {
         return false;
-    out = f->string;
+    }
     return true;
 }
 
@@ -41,40 +41,52 @@ stringField(const util::JsonValue &v, const char *key, std::string &out)
 bool
 parseDeviceLine(const util::JsonValue &v, ReportDevice &out)
 {
-    double device = 0.0, requests = 0.0, footprint = 0.0;
-    if (!numberField(v, "device", device) || device < 0.0
-        || !stringField(v, "cohort", out.cohort)
-        || !numberField(v, "requests", requests) || requests < 0.0) {
+    std::uint64_t device = 0;
+    if (!v.get("device", device, INT_MAX)
+        || !v.get("cohort", out.cohort)
+        || !v.get("requests", out.requests)) {
         return false;
     }
     out.device = static_cast<int>(device);
-    out.requests = static_cast<std::uint64_t>(requests);
-    stringField(v, "workload", out.workload);
-    numberField(v, "iops", out.iops);
-    numberField(v, "read_p50_us", out.readP50Us);
-    numberField(v, "read_p99_us", out.readP99Us);
-    numberField(v, "read_p999_us", out.readP999Us);
-    if (numberField(v, "footprint_bytes", footprint) && footprint >= 0.0)
-        out.footprintBytes = static_cast<std::uint64_t>(footprint);
+    v.get("workload", out.workload);
+    v.get("iops", out.iops);
+    v.get("read_p50_us", out.readP50Us);
+    v.get("read_p99_us", out.readP99Us);
+    v.get("read_p999_us", out.readP999Us);
+    v.get("footprint_bytes", out.footprintBytes);
     // Optional mapping-stack fields (files from before the FTL zoo
     // simply lack them; tolerate their absence).
-    stringField(v, "ftl", out.ftl);
-    stringField(v, "gc_policy", out.gcPolicy);
-    double waf_num = 0.0, waf_den = 0.0;
-    if (numberField(v, "waf_num", waf_num) && waf_num >= 0.0)
-        out.wafNum = static_cast<std::uint64_t>(waf_num);
-    if (numberField(v, "waf_den", waf_den) && waf_den >= 0.0)
-        out.wafDen = static_cast<std::uint64_t>(waf_den);
+    v.get("ftl", out.ftl);
+    v.get("gc_policy", out.gcPolicy);
+    v.get("waf_num", out.wafNum);
+    v.get("waf_den", out.wafDen);
+    return binsField(v, out.latency);
+}
 
-    const util::JsonValue *latency = v.find("read_latency");
-    if (latency == nullptr)
+/** Take one rollup line into @p data; false = malformed. */
+bool
+parseRollupLine(const util::JsonValue &v, FleetReportData &data)
+{
+    std::uint64_t devices = 0, requests = 0;
+    util::LatencyHistogram latency;
+    if (!v.get("devices", devices)
+        || !v.get("requests", requests)
+        || !binsField(v, latency))
         return false;
-    if (latency->type == util::JsonValue::Type::Null)
-        return true; // device saw no requests: empty histogram
-    try {
-        out.latency = util::LatencyHistogram::fromBinsJson(*latency);
-    } catch (const util::FatalError &) {
-        return false;
+    data.haveRollup = true;
+    data.rollupDevices = devices;
+    data.rollupRequests = requests;
+    data.rollupLatency = std::move(latency);
+    // The merged registry's counters, for cross-artifact
+    // reconciliation (health stream vs fleet rollup).
+    if (const util::JsonValue *m = v.find("metrics")) {
+        if (const util::JsonValue *c = m->find("counters")) {
+            for (const auto &[name, val] : c->object) {
+                std::uint64_t n = 0;
+                if (util::jsonCount(&val, n))
+                    data.rollupCounters[name] = n;
+            }
+        }
     }
     return true;
 }
@@ -86,71 +98,29 @@ parseFleetLines(std::istream &is)
 {
     FleetReportData data;
     std::set<int> seen;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        util::JsonValue v;
-        try {
-            v = util::parseJson(line);
-        } catch (const util::FatalError &) {
-            ++data.malformedLines; // bad or truncated JSON: skip
-            continue;
-        }
+    util::JsonLinesReader reader([&](util::JsonValue &v) {
         std::string kind;
-        if (!v.isObject() || !stringField(v, "fleet", kind)) {
-            ++data.ignoredLines; // some other JSON-lines record
-            continue;
+        if (!v.get("fleet", kind))
+            return util::LineVerdict::Ignored; // another JSON-lines record
+        if (kind == "rollup") {
+            return parseRollupLine(v, data) ? util::LineVerdict::Record
+                                            : util::LineVerdict::Malformed;
         }
-        if (kind == "device") {
-            ReportDevice d;
-            if (!parseDeviceLine(v, d)) {
-                ++data.malformedLines;
-                continue;
-            }
-            if (seen.count(d.device)) {
-                ++data.duplicateLines; // keep the first record
-                continue;
-            }
-            seen.insert(d.device);
+        if (kind != "device")
+            return util::LineVerdict::Ignored;
+        ReportDevice d;
+        if (!parseDeviceLine(v, d))
+            return util::LineVerdict::Malformed;
+        if (seen.insert(d.device).second)
             data.devices.push_back(std::move(d));
-        } else if (kind == "rollup") {
-            double devices = 0.0, requests = 0.0;
-            const util::JsonValue *latency = v.find("read_latency");
-            if (!numberField(v, "devices", devices)
-                || !numberField(v, "requests", requests)
-                || latency == nullptr) {
-                ++data.malformedLines;
-                continue;
-            }
-            try {
-                if (latency->type != util::JsonValue::Type::Null) {
-                    data.rollupLatency =
-                        util::LatencyHistogram::fromBinsJson(*latency);
-                }
-            } catch (const util::FatalError &) {
-                ++data.malformedLines;
-                continue;
-            }
-            data.haveRollup = true;
-            data.rollupDevices = static_cast<std::uint64_t>(devices);
-            data.rollupRequests = static_cast<std::uint64_t>(requests);
-            // The merged registry's counters, for cross-artifact
-            // reconciliation (health stream vs fleet rollup).
-            if (const util::JsonValue *m = v.find("metrics")) {
-                if (const util::JsonValue *c = m->find("counters")) {
-                    for (const auto &[name, val] : c->object) {
-                        if (val.isNumber() && val.number >= 0.0) {
-                            data.rollupCounters[name] =
-                                static_cast<std::uint64_t>(val.number);
-                        }
-                    }
-                }
-            }
-        } else {
-            ++data.ignoredLines;
-        }
-    }
+        else
+            ++data.duplicateLines; // keep the first record
+        return util::LineVerdict::Record;
+    });
+    reader.read(is);
+    data.recordLines = reader.stats().records;
+    data.malformedLines = reader.stats().malformed;
+    data.ignoredLines = reader.stats().ignored;
     std::sort(data.devices.begin(), data.devices.end(),
               [](const ReportDevice &a, const ReportDevice &b) {
                   return a.device < b.device;
@@ -287,49 +257,29 @@ checkReconciliation(const FleetReportData &data,
 }
 
 HealthScan
-scanHealthLines(std::istream &is)
+scanHealth(std::istream &is)
 {
     HealthScan scan;
     std::set<int> finished; // devices whose record run has ended
-    int current = -2;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        util::JsonValue v;
-        try {
-            v = util::parseJson(line);
-        } catch (const util::FatalError &) {
-            ++scan.malformed;
-            continue;
-        }
-        if (!v.isObject() || v.find("health") == nullptr) {
-            ++scan.malformed;
-            continue;
-        }
-        ++scan.lines;
-        const util::JsonValue *dev = v.find("device");
-        const int id = (dev != nullptr && dev->isNumber())
-            ? static_cast<int>(dev->number)
-            : -1;
-        const util::JsonValue *conf = v.find("model_mean_confidence");
-        if (conf == nullptr)
-            conf = v.find("model_confidence");
-        if (conf != nullptr && conf->isNumber()) {
+    std::optional<int> current;
+    mon::HealthFollower follower([&](const mon::HealthRecord &rec) {
+        double conf = 0.0;
+        if (rec.json.get("model_mean_confidence", conf)
+            || rec.json.get("model_confidence", conf)) {
             ++scan.modelRecords;
-            scan.modelConfidence[id] = conf->number;
+            scan.modelConfidence[rec.device] = conf;
         }
-        if (id != current) {
-            if (current >= -1)
-                finished.insert(current);
-            if (finished.count(id))
+        if (rec.device != current) {
+            if (current)
+                finished.insert(*current);
+            if (finished.count(rec.device))
                 scan.ordered = false; // device resumed after a break
-            current = id;
+            current = rec.device;
         }
-    }
-    if (current >= -1)
-        finished.insert(current);
-    scan.devices = finished.size();
+    });
+    follower.read(is);
+    scan.stats = follower.stats();
+    scan.devices = follower.devicesSeen();
     return scan;
 }
 
@@ -446,8 +396,9 @@ writeReportJson(std::ostream &os, const FleetReportData &data,
     }
     os << "]";
     if (health != nullptr) {
-        os << ", \"health\": {\"lines\": " << health->lines
-           << ", \"malformed_lines\": " << health->malformed
+        os << ", \"health\": {\"lines\": " << health->stats.records
+           << ", \"malformed_lines\": " << health->stats.malformed
+           << ", \"ignored_lines\": " << health->stats.ignored
            << ", \"devices\": " << health->devices
            << ", \"ordered\": " << (health->ordered ? "true" : "false")
            << ", \"model_records\": " << health->modelRecords << "}";

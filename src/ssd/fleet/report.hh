@@ -3,10 +3,12 @@
  * Fleet tail attribution over the JSON lines writeFleetJsonLines()
  * persists (the library behind tools/fleet_report).
  *
- * parseFleetLines() reads the per-device records back — skipping and
- * counting malformed or truncated lines instead of failing, so a
- * partially written fleet file still reports — and rebuilds every
- * device's lossless read-latency histogram (host-side, reads only).
+ * parseFleetLines() reads the per-device records back through
+ * util::JsonLinesReader — skipping and counting malformed or truncated
+ * lines instead of failing, so a partially written fleet file still
+ * reports — and rebuilds every device's lossless read-latency
+ * histogram (host-side, reads only). scanHealth() reads a fleet
+ * health file through mon::HealthFollower.
  * attributeTail() then merges them into the fleet read-latency
  * distribution and attributes the tail: because all histograms share
  * one bin layout, "observations in bins at or beyond the fleet's
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "mon/health_follow.hh"
 #include "util/metrics.hh"
 
 namespace flash::ssd::fleet
@@ -72,10 +75,16 @@ struct FleetReportData
      */
     std::map<std::string, std::uint64_t> rollupCounters;
 
-    /** Lines skipped: invalid JSON, truncated, or mistyped fields. */
+    /** Well-formed fleet records: device (incl. duplicate) and rollup. */
+    std::uint64_t recordLines = 0;
+
+    /**
+     * Lines skipped: invalid JSON, a non-object, truncated, or a
+     * fleet record with missing or mistyped fields.
+     */
     std::uint64_t malformedLines = 0;
 
-    /** Valid JSON lines that are not fleet records (interleaved ok). */
+    /** Objects without a string "fleet" kind (interleaved ok). */
     std::uint64_t ignoredLines = 0;
 
     /** Well-formed device lines dropped for repeating a device id. */
@@ -84,11 +93,11 @@ struct FleetReportData
 
 /**
  * Parse a fleet JSON-lines stream. Never throws on bad input: any
- * line that is not valid JSON or lacks the required fields counts as
- * malformed and is skipped; duplicate device ids keep the first
- * record (later well-formed ones count as duplicates). Unknown
- * fields are ignored (forward compatibility). Devices come back
- * sorted by id.
+ * line that is not a JSON object, or a fleet record that lacks the
+ * required fields, counts as malformed and is skipped; duplicate
+ * device ids keep the first record (later well-formed ones count as
+ * duplicates). Unknown fields are ignored (forward compatibility).
+ * Devices come back sorted by id.
  */
 FleetReportData parseFleetLines(std::istream &is);
 
@@ -168,12 +177,11 @@ TailAttribution attributeTail(const FleetReportData &data);
 std::string checkReconciliation(const FleetReportData &data,
                                 const TailAttribution &tail);
 
-/** Health JSON-lines scan results. */
+/** What a fleet health file says about its own completeness. */
 struct HealthScan
 {
-    std::uint64_t lines = 0;     ///< well-formed health records
-    std::uint64_t malformed = 0; ///< skipped lines
-    std::uint64_t devices = 0;   ///< distinct "device" ids seen
+    mon::FollowStats stats;    ///< record, malformed and ignored counts
+    std::uint64_t devices = 0; ///< distinct "device" ids seen
     /**
      * Whether the per-device records appear contiguously (the ordered
      * per-device flush contract): false when a device's records
@@ -194,7 +202,7 @@ struct HealthScan
 };
 
 /** Scan a fleet health file (skip-and-count, never throws). */
-HealthScan scanHealthLines(std::istream &is);
+HealthScan scanHealth(std::istream &is);
 
 /** Print the human-readable report (top @p top_k offender table). */
 void printReport(std::ostream &os, const FleetReportData &data,

@@ -40,36 +40,11 @@ PageFtl::fillSequential()
     // in the same global order. Only the per-block counters and free
     // lists are built; the map and owner entries stay implicit below
     // filled_. Stats stay zero: preconditioning is not host traffic.
+    // The write loop runs no GC: free space runs out only once the
+    // plane's share is written, and every full block is all-valid,
+    // which allocate() never collects ahead of demand.
     const int planes = config_.totalPlanes();
-    const int blocks = config_.blocksPerPlane;
     const int ppb = config_.pagesPerBlock;
-
-    for (int p = 0; p < planes; ++p) {
-        const std::int64_t pages =
-            p < logicalPages_ ? (logicalPages_ - p + planes - 1) / planes : 0;
-        const int used = static_cast<int>((pages + ppb - 1) / ppb);
-
-        // allocate() tests the free fraction against gcThreshold on
-        // every write past a block's first page, and from block 1 on
-        // a full block exists to collect. Free space only shrinks, so
-        // the last block written past its first page decides whether
-        // the write loop would have run GC (pure churn: every victim
-        // is all-valid).
-        int probed = used - 1;
-        if (used > 0 && pages - static_cast<std::int64_t>(used - 1) * ppb < 2)
-            probed = ppb >= 2 ? used - 2 : -1;
-        if (probed >= 1
-            && static_cast<double>(blocks - probed - 1)
-                    / static_cast<double>(blocks)
-                < config_.gcThreshold) {
-            util::fatal("ftl: preconditioning would run GC: overprovision "
-                        + std::to_string(config_.overprovision)
-                        + " leaves a plane's free-block fraction under "
-                          "gcThreshold "
-                        + std::to_string(config_.gcThreshold)
-                        + " while filling the drive");
-        }
-    }
 
     // Each block is taken at its first LPN, k*P + p with k % ppb == 0,
     // and holds the plane's next min(ppb, ceil((L - lpn) / P)) pages.
@@ -328,7 +303,7 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
 
     if (activeFull(plane_idx)) {
         if (blocks_.freeBlocks(plane_idx) == 0)
-            collectGarbage(plane_idx, effect);
+            collectGarbage(plane_idx, effect, true);
         active = blocks_.take(plane_idx);
     } else {
         // GC ahead of demand when the plane is running low.
@@ -336,7 +311,7 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
             static_cast<double>(blocks_.freeBlocks(plane_idx))
             / static_cast<double>(config_.blocksPerPlane);
         if (free_frac < config_.gcThreshold) {
-            collectGarbage(plane_idx, effect);
+            collectGarbage(plane_idx, effect, false);
             // Re-homed movers may have landed in (and filled) the
             // active block without switching it: the deeper allocate
             // only switches when it sees the block already full. Take
@@ -354,7 +329,7 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
 }
 
 void
-PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
+PageFtl::collectGarbage(int plane_idx, WriteEffect &effect, bool on_demand)
 {
     // Victim selection through the configured policy; greedy scans
     // blocks in id order for the fewest valid pages, excluding the
@@ -364,6 +339,11 @@ PageFtl::collectGarbage(int plane_idx, WriteEffect &effect)
         config_.gcPolicy, blocks_, plane_idx, config_.blocksPerPlane,
         active_[static_cast<std::size_t>(plane_idx)], [](int b) { return b; });
     if (victim < 0)
+        return;
+    // Ahead of demand, an all-valid victim would be copied whole to
+    // reclaim nothing, and again on every later allocation.
+    if (!on_demand
+        && blocks_.at(plane_idx, victim).validPages == config_.pagesPerBlock)
         return;
 
     // Migrate valid pages into the plane's free space. Use a scratch

@@ -61,7 +61,11 @@ class PageFtl : public FtlInterface
 
     void fillSequential();
     PhysAddr allocate(int plane_idx, WriteEffect &effect);
-    void collectGarbage(int plane_idx, WriteEffect &effect);
+    /**
+     * One GC run on the plane's policy victim. Not @p on_demand (the
+     * plane is only running low), an all-valid victim is left alone.
+     */
+    void collectGarbage(int plane_idx, WriteEffect &effect, bool on_demand);
     /** Whether the plane's active block is missing or full. */
     bool activeFull(int plane_idx) const;
 

@@ -142,36 +142,19 @@ parseSpanTrace(std::istream &is)
     SpanForest forest;
     std::unordered_map<std::uint64_t, int> index_of;
 
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const util::JsonValue v = util::parseJson(line);
-        if (!v.isObject())
-            continue;
-        if (const util::JsonValue *s = v.find("span_summary");
-            s && s->isNumber()) {
+    util::JsonLinesReader reader([&](util::JsonValue &v) {
+        double summary = 0.0;
+        if (v.get("span_summary", summary)) {
             forest.haveSummary = true;
-            if (const util::JsonValue *n = v.find("spans"))
-                forest.declaredSpans =
-                    static_cast<std::uint64_t>(n->number);
-            if (const util::JsonValue *n = v.find("dropped_spans"))
-                forest.declaredDropped =
-                    static_cast<std::uint64_t>(n->number);
-            continue;
+            v.get("spans", forest.declaredSpans);
+            v.get("dropped_spans", forest.declaredDropped);
+            return util::LineVerdict::Record;
         }
-        const util::JsonValue *cls = v.find("span");
-        const util::JsonValue *id = v.find("id");
-        const util::JsonValue *parent = v.find("parent");
-        if (!cls || cls->type != util::JsonValue::Type::String || !id
-            || !id->isNumber() || !parent || !parent->isNumber()) {
-            continue; // not a span record (e.g. interleaved health line)
-        }
-
         SpanNode node;
-        node.id = static_cast<std::uint64_t>(id->number);
-        node.parent = static_cast<std::uint64_t>(parent->number);
-        node.cls = cls->string;
+        if (!v.get("span", node.cls))
+            return util::LineVerdict::Ignored; // e.g. a health line
+        if (!v.get("id", node.id) || !v.get("parent", node.parent))
+            return util::LineVerdict::Malformed;
         for (const auto &[key, value] : v.object) {
             if (key == "span" || key == "id" || key == "parent")
                 continue;
@@ -188,12 +171,15 @@ parseSpanTrace(std::istream &is)
 
         if (index_of.count(node.id)) {
             ++forest.duplicates;
-            continue;
+        } else {
+            index_of.emplace(node.id,
+                             static_cast<int>(forest.nodes.size()));
+            forest.nodes.push_back(std::move(node));
         }
-        index_of.emplace(node.id,
-                         static_cast<int>(forest.nodes.size()));
-        forest.nodes.push_back(std::move(node));
-    }
+        return util::LineVerdict::Record;
+    });
+    reader.read(is);
+    forest.input = reader.stats();
 
     for (std::size_t i = 0; i < forest.nodes.size(); ++i) {
         SpanNode &node = forest.nodes[i];

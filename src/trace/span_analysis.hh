@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hh"
+
 namespace flash::trace
 {
 
@@ -65,13 +67,17 @@ struct SpanForest
     bool haveSummary = false; ///< span_summary line present
     std::uint64_t declaredSpans = 0;
     std::uint64_t declaredDropped = 0;
+
+    /** Skip-and-count totals of the file's lines. */
+    util::JsonLinesStats input;
 };
 
 /**
- * Parse a JSON-lines span trace (see util::span_trace). Lines that
- * are valid JSON but neither a span nor the summary are ignored, so a
- * file interleaving other JSON-lines records still parses. Throws
- * util::FatalError on malformed JSON.
+ * Parse a JSON-lines span trace (see util::span_trace). Objects that
+ * are neither a span nor the summary are ignored, so a file
+ * interleaving other JSON-lines records still parses. A line that is
+ * not a JSON object, or a span without a numeric id and parent, is
+ * skipped and counted as malformed in SpanForest::input.
  */
 SpanForest parseSpanTrace(std::istream &is);
 

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -17,13 +19,39 @@ JsonValue::find(const std::string &key) const
     return it == object.end() ? nullptr : &it->second;
 }
 
+bool
+JsonValue::get(const std::string &key, double &out) const
+{
+    const JsonValue *f = find(key);
+    if (f == nullptr || !f->isNumber())
+        return false;
+    out = f->number;
+    return true;
+}
+
+bool
+JsonValue::get(const std::string &key, std::uint64_t &out, double max) const
+{
+    return jsonCount(find(key), out, max);
+}
+
+bool
+JsonValue::get(const std::string &key, std::string &out) const
+{
+    const JsonValue *f = find(key);
+    if (f == nullptr || f->type != Type::String)
+        return false;
+    out = f->string;
+    return true;
+}
+
 namespace
 {
 
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     JsonValue
     parse()
@@ -53,9 +81,12 @@ class Parser
     void
     expect(char c)
     {
-        fatalIf(peek() != c,
-                std::string("json: expected '") + c + "' at offset "
-                    + std::to_string(pos_));
+        // The message is built only on failure: expect() runs for
+        // every ':' and closing bracket.
+        if (peek() != c) {
+            fatal(std::string("json: expected '") + c + "' at offset "
+                  + std::to_string(pos_));
+        }
         ++pos_;
     }
 
@@ -71,8 +102,9 @@ class Parser
     }
 
     JsonValue
-    value()
+    value(int depth = 0)
     {
+        fatalIf(depth > kMaxDepth, "json: nesting too deep");
         skipWs();
         JsonValue v;
         const char c = peek();
@@ -89,7 +121,7 @@ class Parser
                 std::string key = parseString();
                 skipWs();
                 expect(':');
-                v.object[key] = value();
+                v.object[key] = value(depth + 1);
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;
@@ -107,7 +139,7 @@ class Parser
                 return v;
             }
             while (true) {
-                v.array.push_back(value());
+                v.array.push_back(value(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;
@@ -227,22 +259,118 @@ class Parser
         double out = 0.0;
         const auto res = std::from_chars(text_.data() + pos_,
                                          text_.data() + text_.size(), out);
-        fatalIf(res.ec != std::errc(), "json: bad number at offset "
-                                           + std::to_string(pos_));
+        // from_chars also reads "nan" and "inf", which JSON has not.
+        if (res.ec != std::errc() || !std::isfinite(out))
+            fatal("json: bad number at offset " + std::to_string(pos_));
         pos_ = static_cast<std::size_t>(res.ptr - text_.data());
         return out;
     }
 
-    const std::string &text_;
+    /** Containers deeper than this are malformed, not a stack overflow. */
+    static constexpr int kMaxDepth = 256;
+
+    std::string_view text_;
     std::size_t pos_ = 0;
 };
 
 } // namespace
 
 JsonValue
-parseJson(const std::string &text)
+parseJson(std::string_view text)
 {
     return Parser(text).parse();
+}
+
+bool
+jsonCount(const JsonValue *v, std::uint64_t &out, double max)
+{
+    if (v == nullptr || !v->isNumber() || !(v->number >= 0.0) // NaN too
+        || v->number > max)
+        return false;
+    out = static_cast<std::uint64_t>(v->number);
+    return true;
+}
+
+JsonLinesReader::JsonLinesReader(Sink sink) : sink_(std::move(sink))
+{
+    fatalIf(!sink_, "JsonLinesReader: null sink");
+}
+
+void
+JsonLinesReader::feed(std::string_view chunk)
+{
+    fatalIf(finished_, "JsonLinesReader: feed after finish");
+    for (std::size_t nl; (nl = chunk.find('\n')) != std::string_view::npos;
+         chunk.remove_prefix(nl + 1)) {
+        if (partial_.empty()) {
+            consumeLine(chunk.substr(0, nl));
+        } else {
+            partial_.append(chunk.substr(0, nl));
+            consumeLine(partial_);
+            partial_.clear();
+        }
+    }
+    partial_.append(chunk);
+}
+
+void
+JsonLinesReader::finish()
+{
+    if (finished_)
+        return;
+    finished_ = true;
+    if (partial_.empty())
+        return;
+    // Usually a truncated write; count it as one on top of the
+    // malformed line unless the bytes form a complete record.
+    const std::uint64_t malformed_before = stats_.malformed;
+    consumeLine(partial_);
+    partial_.clear();
+    if (stats_.malformed > malformed_before)
+        ++stats_.truncatedTail;
+}
+
+void
+JsonLinesReader::read(std::istream &is)
+{
+    // Whatever the stream buffer holds after each refill is one chunk.
+    std::streambuf &sb = *is.rdbuf();
+    char buf[1 << 14];
+    while (sb.sgetc() != std::streambuf::traits_type::eof()) {
+        const std::streamsize n = sb.sgetn(
+            buf, std::min<std::streamsize>(sb.in_avail(), sizeof buf));
+        feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    }
+    finish();
+}
+
+void
+JsonLinesReader::consumeLine(std::string_view line)
+{
+    // The parser's whitespace, less the newline no line holds.
+    constexpr std::string_view kSpace = " \t\r\v\f";
+    const std::size_t first = line.find_first_not_of(kSpace);
+    if (first == std::string_view::npos)
+        return;
+    ++stats_.lines;
+    // Only text from '{' to '}' can be an object: anything else (most
+    // often a cut line) is malformed without a parse.
+    if (line[first] != '{' || line[line.find_last_not_of(kSpace)] != '}') {
+        ++stats_.malformed;
+        return;
+    }
+    JsonValue v;
+    try {
+        v = parseJson(line);
+    } catch (const FatalError &) {
+        ++stats_.malformed;
+        return;
+    }
+    const LineVerdict verdict =
+        v.isObject() ? sink_(v) : LineVerdict::Malformed;
+    ++(verdict == LineVerdict::Record    ? stats_.records
+       : verdict == LineVerdict::Ignored ? stats_.ignored
+                                         : stats_.malformed);
 }
 
 } // namespace flash::util

@@ -219,37 +219,33 @@ LatencyHistogram::fromBinsJson(const JsonValue &v)
 {
     fatalIf(!v.isObject(), "histogram bins: expected an object");
     const JsonValue *bins = v.find("bins");
-    const JsonValue *min = v.find("min");
-    const JsonValue *max = v.find("max");
-    const JsonValue *sum = v.find("sum");
-    const JsonValue *count = v.find("count");
+    double min = 0.0, max = 0.0, sum = 0.0, count = 0.0;
     fatalIf(bins == nullptr || bins->type != JsonValue::Type::Array
-                || min == nullptr || !min->isNumber() || max == nullptr
-                || !max->isNumber() || sum == nullptr || !sum->isNumber()
-                || count == nullptr || !count->isNumber(),
+                || !v.get("min", min) || !v.get("max", max)
+                || !v.get("sum", sum) || !v.get("count", count),
             "histogram bins: missing or mistyped field");
 
+    // binOf() caps the range at 63, so no index exceeds this.
+    constexpr double kMaxIndex = 1 + 63 * kSubBins + (kSubBins - 1);
     LatencyHistogram h;
     for (const JsonValue &entry : bins->array) {
+        std::uint64_t idx = 0, n = 0;
         fatalIf(entry.type != JsonValue::Type::Array
-                    || entry.array.size() != 2 || !entry.array[0].isNumber()
-                    || !entry.array[1].isNumber()
-                    || entry.array[0].number < 0.0
-                    || entry.array[1].number <= 0.0,
+                    || entry.array.size() != 2
+                    || !jsonCount(&entry.array[0], idx, kMaxIndex)
+                    || !jsonCount(&entry.array[1], n) || n == 0,
                 "histogram bins: bad [index, count] entry");
-        const auto idx = static_cast<std::size_t>(entry.array[0].number);
         if (idx >= h.bins_.size())
             h.bins_.resize(idx + 1, 0);
-        const auto n = static_cast<std::uint64_t>(entry.array[1].number);
         h.bins_[idx] += n;
         h.count_ += n;
     }
-    fatalIf(static_cast<double>(h.count_) != count->number,
+    fatalIf(static_cast<double>(h.count_) != count,
             "histogram bins: count does not match bin totals");
     if (h.count_ > 0) {
-        h.min_ = min->number;
-        h.max_ = max->number;
-        h.sum_.add(sum->number);
+        h.min_ = min;
+        h.max_ = max;
+        h.sum_.add(sum);
     }
     return h;
 }

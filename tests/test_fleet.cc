@@ -256,9 +256,9 @@ TEST(Fleet, HealthLinesAreCompleteTaggedAndOrdered)
     EXPECT_GT(lines, 0u);
 
     std::istringstream scan_is(os.str());
-    const HealthScan scan = scanHealthLines(scan_is);
-    EXPECT_EQ(scan.lines, lines);
-    EXPECT_EQ(scan.malformed, 0u);
+    const HealthScan scan = scanHealth(scan_is);
+    EXPECT_EQ(scan.stats.records, lines);
+    EXPECT_EQ(scan.stats.malformed, 0u);
     EXPECT_EQ(scan.devices, 8u);
     EXPECT_TRUE(scan.ordered);
 }

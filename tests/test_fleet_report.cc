@@ -351,8 +351,9 @@ TEST(FleetReport, JsonReportCarriesHygieneAndHealthCounts)
     const TailAttribution tail = attributeTail(data);
 
     HealthScan scan;
-    scan.lines = 12;
-    scan.malformed = 3;
+    scan.stats.records = 12;
+    scan.stats.malformed = 3;
+    scan.stats.ignored = 2;
     scan.devices = 4;
     scan.ordered = true;
     scan.modelRecords = 2;
@@ -367,6 +368,7 @@ TEST(FleetReport, JsonReportCarriesHygieneAndHealthCounts)
     ASSERT_NE(health, nullptr);
     EXPECT_DOUBLE_EQ(health->find("lines")->number, 12.0);
     EXPECT_DOUBLE_EQ(health->find("malformed_lines")->number, 3.0);
+    EXPECT_DOUBLE_EQ(health->find("ignored_lines")->number, 2.0);
     EXPECT_DOUBLE_EQ(health->find("devices")->number, 4.0);
     EXPECT_EQ(health->find("ordered")->type,
               util::JsonValue::Type::Bool);
@@ -385,9 +387,9 @@ TEST(FleetReport, HealthScanCountsAndOrders)
         "{\"health\": \"ssd\", \"device\": 0}\n"
         "{\"health\": \"probe\", \"device\": 1}\n"
         "{\"health\": \"ssd\", \"device\": 1}\n");
-    HealthScan scan = scanHealthLines(ordered);
-    EXPECT_EQ(scan.lines, 4u);
-    EXPECT_EQ(scan.malformed, 0u);
+    HealthScan scan = scanHealth(ordered);
+    EXPECT_EQ(scan.stats.records, 4u);
+    EXPECT_EQ(scan.stats.malformed, 0u);
     EXPECT_EQ(scan.devices, 2u);
     EXPECT_TRUE(scan.ordered);
 
@@ -397,19 +399,20 @@ TEST(FleetReport, HealthScanCountsAndOrders)
         "{\"health\": \"ssd\", \"device\": 0}\n"
         "{\"health\": \"ssd\", \"device\": 1}\n"
         "{\"health\": \"ssd\", \"device\": 0}\n");
-    scan = scanHealthLines(interleaved);
-    EXPECT_EQ(scan.lines, 3u);
+    scan = scanHealth(interleaved);
+    EXPECT_EQ(scan.stats.records, 3u);
     EXPECT_FALSE(scan.ordered);
 
     std::istringstream messy(
         "{\"health\": \"ssd\", \"device\": 2}\n"
         "{\"health\": \"ssd\"}\n"      // no device id: bucket -1
         "half a line {\"health\"\n"    // truncated: malformed
-        "{\"span\": \"other\"}\n"      // not a health record
+        "{\"span\": \"other\"}\n"      // no health kind: ignored
         "\n");
-    scan = scanHealthLines(messy);
-    EXPECT_EQ(scan.lines, 2u);
-    EXPECT_EQ(scan.malformed, 2u);
+    scan = scanHealth(messy);
+    EXPECT_EQ(scan.stats.records, 2u);
+    EXPECT_EQ(scan.stats.malformed, 1u);
+    EXPECT_EQ(scan.stats.ignored, 1u);
     EXPECT_EQ(scan.devices, 2u); // ids 2 and -1
 }
 
@@ -423,8 +426,8 @@ TEST(FleetReport, HealthScanPicksUpModelConfidence)
         "{\"health\": \"chip\", \"device\": 1, "
         "\"model_confidence\": 0.5}\n"
         "{\"health\": \"ssd\", \"device\": 2}\n");
-    const HealthScan scan = scanHealthLines(is);
-    EXPECT_EQ(scan.lines, 4u);
+    const HealthScan scan = scanHealth(is);
+    EXPECT_EQ(scan.stats.records, 4u);
     EXPECT_EQ(scan.modelRecords, 3u);
     ASSERT_EQ(scan.modelConfidence.size(), 2u);
     EXPECT_DOUBLE_EQ(scan.modelConfidence.at(0), 0.75); // last wins

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "ssd/fleet/fleet.hh"
 #include "ssd/ftl/page_ftl.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -266,6 +267,38 @@ TEST(Ftl, EraseHookFiresForEveryRefreshAndGcErase)
     for (std::int64_t i = 0; i < 2 * n; ++i)
         ftl.write(rng.uniformInt(static_cast<std::uint64_t>(n)));
     EXPECT_LT(fired, ftl.stats().erases);
+    ftl.checkInvariants();
+}
+
+TEST(Ftl, PreemptiveGcSkipsVictimsWithNothingToReclaim)
+{
+    // Writes stripe round-robin over planes, so a skewed stream fills
+    // one plane with valid data: here writes 0, 1, 2 of every 4 go to
+    // a hot 20% of the LPNs and write 3 to the cold rest, so plane 3
+    // gathers cold data. Once its full blocks are all valid, GC ahead
+    // of demand would copy a whole block to reclaim nothing, on every
+    // allocation (from about write 2 800 on). The plane runs out of
+    // space for good past about write 4 400, so the stream stops at
+    // 4 000.
+    const SsdConfig cfg = fleet::smallDeviceConfig();
+    PageFtl ftl(cfg);
+    const auto ppb = static_cast<std::uint64_t>(cfg.pagesPerBlock);
+    const auto n = static_cast<std::uint64_t>(ftl.logicalPages());
+    const std::uint64_t hot = n / 5;
+    util::Rng rng(1);
+    constexpr int kWrites = 4000;
+    for (int i = 0; i < kWrites; ++i) {
+        const std::uint64_t lpn = i % 4 != 3
+            ? rng.uniformInt(hot)
+            : hot + rng.uniformInt(n - hot);
+        const FtlStats before = ftl.stats();
+        ftl.write(static_cast<std::int64_t>(lpn));
+        const FtlStats &after = ftl.stats();
+        ASSERT_LE(after.migratedPages - before.migratedPages,
+                  (after.gcRuns - before.gcRuns) * (ppb - 1))
+            << "a GC run during write " << i << " copied a full block";
+    }
+    EXPECT_LE(ftl.stats().gcRuns, static_cast<std::uint64_t>(kWrites / 4));
     ftl.checkInvariants();
 }
 

@@ -11,10 +11,12 @@
  * mass to devices (top-K offender table) and cohorts. Exits 1 when
  * the exactness gate fails: per-device tail counts must partition the
  * fleet tail mass with integer equality, and the re-merged bins must
- * reproduce the file's rollup record. --health scans a fleet health
- * file for completeness (well-formed lines, per-device ordering).
- * --json exports the attribution plus the input-hygiene counts
- * (malformed / ignored / duplicate lines, health-scan counts); the
+ * reproduce the file's rollup record. --health reads a fleet health
+ * file through the monitor's follower (mon::HealthFollower) and checks
+ * it for completeness (records, malformed and ignored lines,
+ * per-device ordering). --json exports the attribution plus the
+ * input-hygiene counts (malformed / ignored / duplicate lines,
+ * health-scan counts); the
  * export happens before the gates so failing runs still leave their
  * counts on disk. Usage and I/O errors exit 2.
  */
@@ -59,11 +61,12 @@ try {
     if (!health_file.empty()) {
         std::ifstream hin(health_file);
         util::fatalIf(!hin, "cannot open " + health_file);
-        health_scan = ssd::fleet::scanHealthLines(hin);
+        health_scan = ssd::fleet::scanHealth(hin);
         const ssd::fleet::HealthScan &scan = *health_scan;
-        std::cout << "\nhealth: " << scan.lines << " records from "
-                  << scan.devices << " device(s), " << scan.malformed
-                  << " malformed line(s), per-device runs "
+        std::cout << "\nhealth: " << scan.stats.records << " records from "
+                  << scan.devices << " device(s), " << scan.stats.malformed
+                  << " malformed line(s), " << scan.stats.ignored
+                  << " ignored line(s), per-device runs "
                   << (scan.ordered ? "contiguous" : "INTERLEAVED")
                   << '\n';
         if (!scan.modelConfidence.empty()) {

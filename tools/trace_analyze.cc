@@ -13,11 +13,16 @@
  * span class — and flags retry storms (sessions with >= N retries,
  * default 5).
  *
+ * Lines that are not JSON objects, and spans without a numeric id and
+ * parent, are skipped and counted as malformed; objects of other
+ * JSON-lines streams are counted as ignored (util::JsonLinesReader).
+ *
  * --report writes the full analysis as one JSON object; --perfetto
  * writes a Chrome/Perfetto traceEvents file (open at ui.perfetto.dev)
- * and re-parses it as a self-check. Exit codes: 0 clean, 1 when any
- * orphan/duplicate/violation survives (or spans were dropped and
- * --fail-on-drops is set), 2 on usage or I/O errors.
+ * and re-parses it as a self-check. Exit codes: 0 clean; 1 after the
+ * full analysis when a line was malformed, an orphan, duplicate or
+ * violation survives, the summary line disagrees, or spans were
+ * dropped under --fail-on-drops; 2 on usage or I/O errors.
  */
 
 #include <cstdint>
@@ -73,7 +78,14 @@ try {
     const trace::SpanForest forest = trace::parseSpanTrace(in);
     const trace::TraceAnalysis analysis = trace::analyzeSpans(forest, options);
 
+    const util::JsonLinesStats &input = forest.input;
     if (!quiet) {
+        if (input.malformed > 0 || input.ignored > 0) {
+            std::cout << "input: skipped " << input.malformed
+                      << " malformed line(s) (" << input.truncatedTail
+                      << " truncated tail), ignored " << input.ignored
+                      << " foreign line(s)\n";
+        }
         std::cout << analysis.spanCount << " spans, "
                   << analysis.rootCount << " roots, "
                   << analysis.orphanCount << " orphans, "
@@ -146,7 +158,7 @@ try {
         out << buf.str();
     }
 
-    const bool bad = analysis.orphanCount > 0
+    const bool bad = input.malformed > 0 || analysis.orphanCount > 0
         || analysis.duplicateCount > 0 || analysis.violationCount > 0
         || !analysis.summaryMatches
         || (fail_on_drops && analysis.droppedSpans > 0);
