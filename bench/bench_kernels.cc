@@ -5,7 +5,7 @@
  *
  *   bench_kernels [--reps N] [--out DIR]
  *
- * Seven rows, plus sense_dispatch on a CPU that runs a wider level
+ * Nine rows, plus sense_dispatch on a CPU that runs a wider level
  * than the baseline, each timed as reference ("scalar") vs fast path
  * ("packed") and checked for identical results before any timing is
  * trusted:
@@ -53,6 +53,16 @@
  *                     building the channel's name each time, vs
  *                     through handles bound once per registry. Both
  *                     registries must export the same bytes.
+ *   histogram_observe one run's worth of latency observations into a
+ *                     LatencyHistogram: the bin and the ExactSum limb
+ *                     position through frexp/ldexp (the add it
+ *                     replaced) vs read from the IEEE-754 bits. Bins,
+ *                     count, min, max and the sum's limbs must agree.
+ *   ftl_unpack        the FTLs' packed page -> (plane, block, page) on
+ *                     the default drive: div/mod by the run-time
+ *                     geometry vs PageLayout::unpack's reciprocal
+ *                     multiplies (util::FastDiv). Every address must
+ *                     agree.
  *
  * The DIR/kernels.json export ({"cells", "observations", "reps",
  * "kernels": {name: {scalar_ns, packed_ns, speedup}}}) feeds
@@ -61,6 +71,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -74,6 +85,7 @@
 #include "core/voltage_predictor.hh"
 #include "ecc/soft_sensing.hh"
 #include "nandsim/snapshot.hh"
+#include "ssd/ftl/block_table.hh"
 #include "util/cpu_level.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -134,6 +146,61 @@ struct Obs
 };
 
 volatile std::uint64_t g_sink; // defeat dead-code elimination
+
+/**
+ * LatencyHistogram::add as it was: the bin through frexp, the sum's
+ * mantissa and limb position through frexp/ldexp.
+ */
+struct ReferenceHistogram
+{
+    std::vector<std::uint64_t> bins;
+    std::uint64_t count = 0;
+    double min = 0.0;
+    double max = 0.0;
+    std::array<std::uint64_t, util::ExactSum::kLimbs> limbs{};
+
+    void
+    deposit(int limb, std::uint64_t v)
+    {
+        for (; v != 0 && limb < util::ExactSum::kLimbs; ++limb) {
+            std::uint64_t &slot = limbs[static_cast<std::size_t>(limb)];
+            slot += v;
+            v = slot < v ? 1 : 0;
+        }
+    }
+
+    void
+    add(double v)
+    {
+        constexpr int kSub = util::LatencyHistogram::kSubBins;
+        if (v < 0.0 || !std::isfinite(v))
+            v = 0.0;
+        int bin = 0;
+        if (v >= 1.0) {
+            int e = 0;
+            const double frac = std::frexp(v, &e);
+            bin = 1 + std::min(e - 1, 63) * kSub
+                + std::min(kSub - 1,
+                           static_cast<int>((frac - 0.5) * 2.0 * kSub));
+        }
+        if (static_cast<std::size_t>(bin) >= bins.size())
+            bins.resize(static_cast<std::size_t>(bin) + 1, 0);
+        ++bins[static_cast<std::size_t>(bin)];
+        min = count == 0 ? v : std::min(min, v);
+        max = count == 0 ? v : std::max(max, v);
+        ++count;
+        if (v > 0.0) {
+            int e = 0;
+            const double frac = std::frexp(v, &e);
+            const auto m = static_cast<std::uint64_t>(std::ldexp(frac, 53));
+            const int pos = e - 53 + util::ExactSum::kBiasBits;
+            const unsigned __int128 wide =
+                static_cast<unsigned __int128>(m) << (pos & 63);
+            deposit(pos >> 6, static_cast<std::uint64_t>(wide));
+            deposit((pos >> 6) + 1, static_cast<std::uint64_t>(wide >> 64));
+        }
+    }
+};
 
 } // namespace
 
@@ -552,6 +619,105 @@ main(int argc, char **argv)
             [&] { return scalar_reg.toJson() == packed_reg.toJson(); }));
     }
 
+    // --- histogram_observe ------------------------------------------
+    {
+        // Latencies shaped like a replay's page ops (µs): zero queue
+        // waits, tens to hundreds of µs of service, a millisecond tail.
+        constexpr int kValues = 1 << 15;
+        std::vector<double> values;
+        {
+            util::Rng rng(0x4157);
+            for (int i = 0; i < kValues; ++i) {
+                values.push_back(rng.bernoulli(0.3)
+                                     ? 0.0
+                                     : rng.uniform(10.0, 400.0)
+                                         + (rng.bernoulli(0.02)
+                                                ? rng.uniform(1e3, 2e4)
+                                                : 0.0));
+            }
+        }
+        ReferenceHistogram scalar_h;
+        util::LatencyHistogram packed_h;
+        const auto scalar = [&] {
+            ReferenceHistogram h;
+            for (double v : values)
+                h.add(v);
+            g_sink = h.count;
+            scalar_h = std::move(h);
+        };
+        const auto packed = [&] {
+            util::LatencyHistogram h;
+            for (double v : values)
+                h.add(v);
+            g_sink = h.count();
+            packed_h = std::move(h);
+        };
+        results.push_back(measure(
+            "histogram_observe", reps, scalar, packed, [&] {
+                return scalar_h.bins == packed_h.bins()
+                    && scalar_h.count == packed_h.count()
+                    && scalar_h.min == packed_h.min()
+                    && scalar_h.max == packed_h.max()
+                    && scalar_h.limbs == packed_h.exactSum().limbs();
+            }));
+    }
+
+    // --- ftl_unpack -------------------------------------------------
+    {
+        // Read through volatiles so the divisors are run-time values,
+        // as the FTLs see them, not constants the compiler divides by
+        // multiplying.
+        const ssd::SsdConfig cfg;
+        volatile int geometry[] = {cfg.totalPlanes(), cfg.blocksPerPlane,
+                                   cfg.pagesPerBlock};
+        const int planes = geometry[0];
+        const int bpp = geometry[1];
+        const int ppb = geometry[2];
+        const ssd::PageLayout layout(planes, bpp, ppb);
+        constexpr int kPages = 1 << 16;
+        std::vector<std::int64_t> packed_pages;
+        {
+            util::Rng rng(0x0bac);
+            const auto pages = static_cast<std::uint64_t>(planes) * bpp * ppb;
+            for (int i = 0; i < kPages; ++i) {
+                packed_pages.push_back(
+                    static_cast<std::int64_t>(rng.uniformInt(pages)));
+            }
+        }
+        std::vector<ssd::PhysAddr> scalar_addrs(kPages), packed_addrs(kPages);
+        const auto scalar = [&] {
+            std::uint64_t sum = 0;
+            for (int i = 0; i < kPages; ++i) {
+                const std::int64_t n = packed_pages[static_cast<std::size_t>(i)];
+                ssd::PhysAddr &a = scalar_addrs[static_cast<std::size_t>(i)];
+                a.page = static_cast<int>(n % ppb);
+                a.block = static_cast<int>(n / ppb % bpp);
+                a.plane = static_cast<int>(n / ppb / bpp);
+                sum += static_cast<std::uint64_t>(a.plane + a.block + a.page);
+            }
+            g_sink = sum;
+        };
+        const auto packed = [&] {
+            std::uint64_t sum = 0;
+            for (int i = 0; i < kPages; ++i) {
+                ssd::PhysAddr &a = packed_addrs[static_cast<std::size_t>(i)];
+                a = layout.unpack(packed_pages[static_cast<std::size_t>(i)]);
+                sum += static_cast<std::uint64_t>(a.plane + a.block + a.page);
+            }
+            g_sink = sum;
+        };
+        results.push_back(measure("ftl_unpack", reps, scalar, packed, [&] {
+            for (int i = 0; i < kPages; ++i) {
+                const auto &x = scalar_addrs[static_cast<std::size_t>(i)];
+                const auto &y = packed_addrs[static_cast<std::size_t>(i)];
+                if (x.plane != y.plane || x.block != y.block
+                    || x.page != y.page)
+                    return false;
+            }
+            return true;
+        }));
+    }
+
     util::TextTable table;
     table.header({"kernel", "scalar (us)", "packed (us)", "speedup"});
     for (const auto &r : results) {
@@ -579,6 +745,8 @@ main(int argc, char **argv)
                   "sense_count_page is the read pipeline's hot path, and "
                   "the model rows are what the cached solve and the "
                   "incremental moments save, metrics_update what bound "
-                  "handles save per simulated page read");
+                  "handles save per simulated page read, histogram_observe "
+                  "and ftl_unpack what the bit-level histogram and "
+                  "reciprocal addressing save per page op");
     return 0;
 }

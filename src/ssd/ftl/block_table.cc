@@ -5,20 +5,30 @@
 namespace flash::ssd
 {
 
-BlockTable::BlockTable(const SsdConfig &config)
+namespace
+{
+
+PageLayout
+validLayout(const SsdConfig &config)
 {
     config.validate(); // before anything is sized from it
-    planes_ = config.totalPlanes();
-    blocksPerPlane_ = config.blocksPerPlane;
-    pagesPerBlock_ = config.pagesPerBlock;
+    return {config.totalPlanes(), config.blocksPerPlane,
+            config.pagesPerBlock};
+}
+
+} // namespace
+
+BlockTable::BlockTable(const SsdConfig &config)
+    : PageLayout(validLayout(config))
+{
     owners_ = std::make_unique_for_overwrite<std::int32_t[]>(
         static_cast<std::size_t>(config.physicalPages()));
-    blocks_.resize(static_cast<std::size_t>(planes_)
-                   * static_cast<std::size_t>(blocksPerPlane_));
-    free_.resize(static_cast<std::size_t>(planes_));
+    blocks_.resize(static_cast<std::size_t>(planes())
+                   * static_cast<std::size_t>(blocksPerPlane()));
+    free_.resize(static_cast<std::size_t>(planes()));
     for (auto &list : free_) {
-        list.reserve(static_cast<std::size_t>(blocksPerPlane_));
-        for (int b = blocksPerPlane_ - 1; b >= 0; --b)
+        list.reserve(static_cast<std::size_t>(blocksPerPlane()));
+        for (int b = blocksPerPlane() - 1; b >= 0; --b)
             list.push_back(b);
     }
 }
@@ -26,8 +36,8 @@ BlockTable::BlockTable(const SsdConfig &config)
 const BlockTable::Block &
 BlockTable::block(int plane, int block) const
 {
-    util::fatalIf(plane < 0 || plane >= planes_ || block < 0
-                      || block >= blocksPerPlane_,
+    util::fatalIf(plane < 0 || plane >= planes() || block < 0
+                      || block >= blocksPerPlane(),
                   "ftl: block out of range");
     return at(plane, block);
 }
@@ -61,7 +71,7 @@ BlockTable::giveBack(int plane, int block)
 void
 BlockTable::erase(int plane, int block)
 {
-    std::fill_n(row(plane, block), pagesPerBlock_, -1);
+    std::fill_n(row(plane, block), pagesPerBlock(), -1);
     Block &blk = at(plane, block);
     blk.nextPage = 0;
     blk.validPages = 0;
@@ -74,7 +84,7 @@ std::size_t
 BlockTable::footprintBytes() const
 {
     return blocks_.size()
-        * (static_cast<std::size_t>(pagesPerBlock_) * sizeof(std::int32_t)
+        * (static_cast<std::size_t>(pagesPerBlock()) * sizeof(std::int32_t)
            + sizeof(Block) + sizeof(int))
         + free_.size() * sizeof(free_[0]);
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ssd/config.hh"
+#include "util/fast_div.hh"
 #include "util/logging.hh"
 
 namespace flash::ssd
@@ -35,8 +36,77 @@ struct PhysAddr
     bool valid() const { return plane >= 0; }
 };
 
-/** Flat per-block device state shared by every FTL. */
-class BlockTable
+/**
+ * The packed page number every FTL table is indexed by,
+ * (plane * blocksPerPlane + block) * pagesPerBlock + page, and back.
+ * unpack() divides by multiplies only (util::FastDiv): a packed page
+ * is below 2^31 in any organization SsdConfig::validate() accepts.
+ */
+class PageLayout
+{
+  public:
+    PageLayout(int planes, int blocks_per_plane, int pages_per_block)
+        : planes_(planes),
+          blocksPerPlane_(static_cast<std::uint32_t>(blocks_per_plane)),
+          pagesPerBlock_(static_cast<std::uint32_t>(pages_per_block))
+    {
+    }
+
+    int planes() const { return planes_; }
+    int
+    blocksPerPlane() const
+    {
+        return static_cast<int>(blocksPerPlane_.divisor());
+    }
+    int
+    pagesPerBlock() const
+    {
+        return static_cast<int>(pagesPerBlock_.divisor());
+    }
+
+    /** Plane-major index of (plane, block), for per-block arrays. */
+    std::size_t
+    index(int plane, int block) const
+    {
+        return static_cast<std::size_t>(plane)
+            * static_cast<std::size_t>(blocksPerPlane())
+            + static_cast<std::size_t>(block);
+    }
+
+    /** Packed page number: (plane * blocksPerPlane + block) * ppb + page. */
+    std::int64_t
+    pack(const PhysAddr &a) const
+    {
+        return static_cast<std::int64_t>(index(a.plane, a.block))
+            * pagesPerBlock()
+            + a.page;
+    }
+
+    /** Inverse of pack(), for 0 <= packed < planes * B * ppb. */
+    PhysAddr
+    unpack(std::int64_t packed) const
+    {
+        const auto n = static_cast<std::uint32_t>(packed);
+        const std::uint32_t rest = pagesPerBlock_.div(n);
+        const std::uint32_t plane = blocksPerPlane_.div(rest);
+        PhysAddr a;
+        a.plane = static_cast<int>(plane);
+        a.block = static_cast<int>(rest - plane * blocksPerPlane_.divisor());
+        a.page = static_cast<int>(n - rest * pagesPerBlock_.divisor());
+        return a;
+    }
+
+  private:
+    int planes_;
+    util::FastDiv blocksPerPlane_;
+    util::FastDiv pagesPerBlock_;
+};
+
+/**
+ * Flat per-block device state shared by every FTL, addressed through
+ * its PageLayout.
+ */
+class BlockTable : public PageLayout
 {
   public:
     /** Called as (plane, block) after every physical block erase. */
@@ -56,37 +126,6 @@ class BlockTable
      */
     explicit BlockTable(const SsdConfig &config);
 
-    int pagesPerBlock() const { return pagesPerBlock_; }
-
-    /** Plane-major index of (plane, block), for per-block arrays. */
-    std::size_t
-    index(int plane, int block) const
-    {
-        return static_cast<std::size_t>(plane)
-            * static_cast<std::size_t>(blocksPerPlane_)
-            + static_cast<std::size_t>(block);
-    }
-
-    /** Packed page number: (plane * blocksPerPlane + block) * ppb + page. */
-    std::int64_t
-    pack(const PhysAddr &a) const
-    {
-        return static_cast<std::int64_t>(index(a.plane, a.block))
-            * pagesPerBlock_
-            + a.page;
-    }
-
-    PhysAddr
-    unpack(std::int64_t packed) const
-    {
-        PhysAddr a;
-        a.page = static_cast<int>(packed % pagesPerBlock_);
-        const std::int64_t rest = packed / pagesPerBlock_;
-        a.block = static_cast<int>(rest % blocksPerPlane_);
-        a.plane = static_cast<int>(rest / blocksPerPlane_);
-        return a;
-    }
-
     /** (plane, block)'s counters; fatal when either is out of range. */
     const Block &block(int plane, int block) const;
 
@@ -101,19 +140,19 @@ class BlockTable
     bool
     full(const Block &blk) const
     {
-        return blk.nextPage >= pagesPerBlock_;
+        return blk.nextPage >= pagesPerBlock();
     }
 
     /** Owner row of (plane, block): ppb LPNs, -1 where invalid. */
     std::int32_t *
     row(int plane, int block)
     {
-        return owners_.get() + index(plane, block) * pagesPerBlock_;
+        return owners_.get() + index(plane, block) * pagesPerBlock();
     }
     const std::int32_t *
     row(int plane, int block) const
     {
-        return owners_.get() + index(plane, block) * pagesPerBlock_;
+        return owners_.get() + index(plane, block) * pagesPerBlock();
     }
 
     /** Drops the owner of `a`, if it has one, from its block's count. */
@@ -131,7 +170,7 @@ class BlockTable
     int
     freeBlocks(int plane) const
     {
-        util::fatalIf(plane < 0 || plane >= planes_,
+        util::fatalIf(plane < 0 || plane >= planes(),
                       "ftl: plane out of range");
         return static_cast<int>(freeList(plane).size());
     }
@@ -180,12 +219,12 @@ class BlockTable
     audit(std::int64_t logical_pages, const OwnersFn &owners,
           const MapsFn &maps) const
     {
-        for (int pi = 0; pi < planes_; ++pi) {
-            for (int bi = 0; bi < blocksPerPlane_; ++bi) {
+        for (int pi = 0; pi < planes(); ++pi) {
+            for (int bi = 0; bi < blocksPerPlane(); ++bi) {
                 const Block &blk = at(pi, bi);
                 const std::int32_t *own = owners(pi, bi);
                 int valid = 0;
-                for (int p = 0; p < pagesPerBlock_; ++p) {
+                for (int p = 0; p < pagesPerBlock(); ++p) {
                     const std::int32_t lpn = own[p];
                     if (lpn < 0)
                         continue;
@@ -212,9 +251,6 @@ class BlockTable
     std::size_t footprintBytes() const;
 
   private:
-    int planes_ = 0;
-    int blocksPerPlane_ = 0;
-    int pagesPerBlock_ = 0;
     std::unique_ptr<std::int32_t[]> owners_; ///< packed page -> lpn (-1)
     std::vector<Block> blocks_;              ///< per (plane, block)
     std::vector<std::vector<int>> free_;     ///< per plane, taken from back

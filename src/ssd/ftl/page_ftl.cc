@@ -9,7 +9,8 @@ namespace flash::ssd
 {
 
 PageFtl::PageFtl(const SsdConfig &config, bool precondition)
-    : config_(config), blocks_(config_)
+    : config_(config), blocks_(config_),
+      planes_(static_cast<std::uint32_t>(config_.totalPlanes()))
 {
     logicalPages_ = config_.logicalPages();
 
@@ -59,7 +60,8 @@ PageFtl::fillSequential()
         }
     }
     filled_ = logicalPages_;
-    writeCursor_ = static_cast<std::uint64_t>(logicalPages_);
+    planeCursor_ = static_cast<int>(
+        planes_.mod(static_cast<std::uint32_t>(logicalPages_)));
 }
 
 std::int32_t
@@ -70,10 +72,12 @@ PageFtl::mapped(std::int64_t lpn) const
     if (lpn >= filled_)
         return -1;
     // LPN k*P + p -> pack({p, k / ppb, k % ppb}) = p*B*ppb + k.
-    const int planes = config_.totalPlanes();
-    return static_cast<std::int32_t>(lpn % planes * config_.blocksPerPlane
-                                         * config_.pagesPerBlock
-                                     + lpn / planes);
+    const auto l = static_cast<std::uint32_t>(lpn);
+    const std::uint32_t k = planes_.div(l);
+    return static_cast<std::int32_t>(
+        (l - k * planes_.divisor()) * config_.blocksPerPlane
+            * config_.pagesPerBlock
+        + k);
 }
 
 std::int32_t &
@@ -83,7 +87,9 @@ PageFtl::mapSlot(std::int64_t lpn)
     if (!mapLive_[static_cast<std::size_t>(chunk)]) {
         // mapped()'s closed form, stepped through the chunk.
         const int planes = config_.totalPlanes();
-        std::int64_t l = chunk * kMapChunk, k = l / planes, p = l % planes;
+        std::int64_t l = chunk * kMapChunk;
+        std::int64_t k = planes_.div(static_cast<std::uint32_t>(l));
+        std::int64_t p = l - k * planes;
         const std::int64_t end = std::min(l + kMapChunk, logicalPages_);
         for (; l < end; ++l) {
             map_[static_cast<std::size_t>(l)] = l < filled_
@@ -302,9 +308,13 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
     int &active = active_[static_cast<std::size_t>(plane_idx)];
 
     if (activeFull(plane_idx)) {
+        // A demand GC re-homes the victim's valid pages through
+        // allocate(), which takes the erased victim as the active
+        // block; the write goes there too unless they filled it.
         if (blocks_.freeBlocks(plane_idx) == 0)
             collectGarbage(plane_idx, effect, true);
-        active = blocks_.take(plane_idx);
+        if (activeFull(plane_idx))
+            active = blocks_.take(plane_idx);
     } else {
         // GC ahead of demand when the plane is running low.
         const double free_frac =
@@ -390,8 +400,9 @@ PageFtl::write(std::int64_t lpn)
         blocks_.invalidate(a);
     }
 
-    const int plane = static_cast<int>(
-        writeCursor_++ % static_cast<std::uint64_t>(config_.totalPlanes()));
+    const int plane = planeCursor_;
+    if (++planeCursor_ == blocks_.planes())
+        planeCursor_ = 0;
     const PhysAddr addr = allocate(plane, effect);
     place(addr, lpn);
     effect.target = addr;

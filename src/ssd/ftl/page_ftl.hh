@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ssd/ftl/ftl_interface.hh"
+#include "util/fast_div.hh"
 
 namespace flash::ssd
 {
@@ -82,6 +83,7 @@ class PageFtl : public FtlInterface
 
     SsdConfig config_;
     BlockTable blocks_;
+    util::FastDiv planes_; ///< totalPlanes(), for the closed forms
     std::int64_t logicalPages_ = 0;
     std::int64_t filled_ = 0; ///< LPNs below hold the sequential layout
     std::unique_ptr<std::int32_t[]> map_; ///< lpn -> packed page (-1)
@@ -89,7 +91,7 @@ class PageFtl : public FtlInterface
     std::vector<std::uint8_t> ownersLive_; ///< per table index: row copied in
     std::vector<int> active_;             ///< per plane: active block (-1)
     FtlStats stats_;
-    std::uint64_t writeCursor_ = 0;
+    int planeCursor_ = 0; ///< plane of the next host write
 };
 
 } // namespace flash::ssd

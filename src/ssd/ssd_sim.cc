@@ -89,7 +89,9 @@ SsdSim::SsdSim(const SsdConfig &config, const SsdTiming &timing,
     : config_(config), timing_(timing), readCost_(&read_cost),
       rng_(seed ^ util::mix64(0x73736473696dULL)), ftl_(makeFtl(config)),
       channelQueueNames_(channelQueueNames(config.channels)),
-      ops_(metrics_, channelQueueNames_)
+      ops_(metrics_, channelQueueNames_),
+      planesPerChannel_(static_cast<std::uint32_t>(
+          config.chipsPerChannel * config.diesPerChip * config.planesPerDie))
 {
     config_.validate();
     timing_.validate();
@@ -100,9 +102,8 @@ SsdSim::SsdSim(const SsdConfig &config, const SsdTiming &timing,
 int
 SsdSim::channelOf(int plane) const
 {
-    const int planes_per_channel = config_.chipsPerChannel
-        * config_.diesPerChip * config_.planesPerDie;
-    return plane / planes_per_channel;
+    return static_cast<int>(
+        planesPerChannel_.div(static_cast<std::uint32_t>(plane)));
 }
 
 void

@@ -49,6 +49,7 @@
 #include "ssd/ftl/ftl_factory.hh"
 #include "ssd/read_cost.hh"
 #include "trace/trace.hh"
+#include "util/fast_div.hh"
 #include "util/metrics.hh"
 #include "util/span_trace.hh"
 
@@ -249,6 +250,7 @@ class SsdSim
 
     std::vector<double> planeFree_;
     std::vector<double> channelFree_;
+    util::FastDiv planesPerChannel_; ///< for channelOf()
 };
 
 } // namespace flash::ssd

@@ -6,37 +6,6 @@ namespace flash::util
 {
 
 void
-ExactSum::addAt(int limb, std::uint64_t v)
-{
-    while (v != 0 && limb < kLimbs) {
-        const std::uint64_t old = limbs_[static_cast<std::size_t>(limb)];
-        limbs_[static_cast<std::size_t>(limb)] = old + v;
-        v = limbs_[static_cast<std::size_t>(limb)] < old ? 1 : 0;
-        ++limb;
-    }
-}
-
-void
-ExactSum::add(double v)
-{
-    if (!(v > 0.0) || !std::isfinite(v))
-        return;
-    int e = 0;
-    const double frac = std::frexp(v, &e); // v = frac * 2^e, frac in [0.5,1)
-    // The mantissa as a 53-bit integer: exact for normals and
-    // subnormals alike (a subnormal's frac carries <= 52 significant
-    // bits, so scaling by 2^53 stays integral).
-    const auto m = static_cast<std::uint64_t>(std::ldexp(frac, 53));
-    const int pos = e - 53 + kBiasBits; // bit position of m's LSB
-    const int limb = pos >> 6;
-    const int shift = pos & 63;
-    const unsigned __int128 wide = static_cast<unsigned __int128>(m)
-        << shift; // <= 116 bits
-    addAt(limb, static_cast<std::uint64_t>(wide));
-    addAt(limb + 1, static_cast<std::uint64_t>(wide >> 64));
-}
-
-void
 ExactSum::merge(const ExactSum &other)
 {
     for (int k = kLimbs - 1; k >= 0; --k)

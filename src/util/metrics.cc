@@ -63,23 +63,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-int
-LatencyHistogram::binOf(double v)
-{
-    if (!(v > 0.0))
-        return 0;
-    if (v < 1.0)
-        return 0;
-    int e = 0;
-    const double frac = std::frexp(v, &e); // v = frac * 2^e, frac in [0.5,1)
-    // Power-of-two range [2^(e-1), 2^e): linear position of v inside.
-    const int sub = std::min(
-        kSubBins - 1,
-        static_cast<int>((frac - 0.5) * 2.0 * kSubBins));
-    const int range = std::min(e - 1, 63); // cap at ~9.2e18
-    return 1 + range * kSubBins + sub;
-}
-
 double
 LatencyHistogram::binLo(int idx)
 {
@@ -103,22 +86,9 @@ LatencyHistogram::binHi(int idx)
 }
 
 void
-LatencyHistogram::add(double v)
+LatencyHistogram::grow(std::size_t idx)
 {
-    if (v < 0.0 || !std::isfinite(v))
-        v = 0.0;
-    const int idx = binOf(v);
-    if (static_cast<std::size_t>(idx) >= bins_.size())
-        bins_.resize(static_cast<std::size_t>(idx) + 1, 0);
-    ++bins_[static_cast<std::size_t>(idx)];
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_.add(v);
+    bins_.resize(idx + 1, 0);
 }
 
 void

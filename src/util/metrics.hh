@@ -19,6 +19,9 @@
 #ifndef SENTINELFLASH_UTIL_METRICS_HH
 #define SENTINELFLASH_UTIL_METRICS_HH
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -63,8 +66,25 @@ class LatencyHistogram
     /** Linear sub-bins per power-of-two range. */
     static constexpr int kSubBins = 64;
 
-    /** Record one observation (negatives clamp to 0). */
-    void add(double v);
+    /** Record one observation (negatives, NaN and inf clamp to 0). */
+    void
+    add(double v)
+    {
+        if (v < 0.0 || !std::isfinite(v))
+            v = 0.0;
+        const auto idx = static_cast<std::size_t>(binOf(v));
+        if (idx >= bins_.size())
+            grow(idx);
+        ++bins_[idx];
+        if (count_ == 0) {
+            min_ = max_ = v;
+        } else {
+            min_ = std::min(min_, v);
+            max_ = std::max(max_, v);
+        }
+        ++count_;
+        sum_.add(v);
+    }
 
     /** Merge another histogram into this one (exact, bin-wise). */
     void merge(const LatencyHistogram &other);
@@ -78,6 +98,9 @@ class LatencyHistogram
      * shards merged (see util::ExactSum).
      */
     double sum() const { return sum_.value(); }
+
+    /** The exact sum behind sum() (exposed for the reference checks). */
+    const ExactSum &exactSum() const { return sum_; }
 
     /** Arithmetic mean (0 when empty). */
     double mean() const
@@ -133,8 +156,22 @@ class LatencyHistogram
     /** Heap bytes held by this histogram (bin storage). */
     std::size_t footprintBytes() const;
 
-    /** Bin index of a value (exposed for tests). */
-    static int binOf(double v);
+    /**
+     * Bin index of a value (exposed for tests). Below 1, NaN included:
+     * bin 0. At or above 1, read from the IEEE-754 bits: the biased
+     * exponent e picks the range [2^(e-1023), 2^(e-1022)), capped at
+     * range 63, and the mantissa's top six bits the linear sub-bin.
+     */
+    static int
+    binOf(double v)
+    {
+        static_assert(kSubBins == 64, "six mantissa bits per sub-bin");
+        if (!(v >= 1.0))
+            return 0;
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        const int range = std::min(static_cast<int>(bits >> 52) - 1023, 63);
+        return 1 + range * kSubBins + static_cast<int>(bits >> 46 & 63);
+    }
 
     /** Lower edge of bin @p idx (exposed for tests). */
     static double binLo(int idx);
@@ -149,6 +186,9 @@ class LatencyHistogram
     void writeJson(std::ostream &os) const;
 
   private:
+    /** Extends the bins to hold index @p idx (zero-filled). */
+    void grow(std::size_t idx);
+
     std::vector<std::uint64_t> bins_;
     std::uint64_t count_ = 0;
     ExactSum sum_;

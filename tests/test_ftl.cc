@@ -302,5 +302,52 @@ TEST(Ftl, PreemptiveGcSkipsVictimsWithNothingToReclaim)
     ftl.checkInvariants();
 }
 
+/** Blocks of @p plane written but not full. */
+int
+partlyWrittenBlocks(const PageFtl &ftl, const SsdConfig &cfg, int plane)
+{
+    int partly = 0;
+    for (int b = 0; b < cfg.blocksPerPlane; ++b) {
+        const int next = ftl.blocks().block(plane, b).nextPage;
+        partly += next > 0 && next < cfg.pagesPerBlock ? 1 : 0;
+    }
+    return partly;
+}
+
+TEST(Ftl, DemandGcKeepsTheBlockItsReHomingTook)
+{
+    // One plane of four 4-page blocks, 12 LPNs, no GC ahead of demand.
+    // LPNs 0-11 fill blocks 0-2; rewriting 0, 1, 2 and 4 fills block
+    // 3, the last free one, and leaves block 0 holding only LPN 3. The
+    // next write finds the active block full and no free block: the
+    // demand GC erases block 0 and re-homes LPN 3 into it, which makes
+    // it the active block. The write must go there too; taking yet
+    // another block would abandon block 0 half written, and here there
+    // is none left to take.
+    SsdConfig cfg;
+    cfg.channels = cfg.chipsPerChannel = cfg.diesPerChip = 1;
+    cfg.planesPerDie = 1;
+    cfg.blocksPerPlane = 4;
+    cfg.pagesPerBlock = 4;
+    cfg.overprovision = 0.25;
+    cfg.gcThreshold = 0.0;
+    PageFtl ftl(cfg, false);
+    ASSERT_EQ(ftl.logicalPages(), 12);
+
+    WriteEffect last;
+    for (std::int64_t lpn : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2,
+                             4, 5}) {
+        last = ftl.write(lpn);
+        ASSERT_LE(partlyWrittenBlocks(ftl, cfg, 0), 1) << "after " << lpn;
+        ftl.checkInvariants();
+    }
+    EXPECT_EQ(ftl.stats().gcRuns, 1u);
+    EXPECT_EQ(last.gcMigratedPages, 1);
+    EXPECT_EQ(ftl.translate(3).block, 0);
+    EXPECT_EQ(ftl.translate(5).block, 0);
+    EXPECT_EQ(ftl.blocks().block(0, 0).nextPage, 2);
+    EXPECT_EQ(ftl.freeBlocks(0), 0);
+}
+
 } // namespace
 } // namespace flash::ssd
