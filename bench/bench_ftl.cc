@@ -6,11 +6,12 @@
  * merge counts and read p50/p99 per cell.
  *
  * Every cell is an independent simulation (own SsdSim, own trace
- * replay); cells run under the deterministic static-partitioning
- * thread pool into per-cell result slots and are printed sequentially,
- * so stdout and the --out DIR metrics.json and spans.jsonl are
- * byte-identical at any --threads N. Spans are only collected for one
- * cell (fast / greedy / fig14) to keep the trace small.
+ * replay); cells run under the deterministic, statically partitioned
+ * util::parallelFor into per-cell result slots and are printed
+ * sequentially, so stdout and the --out DIR metrics.json and
+ * spans.jsonl are byte-identical at any --threads N. Spans are only
+ * collected for one cell (fast / greedy / fig14) to keep the trace
+ * small.
  */
 
 #include <iostream>
@@ -175,24 +176,20 @@ main(int argc, char **argv)
         const int wi = i % 3;
         const int pi = (i / 3) % 2;
         const int fi = i / 6;
-        const ssd::FtlStats &f = r.ftl;
+        const auto count = [&r](const char *name) {
+            return util::fmtInt(
+                static_cast<std::int64_t>(r.metrics.counter(name)));
+        };
         table.row(
             {std::string(
                  ssd::ftlKindName(ftls[static_cast<std::size_t>(fi)])),
              std::string(ssd::gcPolicyName(
                  policies[static_cast<std::size_t>(pi)])),
              workload_names[static_cast<std::size_t>(wi)],
-             util::fmtInt(static_cast<std::int64_t>(f.hostWrites)),
-             util::fmt(f.waf(), 3),
-             util::fmtInt(static_cast<std::int64_t>(f.migratedPages)),
-             util::fmtInt(static_cast<std::int64_t>(f.erases)),
-             util::fmtInt(static_cast<std::int64_t>(f.switchMerges))
-                 + "/"
-                 + util::fmtInt(
-                     static_cast<std::int64_t>(f.partialMerges))
-                 + "/"
-                 + util::fmtInt(
-                     static_cast<std::int64_t>(f.fullMerges)),
+             count("ftl.host_writes"), util::fmt(r.waf(), 3),
+             count("ftl.migrated_pages"), count("ftl.erases"),
+             count("ftl.merge.switch") + "/" + count("ftl.merge.partial")
+                 + "/" + count("ftl.merge.full"),
              util::fmt(r.readLatencyUs.percentile(0.50), 0),
              util::fmt(r.readLatencyUs.percentile(0.99), 0)});
     }

@@ -93,7 +93,7 @@ main(int argc, char **argv)
         std::printf("%-14s %12.0f %12.0f %12.0f %8.2f\n",
                     report.policy.c_str(), reads.mean(),
                     reads.percentile(0.99), writes.mean(),
-                    report.ftl.waf());
+                    report.waf());
     }
     std::printf("\n(read costs per policy: current flash %.2f retries, "
                 "sentinel %.2f, oracle %.2f)\n",

@@ -190,7 +190,7 @@ ReadSessionResult
 OraclePolicy::read(ReadContext &ctx) const
 {
     ReadSessionResult session;
-    if (!firstOptimal_ && attempt(ctx, defaults_, session))
+    if (attempt(ctx, defaults_, session))
         return session;
     const auto optimal = oracle_.optimalVoltages(ctx.dataSnap(), defaults_);
     attempt(ctx, optimal, session);

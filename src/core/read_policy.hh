@@ -238,9 +238,8 @@ class VendorRetryPolicy : public ReadPolicy
 class OraclePolicy : public ReadPolicy
 {
   public:
-    explicit OraclePolicy(std::vector<int> defaults,
-                          bool first_read_optimal = false)
-        : defaults_(std::move(defaults)), firstOptimal_(first_read_optimal)
+    explicit OraclePolicy(std::vector<int> defaults)
+        : defaults_(std::move(defaults))
     {}
 
     std::string name() const override { return "oracle"; }
@@ -248,7 +247,6 @@ class OraclePolicy : public ReadPolicy
 
   private:
     std::vector<int> defaults_;
-    bool firstOptimal_;
     nand::OracleSearch oracle_;
 };
 

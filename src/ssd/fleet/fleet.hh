@@ -8,9 +8,10 @@
  * device profile (P/E cycles, retention age, temperature, workload
  * mix, arrival process) drawn from a configurable distribution over
  * weighted cohorts. Devices are completely independent, so the fleet
- * executes them with the deterministic static-partitioning thread
- * pool; every device writes only its own result slot and the rollup
- * reduction runs sequentially afterwards in device-id order.
+ * runs them through the deterministic, statically partitioned
+ * util::parallelFor; every device writes only its own result slot and
+ * the rollup reduction runs sequentially afterwards in device-id
+ * order.
  *
  * Determinism is the contract everything else rests on:
  *

@@ -10,7 +10,8 @@ namespace flash::ssd
 
 PageFtl::PageFtl(const SsdConfig &config, bool precondition)
     : config_(config), blocks_(config_),
-      planes_(static_cast<std::uint32_t>(config_.totalPlanes()))
+      planes_(static_cast<std::uint32_t>(config_.totalPlanes())),
+      gcFreeBlocks_(gcFreeBlocks(config_.blocksPerPlane, config_.gcThreshold))
 {
     logicalPages_ = config_.logicalPages();
 
@@ -30,6 +31,18 @@ PageFtl::PageFtl(const SsdConfig &config, bool precondition)
 
     if (precondition)
         fillSequential();
+}
+
+int
+PageFtl::gcFreeBlocks(int blocks_per_plane, double gc_threshold)
+{
+    int count = 0;
+    for (int n = 0; n <= blocks_per_plane; ++n) {
+        if (static_cast<double>(n) / static_cast<double>(blocks_per_plane)
+            < gc_threshold)
+            ++count;
+    }
+    return count;
 }
 
 void
@@ -302,6 +315,38 @@ PageFtl::activeFull(int plane_idx) const
     return active < 0 || blocks_.full(blocks_.at(plane_idx, active));
 }
 
+bool
+PageFtl::canTake(int plane_idx) const
+{
+    if (!activeFull(plane_idx) || blocks_.freeBlocks(plane_idx) > 0)
+        return true;
+    // Demand GC frees a page if its victim holds an invalid one. An
+    // all-valid victim is re-homed into its own erased block, and then
+    // only the GC ahead of demand that its second page runs can free
+    // one: on the old active block, once that is a candidate.
+    const int ppb = config_.pagesPerBlock;
+    const int victim = policyVictim(plane_idx);
+    if (victim < 0)
+        return false;
+    if (blocks_.at(plane_idx, victim).validPages < ppb)
+        return true;
+    const int active = active_[static_cast<std::size_t>(plane_idx)];
+    return gcFreeBlocks_ > 0 && ppb > 1 && active >= 0
+        && blocks_.at(plane_idx, active).validPages < ppb;
+}
+
+int
+PageFtl::policyVictim(int plane_idx) const
+{
+    // Greedy scans blocks in id order for the fewest valid pages,
+    // excluding the active block and blocks that are not yet full
+    // (identical to the historic hard-coded loop).
+    return selectVictim(config_.gcPolicy, blocks_, plane_idx,
+                        config_.blocksPerPlane,
+                        active_[static_cast<std::size_t>(plane_idx)],
+                        [](int b) { return b; });
+}
+
 PhysAddr
 PageFtl::allocate(int plane_idx, WriteEffect &effect)
 {
@@ -317,10 +362,7 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
             active = blocks_.take(plane_idx);
     } else {
         // GC ahead of demand when the plane is running low.
-        const double free_frac =
-            static_cast<double>(blocks_.freeBlocks(plane_idx))
-            / static_cast<double>(config_.blocksPerPlane);
-        if (free_frac < config_.gcThreshold) {
+        if (blocks_.freeBlocks(plane_idx) < gcFreeBlocks_) {
             collectGarbage(plane_idx, effect, false);
             // Re-homed movers may have landed in (and filled) the
             // active block without switching it: the deeper allocate
@@ -341,13 +383,7 @@ PageFtl::allocate(int plane_idx, WriteEffect &effect)
 void
 PageFtl::collectGarbage(int plane_idx, WriteEffect &effect, bool on_demand)
 {
-    // Victim selection through the configured policy; greedy scans
-    // blocks in id order for the fewest valid pages, excluding the
-    // active block and blocks that are not yet full (identical to the
-    // historic hard-coded loop).
-    const int victim = selectVictim(
-        config_.gcPolicy, blocks_, plane_idx, config_.blocksPerPlane,
-        active_[static_cast<std::size_t>(plane_idx)], [](int b) { return b; });
+    const int victim = policyVictim(plane_idx);
     if (victim < 0)
         return;
     // Ahead of demand, an all-valid victim would be copied whole to
@@ -400,9 +436,15 @@ PageFtl::write(std::int64_t lpn)
         blocks_.invalidate(a);
     }
 
-    const int plane = planeCursor_;
-    if (++planeCursor_ == blocks_.planes())
+    // Round-robin by write count. A write whose plane cannot take it
+    // goes to the next plane that can; with none, allocate() on the
+    // last one tried is fatal.
+    const int planes = blocks_.planes();
+    int plane = planeCursor_;
+    if (++planeCursor_ == planes)
         planeCursor_ = 0;
+    for (int tried = 1; tried < planes && !canTake(plane); ++tried)
+        plane = plane + 1 < planes ? plane + 1 : 0;
     const PhysAddr addr = allocate(plane, effect);
     place(addr, lpn);
     effect.target = addr;

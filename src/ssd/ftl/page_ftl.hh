@@ -6,9 +6,11 @@
  * Logical pages map to arbitrary physical pages; writes stripe
  * round-robin over planes into per-plane active blocks; when a
  * plane runs out of free blocks a victim chosen by the configured
- * GC policy is collected (valid pages migrate, block erased). With
- * the default greedy policy the behavior is byte-identical to the
- * historic monolithic `ssd/ftl.{hh,cc}` implementation.
+ * GC policy is collected (valid pages migrate, block erased). A
+ * write whose plane has no room that GC can reclaim goes to the next
+ * plane that has. With the default greedy policy the behavior is
+ * byte-identical to the historic monolithic `ssd/ftl.{hh,cc}`
+ * implementation.
  */
 
 #ifndef SENTINELFLASH_SSD_FTL_PAGE_FTL_HH
@@ -51,6 +53,14 @@ class PageFtl : public FtlInterface
     std::size_t footprintBytes() const override;
     void checkInvariants() const override;
 
+    /**
+     * GC runs ahead of demand while a plane has fewer free blocks than
+     * this: the count of n in [0, blocks_per_plane] with
+     * n / blocks_per_plane < gc_threshold (in doubles), which, as that
+     * fraction grows with n, are exactly the n below the count.
+     */
+    static int gcFreeBlocks(int blocks_per_plane, double gc_threshold);
+
   private:
     /// Corrupts the tables in the checkInvariants() tests.
     friend struct PageFtlProbe;
@@ -67,8 +77,16 @@ class PageFtl : public FtlInterface
      * plane is only running low), an all-valid victim is left alone.
      */
     void collectGarbage(int plane_idx, WriteEffect &effect, bool on_demand);
+    /** The plane's GC victim under the configured policy, or -1. */
+    int policyVictim(int plane_idx) const;
     /** Whether the plane's active block is missing or full. */
     bool activeFull(int plane_idx) const;
+    /**
+     * Whether allocate() can place a page on the plane: its active
+     * block has room, a block is free, or the GC a demand runs frees a
+     * page. Where it is false, allocate() would find no free block.
+     */
+    bool canTake(int plane_idx) const;
 
     /** map_[lpn], or its closed form while the chunk is not live. */
     std::int32_t mapped(std::int64_t lpn) const;
@@ -92,6 +110,7 @@ class PageFtl : public FtlInterface
     std::vector<int> active_;             ///< per plane: active block (-1)
     FtlStats stats_;
     int planeCursor_ = 0; ///< plane of the next host write
+    int gcFreeBlocks_;    ///< gcFreeBlocks() of the config
 };
 
 } // namespace flash::ssd

@@ -33,24 +33,34 @@ channelQueueNames(int channels)
 
 } // namespace
 
+double
+SimReport::waf() const
+{
+    FtlStats fs;
+    fs.hostWrites = metrics.counter("ftl.host_writes");
+    fs.migratedPages = metrics.counter("ftl.migrated_pages");
+    return fs.waf();
+}
+
 void
 SimReport::writeJson(std::ostream &os) const
 {
+    const auto c = [this](const char *name) { return metrics.counter(name); };
     os << "{\"policy\": \"" << util::jsonEscape(policy) << '"'
        << ", \"page_reads\": " << pageReads
        << ", \"page_writes\": " << pageWrites
-       << ", \"ftl\": {\"host_writes\": " << ftl.hostWrites
-       << ", \"gc_runs\": " << ftl.gcRuns
-       << ", \"migrated_pages\": " << ftl.migratedPages
-       << ", \"erases\": " << ftl.erases
-       << ", \"refresh_pages\": " << ftl.refreshPages
-       << ", \"refresh_erases\": " << ftl.refreshErases
-       << ", \"switch_merges\": " << ftl.switchMerges
-       << ", \"partial_merges\": " << ftl.partialMerges
-       << ", \"full_merges\": " << ftl.fullMerges
-       << ", \"waf_num\": " << ftl.wafNumerator()
-       << ", \"waf_den\": " << ftl.wafDenominator()
-       << ", \"waf\": " << util::jsonNumber(ftl.waf()) << "}"
+       << ", \"ftl\": {\"host_writes\": " << c("ftl.host_writes")
+       << ", \"gc_runs\": " << c("ftl.gc_runs")
+       << ", \"migrated_pages\": " << c("ftl.migrated_pages")
+       << ", \"erases\": " << c("ftl.erases")
+       << ", \"refresh_pages\": " << c("ftl.refresh_pages")
+       << ", \"refresh_erases\": " << c("ftl.refresh_erases")
+       << ", \"switch_merges\": " << c("ftl.merge.switch")
+       << ", \"partial_merges\": " << c("ftl.merge.partial")
+       << ", \"full_merges\": " << c("ftl.merge.full")
+       << ", \"waf_num\": " << c("ftl.waf.num")
+       << ", \"waf_den\": " << c("ftl.waf.den")
+       << ", \"waf\": " << util::jsonNumber(waf()) << "}"
        << ", \"metrics\": ";
     metrics.writeJson(os);
     os << "}";
@@ -180,17 +190,18 @@ SsdSim::readPageOp(double arrival, const PhysAddr &addr,
     double decode_done = sense_ready;       // previous attempt's verdict
     double last_sense_end = sense_ready;
     double done = sense_ready;
+    // Attempt voltages: the measured total spread as evenly as
+    // possible, earlier attempts taking the remainder (the first
+    // attempt reads the full default set; retries shift fewer).
+    const int senses_each = data_senses / attempts;
+    const int senses_extra = data_senses % attempts;
 
     const int op = sb ? sb->begin("read_op", parent) : -1;
     childSpan(sb, op, "plane_wait", arrival, start - arrival);
     childSpan(sb, op, "assist_read", start, assist_us);
 
     for (int a = 0; a < attempts; ++a) {
-        // Attempt voltages: the measured total spread as evenly as
-        // possible, earlier attempts taking the remainder (the first
-        // attempt reads the full default set; retries shift fewer).
-        const int senses = data_senses / attempts
-            + (a < data_senses % attempts ? 1 : 0);
+        const int senses = senses_each + (a < senses_extra ? 1 : 0);
         const double sense_us =
             timing_.readBaseUs + senses * timing_.senseUs;
         const double sense_start =
@@ -395,13 +406,12 @@ SsdSim::finishRun()
         health_->finishRun(metrics_, ftl_.get(), scrub_);
     SimReport report;
     report.policy = readCost_->name();
-    report.ftl = ftl_->stats();
 
     // Export the FTL's cumulative counters (including the exact WAF
     // integer ratio) as metrics so fleet rollups aggregate them
     // exactly; all names are emitted even at zero so the metric
     // schema is stable across FTLs.
-    const FtlStats &fs = report.ftl;
+    const FtlStats &fs = ftl_->stats();
     metrics_.add("ftl.host_writes", fs.hostWrites);
     metrics_.add("ftl.gc_runs", fs.gcRuns);
     metrics_.add("ftl.migrated_pages", fs.migratedPages);

@@ -73,19 +73,24 @@ struct SimReport
 
     /** Copy of ssd.read.request_latency_us (empty when no reads). */
     util::LatencyHistogram readLatencyUs;
-    FtlStats ftl;
     std::uint64_t pageReads = 0;  ///< ssd.read.page_ops
     std::uint64_t pageWrites = 0; ///< ssd.write.page_ops
 
     /**
-     * Per-op decomposition and queue metrics ("ssd.*"): histograms
+     * Per-op decomposition, queue and FTL metrics: histograms
      * ssd.read.{latency,queue,sense,xfer,decode,attempt}_us,
      * per-channel queue delay ssd.read.queue_us.ch<K>, write-side GC
      * stalls ssd.write.gc_stall_us, the request-level
-     * ssd.{read,write}.request_latency_us, and ssd.read.overlap_us
-     * under pipelined retry.
+     * ssd.{read,write}.request_latency_us, ssd.read.overlap_us
+     * under pipelined retry, and the FTL's cumulative counters
+     * ftl.{host_writes,gc_runs,migrated_pages,erases,refresh_pages,
+     * refresh_erases}, ftl.merge.{switch,partial,full} and
+     * ftl.waf.{num,den}.
      */
     util::MetricsRegistry metrics;
+
+    /** FtlStats::waf() of the ftl.* counters. */
+    double waf() const;
 
     /**
      * Serialize the whole report (policy, page counts, FTL counters

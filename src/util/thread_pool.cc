@@ -1,8 +1,9 @@
 #include "util/thread_pool.hh"
 
 #include <algorithm>
-
-#include "util/logging.hh"
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace flash::util
 {
@@ -14,119 +15,47 @@ hardwareThreads()
     return n ? static_cast<int>(n) : 1;
 }
 
-ThreadPool::ThreadPool(int threads) : threads_(threads)
-{
-    fatalIf(threads < 1, "ThreadPool: thread count must be >= 1");
-    errors_.resize(static_cast<std::size_t>(threads_));
-    workers_.reserve(static_cast<std::size_t>(threads_ - 1));
-    for (int w = 1; w < threads_; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (auto &t : workers_)
-        t.join();
-}
-
-void
-ThreadPool::runChunk(int chunk, int chunks) const
-{
-    const int per = (n_ + chunks - 1) / chunks;
-    const int begin = chunk * per;
-    const int end = std::min(n_, begin + per);
-    for (int i = begin; i < end; ++i)
-        (*fn_)(i);
-}
-
-void
-ThreadPool::workerLoop(int worker)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        int chunks;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            wake_.wait(lock,
-                       [&] { return stop_ || epoch_ != seen; });
-            if (stop_)
-                return;
-            seen = epoch_;
-            chunks = chunks_;
-        }
-        if (worker < chunks) {
-            try {
-                runChunk(worker, chunks);
-            } catch (...) {
-                errors_[static_cast<std::size_t>(worker)] =
-                    std::current_exception();
-            }
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--pending_ == 0)
-                done_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::parallelFor(int n, const std::function<void(int)> &fn)
-{
-    fatalIf(n < 0, "ThreadPool: negative iteration count");
-    if (n == 0)
-        return;
-    const int chunks = std::min(threads_, n);
-    if (chunks == 1) {
-        for (int i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        fn_ = &fn;
-        n_ = n;
-        chunks_ = chunks;
-        std::fill(errors_.begin(), errors_.end(), std::exception_ptr());
-        pending_ = threads_ - 1;
-        ++epoch_;
-    }
-    wake_.notify_all();
-
-    // The caller is thread 0.
-    try {
-        runChunk(0, chunks);
-    } catch (...) {
-        errors_[0] = std::current_exception();
-    }
-
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        done_.wait(lock, [&] { return pending_ == 0; });
-        fn_ = nullptr;
-    }
-    for (auto &e : errors_) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
-
 void
 parallelFor(int threads, int n, const std::function<void(int)> &fn)
 {
-    if (threads <= 1 || n <= 1) {
+    const int chunks = std::min(threads, n);
+    if (chunks <= 1) {
         for (int i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    ThreadPool pool(threads);
-    pool.parallelFor(n, fn);
+    const int per = (n + chunks - 1) / chunks;
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chunks));
+    const auto run = [&](int chunk) {
+        try {
+            const int end = std::min(n, (chunk + 1) * per);
+            for (int i = chunk * per; i < end; ++i)
+                fn(i);
+        } catch (...) {
+            errors[static_cast<std::size_t>(chunk)] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(chunks - 1));
+    const auto join = [&workers] {
+        for (auto &t : workers)
+            t.join();
+    };
+    try {
+        for (int chunk = 1; chunk < chunks; ++chunk)
+            workers.emplace_back(run, chunk);
+    } catch (...) {
+        // A thread that could not start: the started ones still read
+        // fn and errors, and an unjoined std::thread ends the program.
+        join();
+        throw;
+    }
+    run(0);
+    join();
+    for (const auto &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
 }
 
 } // namespace flash::util

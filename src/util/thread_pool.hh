@@ -1,8 +1,8 @@
 /**
  * @file
- * A small fixed-size thread pool with a deterministic parallel-for.
+ * The deterministic parallel-for.
  *
- * Work is partitioned statically: worker t of W always receives the
+ * Work is partitioned statically: chunk c of C always receives the
  * same contiguous index range of [0, n), so the mapping of iterations
  * to threads never depends on scheduling. Combined with the
  * order-independent read sequencing of nandsim/read_seq.hh this lets
@@ -14,13 +14,7 @@
 #ifndef SENTINELFLASH_UTIL_THREAD_POOL_HH
 #define SENTINELFLASH_UTIL_THREAD_POOL_HH
 
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace flash::util
 {
@@ -29,54 +23,12 @@ namespace flash::util
 int hardwareThreads();
 
 /**
- * Fixed-size pool. Workers are created once and reused across
- * parallelFor() calls; with one thread no workers are spawned and
- * everything runs inline on the caller.
- */
-class ThreadPool
-{
-  public:
-    /** @param threads Total threads used per parallelFor (>= 1). */
-    explicit ThreadPool(int threads);
-
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Threads used per parallelFor (including the caller). */
-    int threads() const { return threads_; }
-
-    /**
-     * Run fn(i) for every i in [0, n) and block until done. Each of
-     * the T threads handles one contiguous chunk of ceil(n/T)
-     * indices (the caller runs chunk 0). Exceptions thrown by fn are
-     * captured and the first one (lowest chunk) is rethrown here.
-     */
-    void parallelFor(int n, const std::function<void(int)> &fn);
-
-  private:
-    void workerLoop(int worker);
-    void runChunk(int chunk, int chunks) const;
-
-    int threads_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mu_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    const std::function<void(int)> *fn_ = nullptr;
-    int n_ = 0;
-    int chunks_ = 0;
-    std::uint64_t epoch_ = 0;
-    int pending_ = 0;
-    bool stop_ = false;
-    std::vector<std::exception_ptr> errors_;
-};
-
-/**
- * One-shot deterministic parallel-for over [0, n) on @p threads
- * threads (a transient ThreadPool; threads <= 1 runs inline).
+ * Run fn(i) for every i in [0, n) and block until done. With
+ * C = min(threads, n) chunks, chunk c covers the ceil(n/C) indices
+ * starting at c * ceil(n/C); chunk 0 runs on the caller and chunks
+ * 1…C−1 each on a thread of their own, joined before return. An
+ * exception thrown by fn is rethrown here: that of the lowest
+ * throwing chunk. threads <= 1 or n <= 1 runs inline.
  */
 void parallelFor(int threads, int n, const std::function<void(int)> &fn);
 

@@ -277,9 +277,9 @@ TEST(Ftl, PreemptiveGcSkipsVictimsWithNothingToReclaim)
     // a hot 20% of the LPNs and write 3 to the cold rest, so plane 3
     // gathers cold data. Once its full blocks are all valid, GC ahead
     // of demand would copy a whole block to reclaim nothing, on every
-    // allocation (from about write 2 800 on). The plane runs out of
-    // space for good past about write 4 400, so the stream stops at
-    // 4 000.
+    // allocation (from about write 2 800 on). Past about write 4 400
+    // the plane has no room left and its writes go to other planes
+    // (SkewedStreamSpillsToPlanesWithRoom); this stream stops before.
     const SsdConfig cfg = fleet::smallDeviceConfig();
     PageFtl ftl(cfg);
     const auto ppb = static_cast<std::uint64_t>(cfg.pagesPerBlock);
@@ -300,6 +300,52 @@ TEST(Ftl, PreemptiveGcSkipsVictimsWithNothingToReclaim)
     }
     EXPECT_LE(ftl.stats().gcRuns, static_cast<std::uint64_t>(kWrites / 4));
     ftl.checkInvariants();
+}
+
+TEST(Ftl, SkewedStreamSpillsToPlanesWithRoom)
+{
+    // The stream above, run on: once plane 3 holds only valid pages
+    // and no free block, its round-robin writes go to the next plane
+    // that can take them instead of ending the run as overfull.
+    const SsdConfig cfg = fleet::smallDeviceConfig();
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        PageFtl ftl(cfg);
+        const auto n = static_cast<std::uint64_t>(ftl.logicalPages());
+        const std::uint64_t hot = n / 5;
+        util::Rng rng(seed);
+        constexpr int kWrites = 12000;
+        for (int i = 0; i < kWrites; ++i) {
+            const std::uint64_t lpn = i % 4 != 3
+                ? rng.uniformInt(hot)
+                : hot + rng.uniformInt(n - hot);
+            ASSERT_NO_THROW(ftl.write(static_cast<std::int64_t>(lpn)))
+                << "seed " << seed << " write " << i;
+        }
+        EXPECT_EQ(ftl.stats().hostWrites,
+                  static_cast<std::uint64_t>(kWrites));
+        EXPECT_NO_THROW(ftl.checkInvariants()) << "seed " << seed;
+    }
+}
+
+TEST(Ftl, GcFreeBlockCountMatchesTheFreeFraction)
+{
+    // allocate() compares a plane's free blocks with an integer count
+    // instead of its free fraction with gcThreshold; both must agree
+    // for every free-block count a plane can have.
+    for (double threshold : {1e-9, 0.05, 0.1, 0.25, 0.5, 0.999}) {
+        for (int bpp = 2; bpp <= 1024; ++bpp) {
+            const int count = PageFtl::gcFreeBlocks(bpp, threshold);
+            int mismatches = 0;
+            for (int n = 0; n <= bpp; ++n) {
+                const bool by_fraction =
+                    static_cast<double>(n) / static_cast<double>(bpp)
+                    < threshold;
+                mismatches += (n < count) != by_fraction ? 1 : 0;
+            }
+            EXPECT_EQ(mismatches, 0)
+                << "bpp " << bpp << " threshold " << threshold;
+        }
+    }
 }
 
 /** Blocks of @p plane written but not full. */

@@ -162,16 +162,6 @@ TEST_F(ReadPolicyTest, OraclePolicyNeedsAtMostOneRetry)
     }
 }
 
-TEST_F(ReadPolicyTest, OracleFirstReadOptimalVariant)
-{
-    const auto ecc = eccModel();
-    OraclePolicy oracle(chip->model().defaultVoltages(), true);
-    ReadContext ctx(*chip, 1, 1, chip->grayCode().msbPage(), ecc, overlay);
-    const auto s = oracle.read(ctx);
-    EXPECT_EQ(s.attempts, 1);
-    EXPECT_TRUE(s.success);
-}
-
 TEST_F(ReadPolicyTest, SentinelPolicyBeatsVendorOnAverage)
 {
     const auto ecc = eccModel();

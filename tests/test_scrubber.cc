@@ -271,10 +271,13 @@ TEST(Scrubber, RefreshMigratesErasesAndKeepsFtlInvariants)
     EXPECT_GT(m.counter("scrub.refresh.completed"), 0u);
     // Refresh work is accounted like GC in the FTL, with its own
     // attribution on the side.
-    EXPECT_EQ(rep.ftl.refreshPages, m.counter("scrub.refresh.pages"));
-    EXPECT_EQ(rep.ftl.refreshErases, m.counter("scrub.refresh.erases"));
-    EXPECT_GE(rep.ftl.migratedPages, rep.ftl.refreshPages);
-    EXPECT_GE(rep.ftl.erases, rep.ftl.refreshErases);
+    EXPECT_EQ(m.counter("ftl.refresh_pages"),
+              m.counter("scrub.refresh.pages"));
+    EXPECT_EQ(m.counter("ftl.refresh_erases"),
+              m.counter("scrub.refresh.erases"));
+    EXPECT_GE(m.counter("ftl.migrated_pages"),
+              m.counter("ftl.refresh_pages"));
+    EXPECT_GE(m.counter("ftl.erases"), m.counter("ftl.refresh_erases"));
 
     EXPECT_NO_THROW(sim.ftl().checkInvariants());
     for (std::int64_t lpn = 0; lpn < sim.ftl().logicalPages(); ++lpn)
@@ -378,7 +381,7 @@ TEST(Scrubber, SurvivesGcAndHostWriteInterleaving)
     sim.setWarmReadCost(&warm);
     const SimReport rep = sim.run(tr);
 
-    EXPECT_GT(rep.ftl.gcRuns, 0u);
+    EXPECT_GT(rep.metrics.counter("ftl.gc_runs"), 0u);
     EXPECT_GT(rep.metrics.counter("scrub.probes"), 0u);
     EXPECT_NO_THROW(sim.ftl().checkInvariants());
     for (std::int64_t lpn = 0; lpn < sim.ftl().logicalPages(); ++lpn)

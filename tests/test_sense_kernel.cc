@@ -805,8 +805,9 @@ TEST(SnapshotScratch, ReusedScratchGivesTheSameSnapshot)
 
 TEST(SnapshotScratch, PoolThreadsMatchTheCallingThread)
 {
-    // Each pool thread bins into its own scratch; alternating QLC and
-    // TLC senses make every thread grow and reuse it.
+    // Each parallelFor thread bins into its own scratch; alternating
+    // QLC and TLC senses make every thread grow and reuse it across
+    // its chunk's items.
     const Chip qlc = test::agedQlcChip();
     const Chip tlc = test::agedTlcChip();
     constexpr int kItems = 24;
@@ -819,10 +820,9 @@ TEST(SnapshotScratch, PoolThreadsMatchTheCallingThread)
     std::vector<WordlineSnapshot> want;
     for (int i = 0; i < kItems; ++i)
         want.push_back(sense(i));
-    util::ThreadPool pool(4);
     for (int pass = 0; pass < 2; ++pass) {
         std::vector<std::optional<WordlineSnapshot>> got(kItems);
-        pool.parallelFor(kItems, [&](int i) {
+        util::parallelFor(4, kItems, [&](int i) {
             got[static_cast<std::size_t>(i)].emplace(sense(i));
         });
         for (int i = 0; i < kItems; ++i) {

@@ -183,7 +183,7 @@ TEST(SsdSim, SustainedWritesTriggerGcEventually)
         trace.push_back(r);
     }
     const auto rep = sim.run(trace);
-    EXPECT_GT(rep.ftl.gcRuns, 0u);
+    EXPECT_GT(rep.metrics.counter("ftl.gc_runs"), 0u);
 }
 
 TEST(SsdSim, ReportCarriesMetricsAndSerializes)

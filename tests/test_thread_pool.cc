@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace flash::util
@@ -12,91 +14,111 @@ namespace flash::util
 namespace
 {
 
-TEST(ThreadPool, HardwareThreadsAtLeastOne)
+TEST(ParallelFor, HardwareThreadsAtLeastOne)
 {
     EXPECT_GE(hardwareThreads(), 1);
 }
 
-TEST(ThreadPool, RejectsBadThreadCount)
+TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
-    EXPECT_THROW(ThreadPool(0), FatalError);
-    EXPECT_THROW(ThreadPool(-3), FatalError);
-}
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce)
-{
-    for (int threads : {1, 2, 3, 4, 7}) {
-        ThreadPool pool(threads);
-        // Each slot is written by exactly one chunk, so plain ints.
-        std::vector<int> hits(101, 0);
-        pool.parallelFor(101, [&](int i) {
-            ++hits[static_cast<std::size_t>(i)];
-        });
-        for (int h : hits)
-            EXPECT_EQ(h, 1) << "threads=" << threads;
+    for (int threads = 1; threads <= 8; ++threads) {
+        for (int n : {0, 1, threads - 1, threads, threads + 1, 1000}) {
+            // Each slot is written by exactly one chunk, so plain ints.
+            std::vector<int> hits(static_cast<std::size_t>(n), 0);
+            parallelFor(threads, n, [&](int i) {
+                ++hits[static_cast<std::size_t>(i)];
+            });
+            for (int i = 0; i < n; ++i) {
+                EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1)
+                    << "threads=" << threads << " n=" << n << " i=" << i;
+            }
+        }
     }
 }
 
-TEST(ThreadPool, HandlesFewerItemsThanThreads)
+TEST(ParallelFor, EachChunkRunsOnOneThread)
 {
-    ThreadPool pool(8);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int threads = 1; threads <= 8; ++threads) {
+        for (int n : {1, threads - 1, threads, threads + 1, 1000}) {
+            if (n < 1)
+                continue;
+            std::vector<std::thread::id> ran(static_cast<std::size_t>(n));
+            parallelFor(threads, n, [&](int i) {
+                ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+            });
+            const int chunks = std::min(threads, n);
+            const int per = (n + chunks - 1) / chunks;
+            std::set<std::thread::id> distinct;
+            for (int i = 0; i < n; ++i) {
+                const auto id = ran[static_cast<std::size_t>(i)];
+                // Chunk 0 is the caller's; every index shares its
+                // chunk's first thread.
+                const auto want = i < per
+                    ? caller
+                    : ran[static_cast<std::size_t>(i / per * per)];
+                EXPECT_EQ(id, want)
+                    << "threads=" << threads << " n=" << n << " i=" << i;
+                distinct.insert(id);
+            }
+            // Every thread is joined only after the last chunk, so no
+            // two live chunks share an id.
+            EXPECT_EQ(static_cast<int>(distinct.size()), (n + per - 1) / per)
+                << "threads=" << threads << " n=" << n;
+            EXPECT_LE(static_cast<int>(distinct.size()), chunks);
+        }
+    }
+}
+
+TEST(ParallelFor, HandlesFewerItemsThanThreads)
+{
     std::vector<int> out(3, 0);
-    pool.parallelFor(3, [&](int i) {
+    parallelFor(8, 3, [&](int i) {
         out[static_cast<std::size_t>(i)] = i + 1;
     });
     EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(ThreadPool, ZeroItemsIsNoop)
+TEST(ParallelFor, ZeroItemsIsNoop)
 {
-    ThreadPool pool(4);
     int calls = 0;
-    pool.parallelFor(0, [&](int) { ++calls; });
+    parallelFor(4, 0, [&](int) { ++calls; });
     EXPECT_EQ(calls, 0);
 }
 
-TEST(ThreadPool, ReusableAcrossCalls)
-{
-    ThreadPool pool(4);
-    for (int round = 0; round < 5; ++round) {
-        std::vector<int> out(64, -1);
-        pool.parallelFor(64, [&](int i) {
-            out[static_cast<std::size_t>(i)] = i * round;
-        });
-        for (int i = 0; i < 64; ++i)
-            EXPECT_EQ(out[static_cast<std::size_t>(i)], i * round);
-    }
-}
-
-TEST(ThreadPool, ResultsMatchSerialRun)
+TEST(ParallelFor, ResultsMatchSerialRun)
 {
     std::vector<double> serial(200), parallel(200);
     for (int i = 0; i < 200; ++i)
         serial[static_cast<std::size_t>(i)] = i * 0.5 + 1.0;
 
-    ThreadPool pool(4);
-    pool.parallelFor(200, [&](int i) {
+    parallelFor(4, 200, [&](int i) {
         parallel[static_cast<std::size_t>(i)] = i * 0.5 + 1.0;
     });
     EXPECT_EQ(serial, parallel);
 }
 
-TEST(ThreadPool, ExceptionsPropagateAndPoolSurvives)
+TEST(ParallelFor, ExceptionsPropagate)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [&](int i) {
-                                      if (i == 57)
-                                          throw std::runtime_error("boom");
-                                  }),
-                 std::runtime_error);
-
-    // The pool stays usable after a failed run.
-    std::vector<int> out(10, 0);
-    pool.parallelFor(10, [&](int i) {
-        out[static_cast<std::size_t>(i)] = 1;
-    });
-    EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 10);
+    // 4 chunks of 25: chunk 2 is [50, 75), chunk 3 is [75, 100). Chunk
+    // 3 throws on its first index, chunk 2 late in its range; the
+    // lowest throwing chunk's exception is the one rethrown.
+    std::vector<int> ran(100, 0);
+    try {
+        parallelFor(4, 100, [&](int i) {
+            ran[static_cast<std::size_t>(i)] = 1;
+            if (i == 75)
+                throw std::runtime_error("chunk 3");
+            if (i == 70)
+                throw std::runtime_error("chunk 2");
+        });
+        FAIL() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "chunk 2");
+    }
+    // Chunks 0 and 1 ran to the end before the rethrow.
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(ran[static_cast<std::size_t>(i)], 1) << "i=" << i;
 }
 
 TEST(FreeParallelFor, InlineAndPooledAgree)
