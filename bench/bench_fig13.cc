@@ -49,7 +49,7 @@ main(int argc, char **argv)
         health.beginRun("fig13-tlc-pe5000");
         for (const double hours : {0.0, 24.0, 720.0, bench::kOneYearHours}) {
             bench::ageBlock(chip, bench::kEvalBlock, 5000, hours);
-            health.probeBlock(chip, bench::kEvalBlock, &tables, overlay,
+            health.probeBlock(chip, bench::kEvalBlock, tables, overlay,
                               nullptr, hours * 3.6e9);
         }
     }

@@ -173,7 +173,7 @@ main(int argc, char **argv)
         hopt.wlStride = 8;
         health = std::make_unique<ssd::HealthMonitor>(*health_file, hopt);
         health->beginRun("fig14-chip");
-        health->probeBlock(chip, bench::kEvalBlock, &tables, overlay,
+        health->probeBlock(chip, bench::kEvalBlock, tables, overlay,
                            use_model ? &model : nullptr, 0.0);
     }
 

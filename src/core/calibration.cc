@@ -8,7 +8,7 @@ namespace flash::core
 CalibrationObservation
 observeStateChange(const nand::WordlineSnapshot &data,
                    const nand::WordlineSnapshot &sent, int k, int v_default,
-                   int v_infer, double match_tolerance)
+                   int v_infer)
 {
     util::fatalIf(sent.cells() == 0 || data.cells() == 0,
                   "calibration: empty snapshot");
@@ -25,9 +25,9 @@ observeStateChange(const nand::WordlineSnapshot &data,
     obs.scaledNcs = static_cast<double>(obs.ncs) * scale;
     const double nca = static_cast<double>(obs.nca);
     obs.tuneFurther = nca > obs.scaledNcs;
-    if (nca > obs.scaledNcs * (1.0 + match_tolerance))
+    if (nca > obs.scaledNcs * (1.0 + kMatchTolerance))
         obs.decision = CalibrationCase::TuneFurther;
-    else if (nca < obs.scaledNcs * (1.0 - match_tolerance))
+    else if (nca < obs.scaledNcs * (1.0 - kMatchTolerance))
         obs.decision = CalibrationCase::TuneBack;
     else
         obs.decision = CalibrationCase::Converged;

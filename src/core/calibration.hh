@@ -27,14 +27,15 @@ struct CalibrationParams
 {
     /** Step size delta in DAC units. */
     int delta = 2;
-
-    /**
-     * Relative tolerance within which NCa and the scaled NCs are
-     * considered matching (the "successful prediction" case of the
-     * paper's Fig 12): no further tuning.
-     */
-    double matchTolerance = 0.10;
 };
+
+/**
+ * Relative tolerance within which NCa and the scaled NCs are
+ * considered matching (the "successful prediction" case of the
+ * paper's Fig 12): no further tuning. Assumption: the paper gives no
+ * value.
+ */
+inline constexpr double kMatchTolerance = 0.10;
 
 /** Direction decided by one state-change comparison. */
 enum class CalibrationCase {
@@ -60,7 +61,8 @@ struct CalibrationObservation
  * The sentinel cells are deliberately concentrated in the two states
  * adjacent to the sentinel boundary, so NCs is scaled by the ratio of
  * the data region's population of those two states to the sentinel
- * count (the density-aware form of the paper's NCs / r).
+ * count (the density-aware form of the paper's NCs / r). The counts
+ * match, and the decision is Converged, within kMatchTolerance.
  *
  * @param data Snapshot of the data region.
  * @param sent Snapshot of the sentinel cells.
@@ -70,8 +72,7 @@ struct CalibrationObservation
  */
 CalibrationObservation observeStateChange(const nand::WordlineSnapshot &data,
                                           const nand::WordlineSnapshot &sent,
-                                          int k, int v_default, int v_infer,
-                                          double match_tolerance = 0.10);
+                                          int k, int v_default, int v_infer);
 
 /**
  * Next sentinel offset after one calibration step.

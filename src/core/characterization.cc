@@ -65,8 +65,7 @@ rawHours(const nand::VoltageModel &model, const CharCondition &cond,
  */
 void
 fitTables(Characterization &c, const std::vector<std::vector<double>> &xs,
-          const std::vector<std::vector<double>> &ys, int states,
-          int poly_degree)
+          const std::vector<std::vector<double>> &ys, int states)
 {
     c.samples = c.dSamples.size();
     const auto [dmin, dmax] =
@@ -76,7 +75,8 @@ fitTables(Characterization &c, const std::vector<std::vector<double>> &xs,
                   "degenerate; too few sentinel cells for this geometry "
                   "(raise SentinelConfig::ratio) or conditions too mild");
     c.dToVopt = util::polyfit(c.dSamples, c.voptSamples,
-                              static_cast<std::size_t>(poly_degree));
+                              static_cast<std::size_t>(
+                                  FactoryCharacterizer::kPolyDegree));
     c.dFitRmse = util::polyfitRmse(c.dToVopt, c.dSamples, c.voptSamples);
 
     c.crossVoltage.resize(static_cast<std::size_t>(states));
@@ -108,8 +108,6 @@ FactoryCharacterizer::FactoryCharacterizer(CharOptions options)
         options_.conditions = defaultConditions();
     util::fatalIf(options_.wordlineStride < 1,
                   "characterizer: stride must be >= 1");
-    util::fatalIf(options_.polyDegree < 1,
-                  "characterizer: polyDegree must be >= 1");
     util::fatalIf(options_.threads < 1,
                   "characterizer: threads must be >= 1");
     for (const CharCondition &c : options_.conditions)
@@ -128,9 +126,7 @@ FactoryCharacterizer::runBands(nand::Chip &chip,
 {
     util::fatalIf(band_temps.empty(), "characterizer: no bands given");
     const auto &geom = chip.geometry();
-    const int block = options_.block;
-    util::fatalIf(block < 0 || block >= geom.blocks,
-                  "characterizer: block out of range");
+    const int block = kBlock;
     const auto &conds = options_.conditions;
     for (const double t : band_temps) {
         for (const CharCondition &c : conds)
@@ -164,7 +160,7 @@ FactoryCharacterizer::runBands(nand::Chip &chip,
     }
     std::vector<nand::ReadClock> clocks;
     for (std::size_t ci = 0; ci < conds.size(); ++ci)
-        clocks.emplace_back(util::hashCombine(options_.readStream, ci));
+        clocks.emplace_back(util::hashCombine(kReadStream, ci));
 
     /** Measurements of one wordline at one (band, condition) age. */
     struct WlSample
@@ -175,7 +171,7 @@ FactoryCharacterizer::runBands(nand::Chip &chip,
 
     // One pass per wordline senses its data region and its sentinel
     // range at every age. Each read's noise seed derives from
-    // (readStream, condition, wordline) alone, so the wordlines can
+    // (kReadStream, condition, wordline) alone, so the wordlines can
     // run on any number of threads; samples[j * wls + i] is age j of
     // wordline i.
     const auto nb = static_cast<std::size_t>(geom.states());
@@ -232,7 +228,7 @@ FactoryCharacterizer::runBands(nand::Chip &chip,
                     it->offsets[static_cast<std::size_t>(k)]);
             }
         }
-        fitTables(c, xs, ys, geom.states(), options_.polyDegree);
+        fitTables(c, xs, ys, geom.states());
         out.push_back(std::move(c));
     }
     return out;

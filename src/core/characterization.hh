@@ -44,24 +44,15 @@ struct CharOptions
     /** Sample every Nth wordline of the block. */
     int wordlineStride = 8;
 
-    /** Degree of the d -> Vopt polynomial (paper uses 5). */
-    int polyDegree = 5;
-
-    /** Block used for the sweep. */
-    int block = 0;
-
     /**
      * Worker threads of the wordline sweep, which senses each sampled
      * wordline at every condition in one pass. The chip is only read
      * inside the sweep, each wordline's sensing noise derives from
-     * (readStream, condition, wordline), and the samples are reduced
-     * in condition-major, wordline order, so the fitted tables are
-     * bit-identical at every thread count.
+     * (FactoryCharacterizer::kReadStream, condition, wordline), and
+     * the samples are reduced in condition-major, wordline order, so
+     * the fitted tables are bit-identical at every thread count.
      */
     int threads = 1;
-
-    /** Read-noise stream key of the sweep (see nand::ReadClock). */
-    std::uint64_t readStream = 0xFAC7;
 };
 
 /** The tables programmed into every chip of the batch. */
@@ -106,8 +97,8 @@ nand::BlockAge applyCondition(nand::Chip &chip, int block,
                               double temp_band_c);
 
 /**
- * Runs the factory sweep on a chip. The sweep mutates the target
- * block's age and content (it is a factory process); the block age is
+ * Runs the factory sweep on a chip. The sweep mutates block kBlock's
+ * age and content (it is a factory process); the block age is
  * restored afterwards, the sentinel overlay stays programmed. The
  * conditions and band temperatures are checked before the chip is
  * touched.
@@ -115,9 +106,18 @@ nand::BlockAge applyCondition(nand::Chip &chip, int block,
 class FactoryCharacterizer
 {
   public:
+    /** Degree of the d -> Vopt polynomial (the paper's 5, PAPER.md). */
+    static constexpr int kPolyDegree = 5;
+
+    /** Block the sweep programs and ages. */
+    static constexpr int kBlock = 0;
+
+    /** Read-noise stream key of the sweep (see nand::ReadClock). */
+    static constexpr std::uint64_t kReadStream = 0xFAC7;
+
     /**
-     * fatal() on a stride, degree or thread count below 1, or on a
-     * condition whose retention hours are negative or not finite.
+     * fatal() on a stride or thread count below 1, or on a condition
+     * whose retention hours are negative or not finite.
      */
     explicit FactoryCharacterizer(CharOptions options);
 

@@ -1,5 +1,7 @@
 #include "core/evaluator.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "core/error_difference.hh"
@@ -12,6 +14,20 @@ namespace flash::core
 
 namespace
 {
+
+/**
+ * Success-rule slacks (see successBudget). The 5% slacks are the
+ * paper's "RBER within 5% of the optimal's" (DESIGN.md section 5).
+ * The absolute and read-noise slacks are assumptions: the paper notes
+ * two reads at one voltage give different RBERs.
+ */
+constexpr double kRelOptimal = 0.05; ///< of the optimal errors
+constexpr double kRelExcess = 0.05;  ///< of (default - optimal)
+constexpr double kAbsolute = 2.0;    ///< bit errors
+constexpr double kNoiseSigmas = 0.6; ///< units of sqrt(optimal errors)
+
+/** Calibration steps, probes included, per wordline. Assumption. */
+constexpr int kMaxCalibSteps = 5;
 
 /** Wordlines sampled by a strided block sweep. */
 std::vector<int>
@@ -77,7 +93,9 @@ evaluateBlock(const nand::Chip &chip, int block, const ReadPolicy &policy,
     // Sessions run in parallel, each writing only its own slot; the
     // floating-point reduction below stays sequential in wordline
     // order so the statistics are bit-identical at any thread count.
-    std::vector<ReadSessionResult> sessions(wls.size());
+    PolicyBlockStats stats;
+    std::vector<ReadSessionResult> &sessions = stats.sessionResults;
+    sessions.resize(wls.size());
     std::vector<util::SpanBuffer> bufs(spans ? wls.size() : 0);
     util::parallelFor(
         threads, static_cast<int>(wls.size()), [&](int i) {
@@ -91,7 +109,6 @@ evaluateBlock(const nand::Chip &chip, int block, const ReadPolicy &policy,
             sessions[static_cast<std::size_t>(i)] = policy.read(ctx);
         });
 
-    PolicyBlockStats stats;
     double span_cursor = 0.0;
     for (std::size_t i = 0; i < sessions.size(); ++i) {
         const ReadSessionResult &session = sessions[i];
@@ -120,6 +137,17 @@ evaluateBlock(const nand::Chip &chip, int block, const ReadPolicy &policy,
         }
     }
     return stats;
+}
+
+double
+successBudget(std::uint64_t err_optimal, std::uint64_t err_default)
+{
+    const double opt = static_cast<double>(err_optimal);
+    const double def = static_cast<double>(err_default);
+    const double excess = def > opt ? def - opt : 0.0;
+    const double slack = std::max(kRelOptimal * opt, kRelExcess * excess)
+        + kAbsolute + kNoiseSigmas * std::sqrt(opt);
+    return opt + slack;
 }
 
 WordlineAccuracy
@@ -155,7 +183,7 @@ evaluateWordlineAccuracy(const nand::Chip &chip, int block, int wl,
     for (int k = 1; k < states; ++k) {
         const auto &o = opts[static_cast<std::size_t>(k)];
         budget[static_cast<std::size_t>(k)] =
-            options.rule.budget(o.errors, o.defaultErrors);
+            successBudget(o.errors, o.defaultErrors);
     }
 
     const auto within_budget = [&](const std::vector<int> &voltages) {
@@ -179,12 +207,11 @@ evaluateWordlineAccuracy(const nand::Chip &chip, int block, int wl,
     int offset = inferred.sentinelOffset;
     std::vector<int> calibrated = inferred.voltages;
     int steps = 0;
-    while (steps < options.maxCalibSteps) {
+    while (steps < kMaxCalibSteps) {
         if (within_budget(calibrated))
             break;
         const auto obs = observeStateChange(
-            data, sent, k_s, v_s_def, v_s_def + offset,
-            options.calibration.matchTolerance);
+            data, sent, k_s, v_s_def, v_s_def + offset);
         if (obs.decision == CalibrationCase::Converged)
             break;
         offset = calibratedOffset(
@@ -197,7 +224,7 @@ evaluateWordlineAccuracy(const nand::Chip &chip, int block, int wl,
         // Probe around the converged center; first success wins.
         const std::vector<int> center = engine.inferAt(offset).voltages;
         calibrated = center;
-        for (int probe = 1; steps < options.maxCalibSteps; ++probe) {
+        for (int probe = 1; steps < kMaxCalibSteps; ++probe) {
             const int step = (probe + 1) / 2;
             const int try_offset = offset
                 + (probe % 2 ? 1 : -1) * step * options.calibration.delta;

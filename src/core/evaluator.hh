@@ -8,8 +8,6 @@
 #ifndef SENTINELFLASH_CORE_EVALUATOR_HH
 #define SENTINELFLASH_CORE_EVALUATOR_HH
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -28,6 +26,8 @@ struct PolicyBlockStats
     util::RunningStats senseOps;  ///< per session
     util::RunningStats latencyUs; ///< per session
     std::vector<int> retriesPerWordline; ///< Fig 13 series
+    /** Each sampled wordline's session, in wordline order. */
+    std::vector<ReadSessionResult> sessionResults;
     int sessions = 0;
     int failures = 0; ///< sessions ending in read failure
 
@@ -72,38 +72,14 @@ PolicyBlockStats evaluateBlock(const nand::Chip &chip, int block,
                                util::SpanTrace *spans = nullptr);
 
 /**
- * The paper's success rule: a found voltage succeeds when the RBER it
- * produces is within 5% of the optimal voltage's RBER, where the 5%
- * is taken of the wordline's error dynamic range (default minus
- * optimal) with a small absolute slack for counting noise.
+ * The paper's success rule: the error budget of one boundary. A found
+ * voltage succeeds when the errors it produces are within 5% of the
+ * optimal voltage's, where the 5% is taken of the larger of the
+ * optimal errors and the wordline's error dynamic range (default
+ * minus optimal), plus small slacks for counting and read-to-read
+ * noise (see evaluator.cc).
  */
-struct SuccessRule
-{
-    double relOptimal = 0.05;  ///< slack relative to the optimal errors
-    double relExcess = 0.05;   ///< slack relative to (default - optimal)
-    double absolute = 2.0;     ///< absolute slack in bit errors
-
-    /**
-     * Read-to-read measurement noise slack, in units of
-     * sqrt(optimal errors). The paper notes two reads at the same
-     * voltage give different RBERs, so voltages whose error counts
-     * are statistically indistinguishable from the optimal's count
-     * as successes.
-     */
-    double noiseSigmas = 0.6;
-
-    /** Error budget for one boundary. */
-    double
-    budget(std::uint64_t err_optimal, std::uint64_t err_default) const
-    {
-        const double opt = static_cast<double>(err_optimal);
-        const double def = static_cast<double>(err_default);
-        const double excess = def > opt ? def - opt : 0.0;
-        const double slack = std::max(relOptimal * opt, relExcess * excess)
-            + absolute + noiseSigmas * std::sqrt(opt);
-        return opt + slack;
-    }
-};
+double successBudget(std::uint64_t err_optimal, std::uint64_t err_default);
 
 /** Per-boundary accuracy record of one wordline. */
 struct BoundaryAccuracy
@@ -115,7 +91,7 @@ struct BoundaryAccuracy
     std::uint64_t errInferred = 0;
     std::uint64_t errCalibrated = 0;
     std::uint64_t errOptimal = 0;
-    bool inferOk = false;   ///< inference success (SuccessRule)
+    bool inferOk = false;   ///< inference success (successBudget)
     bool calibOk = false;   ///< success after calibration
 };
 
@@ -124,15 +100,13 @@ struct WordlineAccuracy
 {
     std::vector<BoundaryAccuracy> boundaries;
     double dRate = 0.0;
-    int calibSteps = 0; ///< calibration steps actually taken
+    int calibSteps = 0; ///< calibration steps taken (at most 5)
 };
 
 /** Options of the accuracy evaluation. */
 struct AccuracyOptions
 {
-    SuccessRule rule;
     CalibrationParams calibration;
-    int maxCalibSteps = 5;
 
     /** Read-noise stream key (see nand::ReadClock). */
     std::uint64_t readStream = 0;

@@ -367,8 +367,7 @@ SentinelPolicy::read(ReadContext &ctx) const
         if (!converged) {
             const int v_s_cur = v_s_default + offset;
             const auto obs = observeStateChange(
-                ctx.dataSnap(), ctx.sentSnap(), k_s, v_s_default, v_s_cur,
-                calibration_.matchTolerance);
+                ctx.dataSnap(), ctx.sentSnap(), k_s, v_s_default, v_s_cur);
             if (obs.decision == CalibrationCase::Converged) {
                 converged = true;
                 ++session.calibConverged;

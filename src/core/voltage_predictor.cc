@@ -29,12 +29,6 @@ VoltageModelConfig::validate() const
                       || confidenceThreshold < 0.0
                       || confidenceThreshold > 1.0,
                   "VoltageModelConfig: confidence threshold out of [0, 1]");
-    util::fatalIf(minSamples < 1, "VoltageModelConfig: bad min samples");
-    util::fatalIf(!(ridgeLambda > 0.0) || std::isnan(ridgeLambda),
-                  "VoltageModelConfig: non-positive ridge");
-    util::fatalIf(maxOffsetDac < 1, "VoltageModelConfig: bad offset clamp");
-    util::fatalIf(!(confSamples > 0.0) || !(confSigmaDac > 0.0),
-                  "VoltageModelConfig: bad confidence scales");
 }
 
 VoltagePredictor::VoltagePredictor(VoltageModelConfig config)
@@ -87,7 +81,7 @@ VoltagePredictor::solveChunk(Chunk &chunk) const
             a[i][j] =
                 chunk.xtx[triIndex(std::min(i, j), std::max(i, j))].value();
         }
-        a[i][i] += config_.ridgeLambda;
+        a[i][i] += kRidgeLambda;
         a[i][kFeatures] = chunk.xty[i].value();
     }
     for (int col = 0; col < kFeatures; ++col) {
@@ -133,8 +127,7 @@ VoltagePredictor::solveChunk(Chunk &chunk) const
     // predictor, and the gated fast path only needs the mean offset —
     // exactly what the voltage cache replays without any gate at all.
     const double se = n > 0.0 ? chunk.residualStd / std::sqrt(n) : 0.0;
-    chunk.conf = (n / (n + config_.confSamples))
-        / (1.0 + se / config_.confSigmaDac);
+    chunk.conf = (n / (n + kConfSamples)) / (1.0 + se / kConfSigmaDac);
     chunk.solved = true;
 }
 
@@ -163,13 +156,13 @@ VoltagePredictor::predictLocked(const Chunk *chunk, const BlockEpoch &epoch,
     double y = 0.0;
     for (int i = 0; i < kFeatures; ++i)
         y += solved->w[i] * x[i];
-    const double clamp = static_cast<double>(config_.maxOffsetDac);
+    const double clamp = static_cast<double>(kMaxOffsetDac);
     out.predicted = std::clamp(y, -clamp, clamp);
     out.sentinelOffset = static_cast<int>(std::lround(out.predicted));
     out.residualStd = solved->residualStd;
     out.confidence = solved->conf;
     out.samples = solved->n;
-    out.confident = solved->n >= config_.minSamples
+    out.confident = solved->n >= kMinSamples
         && solved->conf >= config_.confidenceThreshold;
     return out;
 }
@@ -211,7 +204,7 @@ VoltagePredictor::confidentBlock(int block) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = chunks_.find(chunkOf(block));
-    if (it == chunks_.end() || it->second.n < config_.minSamples)
+    if (it == chunks_.end() || it->second.n < kMinSamples)
         return false;
     if (!it->second.solved)
         solveChunk(it->second);
@@ -278,7 +271,7 @@ VoltagePredictor::confidentFraction() const
     for (auto &kv : chunks_) {
         if (!kv.second.solved)
             solveChunk(kv.second);
-        if (kv.second.n >= config_.minSamples
+        if (kv.second.n >= kMinSamples
             && kv.second.conf >= config_.confidenceThreshold)
             ++confident;
     }

@@ -63,31 +63,6 @@ struct VoltageModelConfig
     /** Confidence a prediction needs to gate the assist-free read. */
     double confidenceThreshold = 0.5;
 
-    /** Observations a chunk needs before any prediction may gate. */
-    std::uint64_t minSamples = 3;
-
-    /**
-     * Ridge regularizer added to the normal-equation diagonal. Keeps
-     * the solve well-posed when a chunk's observations share one
-     * aging epoch (rank-deficient moments), where the fit degrades
-     * gracefully toward the shrunk chunk-mean offset.
-     */
-    double ridgeLambda = 1e-3;
-
-    /** Predictions clamp to +/- this many DAC steps. */
-    int maxOffsetDac = 192;
-
-    /** Sample count at which the confidence prior stops dominating. */
-    double confSamples = 4.0;
-
-    /**
-     * Standard error of the predicted mean offset (residual /
-     * sqrt(n), DAC steps) at which confidence halves. The gate keys
-     * on how precisely the chunk mean is known, not on the chunk's
-     * irreducible wordline-to-wordline scatter.
-     */
-    double confSigmaDac = 2.0;
-
     /** Reject nonsensical knob combinations (fatal). */
     void validate() const;
 };
@@ -132,6 +107,33 @@ class VoltagePredictor
         std::uint64_t fastMisses = 0;    ///< ... that fell back
         std::uint64_t lowConfidence = 0; ///< predictions below the gate
     };
+
+    // Model constants: assumptions, as the paper's method learns no
+    // model.
+
+    /** Observations a chunk needs before any prediction may gate. */
+    static constexpr std::uint64_t kMinSamples = 3;
+
+    /**
+     * Ridge regularizer on the normal-equation diagonal. Keeps the
+     * solve well-posed when a chunk's observations share one aging
+     * epoch, where the fit shrinks toward the chunk-mean offset.
+     */
+    static constexpr double kRidgeLambda = 1e-3;
+
+    /** Predictions clamp to +/- this many DAC steps. */
+    static constexpr int kMaxOffsetDac = 192;
+
+    /** Sample count at which the confidence prior stops dominating. */
+    static constexpr double kConfSamples = 4.0;
+
+    /**
+     * Standard error of the predicted mean offset (residual /
+     * sqrt(n), DAC steps) at which confidence halves: the gate keys
+     * on how precisely the chunk mean is known, not on wordline
+     * scatter.
+     */
+    static constexpr double kConfSigmaDac = 2.0;
 
     explicit VoltagePredictor(VoltageModelConfig config = {});
 

@@ -98,7 +98,7 @@ FleetMonitor::FleetMonitor(MonitorConfig cfg, std::ostream &frames,
       follower_([this](const HealthRecord &rec) { onRecord(rec); }),
       series_(cfg_.ringCapacity),
       engine_(cfg_.rules.empty() ? defaultRules() : cfg_.rules),
-      outliers_(cfg_.mad)
+      outliers_(cfg_.madK)
 {
     cfg_.validate();
 }

@@ -43,7 +43,7 @@ struct MonitorConfig
     int topK = 8;                      ///< offender rows per frame
     std::size_t ringCapacity = 64;     ///< windows kept per device
     std::vector<AlertRule> rules;      ///< empty => defaultRules()
-    MadConfig mad;
+    double madK = 5.0; ///< outlier robust z-score threshold
     bool madEnabled = true;
 
     void validate() const;

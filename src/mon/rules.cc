@@ -65,9 +65,6 @@ AlertRule::validate() const
     util::fatalIf(name.empty(), "AlertRule: empty name");
     util::fatalIf(metric.empty(), "AlertRule: empty metric");
     util::fatalIf(lookback < 1, "AlertRule: lookback < 1");
-    util::fatalIf(clearRatio <= 0.0 || clearRatio > 1.0,
-                  "AlertRule: clearRatio outside (0, 1]");
-    util::fatalIf(clearWindows < 1, "AlertRule: clearWindows < 1");
 }
 
 void
@@ -139,6 +136,13 @@ metricValue(const WindowSample &s, const std::string &metric, double &out)
 namespace
 {
 
+/**
+ * Hysteresis of every rule and of the outlier screen (see the file
+ * comment). Assumptions.
+ */
+constexpr double kClearRatio = 0.8;
+constexpr int kClearWindows = 2;
+
 bool
 breaches(Direction d, double value, double threshold)
 {
@@ -153,7 +157,7 @@ bool
 safelyClear(const AlertRule &r, double value)
 {
     const double band =
-        (1.0 - r.clearRatio) * std::max(std::abs(r.threshold), 1.0);
+        (1.0 - kClearRatio) * std::max(std::abs(r.threshold), 1.0);
     return r.direction == Direction::Above
         ? value <= r.threshold - band
         : value >= r.threshold + band;
@@ -275,7 +279,7 @@ RuleEngine::onSample(const DeviceSeries &dev, std::vector<Alert> &out)
 
         // Active: StuckAt clears as soon as the series moves again
         // (the condition stops being evaluable as "stuck"); the
-        // others need clearWindows consecutive windows beyond the
+        // others need kClearWindows consecutive windows beyond the
         // hysteresis band.
         bool safe = false;
         if (r.kind == RuleKind::StuckAt)
@@ -288,8 +292,7 @@ RuleEngine::onSample(const DeviceSeries &dev, std::vector<Alert> &out)
         }
         // Stuck-at is binary (the value moved or it did not), so it
         // clears immediately; the band-based kinds need the streak.
-        const int need =
-            r.kind == RuleKind::StuckAt ? 1 : r.clearWindows;
+        const int need = r.kind == RuleKind::StuckAt ? 1 : kClearWindows;
         if (++st.clearStreak < need)
             continue;
         st.active = false;
@@ -317,17 +320,24 @@ RuleEngine::active() const
     return out;
 }
 
-OutlierDetector::OutlierDetector(MadConfig cfg) : cfg_(std::move(cfg))
+OutlierDetector::OutlierDetector(double k) : k_(k)
 {
-    util::fatalIf(cfg_.metric.empty(), "OutlierDetector: empty metric");
-    util::fatalIf(cfg_.k <= 0.0, "OutlierDetector: k <= 0");
-    util::fatalIf(cfg_.minDevices < 3, "OutlierDetector: minDevices < 3");
-    util::fatalIf(cfg_.clearWindows < 1,
-                  "OutlierDetector: clearWindows < 1");
+    util::fatalIf(k_ <= 0.0, "OutlierDetector: k <= 0");
 }
 
 namespace
 {
+
+/**
+ * The outlier screen: its metric, the smallest deviation from the
+ * median that may count (a razor-tight cohort, MAD ~ 0, must not turn
+ * rounding noise into outliers), the smallest cohort it screens and
+ * its alerts' severity. Assumptions.
+ */
+constexpr const char *kMadMetric = "retries_per_read";
+constexpr double kMadMinAbs = 0.25;
+constexpr int kMadMinDevices = 4;
+constexpr Severity kMadSeverity = Severity::Warn;
 
 double
 medianOf(std::vector<double> v)
@@ -354,18 +364,18 @@ OutlierDetector::evaluate(const FleetSeries &fleet, double tUs,
     }
     for (const auto &[cohort, devs] : cohorts) {
         (void)cohort;
-        if (static_cast<int>(devs.size()) < cfg_.minDevices)
+        if (static_cast<int>(devs.size()) < kMadMinDevices)
             continue;
         std::vector<double> values;
         std::vector<const DeviceSeries *> evaluable;
         for (const DeviceSeries *dev : devs) {
             double v = 0.0;
-            if (metricValue(*dev->latest(), cfg_.metric, v)) {
+            if (metricValue(*dev->latest(), kMadMetric, v)) {
                 values.push_back(v);
                 evaluable.push_back(dev);
             }
         }
-        if (static_cast<int>(evaluable.size()) < cfg_.minDevices)
+        if (static_cast<int>(evaluable.size()) < kMadMinDevices)
             continue;
         const double median = medianOf(values);
         std::vector<double> devs_abs;
@@ -377,11 +387,9 @@ OutlierDetector::evaluate(const FleetSeries &fleet, double tUs,
         for (std::size_t i = 0; i < evaluable.size(); ++i) {
             const DeviceSeries *dev = evaluable[i];
             const double diff = std::abs(values[i] - median);
-            // 0.6745 scales MAD to the stddev of a normal; the minAbs
-            // floor keeps a razor-tight cohort (MAD ~ 0) from turning
-            // rounding noise into "outliers".
-            const bool outlier = diff >= cfg_.minAbs && mad > 0.0
-                && 0.6745 * diff / mad > cfg_.k;
+            // 0.6745 scales MAD to the stddev of a normal.
+            const bool outlier = diff >= kMadMinAbs && mad > 0.0
+                && 0.6745 * diff / mad > k_;
             State &st = state_[dev->device()];
             if (!st.active) {
                 if (!outlier)
@@ -391,7 +399,7 @@ OutlierDetector::evaluate(const FleetSeries &fleet, double tUs,
                 Alert a;
                 a.rule = "cohort_outlier";
                 a.kind = RuleKind::Threshold;
-                a.severity = cfg_.severity;
+                a.severity = kMadSeverity;
                 a.event = "fire";
                 a.device = dev->device();
                 a.cohort = dev->cohort();
@@ -406,14 +414,14 @@ OutlierDetector::evaluate(const FleetSeries &fleet, double tUs,
                 st.clearStreak = 0;
                 continue;
             }
-            if (++st.clearStreak < cfg_.clearWindows)
+            if (++st.clearStreak < kClearWindows)
                 continue;
             st.active = false;
             st.clearStreak = 0;
             Alert a;
             a.rule = "cohort_outlier";
             a.kind = RuleKind::Threshold;
-            a.severity = cfg_.severity;
+            a.severity = kMadSeverity;
             a.event = "clear";
             a.device = dev->device();
             a.cohort = dev->cohort();

@@ -15,18 +15,20 @@
  *    windows crosses it (error-budget burn, e.g. total retries).
  *
  * Alerts fire on the rising edge only and carry hysteresis: once
- * active, a rule deactivates only after clearWindows consecutive
- * windows on the safe side of threshold -/+ (1 - clearRatio) *
- * max(|threshold|, 1) — so a value oscillating at the threshold
- * cannot flap across adjacent windows. Firing and clearing both emit
- * structured Alert records with severity, device/cohort attribution
- * and the triggering window.
+ * active, a rule deactivates only after kClearWindows (2) consecutive
+ * windows on the safe side of threshold -/+ (1 - kClearRatio) *
+ * max(|threshold|, 1), with kClearRatio 0.8 — so a value oscillating
+ * at the threshold cannot flap across adjacent windows. Firing and
+ * clearing both emit structured Alert records with severity,
+ * device/cohort attribution and the triggering window.
  *
  * The OutlierDetector is evaluated at frame boundaries across each
  * cohort's devices: it computes the cohort median and MAD of a
  * metric's latest value and flags devices whose robust z-score
  * (0.6745 * |x - median| / MAD) exceeds k — drift that per-device
  * thresholds cannot see because the whole cohort defines "normal".
+ * It screens retries_per_read in cohorts of at least 4 devices (see
+ * rules.cc).
  *
  * Everything here is pure integer/double arithmetic over the parsed
  * series — no wall clock, no randomness — so the alert stream is a
@@ -72,10 +74,6 @@ struct AlertRule
     double threshold = 0.0;
     int lookback = 1; ///< windows (RateOfChange/StuckAt/BudgetBurn)
     Severity severity = Severity::Warn;
-
-    /** Hysteresis: clear band fraction + required clear streak. */
-    double clearRatio = 0.8;
-    int clearWindows = 2;
 
     void validate() const;
 };
@@ -149,22 +147,12 @@ class RuleEngine
     Severity worst_ = Severity::Info;
 };
 
-/** Cohort-baseline outlier detection knobs. */
-struct MadConfig
-{
-    std::string metric = "retries_per_read";
-    double k = 5.0;        ///< robust z-score threshold
-    double minAbs = 0.25;  ///< minimum absolute deviation from median
-    int minDevices = 4;    ///< cohorts smaller than this are skipped
-    Severity severity = Severity::Warn;
-    int clearWindows = 2; ///< frames below k before a device clears
-};
-
 /** MAD-based cohort outlier detector; see the file comment. */
 class OutlierDetector
 {
   public:
-    explicit OutlierDetector(MadConfig cfg);
+    /** @param k Robust z-score threshold (fatal unless > 0). */
+    explicit OutlierDetector(double k);
 
     /**
      * Evaluate every cohort's devices at a frame boundary; appends
@@ -173,10 +161,8 @@ class OutlierDetector
     void evaluate(const FleetSeries &fleet, double tUs,
                   std::vector<Alert> &out);
 
-    const MadConfig &config() const { return cfg_; }
-
   private:
-    MadConfig cfg_;
+    double k_;
     struct State
     {
         bool active = false;

@@ -1,10 +1,8 @@
 #include "ssd/health_monitor.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
-#include "core/error_difference.hh"
 #include "core/inference.hh"
 #include "core/sentinel_probe.hh"
 #include "core/voltage_predictor.hh"
@@ -19,6 +17,9 @@ namespace flash::ssd
 
 namespace
 {
+
+/** Read-noise stream of the chip probes (see nand::ReadClock). */
+constexpr std::uint64_t kProbeStream = 0;
 
 /** Ratio guarded against an empty denominator. */
 double
@@ -189,20 +190,15 @@ HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
 
 void
 HealthMonitor::probeBlock(const nand::Chip &chip, int block,
-                          const core::Characterization *tables,
+                          const core::Characterization &tables,
                           const nand::SentinelOverlay &overlay,
                           const core::VoltagePredictor *model, double t_us)
 {
     const nand::ChipGeometry &geom = chip.geometry();
     const auto defaults = chip.model().defaultVoltages();
     const int msb_page = chip.grayCode().msbPage();
-    const int k_s = tables ? tables->sentinelBoundary
-                           : overlay.highState; // boundary below highState
-    const nand::ReadClock clock(options_.readStream);
-
-    std::optional<core::InferenceEngine> engine;
-    if (tables)
-        engine.emplace(*tables, defaults);
+    const nand::ReadClock clock(kProbeStream);
+    const core::InferenceEngine engine(tables, defaults);
 
     double rber_sum = 0.0, rber_max = 0.0, d_sum = 0.0, off_sum = 0.0;
     int sampled = 0;
@@ -218,25 +214,15 @@ HealthMonitor::probeBlock(const nand::Chip &chip, int block,
         const double rber = data.pageRber(msb_page, defaults);
         rber_sum += rber;
         rber_max = std::max(rber_max, rber);
-        if (engine) {
-            // The very sentinel-only probe the background scrubber
-            // issues, on the same noise draw as the direct count.
-            const core::SentinelProbe p = core::probeSentinel(
-                chip, block, wl, *engine, overlay, seq.next());
-            d_sum += p.dRate;
-            off_sum += p.sentinelOffset;
-            const std::size_t layer =
-                static_cast<std::size_t>(geom.layerOf(wl));
-            layer_sum[layer] += p.sentinelOffset;
-            ++layer_n[layer];
-        } else {
-            const auto sent = core::sentinelSnapshot(
-                chip, block, wl, overlay, seq.next());
-            d_sum += core::countSentinelErrors(
-                         sent, k_s,
-                         defaults[static_cast<std::size_t>(k_s)])
-                         .dRate();
-        }
+        // The very sentinel-only probe the background scrubber
+        // issues, on the same noise draw as the direct count.
+        const core::SentinelProbe p = core::probeSentinel(
+            chip, block, wl, engine, overlay, seq.next());
+        d_sum += p.dRate;
+        off_sum += p.sentinelOffset;
+        const std::size_t layer = static_cast<std::size_t>(geom.layerOf(wl));
+        layer_sum[layer] += p.sentinelOffset;
+        ++layer_n[layer];
         ++sampled;
     }
 
@@ -268,29 +254,27 @@ HealthMonitor::probeBlock(const nand::Chip &chip, int block,
         field(*os_, "model_confidence", pred.confidence);
         field(*os_, "model_confident", pred.confident ? 1.0 : 0.0);
     }
-    if (engine) {
-        field(*os_, "sentinel_offset_mean", rate(off_sum, sampled));
-        // Only sampled layers appear; index i of "layer_offset" is
-        // the drift of layer "layers"[i].
-        *os_ << ", \"layers\": [";
-        bool first = true;
-        for (std::size_t l = 0; l < layer_n.size(); ++l) {
-            if (!layer_n[l])
-                continue;
-            *os_ << (first ? "" : ", ") << l;
-            first = false;
-        }
-        *os_ << "], \"layer_offset\": [";
-        first = true;
-        for (std::size_t l = 0; l < layer_n.size(); ++l) {
-            if (!layer_n[l])
-                continue;
-            *os_ << (first ? "" : ", ");
-            util::writeJsonValue(*os_, layer_sum[l] / layer_n[l]);
-            first = false;
-        }
-        *os_ << ']';
+    field(*os_, "sentinel_offset_mean", rate(off_sum, sampled));
+    // Only sampled layers appear; index i of "layer_offset" is the
+    // drift of layer "layers"[i].
+    *os_ << ", \"layers\": [";
+    bool first = true;
+    for (std::size_t l = 0; l < layer_n.size(); ++l) {
+        if (!layer_n[l])
+            continue;
+        *os_ << (first ? "" : ", ") << l;
+        first = false;
     }
+    *os_ << "], \"layer_offset\": [";
+    first = true;
+    for (std::size_t l = 0; l < layer_n.size(); ++l) {
+        if (!layer_n[l])
+            continue;
+        *os_ << (first ? "" : ", ");
+        util::writeJsonValue(*os_, layer_sum[l] / layer_n[l]);
+        first = false;
+    }
+    *os_ << ']';
     *os_ << "}\n";
     ++records_;
 }

@@ -34,9 +34,9 @@
  * a monitor's summed totals reconcile with integer equality against
  * the run's final `ssd.read.*` (or fleet rollup) counters.
  *
- * All probes draw their sensing noise from a caller-chosen read
- * stream, so a health file is byte-identical across reruns and does
- * not perturb the experiment's own read sequences. Schema: see
+ * All probes draw their sensing noise from read stream 0, so a health
+ * file is byte-identical across reruns and does not perturb the
+ * experiment's own read sequences. Schema: see
  * DESIGN.md §12 and §17.
  */
 
@@ -71,9 +71,6 @@ struct HealthMonitorOptions
 
     /** Chip probes sample every Nth wordline. */
     int wlStride = 16;
-
-    /** Read-noise stream of the chip probes (see nand::ReadClock). */
-    std::uint64_t readStream = 0;
 
     /**
      * Fleet device id stamped on every record as "device": N (< 0:
@@ -134,15 +131,14 @@ class HealthMonitor
 
     /**
      * Probe one block's device state and emit a "chip" record at
-     * simulated time @p t_us. @p tables enables offset inference
-     * (nullptr skips the offset fields); @p overlay locates the
-     * sentinel cells. @p model adds its predicted offset, its
-     * residual against the probed mean and the block's confidence
-     * (nullptr skips them), which is what lets fleet_report
-     * attribute tail mass to low-confidence blocks.
+     * simulated time @p t_us. @p tables drive the offset inference;
+     * @p overlay locates the sentinel cells. @p model adds its
+     * predicted offset, its residual against the probed mean and the
+     * block's confidence (nullptr skips them), which is what lets
+     * fleet_report attribute tail mass to low-confidence blocks.
      */
     void probeBlock(const nand::Chip &chip, int block,
-                    const core::Characterization *tables,
+                    const core::Characterization &tables,
                     const nand::SentinelOverlay &overlay,
                     const core::VoltagePredictor *model, double t_us);
 

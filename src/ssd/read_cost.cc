@@ -1,7 +1,6 @@
 #include "ssd/read_cost.hh"
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace flash::ssd
 {
@@ -54,28 +53,12 @@ measureReadCost(const nand::Chip &chip, int block,
                 int page, int wl_stride, int threads,
                 std::uint64_t read_stream)
 {
-    util::fatalIf(wl_stride < 1, "measureReadCost: bad stride");
-    util::fatalIf(threads < 1, "measureReadCost: bad thread count");
-
-    std::vector<int> wls;
-    for (int wl = 0; wl < chip.geometry().wordlinesPerBlock();
-         wl += wl_stride) {
-        wls.push_back(wl);
-    }
-
-    const int pages = chip.geometry().pagesPerWordline();
-    const nand::ReadClock clock(read_stream);
-    std::vector<ReadCost> samples(wls.size());
-    util::parallelFor(
-        threads, static_cast<int>(wls.size()), [&](int i) {
-            const int wl = wls[static_cast<std::size_t>(i)];
-            const int p = page >= 0 ? page : i % pages;
-            core::ReadContext ctx(chip, block, wl, p, ecc_model, overlay,
-                                  clock);
-            const core::ReadSessionResult s = policy.read(ctx);
-            samples[static_cast<std::size_t>(i)] =
-                ReadCost{s.attempts, s.senseOps, s.assistReads};
-        });
+    std::vector<ReadCost> samples;
+    for (const core::ReadSessionResult &s :
+         core::evaluateBlock(chip, block, policy, ecc_model, overlay, {},
+                             page, wl_stride, threads, read_stream)
+             .sessionResults)
+        samples.push_back({s.attempts, s.senseOps, s.assistReads});
     return EmpiricalReadCost(policy.name(), std::move(samples));
 }
 

@@ -94,6 +94,9 @@ class EmpiricalReadCost : public ReadCostSource
     /** Mean assist reads per read. */
     double meanAssistReads() const;
 
+    /** The measured sessions sample() draws from. */
+    const std::vector<ReadCost> &samples() const { return samples_; }
+
     /**
      * Counters describing how the distribution was measured (e.g.
      * cache.* statistics when the measurement policy ran with a
@@ -116,15 +119,11 @@ class EmpiricalReadCost : public ReadCostSource
 };
 
 /**
- * Build an empirical cost source by running @p policy on one page of
- * every sampled wordline of a block (see core::evaluateBlock).
+ * Build an empirical cost source from core::evaluateBlock()'s
+ * sessions: one sample per sampled wordline, bit-identical at every
+ * thread count.
  *
- * Per-wordline sessions are independent (noise derives from
- * @p read_stream and the wordline address), so the sample vector is
- * bit-identical at every thread count.
- *
- * @param page Page to exercise; -1 cycles through all pages of the
- *        wordline, weighting costs the way host reads land on pages.
+ * @param page Page to exercise; -1 selects the MSB page.
  */
 EmpiricalReadCost measureReadCost(const nand::Chip &chip, int block,
                                   const core::ReadPolicy &policy,

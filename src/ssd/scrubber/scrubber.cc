@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/logging.hh"
 
@@ -18,8 +17,6 @@ ScrubberConfig::validate() const
     util::fatalIf(warmUs <= 0.0, "ScrubberConfig: non-positive warm time");
     util::fatalIf(refreshRber <= 0.0,
                   "ScrubberConfig: non-positive refresh RBER threshold");
-    util::fatalIf(refreshOffsetDac < 0,
-                  "ScrubberConfig: negative refresh offset threshold");
     util::fatalIf(refreshPageBudget < 0,
                   "ScrubberConfig: negative refresh page budget");
 }
@@ -160,11 +157,7 @@ Scrubber::probeOne(const ScrubHost &host, int gid, double scan_us,
         host.spans->emit(sb);
     }
 
-    const bool over_rber =
-        config_.refreshRber < 1.0 && probe.rber >= config_.refreshRber;
-    const bool over_offset = config_.refreshOffsetDac > 0
-        && std::abs(probe.sentinelOffset) >= config_.refreshOffsetDac;
-    if ((over_rber || over_offset)
+    if (config_.refreshRber < 1.0 && probe.rber >= config_.refreshRber
         && !queuedForRefresh_[static_cast<std::size_t>(gid)]
         && host.ftl->refreshCandidate(plane, block)) {
         queuedForRefresh_[static_cast<std::size_t>(gid)] = 1;

@@ -17,8 +17,8 @@
  * read-cost distribution (first attempt seeded from the cache)
  * instead of the cold one.
  *
- * Blocks whose probed RBER or inferred offset magnitude crosses the
- * configured thresholds are queued for **refresh**: valid pages
+ * Blocks whose probed RBER crosses the configured threshold are
+ * queued for **refresh**: valid pages
  * migrate through the FTL under a per-scan page budget (counted like
  * GC — same timing, same write-amplification accounting) and the
  * emptied block is erased. Migration only uses idle time; the
@@ -76,12 +76,6 @@ struct ScrubberConfig
      * >= 1 never triggers (RBER is a rate in [0, 1]).
      */
     double refreshRber = 1.0;
-
-    /**
-     * Queue a block for refresh when |inferred sentinel offset|
-     * reaches this many DAC steps; 0 never triggers.
-     */
-    int refreshOffsetDac = 0;
 
     /** Valid pages the refresh engine may migrate per scan. */
     int refreshPageBudget = 32;

@@ -29,11 +29,21 @@ percentileOf(const std::vector<double> &sorted, double q)
     return sorted[rank - 1];
 }
 
+/**
+ * Relative tolerance of the interval invariants. Child spans are
+ * timed term-by-term while parents carry the canonical closed form,
+ * so sums agree only to rounding.
+ */
+constexpr double kEps = 1e-9;
+
+/** Violation messages kept verbatim (the rest only counted). */
+constexpr int kMaxViolations = 20;
+
 /** Interval tolerance at the scale of one parent span. */
 double
-toleranceOf(const SpanNode &parent, double eps)
+toleranceOf(const SpanNode &parent)
 {
-    return eps
+    return kEps
         * std::max({1.0, std::abs(parent.startUs),
                     std::abs(parent.endUs())});
 }
@@ -56,9 +66,9 @@ childrenByStart(const SpanForest &forest, const SpanNode &node)
  * actually waited for).
  */
 std::vector<int>
-criticalChain(const SpanForest &forest, const SpanNode &node, double eps)
+criticalChain(const SpanForest &forest, const SpanNode &node)
 {
-    const double tol = toleranceOf(node, eps);
+    const double tol = toleranceOf(node);
     std::vector<int> chain;
     for (int c : childrenByStart(forest, node)) {
         const SpanNode &child = forest.nodes[static_cast<std::size_t>(c)];
@@ -85,7 +95,7 @@ criticalChain(const SpanForest &forest, const SpanNode &node, double eps)
  */
 void
 attributeCriticalPath(const SpanForest &forest, int index,
-                      std::map<std::string, double> &self_us, double eps)
+                      std::map<std::string, double> &self_us)
 {
     const SpanNode &node = forest.nodes[static_cast<std::size_t>(index)];
     if (node.children.empty()) {
@@ -93,11 +103,11 @@ attributeCriticalPath(const SpanForest &forest, int index,
         return;
     }
     double t = node.startUs;
-    for (int c : criticalChain(forest, node, eps)) {
+    for (int c : criticalChain(forest, node)) {
         const SpanNode &child = forest.nodes[static_cast<std::size_t>(c)];
         if (child.startUs > t)
             self_us[node.cls] += child.startUs - t;
-        attributeCriticalPath(forest, c, self_us, eps);
+        attributeCriticalPath(forest, c, self_us);
         t = std::max(t, child.endUs());
     }
     if (node.endUs() > t)
@@ -105,11 +115,10 @@ attributeCriticalPath(const SpanForest &forest, int index,
 }
 
 void
-recordViolation(TraceAnalysis &out, const SpanAnalysisOptions &options,
-                std::string msg)
+recordViolation(TraceAnalysis &out, std::string msg)
 {
     ++out.violationCount;
-    if (static_cast<int>(out.violations.size()) < options.maxViolations)
+    if (static_cast<int>(out.violations.size()) < kMaxViolations)
         out.violations.push_back(std::move(msg));
 }
 
@@ -215,14 +224,12 @@ analyzeSpans(const SpanForest &forest, const SpanAnalysisOptions &options)
     for (std::size_t i = 0; i < forest.nodes.size(); ++i) {
         const SpanNode &node = forest.nodes[i];
         if (node.durUs < 0.0) {
-            recordViolation(out, options,
-                            "span " + std::to_string(node.id)
-                                + " (" + node.cls
-                                + "): negative duration");
+            recordViolation(out, "span " + std::to_string(node.id) + " ("
+                                     + node.cls + "): negative duration");
         }
         if (node.children.empty())
             continue;
-        const double tol = toleranceOf(node, options.eps);
+        const double tol = toleranceOf(node);
         double child_sum = 0.0;
         bool overlapping = false;
         double prev_end = node.startUs;
@@ -231,12 +238,11 @@ analyzeSpans(const SpanForest &forest, const SpanAnalysisOptions &options)
                 forest.nodes[static_cast<std::size_t>(c)];
             if (child.startUs < node.startUs - tol
                 || child.endUs() > node.endUs() + tol) {
-                recordViolation(
-                    out, options,
-                    "span " + std::to_string(child.id) + " ("
-                        + child.cls + ") escapes parent "
-                        + std::to_string(node.id) + " (" + node.cls
-                        + ")");
+                recordViolation(out, "span " + std::to_string(child.id)
+                                         + " (" + child.cls
+                                         + ") escapes parent "
+                                         + std::to_string(node.id) + " ("
+                                         + node.cls + ")");
             }
             if (child.startUs < prev_end - tol)
                 overlapping = true;
@@ -247,7 +253,7 @@ analyzeSpans(const SpanForest &forest, const SpanAnalysisOptions &options)
         // (page ops fanned out under one host request) legitimately
         // sum past it.
         if (!overlapping && child_sum > node.durUs + tol) {
-            recordViolation(out, options,
+            recordViolation(out,
                             "children of span " + std::to_string(node.id)
                                 + " (" + node.cls + ") sum to "
                                 + util::jsonNumber(child_sum)
@@ -285,10 +291,9 @@ analyzeSpans(const SpanForest &forest, const SpanAnalysisOptions &options)
     // Critical-path attribution, whole population and the tail.
     for (int r : forest.roots) {
         const SpanNode &root = forest.nodes[static_cast<std::size_t>(r)];
-        attributeCriticalPath(forest, r, out.criticalPathUs, options.eps);
+        attributeCriticalPath(forest, r, out.criticalPathUs);
         if (root.durUs >= tail_threshold[root.cls]) {
-            attributeCriticalPath(forest, r, out.tailCriticalPathUs,
-                                  options.eps);
+            attributeCriticalPath(forest, r, out.tailCriticalPathUs);
         }
     }
     double best = -1.0;

@@ -86,16 +86,6 @@ struct SpanAnalysisOptions
 {
     /** A root with at least this many retries is a retry storm. */
     int retryStormK = 5;
-
-    /**
-     * Relative tolerance of the interval invariants. Child spans are
-     * timed term-by-term while parents carry the canonical closed
-     * form, so sums agree only to rounding.
-     */
-    double eps = 1e-9;
-
-    /** Violation messages kept verbatim (the rest only counted). */
-    int maxViolations = 20;
 };
 
 /** One detected retry storm. */
@@ -117,7 +107,7 @@ struct TraceAnalysis
     bool summaryMatches = true;
     std::uint64_t droppedSpans = 0;
 
-    /** First maxViolations invariant violations, human-readable. */
+    /** The first 20 invariant violations, human-readable. */
     std::vector<std::string> violations;
     std::uint64_t violationCount = 0;
 

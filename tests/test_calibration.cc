@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/calibration.hh"
 #include "core/error_difference.hh"
 #include "core/sentinel_layout.hh"
@@ -74,36 +76,43 @@ TEST_F(StateChangeTest, ScalingUsesAdjacentStatePopulation)
 TEST_F(StateChangeTest, MatchedWindowsConverge)
 {
     // For an unbiased wordline, the scaled sentinel count should be
-    // statistically close to the data count: usually Converged at a
-    // generous tolerance.
-    int converged = 0;
+    // statistically close to the data count (within 60% on most
+    // wordlines), and the decision is Converged exactly when the two
+    // agree within kMatchTolerance.
+    int close = 0;
     for (int wl = 0; wl < 16; ++wl) {
         const auto data =
             nand::WordlineSnapshot::dataRegion(chip, 0, wl, 10 + wl);
         const auto sent =
             sentinelSnapshot(chip, 0, wl, overlay, 100 + wl);
-        const auto obs =
-            observeStateChange(data, sent, 8, vs, vs - 20, 0.6);
-        converged += obs.decision == CalibrationCase::Converged;
+        const auto obs = observeStateChange(data, sent, 8, vs, vs - 20);
+        const double nca = static_cast<double>(obs.nca);
+        close += std::abs(nca - obs.scaledNcs) <= 0.6 * obs.scaledNcs;
+        const bool within = nca <= obs.scaledNcs * (1.0 + kMatchTolerance)
+            && nca >= obs.scaledNcs * (1.0 - kMatchTolerance);
+        EXPECT_EQ(obs.decision == CalibrationCase::Converged, within)
+            << "wl " << wl;
     }
-    EXPECT_GE(converged, 12);
+    EXPECT_GE(close, 12);
 }
 
 TEST_F(StateChangeTest, ThreeWayDecisionBoundaries)
 {
     const auto data = nand::WordlineSnapshot::dataRegion(chip, 0, 0, 1);
     const auto sent = sentinelSnapshot(chip, 0, 0, overlay, 2);
-    // Tolerance 0: decision must be Further or Back, matching the
-    // raw comparison.
-    const auto obs = observeStateChange(data, sent, 8, vs, vs - 20, 0.0);
-    if (obs.tuneFurther)
-        EXPECT_EQ(obs.decision, CalibrationCase::TuneFurther);
-    else
-        EXPECT_EQ(obs.decision, CalibrationCase::TuneBack);
-    // Huge tolerance: always Converged.
-    const auto obs2 =
-        observeStateChange(data, sent, 8, vs, vs - 20, 100.0);
-    EXPECT_EQ(obs2.decision, CalibrationCase::Converged);
+    // Outside the tolerance band the decision follows the raw
+    // comparison; inside it the estimate has converged.
+    for (const int v : {vs - 5, vs - 20, vs - 40}) {
+        const auto obs = observeStateChange(data, sent, 8, vs, v);
+        const double nca = static_cast<double>(obs.nca);
+        EXPECT_EQ(obs.tuneFurther, nca > obs.scaledNcs);
+        if (nca > obs.scaledNcs * (1.0 + kMatchTolerance))
+            EXPECT_EQ(obs.decision, CalibrationCase::TuneFurther);
+        else if (nca < obs.scaledNcs * (1.0 - kMatchTolerance))
+            EXPECT_EQ(obs.decision, CalibrationCase::TuneBack);
+        else
+            EXPECT_EQ(obs.decision, CalibrationCase::Converged);
+    }
 }
 
 TEST_F(StateChangeTest, EmptySnapshotsFatal)
@@ -118,7 +127,7 @@ TEST(CalibrationParams, Defaults)
 {
     CalibrationParams p;
     EXPECT_EQ(p.delta, 2);
-    EXPECT_GT(p.matchTolerance, 0.0);
+    EXPECT_GT(kMatchTolerance, 0.0);
 }
 
 } // namespace

@@ -136,9 +136,6 @@ TEST_F(CharacterizationTest, OptionsValidated)
     CharOptions opt;
     opt.wordlineStride = 0;
     EXPECT_THROW(FactoryCharacterizer{opt}, util::FatalError);
-    opt = CharOptions{};
-    opt.polyDegree = 0;
-    EXPECT_THROW(FactoryCharacterizer{opt}, util::FatalError);
 }
 
 TEST_F(CharacterizationTest, DefaultConditionGridNonEmpty)
@@ -160,7 +157,7 @@ referenceRun(nand::Chip &chip, const CharOptions &options,
     // The options as the characterizer completes them (default grid).
     const CharOptions opt = FactoryCharacterizer(options).options();
     const auto &geom = chip.geometry();
-    const int block = opt.block;
+    const int block = FactoryCharacterizer::kBlock;
     const int k_s = resolveSentinelBoundary(geom, opt.sentinel);
     const auto overlay = makeOverlay(geom, opt.sentinel);
     const auto defaults = chip.model().defaultVoltages();
@@ -182,7 +179,8 @@ referenceRun(nand::Chip &chip, const CharOptions &options,
                  cond.effRetentionHours
                      / chip.model().arrheniusFactor(temp_band_c),
                  temp_band_c);
-        const nand::ReadClock clock(util::hashCombine(opt.readStream, ci));
+        const nand::ReadClock clock(
+            util::hashCombine(FactoryCharacterizer::kReadStream, ci));
         for (int wl = 0; wl < geom.wordlinesPerBlock();
              wl += opt.wordlineStride) {
             nand::ReadSeq seq = clock.session(block, wl);
@@ -206,7 +204,8 @@ referenceRun(nand::Chip &chip, const CharOptions &options,
 
     out.samples = out.dSamples.size();
     out.dToVopt = util::polyfit(out.dSamples, out.voptSamples,
-                                static_cast<std::size_t>(opt.polyDegree));
+                                static_cast<std::size_t>(
+                                    FactoryCharacterizer::kPolyDegree));
     out.dFitRmse =
         util::polyfitRmse(out.dToVopt, out.dSamples, out.voptSamples);
     out.crossVoltage.resize(nb);
@@ -259,7 +258,6 @@ mediumSetup(nand::CellType type)
         tlc ? nand::tlcVoltageParams() : nand::qlcVoltageParams(), 808);
     s.options.sentinel.ratio = 0.01;
     s.options.wordlineStride = 4;
-    s.options.block = 1;
     return s;
 }
 
@@ -304,8 +302,10 @@ TEST(CharacterizationSweep, BandsInOnePassEqualOneRunPerBand)
                              referenceRun(*s.chip, s.options, temps[b]),
                              where + " (reference)");
         }
-        // Bands differ only in their retention temperature.
-        EXPECT_NE(bands[0].dSamples, bands[2].dSamples);
+        // Bands differ only in their retention temperature, which
+        // tilts the optimal offsets (the d samples of a medium chip's
+        // few sentinels may round alike).
+        EXPECT_NE(bands[0].voptSamples, bands[2].voptSamples);
     }
 }
 
@@ -322,7 +322,7 @@ TEST(CharacterizationSweep, RejectsBadInputsBeforeTouchingTheChip)
 
     SweepSetup s = mediumSetup(nand::CellType::QLC);
     nand::Chip &chip = *s.chip;
-    const int block = s.options.block;
+    const int block = FactoryCharacterizer::kBlock;
     chip.setPeCycles(block, 42);
     const nand::BlockAge age = chip.blockAge(block);
     const auto untouched = [&] {
@@ -343,11 +343,6 @@ TEST(CharacterizationSweep, RejectsBadInputsBeforeTouchingTheChip)
     EXPECT_TRUE(untouched());
     // So close to absolute zero that no real time reaches the hours.
     EXPECT_THROW(characterizer.run(chip, -273.0), util::FatalError);
-    EXPECT_TRUE(untouched());
-    CharOptions bad_block = s.options;
-    bad_block.block = chip.geometry().blocks;
-    EXPECT_THROW(FactoryCharacterizer(bad_block).run(chip),
-                 util::FatalError);
     EXPECT_TRUE(untouched());
 }
 

@@ -79,14 +79,14 @@ TEST_F(HealthMonitorTest, ChipProbeIsDeterministicAndComplete)
     {
         HealthMonitor monitor(a, opt);
         monitor.beginRun("probe");
-        monitor.probeBlock(*chip, 1, tables.get(), overlay, nullptr,
+        monitor.probeBlock(*chip, 1, *tables, overlay, nullptr,
                            123.0);
         EXPECT_EQ(monitor.records(), 1u);
     }
     {
         HealthMonitor monitor(b, opt);
         monitor.beginRun("probe");
-        monitor.probeBlock(*chip, 1, tables.get(), overlay, nullptr,
+        monitor.probeBlock(*chip, 1, *tables, overlay, nullptr,
                            123.0);
     }
     // The probe draws noise from its own read stream: reruns are
@@ -114,20 +114,6 @@ TEST_F(HealthMonitorTest, ChipProbeIsDeterministicAndComplete)
     ASSERT_NE(offsets, nullptr);
     EXPECT_FALSE(layers->array.empty());
     EXPECT_EQ(layers->array.size(), offsets->array.size());
-}
-
-TEST_F(HealthMonitorTest, ChipProbeWithoutTablesSkipsOffsetFields)
-{
-    std::ostringstream os;
-    HealthMonitor monitor(os);
-    monitor.beginRun("probe");
-    monitor.probeBlock(*chip, 1, nullptr, overlay, nullptr, 0.0);
-
-    const auto records = parsedLines(os.str());
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_NE(records[0].find("rber_mean"), nullptr);
-    EXPECT_EQ(records[0].find("sentinel_offset_mean"), nullptr);
-    EXPECT_EQ(records[0].find("layers"), nullptr);
 }
 
 TEST(HealthMonitor, SsdSnapshotsFollowIntervalWithWindowedDeltas)

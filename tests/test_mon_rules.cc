@@ -77,8 +77,6 @@ retryThresholdRule()
     r.direction = Direction::Above;
     r.threshold = 2.0;
     r.severity = Severity::Warn;
-    r.clearRatio = 0.8;
-    r.clearWindows = 2;
     return r;
 }
 
@@ -100,7 +98,7 @@ TEST(MonRules, HysteresisPreventsFlappingAtTheThreshold)
 {
     // Oscillating just around the threshold: one fire, no clear —
     // the clear band (threshold - 0.2 * max(|thr|, 1) = 1.6) is
-    // never reached for clearWindows consecutive windows.
+    // never reached for two consecutive windows.
     const std::vector<Alert> events = runSeries(
         retryThresholdRule(),
         {3.0, 1.9, 2.1, 1.9, 2.1, 1.9, 2.1, 1.9});
@@ -257,13 +255,7 @@ TEST(MonRules, MadOutlierFlagsTheDivergingDevice)
         const double v = d == 3 ? 6.0 : 0.5 + 0.01 * d;
         fleet.add(ssdRecord(d, 0, v));
     }
-    MadConfig cfg;
-    cfg.metric = "retries_per_read";
-    cfg.k = 5.0;
-    cfg.minAbs = 0.25;
-    cfg.minDevices = 4;
-    cfg.severity = Severity::Warn;
-    OutlierDetector det(cfg);
+    OutlierDetector det(5.0);
     std::vector<Alert> events;
     det.evaluate(fleet, 1000.0, events);
 
@@ -274,7 +266,7 @@ TEST(MonRules, MadOutlierFlagsTheDivergingDevice)
     EXPECT_EQ(events[0].cohort, "worn");
     EXPECT_DOUBLE_EQ(events[0].value, 6.0);
 
-    // The outlier rejoins the pack: clears after clearWindows frames.
+    // The outlier rejoins the pack: clears after two frames.
     for (int d = 0; d < 8; ++d)
         fleet.add(ssdRecord(d, 1, 0.5 + 0.01 * d));
     events.clear();
@@ -291,9 +283,7 @@ TEST(MonRules, MadOutlierSkipsSmallCohorts)
     FleetSeries fleet(64);
     for (int d = 0; d < 3; ++d)
         fleet.add(ssdRecord(d, 0, d == 0 ? 9.0 : 0.5));
-    MadConfig cfg;
-    cfg.minDevices = 4;
-    OutlierDetector det(cfg);
+    OutlierDetector det(5.0);
     std::vector<Alert> events;
     det.evaluate(fleet, 1000.0, events);
     EXPECT_TRUE(events.empty());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/evaluator.hh"
 #include "ssd/read_cost.hh"
@@ -179,6 +180,41 @@ TEST_F(ParallelEvaluatorTest, MeasureReadCostBitIdenticalAcrossThreadCounts)
                                          2, 4);
     EXPECT_EQ(serial.meanRetries(), parallel.meanRetries());
     EXPECT_EQ(serial.meanSenseOps(), parallel.meanSenseOps());
+}
+
+TEST_F(ParallelEvaluatorTest, MeasureReadCostSamplesAreEvaluateBlockSessions)
+{
+    // One sweep serves both: page -1 is the MSB page for each, and
+    // every cost sample is its wordline's evaluated session.
+    const auto ecc = eccModel();
+    const VendorRetryPolicy vendor(chip->model());
+    const SentinelPolicy sentinel(*tables, chip->model().defaultVoltages());
+    for (const ReadPolicy *policy :
+         {static_cast<const ReadPolicy *>(&vendor),
+          static_cast<const ReadPolicy *>(&sentinel)}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(policy->name() + " threads "
+                         + std::to_string(threads));
+            const auto cost = ssd::measureReadCost(
+                *chip, 1, *policy, ecc, overlay, -1, 4, threads, 3);
+            const auto stats = evaluateBlock(*chip, 1, *policy, ecc, overlay,
+                                             LatencyParams{}, -1, 4,
+                                             threads, 3);
+            const auto &samples = cost.samples();
+            const auto &sessions = stats.sessionResults;
+            ASSERT_EQ(samples.size(), sessions.size());
+            ASSERT_EQ(samples.size(), stats.retriesPerWordline.size());
+            for (std::size_t i = 0; i < samples.size(); ++i) {
+                EXPECT_EQ(samples[i].attempts, sessions[i].attempts) << i;
+                EXPECT_EQ(samples[i].senseOps, sessions[i].senseOps) << i;
+                EXPECT_EQ(samples[i].assistReads, sessions[i].assistReads)
+                    << i;
+                EXPECT_EQ(samples[i].attempts - 1,
+                          stats.retriesPerWordline[i])
+                    << i;
+            }
+        }
+    }
 }
 
 TEST_F(ParallelEvaluatorTest, CharacterizationBitIdenticalAcrossThreadCounts)

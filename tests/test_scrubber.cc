@@ -121,10 +121,6 @@ TEST(ScrubberConfig, ValidateRejectsNonsense)
     EXPECT_THROW(c.validate(), util::FatalError);
 
     c = ScrubberConfig{};
-    c.refreshOffsetDac = -1;
-    EXPECT_THROW(c.validate(), util::FatalError);
-
-    c = ScrubberConfig{};
     c.refreshPageBudget = -1;
     EXPECT_THROW(c.validate(), util::FatalError);
 
@@ -370,7 +366,6 @@ TEST(Scrubber, SurvivesGcAndHostWriteInterleaving)
     FakeScrubDevice dev(0.01, -9);
     ScrubberConfig cfg = scrubConfig(300.0, 64);
     cfg.refreshRber = 0.005;
-    cfg.refreshOffsetDac = 5;
     cfg.checkInvariants = true; // panic at the corrupting step
     core::VoltageCache cache;
     Scrubber scrub(cfg, dev, &cache);

@@ -79,14 +79,14 @@ batchOracle(const std::vector<Obs> &history, int chunk,
     if (n == 0)
         return out;
     for (int i = 0; i < 4; ++i)
-        a[i][i] += static_cast<long double>(cfg.ridgeLambda);
+        a[i][i] += static_cast<long double>(VoltagePredictor::kRidgeLambda);
 
     long double xty[4], xtx[4][4];
     for (int i = 0; i < 4; ++i) {
         xty[i] = a[i][4];
         for (int j = 0; j < 4; ++j)
             xtx[i][j] = a[i][j];
-        xtx[i][i] -= static_cast<long double>(cfg.ridgeLambda);
+        xtx[i][i] -= static_cast<long double>(VoltagePredictor::kRidgeLambda);
     }
     for (int col = 0; col < 4; ++col) {
         int pivot = col;
@@ -127,16 +127,17 @@ batchOracle(const std::vector<Obs> &history, int chunk,
     long double y = 0.0L;
     for (int i = 0; i < 4; ++i)
         y += w[i] * static_cast<long double>(x[i]);
-    const double clamp = static_cast<double>(cfg.maxOffsetDac);
+    const double clamp = static_cast<double>(VoltagePredictor::kMaxOffsetDac);
     out.predicted = std::clamp(static_cast<double>(y), -clamp, clamp);
     out.sentinelOffset = static_cast<int>(std::lround(out.predicted));
     out.residualStd = residual;
     out.samples = n;
     const double se = residual / std::sqrt(static_cast<double>(n));
     out.confidence = (static_cast<double>(n)
-                      / (static_cast<double>(n) + cfg.confSamples))
-        / (1.0 + se / cfg.confSigmaDac);
-    out.confident = n >= cfg.minSamples
+                      / (static_cast<double>(n)
+                         + VoltagePredictor::kConfSamples))
+        / (1.0 + se / VoltagePredictor::kConfSigmaDac);
+    out.confident = n >= VoltagePredictor::kMinSamples
         && out.confidence >= cfg.confidenceThreshold;
     return out;
 }
@@ -173,12 +174,6 @@ TEST(VoltageModelConfig, ValidateRejectsBadKnobs)
     bad([](VoltageModelConfig &c) { c.chunkBlocks = 0; });
     bad([](VoltageModelConfig &c) { c.confidenceThreshold = -0.1; });
     bad([](VoltageModelConfig &c) { c.confidenceThreshold = 1.5; });
-    bad([](VoltageModelConfig &c) { c.minSamples = 0; });
-    bad([](VoltageModelConfig &c) { c.ridgeLambda = 0.0; });
-    bad([](VoltageModelConfig &c) { c.ridgeLambda = -1.0; });
-    bad([](VoltageModelConfig &c) { c.maxOffsetDac = 0; });
-    bad([](VoltageModelConfig &c) { c.confSamples = 0.0; });
-    bad([](VoltageModelConfig &c) { c.confSigmaDac = 0.0; });
     VoltageModelConfig ok;
     EXPECT_NO_THROW(ok.validate());
 }
@@ -273,8 +268,11 @@ TEST(VoltagePredictor, CachedSolveIsBitIdenticalToFreshSolve)
 
 TEST(VoltagePredictor, MinSamplesGatesAnOtherwiseConfidentChunk)
 {
+    // Two zero-residual samples reach confidence 2 / (2 + kConfSamples)
+    // = 1/3; a threshold below that leaves kMinSamples as the only gate.
+    static_assert(VoltagePredictor::kMinSamples == 3);
     VoltageModelConfig cfg;
-    cfg.confSamples = 0.001; // confidence saturates almost immediately
+    cfg.confidenceThreshold = 0.3;
     VoltagePredictor model(cfg);
     const BlockEpoch epoch{2000, 500.0, 25.0};
 
@@ -282,7 +280,7 @@ TEST(VoltagePredictor, MinSamplesGatesAnOtherwiseConfidentChunk)
     model.observe(0, epoch, -8);
     VoltagePrediction p = model.predict(0, epoch);
     EXPECT_GE(p.confidence, cfg.confidenceThreshold);
-    EXPECT_FALSE(p.confident) << "2 samples < minSamples must not gate";
+    EXPECT_FALSE(p.confident) << "2 samples < kMinSamples must not gate";
     EXPECT_FALSE(model.confidentBlock(0));
 
     model.observe(0, epoch, -8);

@@ -63,7 +63,7 @@ try {
     const double retry_warn = args.number<double>("retry-warn", 2.0);
     const double retry_crit = args.number<double>("retry-crit", 4.0);
     cfg.madEnabled = !args.flag("no-outliers");
-    cfg.mad.k = args.number<double>("mad-k", cfg.mad.k);
+    cfg.madK = args.number<double>("mad-k", cfg.madK);
     const std::string alerts_out = args.text("alerts-out", "FILE");
     const std::string fleet_file = args.text("fleet", "FILE");
     const double idle_timeout_s = args.number<double>("idle-timeout", 5.0);
