@@ -125,7 +125,7 @@ main(int argc, char **argv)
     // --scrub-interval: an A/B comparison against the same sentinel
     // SSD with the background scrubber running. The "warm" per-read
     // cost — what a foreground read pays when the scrubber has just
-    // re-warmed its block's cache entry — is measured like the
+    // probed its block's offset — is measured like the
     // --voltage-cache source: a first pass fills a fresh voltage
     // cache (stores on success), a second pass on a different read
     // stream samples the warmed-up distribution. Both passes are
@@ -206,6 +206,29 @@ main(int argc, char **argv)
                 / ops;
     };
 
+    // One replay of a trace on a fresh SSD with spans and health
+    // attached; the health run is named "<trace>.<arm>". The scrub arm
+    // adds a scrubber (its schedule state is part of the run) feeding
+    // the warm cost source.
+    const auto replay = [&](const std::string &trace_name,
+                            const std::vector<trace::TraceRecord> &tr,
+                            ssd::ReadCostSource &cost,
+                            ssd::Scrubber *scrub = nullptr) {
+        const std::string arm = scrub ? "sentinel+scrub" : cost.name();
+        ssd::SsdSim sim(cfg, timing, cost, 1);
+        sim.setSpanTrace(out.spans());
+        sim.setHealthMonitor(health.get());
+        if (scrub) {
+            sim.setWarmReadCost(&*wcost);
+            sim.attachScrubber(scrub);
+        }
+        if (health)
+            health->beginRun(trace_name + "." + arm);
+        ssd::SimReport r = sim.run(tr);
+        r.policy = arm;
+        return r;
+    };
+
     double sum = 0.0;
     int n = 0;
     double ab_off_retry = 0.0, ab_on_retry = 0.0;
@@ -219,38 +242,17 @@ main(int argc, char **argv)
         spec.meanInterarrivalUs *= 0.5; // one busy volume per SSD
         const auto tr = trace::generateTrace(spec, requests, 42);
 
-        ssd::SsdSim sim_v(cfg, timing, vcost, 1);
-        sim_v.setSpanTrace(out.spans());
-        sim_v.setHealthMonitor(health.get());
-        if (health)
-            health->beginRun(w.name + "." + vcost.name());
-        const auto rv = sim_v.run(tr);
-        ssd::SsdSim sim_s(cfg, timing, scost, 1);
-        sim_s.setSpanTrace(out.spans());
-        sim_s.setHealthMonitor(health.get());
-        if (health)
-            health->beginRun(w.name + "." + scost.name());
-        const auto rs = sim_s.run(tr);
+        const ssd::SimReport rv = replay(w.name, tr, vcost);
+        const ssd::SimReport rs = replay(w.name, tr, scost);
         std::optional<ssd::SimReport> rc;
-        if (ccost) {
-            ssd::SsdSim sim_c(cfg, timing, *ccost, 1);
-            sim_c.setSpanTrace(out.spans());
-            sim_c.setHealthMonitor(health.get());
-            if (health)
-                health->beginRun(w.name + "." + ccost->name());
-            rc = sim_c.run(tr);
-        }
+        if (ccost)
+            rc = replay(w.name, tr, *ccost);
         // The model arm, A/B'd against the cache arm when both run
         // (else against plain sentinel): same trace, cost source
         // measured with the trained predictor attached.
         std::optional<ssd::SimReport> rm;
         if (mcost) {
-            ssd::SsdSim sim_m(cfg, timing, *mcost, 1);
-            sim_m.setSpanTrace(out.spans());
-            sim_m.setHealthMonitor(health.get());
-            if (health)
-                health->beginRun(w.name + "." + mcost->name());
-            rm = sim_m.run(tr);
+            rm = replay(w.name, tr, *mcost);
             const ssd::SimReport &base = rc ? *rc : rs;
             mab_base_retry += mean_retries(base);
             mab_model_retry += mean_retries(*rm);
@@ -260,9 +262,7 @@ main(int argc, char **argv)
             mab_model_p99 += rm->readLatencyUs.percentile(0.99);
         }
 
-        // The scrub-on arm: same trace, same cold cost source, plus a
-        // fresh scrubber + voltage cache (schedule state is part of
-        // the run) feeding the warm cost source.
+        // The scrub-on arm: same trace, same cold cost source.
         std::optional<ssd::SimReport> ro;
         if (use_scrub) {
             ssd::ScrubberConfig scfg;
@@ -272,17 +272,8 @@ main(int argc, char **argv)
             if (refresh_rber > 0.0)
                 scfg.refreshRber = refresh_rber;
             scfg.validate();
-            core::VoltageCache scrub_cache;
-            ssd::Scrubber scrub(scfg, *scrub_device, &scrub_cache);
-            ssd::SsdSim sim_o(cfg, timing, scost, 1);
-            sim_o.setSpanTrace(out.spans());
-            sim_o.setHealthMonitor(health.get());
-            sim_o.setWarmReadCost(&*wcost);
-            sim_o.attachScrubber(&scrub);
-            if (health)
-                health->beginRun(w.name + ".sentinel+scrub");
-            ro = sim_o.run(tr);
-            ro->policy = "sentinel+scrub";
+            ssd::Scrubber scrub(scfg, *scrub_device);
+            ro = replay(w.name, tr, scost, &scrub);
 
             ab_off_retry += mean_retries(rs);
             ab_on_retry += mean_retries(*ro);
@@ -365,8 +356,8 @@ main(int argc, char **argv)
             << (warm_reads + scrub_total.counter("scrub.read.cold"))
             << ", probes " << scrub_total.counter("scrub.probes") << " ("
             << scrub_total.counter("scrub.probe_skipped")
-            << " skipped), rewarms " << scrub_total.counter("scrub.rewarms")
-            << ", refresh " << scrub_total.counter("scrub.refresh.queued")
+            << " skipped), refresh "
+            << scrub_total.counter("scrub.refresh.queued")
             << " queued / " << scrub_total.counter("scrub.refresh.completed")
             << " done / " << scrub_total.counter("scrub.refresh.pages")
             << " pages / " << scrub_total.counter("scrub.refresh.erases")

@@ -154,12 +154,9 @@ attempt(ReadContext &ctx, const std::vector<int> &voltages,
 
 } // namespace
 
-VendorRetryPolicy::VendorRetryPolicy(const nand::VoltageModel &model,
-                                     int max_retries, double step_dac)
-    : defaults_(model.defaultVoltages()), profile_(vendorProfile(model)),
-      maxRetries_(max_retries), stepDac_(step_dac)
+VendorRetryPolicy::VendorRetryPolicy(const nand::VoltageModel &model)
+    : defaults_(model.defaultVoltages()), profile_(vendorProfile(model))
 {
-    util::fatalIf(max_retries < 1, "VendorRetryPolicy: bad retry budget");
 }
 
 std::vector<int>
@@ -168,7 +165,7 @@ VendorRetryPolicy::retryVoltages(int i) const
     std::vector<int> v(defaults_);
     for (std::size_t k = 1; k < v.size(); ++k) {
         v[k] -= static_cast<int>(
-            std::lround(i * stepDac_ * profile_[k]));
+            std::lround(i * kStepDac * profile_[k]));
     }
     return v;
 }
@@ -179,7 +176,7 @@ VendorRetryPolicy::read(ReadContext &ctx) const
     ReadSessionResult session;
     if (attempt(ctx, defaults_, session))
         return session;
-    for (int i = 1; i <= maxRetries_; ++i) {
+    for (int i = 1; i <= kMaxRetries; ++i) {
         if (attempt(ctx, retryVoltages(i), session))
             return session;
     }
@@ -197,27 +194,19 @@ OraclePolicy::read(ReadContext &ctx) const
     return session;
 }
 
-TrackingPolicy::TrackingPolicy(const nand::VoltageModel &model,
-                               int reference_wl, int max_retries,
-                               double step_dac)
+TrackingPolicy::TrackingPolicy(const nand::VoltageModel &model)
     : defaults_(model.defaultVoltages()), profile_(vendorProfile(model)),
-      tracked_(defaults_), referenceWl_(reference_wl),
-      maxRetries_(max_retries), stepDac_(step_dac)
+      tracked_(defaults_)
 {
-    util::fatalIf(max_retries < 1, "TrackingPolicy: bad retry budget");
-    util::fatalIf(reference_wl < 0,
-                  "TrackingPolicy: bad reference wordline");
 }
 
 void
 TrackingPolicy::track(const nand::Chip &chip, int block,
                       nand::ReadClock clock)
 {
-    util::fatalIf(referenceWl_ >= chip.geometry().wordlinesPerBlock(),
-                  "TrackingPolicy: reference wordline out of range");
     const auto snap = nand::WordlineSnapshot::dataRegion(
-        chip, block, referenceWl_,
-        clock.session(block, referenceWl_).next());
+        chip, block, kReferenceWl,
+        clock.session(block, kReferenceWl).next());
     tracked_ = oracle_.optimalVoltages(snap, defaults_);
 }
 
@@ -230,14 +219,15 @@ TrackingPolicy::read(ReadContext &ctx) const
     // Fall back to profile stepping around the tracked point, probing
     // both directions (the tracked point may over- or undershoot this
     // wordline's optimum).
-    for (int i = 1; i <= maxRetries_; ++i) {
+    for (int i = 1; i <= VendorRetryPolicy::kMaxRetries; ++i) {
         std::vector<int> v(tracked_);
         const int step = (i + 1) / 2;
         const int sign = (i % 2) ? -1 : 1;
         for (std::size_t k = 1; k < v.size(); ++k) {
             v[k] += sign
                 * static_cast<int>(
-                      std::lround(step * stepDac_ * profile_[k]));
+                      std::lround(step * VendorRetryPolicy::kStepDac
+                                  * profile_[k]));
         }
         if (attempt(ctx, v, session))
             return session;
@@ -246,13 +236,9 @@ TrackingPolicy::read(ReadContext &ctx) const
 }
 
 SentinelPolicy::SentinelPolicy(const Characterization &tables,
-                               std::vector<int> defaults,
-                               CalibrationParams calibration,
-                               int max_retries)
-    : engine_(tables, std::move(defaults)), calibration_(calibration),
-      maxRetries_(max_retries)
+                               std::vector<int> defaults)
+    : engine_(tables, std::move(defaults))
 {
-    util::fatalIf(max_retries < 1, "SentinelPolicy: bad retry budget");
 }
 
 void
@@ -363,7 +349,7 @@ SentinelPolicy::read(ReadContext &ctx) const
     int offset = inferred.sentinelOffset;
     int probe = 0;
     bool converged = false;
-    while (session.attempts <= maxRetries_) {
+    while (session.attempts <= kMaxRetries) {
         if (!converged) {
             const int v_s_cur = v_s_default + offset;
             const auto obs = observeStateChange(
@@ -377,7 +363,7 @@ SentinelPolicy::read(ReadContext &ctx) const
                 ++(further ? session.calibTuneFurther
                            : session.calibTuneBack);
                 offset = calibratedOffset(offset, further, d,
-                                          calibration_.delta);
+                                          kCalibration.delta);
             }
             if (util::SpanBuffer *sb = ctx.spanBuffer()) {
                 const int s = sb->begin("calib_step", ctx.spanRoot());
@@ -393,7 +379,7 @@ SentinelPolicy::read(ReadContext &ctx) const
         if (converged) {
             ++probe;
             const int step = (probe + 1) / 2;
-            try_offset += (probe % 2 ? 1 : -1) * step * calibration_.delta;
+            try_offset += (probe % 2 ? 1 : -1) * step * kCalibration.delta;
         }
         if (attempt(ctx, engine_.inferAt(try_offset).voltages, session)) {
             if (cache_)

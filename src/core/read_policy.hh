@@ -205,14 +205,19 @@ class ReadPolicy
 class VendorRetryPolicy : public ReadPolicy
 {
   public:
+    // Staircase constants: assumptions, as the paper publishes no
+    // vendor table; they give the ~6.6 retries per wordline it
+    // observes (PAPER.md §2).
+    /** Retry budget. */
+    static constexpr int kMaxRetries = 12;
+    /** Per-retry step at the mid boundary (DAC units). */
+    static constexpr double kStepDac = 3.5;
+
     /**
      * @param model Voltage model (supplies defaults and the typical
      *        shift profile vendors encode into their tables).
-     * @param max_retries Retry budget.
-     * @param step_dac Per-retry step at the mid boundary.
      */
-    VendorRetryPolicy(const nand::VoltageModel &model, int max_retries = 12,
-                      double step_dac = 3.5);
+    explicit VendorRetryPolicy(const nand::VoltageModel &model);
 
     std::string name() const override { return "current-flash"; }
     ReadSessionResult read(ReadContext &ctx) const override;
@@ -220,14 +225,9 @@ class VendorRetryPolicy : public ReadPolicy
     /** Voltage set of retry @p i (1-based). */
     std::vector<int> retryVoltages(int i) const;
 
-    /** Retry budget. */
-    int maxRetries() const { return maxRetries_; }
-
   private:
     std::vector<int> defaults_;
     std::vector<double> profile_; ///< per-boundary step scale
-    int maxRetries_;
-    double stepDac_;
 };
 
 /**
@@ -261,11 +261,17 @@ class TrackingPolicy : public ReadPolicy
 {
   public:
     /**
-     * @param vendor Fallback stepping policy parameters.
-     * @param reference_wl Reference wordline whose optimum is tracked.
+     * Reference wordline whose optimum is tracked. Assumption: the
+     * cited schemes leave the choice to the FTL.
      */
-    TrackingPolicy(const nand::VoltageModel &model, int reference_wl = 0,
-                   int max_retries = 12, double step_dac = 3.5);
+    static constexpr int kReferenceWl = 0;
+
+    /**
+     * @param model Voltage model. The fallback steps with the vendor
+     *        ladder's budget and step (VendorRetryPolicy::kMaxRetries,
+     *        VendorRetryPolicy::kStepDac).
+     */
+    explicit TrackingPolicy(const nand::VoltageModel &model);
 
     std::string name() const override { return "tracking"; }
 
@@ -286,9 +292,6 @@ class TrackingPolicy : public ReadPolicy
     std::vector<int> defaults_;
     std::vector<double> profile_;
     std::vector<int> tracked_;
-    int referenceWl_;
-    int maxRetries_;
-    double stepDac_;
     nand::OracleSearch oracle_;
 };
 
@@ -302,15 +305,18 @@ class TrackingPolicy : public ReadPolicy
 class SentinelPolicy : public ReadPolicy
 {
   public:
+    // Session constants: assumptions, as the paper gives no values.
+    /** Calibration step parameters (step Δ). */
+    static constexpr CalibrationParams kCalibration{};
+    /** Retry budget (including the inferred read). */
+    static constexpr int kMaxRetries = 10;
+
     /**
      * @param tables Factory characterization of the matching band.
      * @param defaults Default voltages.
-     * @param calibration Calibration step parameters.
-     * @param max_retries Retry budget (including the inferred read).
      */
     SentinelPolicy(const Characterization &tables,
-                   std::vector<int> defaults,
-                   CalibrationParams calibration = {}, int max_retries = 10);
+                   std::vector<int> defaults);
 
     std::string
     name() const override
@@ -373,8 +379,6 @@ class SentinelPolicy : public ReadPolicy
 
   private:
     InferenceEngine engine_;
-    CalibrationParams calibration_;
-    int maxRetries_;
     std::vector<int> firstRead_;
     VoltageCache *cache_ = nullptr;
     VoltagePredictor *model_ = nullptr;

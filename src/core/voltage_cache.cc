@@ -39,14 +39,6 @@ VoltageCache::rewarm(int block, const BlockEpoch &epoch, int sentinel_offset)
     ++stats_.rewarms;
 }
 
-void
-VoltageCache::invalidate(int block)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.erase(block) > 0)
-        ++stats_.invalidations;
-}
-
 std::size_t
 VoltageCache::size() const
 {
@@ -66,23 +58,10 @@ VoltageCache::exportMetrics(util::MetricsRegistry &metrics) const
 {
     const Stats s = stats();
     metrics.add("cache.hit", s.hits);
-    metrics.add("cache.invalidate", s.invalidations);
     metrics.add("cache.miss", s.misses);
     metrics.add("cache.rewarm", s.rewarms);
     metrics.add("cache.stale", s.stales);
     metrics.add("cache.store", s.stores);
-}
-
-std::size_t
-VoltageCache::footprintBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Unordered-map nodes carry a hash + next pointer beside the
-    // payload; the bucket array is one pointer per bucket.
-    return sizeof(*this)
-        + entries_.size()
-        * (sizeof(std::pair<const int, Entry>) + 2 * sizeof(void *))
-        + entries_.bucket_count() * sizeof(void *);
 }
 
 } // namespace flash::core

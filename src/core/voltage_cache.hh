@@ -91,7 +91,6 @@ class VoltageCache
         std::uint64_t stales = 0;  ///< entry dropped on epoch change
         std::uint64_t stores = 0;  ///< offsets recorded by read sessions
         std::uint64_t rewarms = 0; ///< offsets recorded by scrub probes
-        std::uint64_t invalidations = 0; ///< live entries dropped
     };
 
     /**
@@ -111,12 +110,6 @@ class VoltageCache
      */
     void rewarm(int block, const BlockEpoch &epoch, int sentinel_offset);
 
-    /**
-     * Drop the entry of @p block (e.g. the FTL erased it); counts an
-     * invalidation only when a live entry was actually dropped.
-     */
-    void invalidate(int block);
-
     /** Number of live entries. */
     std::size_t size() const;
 
@@ -125,17 +118,9 @@ class VoltageCache
 
     /**
      * Add the counters to a metrics registry as cache.hit,
-     * cache.miss, cache.stale, cache.store, cache.rewarm and
-     * cache.invalidate.
+     * cache.miss, cache.stale, cache.store and cache.rewarm.
      */
     void exportMetrics(util::MetricsRegistry &metrics) const;
-
-    /**
-     * Heap + object bytes of the cache state, so per-device memory
-     * reports (fleet footprints) stay complete when a cache rides
-     * along.
-     */
-    std::size_t footprintBytes() const;
 
   private:
     struct Entry

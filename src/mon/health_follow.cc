@@ -30,34 +30,38 @@ HealthFollower::onObject(util::JsonValue &json)
     if (!json.get("health", rec.kind))
         return util::LineVerdict::Ignored; // some other JSON-lines record
     std::uint64_t n = 0;
+    if (!json.get("window", n)
+        || static_cast<double>(n) != json.find("window")->number)
+        return util::LineVerdict::Malformed; // absent, negative or not whole
+    rec.window = static_cast<std::int64_t>(n);
+    if (rec.kind == "ssd") {
+        // The raw deltas are what monitor totals sum and reconcile.
+        double delta = 0.0;
+        for (const char *key : {"reads", "retries", "senses", "assists"}) {
+            if (!json.get(key, delta))
+                return util::LineVerdict::Malformed;
+        }
+    }
     json.get("context", rec.context);
     if (json.get("device", n, INT_MAX))
         rec.device = static_cast<int>(n);
-    if (json.get("schema", n, INT_MAX))
-        rec.schema = static_cast<int>(n);
     json.get("t_us", rec.tUs);
     double final_flag = 0.0;
     rec.finalSnapshot = json.get("final", final_flag) && final_flag != 0.0;
-    continuity_.maxSchema = std::max(continuity_.maxSchema, rec.schema);
 
     // Per-device window continuity. The emitting monitor stamps a
     // strictly increasing index on every record, so anything other
     // than last+1 is a discontinuity worth reporting.
-    auto [it, inserted] = lastWindow_.try_emplace(rec.device, kNoWindow);
-    if (json.get("window", n)) {
-        rec.window = static_cast<std::int64_t>(n);
-        if (!inserted && it->second != kNoWindow) {
-            if (rec.window > it->second + 1) {
-                ++continuity_.gaps;
-                continuity_.missedWindows += static_cast<std::uint64_t>(
-                    rec.window - it->second - 1);
-            } else if (rec.window <= it->second) {
-                ++continuity_.restarts;
-            }
+    auto [it, inserted] = lastWindow_.try_emplace(rec.device, rec.window);
+    if (!inserted) {
+        if (rec.window > it->second + 1) {
+            ++continuity_.gaps;
+            continuity_.missedWindows +=
+                static_cast<std::uint64_t>(rec.window - it->second - 1);
+        } else if (rec.window <= it->second) {
+            ++continuity_.restarts;
         }
         it->second = rec.window;
-    } else {
-        ++continuity_.unwindowed; // schema-1 stream: no continuity check
     }
 
     rec.json = std::move(json);

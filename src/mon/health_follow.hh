@@ -9,13 +9,15 @@
  * *content*, never on how the bytes were chunked. Lines that are not
  * valid JSON objects, including a truncated tail at end of stream,
  * count as malformed; objects without a string "health" kind count
- * as ignored. Neither is fatal.
+ * as ignored. Neither is fatal. The follower reads the schema
+ * ssd/health_monitor.hh writes: a health record without a "window"
+ * count, or an "ssd" record missing any of its raw window deltas
+ * ("reads", "retries", "senses", "assists"), is malformed too.
  *
  * Records demultiplex by their "device" id (-1 for untagged
- * single-device streams). Schema-2 health records (see
- * ssd/health_monitor.hh) carry a per-device monotone "window" index;
- * the follower checks per-device continuity and counts
- * discontinuities — gaps (index jumped forward: lines lost in
+ * single-device streams). Every record carries a per-device monotone
+ * "window" index; the follower checks per-device continuity and
+ * counts discontinuities — gaps (index jumped forward: lines lost in
  * transit) and restarts (index went backwards: the emitting process
  * restarted) — instead of silently misaggregating. Unknown fields
  * pass through untouched (forward compatibility with future schema
@@ -43,8 +45,7 @@ struct HealthRecord
     std::string kind;    ///< "ssd", "chip", or a future kind
     std::string context; ///< run context ("fleet.<cohort>" in fleets)
     int device = -1;     ///< fleet device id (-1: untagged stream)
-    int schema = 1;      ///< "schema" field (1 when absent: pre-PR-9)
-    std::int64_t window = -1; ///< per-device record index (-1: absent)
+    std::int64_t window = -1; ///< per-device record index
     double tUs = 0.0;         ///< simulated time of the record
     bool finalSnapshot = false; ///< closing snapshot of a run
     util::JsonValue json;       ///< full parsed record
@@ -56,13 +57,10 @@ struct HealthRecord
  */
 struct FollowStats : util::JsonLinesStats
 {
-    /** Window-continuity discontinuities (schema >= 2 records). */
+    /** Window-continuity discontinuities. */
     std::uint64_t gaps = 0;          ///< window jumped forward
     std::uint64_t missedWindows = 0; ///< total windows skipped in gaps
     std::uint64_t restarts = 0;      ///< window went backwards
-    std::uint64_t unwindowed = 0;    ///< records without a window field
-
-    int maxSchema = 0; ///< largest "schema" value seen (0: none yet)
 };
 
 /**
@@ -99,12 +97,10 @@ class HealthFollower
     util::LineVerdict onObject(util::JsonValue &json);
 
     Sink sink_;
-    /** Last window index per device (kNoWindow until one is seen). */
+    /** Last window index per device. */
     std::map<int, std::int64_t> lastWindow_;
     FollowStats continuity_; ///< the window counters of stats()
     util::JsonLinesReader reader_;
-
-    static constexpr std::int64_t kNoWindow = -1;
 };
 
 } // namespace flash::mon

@@ -301,7 +301,6 @@ FleetMonitor::finish()
                               totals.senses.value()))});
     tbl.row({"assist reads", util::fmtInt(static_cast<std::int64_t>(
                                  totals.assists.value()))});
-    tbl.row({"exact deltas", totals.exact ? "yes" : "no"});
     tbl.row({"frames", util::fmtInt(static_cast<std::int64_t>(
                            frames_emitted_))});
     tbl.row({"alerts fired",

@@ -15,7 +15,6 @@ ReadTotals::merge(const ReadTotals &other)
     retries.merge(other.retries);
     senses.merge(other.senses);
     assists.merge(other.assists);
-    exact = exact && other.exact;
 }
 
 std::uint64_t
@@ -59,19 +58,12 @@ DeviceSeries::addSsd(const HealthRecord &rec)
     s.tUs = rec.tUs;
     s.finalSnapshot = rec.finalSnapshot;
     rec.json.get("reads", s.reads);
-    s.exactDeltas = rec.json.get("retries", s.retries)
-        & rec.json.get("senses", s.senses)
-        & rec.json.get("assists", s.assists);
+    rec.json.get("retries", s.retries);
+    rec.json.get("senses", s.senses);
+    rec.json.get("assists", s.assists);
     rec.json.get("retries_per_read", s.retriesPerRead);
     rec.json.get("sense_ops_per_read", s.sensesPerRead);
     rec.json.get("assist_reads_per_read", s.assistsPerRead);
-    if (!s.exactDeltas) {
-        // Schema-1 stream: reconstruct approximate deltas from the
-        // rates; totals are then flagged non-exact.
-        s.retries = s.retriesPerRead * s.reads;
-        s.senses = s.sensesPerRead * s.reads;
-        s.assists = s.assistsPerRead * s.reads;
-    }
     s.haveLatency = rec.json.get("read_p99_us", s.readP99Us);
     s.haveScrub = rec.json.get("scrub_warm_fraction",
                               s.warmFraction);
@@ -91,7 +83,6 @@ DeviceSeries::addSsd(const HealthRecord &rec)
     totals_.retries.add(ring_.back().retries);
     totals_.senses.add(ring_.back().senses);
     totals_.assists.add(ring_.back().assists);
-    totals_.exact = totals_.exact && ring_.back().exactDeltas;
 }
 
 void
@@ -170,10 +161,6 @@ std::string
 reconcileReadTotals(const ReadTotals &totals,
                     const std::map<std::string, std::uint64_t> &counters)
 {
-    if (!totals.exact) {
-        return "health stream lacks raw window deltas (schema 1): "
-               "exact reconciliation impossible";
-    }
     const auto check = [&](const char *name,
                            std::uint64_t have) -> std::string {
         const auto it = counters.find(name);

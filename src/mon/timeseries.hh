@@ -5,7 +5,7 @@
  *
  * Every device keeps a fixed-capacity ring of WindowSamples (the
  * alert rules look back over it) plus running totals of the raw
- * windowed read deltas the schema-2 health snapshots carry. The
+ * windowed read deltas the health snapshots carry. The
  * totals accumulate in util::ExactSum superaccumulators, so a merged
  * rollup is a pure function of the record multiset — any demux or
  * merge order produces identical values — and, because the deltas
@@ -36,12 +36,11 @@ struct WindowSample
     double tUs = 0.0;
     bool finalSnapshot = false;
 
-    /** Raw windowed deltas (schema >= 2; integer-valued). */
+    /** Raw windowed deltas (integer-valued). */
     double reads = 0.0;
     double retries = 0.0;
     double senses = 0.0;
     double assists = 0.0;
-    bool exactDeltas = false; ///< raw deltas present (vs rate-derived)
 
     /** Windowed rates as emitted. */
     double retriesPerRead = 0.0;
@@ -69,7 +68,6 @@ struct ReadTotals
     util::ExactSum retries;
     util::ExactSum senses;
     util::ExactSum assists;
-    bool exact = true; ///< all contributing windows carried raw deltas
 
     void merge(const ReadTotals &other);
 

@@ -211,7 +211,6 @@ SyntheticScrubDevice::SyntheticScrubDevice(const DeviceProfile &p)
     const double years = p.retentionHours / 8760.0;
     const double heat = 1.0 + (p.tempC - 25.0) / 50.0;
     baseRber_ = 1e-4 * (1.0 + pe / 2000.0) * (1.0 + years * heat);
-    baseDRate_ = 0.01 * (1.0 + pe / 4000.0) * (1.0 + years * heat);
     baseOffset_ = -static_cast<int>(pe / 1500.0 + 4.0 * years * heat);
     epoch_.peCycles = p.peCycles;
     epoch_.retentionHours = p.retentionHours;
@@ -230,7 +229,6 @@ SyntheticScrubDevice::probe(int plane, int block,
                                     util::hashCombine(cell, probe_seq)));
     ScrubProbe p;
     p.rber = baseRber_ * (0.5 + rng.uniform());
-    p.dRate = baseDRate_ * (0.8 + 0.4 * rng.uniform());
     p.sentinelOffset =
         baseOffset_ + static_cast<int>(rng.uniformInt(3)) - 1;
     p.epoch = epoch_;
@@ -250,22 +248,19 @@ runDevice(const FleetConfig &cfg, const DeviceProfile &p, FleetEnv &env)
     dev_cfg.gcPolicy = p.gcPolicy;
     SsdSim sim(dev_cfg, cfg.timing, env.coldCost(p), p.seed);
 
-    // The per-device model + cache are owned here: each device learns
-    // only from its own probes, so devices stay independent and the
-    // fleet stays byte-identical at any thread count.
+    // The per-device model is owned here: each device learns only
+    // from its own probes, so devices stay independent and the fleet
+    // stays byte-identical at any thread count.
     std::unique_ptr<core::VoltagePredictor> model;
-    std::unique_ptr<core::VoltageCache> cache;
-    if (cfg.model) {
+    if (cfg.model)
         model = std::make_unique<core::VoltagePredictor>(cfg.modelConfig);
-        cache = std::make_unique<core::VoltageCache>();
-    }
 
     std::unique_ptr<ScrubDevice> scrub_device;
     std::unique_ptr<Scrubber> scrubber;
     if (cfg.scrub.enabled()) {
         scrub_device = env.makeScrubDevice(p);
         scrubber = std::make_unique<Scrubber>(cfg.scrub, *scrub_device,
-                                              cache.get(), model.get());
+                                              model.get());
         sim.attachScrubber(scrubber.get());
         sim.setWarmReadCost(env.warmCost(p));
     }
@@ -295,12 +290,9 @@ runDevice(const FleetConfig &cfg, const DeviceProfile &p, FleetEnv &env)
     out.metrics = std::move(rep.device.metrics);
     if (model)
         model->exportMetrics(out.metrics);
-    if (cache)
-        cache->exportMetrics(out.metrics);
-    out.footprintBytes =
-        sim.footprintBytes() + out.metrics.footprintBytes()
-        + (model ? model->footprintBytes() : 0)
-        + (cache ? cache->footprintBytes() : 0);
+    out.footprintBytes = sim.footprintBytes()
+        + out.metrics.footprintBytes()
+        + (model ? model->footprintBytes() : 0);
     out.healthLines = health_buf.str();
     return out;
 }

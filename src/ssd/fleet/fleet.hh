@@ -137,11 +137,10 @@ struct FleetConfig
 
     /**
      * Per-device predictive voltage model (opt-in). Each device gets
-     * its own core::VoltagePredictor (plus a voltage cache) trained
-     * by its scrub probes; the scrubber switches to
-     * uncertainty-priority probing, model counters roll up as
-     * "fleet.model.*" / "fleet.cache.*", and both footprints join
-     * the device's footprint bytes. Without scrubbing the model
+     * its own core::VoltagePredictor trained by its scrub probes; the
+     * scrubber switches to uncertainty-priority probing, model
+     * counters roll up as "fleet.model.*", and the model's footprint
+     * joins the device's footprint bytes. Without scrubbing the model
      * rides along untrained: its rollup counters stay zero, and
      * health records carry no model fields, because those come from
      * the scrubber that trains the model.
@@ -266,7 +265,6 @@ class SyntheticScrubDevice : public ScrubDevice
   private:
     std::uint64_t seed_;
     double baseRber_;
-    double baseDRate_;
     int baseOffset_;
     core::BlockEpoch epoch_;
 };

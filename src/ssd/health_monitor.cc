@@ -160,7 +160,6 @@ HealthMonitor::ssdSnapshot(double t_us, const util::MetricsRegistry &metrics,
                   model->confidentFraction());
         }
         field(*os_, "scrub_probes", count("scrub.probes"));
-        field(*os_, "scrub_rewarms", count("scrub.rewarms"));
         field(*os_, "scrub_refresh_done", count("scrub.refresh.completed"));
         field(*os_, "scrub_refresh_queue",
               static_cast<double>(scrub->refreshQueueDepth()));

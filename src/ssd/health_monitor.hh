@@ -8,7 +8,7 @@
  *    simulation — page reads in the window, retries / sense ops /
  *    assist reads per read (windowed deltas of the "ssd.read.*"
  *    counters), cumulative request-latency percentiles, scrub
- *    progress (probes, rewarms, refresh queue, warm fractions) and
+ *    progress (probes, refresh queue, warm fractions) and
  *    the scrubber's model confidence when the device scrubs, and
  *    mapping-layer health when the FTL is passed in.
  *    Driven by SsdSim via setHealthMonitor(): onRequest() once per

@@ -38,7 +38,6 @@ ChipScrubDevice::probe(int plane, int block, std::uint64_t probe_seq)
 
     ScrubProbe out;
     out.rber = p.errorRate;
-    out.dRate = p.dRate;
     out.sentinelOffset = p.sentinelOffset;
     out.epoch = core::epochOf(chip_->blockAge(chipBlock_));
     return out;

@@ -33,13 +33,10 @@ struct ScrubProbe
     /** Sentinel-region bit-error rate (cheap RBER estimate). */
     double rber = 0.0;
 
-    /** Signed sentinel error-difference rate (inference input). */
-    double dRate = 0.0;
-
     /** Inferred sentinel offset. */
     int sentinelOffset = 0;
 
-    /** Aging epoch the probe observed (keys the voltage cache). */
+    /** Aging epoch the probe observed (keys the model's observation). */
     core::BlockEpoch epoch;
 };
 

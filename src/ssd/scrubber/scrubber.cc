@@ -22,9 +22,8 @@ ScrubberConfig::validate() const
 }
 
 Scrubber::Scrubber(const ScrubberConfig &config, ScrubDevice &device,
-                   core::VoltageCache *cache,
                    core::VoltagePredictor *model)
-    : config_(config), device_(&device), cache_(cache), model_(model)
+    : config_(config), device_(&device), model_(model)
 {
     config_.validate();
 }
@@ -137,10 +136,6 @@ Scrubber::probeOne(const ScrubHost &host, int gid, double scan_us,
     host.metrics->add("scrub.probes");
     host.metrics->observe("scrub.probe_us", dur_us);
     host.metrics->observe("scrub.probe_rber_ppm", probe.rber * 1e6);
-    if (cache_) {
-        cache_->rewarm(gid, probe.epoch, probe.sentinelOffset);
-        host.metrics->add("scrub.rewarms");
-    }
     if (model_) {
         model_->observe(gid, probe.epoch, probe.sentinelOffset);
         host.metrics->add("scrub.model.observes");
@@ -298,8 +293,6 @@ Scrubber::noteErase(int plane, int block)
     const int gid = plane * blocksPerPlane_ + block;
     warmUntil_[static_cast<std::size_t>(gid)] = -1.0;
     queuedForRefresh_[static_cast<std::size_t>(gid)] = 0;
-    if (cache_)
-        cache_->invalidate(gid);
 }
 
 } // namespace flash::ssd

@@ -11,11 +11,12 @@
  * (command overhead + one sense — no page transfer, no ECC decode)
  * and is only placed when it finishes before the next host request
  * arrives, so probing never delays foreground I/O. Each probe
- * re-infers the block's sentinel offset and re-warms the attached
- * core::VoltageCache; for the configured warm lifetime the simulator
- * samples foreground reads of that block from the cheaper "warm"
- * read-cost distribution (first attempt seeded from the cache)
- * instead of the cold one.
+ * re-infers the block's sentinel offset and marks the block warm:
+ * for the configured warm lifetime the simulator samples foreground
+ * reads of that block from the cheaper "warm" read-cost distribution
+ * (measured with the first attempt seeded from a fresh offset)
+ * instead of the cold one. With a core::VoltagePredictor attached,
+ * every probed offset also trains the model.
  *
  * Blocks whose probed RBER crosses the configured threshold are
  * queued for **refresh**: valid pages
@@ -42,7 +43,6 @@
 #include <deque>
 #include <vector>
 
-#include "core/voltage_cache.hh"
 #include "core/voltage_predictor.hh"
 #include "ssd/config.hh"
 #include "ssd/ftl/ftl_interface.hh"
@@ -125,8 +125,6 @@ class Scrubber
     /**
      * @param config Validated policy knobs.
      * @param device Probe-read source; must outlive the scrubber.
-     * @param cache Voltage cache to re-warm (nullptr: probe-only —
-     *        warm tracking still works, nothing persists offsets).
      * @param model Predictive voltage model (nullptr: round-robin
      *        probing). With a model, every probe's offset becomes a
      *        training observation and each scan probes the blocks the
@@ -138,7 +136,6 @@ class Scrubber
      *        fraction.
      */
     Scrubber(const ScrubberConfig &config, ScrubDevice &device,
-             core::VoltageCache *cache = nullptr,
              core::VoltagePredictor *model = nullptr);
 
     /** Whether this scrubber does anything at all. */
@@ -164,7 +161,7 @@ class Scrubber
 
     /**
      * FTL erase notification (wired via FtlInterface::setEraseHook): drops
-     * the block's warmth, cache entry and any pending refresh.
+     * the block's warmth and any pending refresh.
      */
     void noteErase(int plane, int block);
 
@@ -189,7 +186,6 @@ class Scrubber
 
     ScrubberConfig config_;
     ScrubDevice *device_;
-    core::VoltageCache *cache_;
     core::VoltagePredictor *model_;
 
     bool init_ = false;

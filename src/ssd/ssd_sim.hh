@@ -24,10 +24,10 @@
  *
  * An optional background Scrubber (ssd/scrubber) runs in the gaps
  * between requests: it probes blocks with sentinel-only assist reads
- * during plane idle time, re-warms the inferred-voltage cache, and
- * refreshes worn blocks through the FTL. Foreground reads of a block
- * the scrubber has recently probed sample the (cheaper) warm
- * read-cost source when one is attached.
+ * during plane idle time, trains the voltage model when one is
+ * attached, and refreshes worn blocks through the FTL. Foreground
+ * reads of a block the scrubber has recently probed sample the
+ * (cheaper) warm read-cost source when one is attached.
  *
  * Driving the simulator: run() replays a whole trace at its recorded
  * arrival times. A host frontend (ssd/host_frontend) instead calls
@@ -144,7 +144,7 @@ class SsdSim
      * Attach a background scrubber (nullptr detaches). The scrubber
      * runs between requests inside the run; when enabled, the FTL's
      * erase hook is routed to it so erased blocks lose their warmth
-     * and cache entries. One scrubber accompanies one run — construct
+     * and any queued refresh. One scrubber accompanies one run — construct
      * a fresh one per simulation; it must outlive the run. A disabled
      * scrubber (interval or probe budget 0) leaves the simulation
      * byte-identical to running with none attached.

@@ -3,8 +3,8 @@
  * Fleet-driver tests: byte-identity of every artifact across thread
  * counts and evaluation orders, exact degeneracy of a single-device
  * fleet to a direct frontend run, rollup exactness against manual
- * merges, health-line integrity (no interleaved partial lines) and
- * footprint reporting.
+ * merges, health-line integrity (no interleaved partial lines),
+ * footprint reporting and the per-device state of model fleets.
  */
 
 #include <gtest/gtest.h>
@@ -321,6 +321,56 @@ TEST(Fleet, FootprintIsReportedAndSmall)
     }
     EXPECT_GE(fleet.maxFootprintBytes, fleet.totalFootprintBytes
                   / fleet.devices.size());
+}
+
+TEST(Fleet, ModelDevicesHoldOnlyTheModel)
+{
+    // With the model on, a device's voltage state is its predictor:
+    // the registry holds no cache.* or scrub.rewarms counter, and the
+    // footprint is exactly the SSD, the metrics and the model, as a
+    // direct run of the same device reproduces.
+    FleetConfig cfg = testConfig(3, false, true);
+    cfg.model = true;
+    CohortSpec cohort;
+    cohort.name = "open";
+    cohort.mode = ArrivalMode::OpenFixed;
+    cohort.ratePerQueueUs = 0.005; // idle gaps: probes train the models
+    cfg.cohorts = {cohort};
+    FixedFleetEnv env(FixedReadCost(5, 3, 1), FixedReadCost(1));
+    const FleetResult fleet = runFleet(cfg, env, 1);
+    EXPECT_GT(fleet.rollup.counter("fleet.model.observe"), 0u);
+
+    for (const DeviceResult &d : fleet.devices) {
+        for (const auto &[name, value] : d.metrics.counters()) {
+            EXPECT_NE(name.rfind("cache.", 0), 0u) << name;
+            EXPECT_NE(name, "scrub.rewarms");
+        }
+
+        const DeviceProfile &p = d.profile;
+        const auto tr = trace::generateTrace(
+            trace::msrWorkload(p.workload),
+            static_cast<std::size_t>(cfg.requests), traceSeed(p));
+        SsdConfig dev_cfg = cfg.ssd;
+        dev_cfg.ftl = p.ftl;
+        dev_cfg.gcPolicy = p.gcPolicy;
+        FixedReadCost cold(5, 3, 1);
+        FixedReadCost warm(1);
+        SsdSim sim(dev_cfg, cfg.timing, cold, p.seed);
+        core::VoltagePredictor model(cfg.modelConfig);
+        SyntheticScrubDevice device(p);
+        Scrubber scrubber(cfg.scrub, device, &model);
+        sim.attachScrubber(&scrubber);
+        sim.setWarmReadCost(&warm);
+        HostFrontend frontend(frontendConfig(p), sim);
+        FrontendReport direct = frontend.run(tr);
+        model.exportMetrics(direct.device.metrics);
+
+        EXPECT_EQ(d.metrics.toJson(), direct.device.metrics.toJson());
+        EXPECT_EQ(d.footprintBytes,
+                  sim.footprintBytes()
+                      + direct.device.metrics.footprintBytes()
+                      + model.footprintBytes());
+    }
 }
 
 TEST(Fleet, ValidatesOrderPermutation)

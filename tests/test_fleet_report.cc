@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ssd/fleet/fleet.hh"
 #include "ssd/fleet/report.hh"
@@ -380,13 +381,30 @@ TEST(FleetReport, JsonReportCarriesHygieneAndHealthCounts)
     EXPECT_EQ(util::parseJson(bare.str()).find("health"), nullptr);
 }
 
+/**
+ * One health record of the schema HealthMonitor writes: a window
+ * index, plus the raw window deltas when it is an ssd snapshot.
+ */
+std::string
+healthLine(const std::string &kind, int device, int window,
+           const std::string &extra = "")
+{
+    std::string line = "{\"health\": \"" + kind + "\", \"window\": "
+        + std::to_string(window);
+    if (device >= 0)
+        line += ", \"device\": " + std::to_string(device);
+    if (kind == "ssd")
+        line += ", \"reads\": 1, \"retries\": 0, \"senses\": 1, "
+                "\"assists\": 0";
+    return line + extra + "}\n";
+}
+
 TEST(FleetReport, HealthScanCountsAndOrders)
 {
-    std::istringstream ordered(
-        "{\"health\": \"ssd\", \"device\": 0}\n"
-        "{\"health\": \"ssd\", \"device\": 0}\n"
-        "{\"health\": \"probe\", \"device\": 1}\n"
-        "{\"health\": \"ssd\", \"device\": 1}\n");
+    std::istringstream ordered(healthLine("ssd", 0, 0)
+                               + healthLine("ssd", 0, 1)
+                               + healthLine("probe", 1, 0)
+                               + healthLine("ssd", 1, 1));
     HealthScan scan = scanHealth(ordered);
     EXPECT_EQ(scan.stats.records, 4u);
     EXPECT_EQ(scan.stats.malformed, 0u);
@@ -395,20 +413,19 @@ TEST(FleetReport, HealthScanCountsAndOrders)
 
     // Device 0 resumes after device 1 began: the interleaving the
     // per-device buffers exist to prevent.
-    std::istringstream interleaved(
-        "{\"health\": \"ssd\", \"device\": 0}\n"
-        "{\"health\": \"ssd\", \"device\": 1}\n"
-        "{\"health\": \"ssd\", \"device\": 0}\n");
+    std::istringstream interleaved(healthLine("ssd", 0, 0)
+                                   + healthLine("ssd", 1, 0)
+                                   + healthLine("ssd", 0, 1));
     scan = scanHealth(interleaved);
     EXPECT_EQ(scan.stats.records, 3u);
     EXPECT_FALSE(scan.ordered);
 
     std::istringstream messy(
-        "{\"health\": \"ssd\", \"device\": 2}\n"
-        "{\"health\": \"ssd\"}\n"      // no device id: bucket -1
-        "half a line {\"health\"\n"    // truncated: malformed
-        "{\"span\": \"other\"}\n"      // no health kind: ignored
-        "\n");
+        healthLine("ssd", 2, 0)
+        + healthLine("ssd", -1, 0)     // no device id: bucket -1
+        + "half a line {\"health\"\n"  // truncated: malformed
+        + "{\"span\": \"other\"}\n"    // no health kind: ignored
+        + "\n");
     scan = scanHealth(messy);
     EXPECT_EQ(scan.stats.records, 2u);
     EXPECT_EQ(scan.stats.malformed, 1u);
@@ -419,13 +436,10 @@ TEST(FleetReport, HealthScanCountsAndOrders)
 TEST(FleetReport, HealthScanPicksUpModelConfidence)
 {
     std::istringstream is(
-        "{\"health\": \"ssd\", \"device\": 0, "
-        "\"model_mean_confidence\": 0.25}\n"
-        "{\"health\": \"ssd\", \"device\": 0, "
-        "\"model_mean_confidence\": 0.75}\n"
-        "{\"health\": \"chip\", \"device\": 1, "
-        "\"model_confidence\": 0.5}\n"
-        "{\"health\": \"ssd\", \"device\": 2}\n");
+        healthLine("ssd", 0, 0, ", \"model_mean_confidence\": 0.25")
+        + healthLine("ssd", 0, 1, ", \"model_mean_confidence\": 0.75")
+        + healthLine("chip", 1, 0, ", \"model_confidence\": 0.5")
+        + healthLine("ssd", 2, 0));
     const HealthScan scan = scanHealth(is);
     EXPECT_EQ(scan.stats.records, 4u);
     EXPECT_EQ(scan.modelRecords, 3u);

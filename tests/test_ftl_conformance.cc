@@ -287,7 +287,6 @@ TEST_P(FtlConformance, ScrubberDrivesRefreshOverTheInterface)
         {
             ScrubProbe p;
             p.rber = 0.01;
-            p.dRate = 0.01;
             p.sentinelOffset = -6;
             return p;
         }

@@ -142,7 +142,6 @@ class WornScrubDevice : public ScrubDevice
     {
         ScrubProbe p;
         p.rber = block % 4 == 0 ? 0.01 : 1e-4;
-        p.dRate = p.rber;
         p.sentinelOffset = -3 - static_cast<int>(probe_seq % 3);
         return p;
     }

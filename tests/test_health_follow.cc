@@ -1,9 +1,9 @@
 /**
  * @file
  * HealthFollower tests: chunking invariance (byte-level), truncated
- * tails, skip-and-count on malformed input, device demultiplexing of
- * out-of-order ids, window gap/restart detection, and unknown-field
- * forward compatibility.
+ * tails, skip-and-count on malformed input (incl. records without a
+ * window or raw deltas), device demultiplexing of out-of-order ids,
+ * window gap/restart detection, and unknown-field pass-through.
  */
 
 #include <gtest/gtest.h>
@@ -56,7 +56,6 @@ TEST(HealthFollow, ParsesRecordsAndDemuxesDevices)
     ASSERT_EQ(c.records.size(), 3u);
     EXPECT_EQ(c.records[0].device, 0);
     EXPECT_EQ(c.records[0].kind, "ssd");
-    EXPECT_EQ(c.records[0].schema, 2);
     EXPECT_EQ(c.records[0].window, 0);
     EXPECT_EQ(c.records[0].context, "fleet.worn");
     EXPECT_EQ(c.records[1].device, 1);
@@ -65,7 +64,6 @@ TEST(HealthFollow, ParsesRecordsAndDemuxesDevices)
     EXPECT_EQ(f.stats().records, 3u);
     EXPECT_EQ(f.stats().malformed, 0u);
     EXPECT_EQ(f.stats().gaps, 0u);
-    EXPECT_EQ(f.stats().maxSchema, 2);
 }
 
 TEST(HealthFollow, EveryChunkingProducesIdenticalRecords)
@@ -171,21 +169,29 @@ TEST(HealthFollow, WindowGapsAndRestartsAreCountedPerDevice)
     EXPECT_EQ(f.stats().gaps, 1u);
     EXPECT_EQ(f.stats().missedWindows, 3u);
     EXPECT_EQ(f.stats().restarts, 1u);
-    EXPECT_EQ(f.stats().unwindowed, 0u);
 }
 
-TEST(HealthFollow, Schema1RecordsWithoutWindowCountAsUnwindowed)
+TEST(HealthFollow, RecordsWithoutWindowOrDeltasAreMalformed)
 {
+    // A record of the older schema (no window, rates only), an ssd
+    // record missing one raw delta, a chip record without a window
+    // and one with a fractional window: none can be checked for
+    // continuity or summed exactly.
     Collector c;
     HealthFollower f(c.sink());
+    f.feed(ssdLine(0, 0, 100.0));
     f.feed("{\"health\": \"ssd\", \"context\": \"x\", \"t_us\": 1, "
            "\"reads\": 10, \"retries_per_read\": 0.5}\n");
+    f.feed("{\"health\": \"ssd\", \"window\": 1, \"device\": 0, "
+           "\"reads\": 10, \"retries\": 5, \"senses\": 30}\n");
+    f.feed("{\"health\": \"chip\", \"device\": 0, \"block\": 3}\n");
+    f.feed("{\"health\": \"chip\", \"device\": 0, \"window\": 1.5}\n");
+    f.feed(ssdLine(0, 1, 200.0));
     f.finish();
-    ASSERT_EQ(c.records.size(), 1u);
-    EXPECT_EQ(c.records[0].schema, 1); // absent field defaults to 1
-    EXPECT_EQ(c.records[0].window, -1);
-    EXPECT_EQ(f.stats().unwindowed, 1u);
-    EXPECT_EQ(f.stats().gaps, 0u);
+    ASSERT_EQ(c.records.size(), 2u);
+    EXPECT_EQ(f.stats().malformed, 4u);
+    EXPECT_EQ(f.stats().records, 2u);
+    EXPECT_EQ(f.stats().gaps, 0u); // the skipped lines took no window
 }
 
 TEST(HealthFollow, UnknownFieldsPassThrough)
@@ -202,9 +208,8 @@ TEST(HealthFollow, UnknownFieldsPassThrough)
            "\"another\": \"text\"}\n");
     f.finish();
     ASSERT_EQ(c.records.size(), 1u);
-    EXPECT_EQ(c.records[0].schema, 3);
-    EXPECT_EQ(f.stats().maxSchema, 3);
     EXPECT_NE(c.records[0].json.find("future_field"), nullptr);
+    EXPECT_NE(c.records[0].json.find("another"), nullptr);
     EXPECT_EQ(f.stats().malformed, 0u);
 }
 

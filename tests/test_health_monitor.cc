@@ -333,7 +333,6 @@ class ConstantScrubDevice : public ScrubDevice
     {
         ScrubProbe p;
         p.rber = 1e-4;
-        p.dRate = 1e-4;
         p.sentinelOffset = -3;
         return p;
     }
@@ -384,15 +383,15 @@ TEST(HealthMonitor, SnapshotsReadTheSimulatedDevicesScrubberAndModel)
     scfg.probeBudget = 16;
     ConstantScrubDevice device;
     core::VoltagePredictor model;
-    Scrubber scrub(scfg, device, nullptr, &model);
+    Scrubber scrub(scfg, device, &model);
     SimReport with_scrub;
     const auto scrubbed = scrubRunRecords(&scrub, with_scrub);
     ASSERT_GE(scrubbed.size(), 2u);
     for (const util::JsonValue &r : scrubbed) {
         for (const char *key :
-             {"scrub_probes", "scrub_rewarms", "scrub_refresh_done",
-              "scrub_refresh_queue", "scrub_warm_fraction",
-              "scrub_warm_read_rate", "model_observes",
+             {"scrub_probes", "scrub_refresh_done", "scrub_refresh_queue",
+              "scrub_warm_fraction", "scrub_warm_read_rate",
+              "model_observes",
               "model_mean_confidence", "model_confident_fraction",
               "ftl_free_frac"})
             EXPECT_NE(r.find(key), nullptr) << key;

@@ -45,7 +45,6 @@ ssdRecord(int device, std::int64_t window, double retries_per_read,
     rec.kind = "ssd";
     rec.context = "fleet.worn";
     rec.device = device;
-    rec.schema = 2;
     rec.window = window;
     rec.tUs = 100.0 * static_cast<double>(window + 1);
     rec.json = util::parseJson(text);

@@ -74,20 +74,6 @@ TEST_F(ReadPolicyTest, EmptySessionHasZeroLatency)
                      0.0);
 }
 
-TEST_F(ReadPolicyTest, TrackingPolicyRejectsBadConfig)
-{
-    EXPECT_THROW(TrackingPolicy(chip->model(), 0, 0), util::FatalError);
-    EXPECT_THROW(TrackingPolicy(chip->model(), 0, -5), util::FatalError);
-    EXPECT_THROW(TrackingPolicy(chip->model(), -1), util::FatalError);
-}
-
-TEST_F(ReadPolicyTest, TrackingPolicyRejectsOutOfRangeReferenceWordline)
-{
-    TrackingPolicy policy(chip->model(),
-                          chip->geometry().wordlinesPerBlock());
-    EXPECT_THROW(policy.track(*chip, 1), util::FatalError);
-}
-
 TEST_F(ReadPolicyTest, RetriesAccessor)
 {
     ReadSessionResult s;
@@ -232,14 +218,6 @@ TEST_F(ReadPolicyTest, PolicyNames)
     EXPECT_EQ(oracle.name(), "oracle");
     TrackingPolicy tracking(chip->model());
     EXPECT_EQ(tracking.name(), "tracking");
-}
-
-TEST_F(ReadPolicyTest, BadBudgetsRejected)
-{
-    EXPECT_THROW(VendorRetryPolicy(chip->model(), 0), util::FatalError);
-    EXPECT_THROW(SentinelPolicy(*tables, chip->model().defaultVoltages(),
-                                CalibrationParams{}, 0),
-                 util::FatalError);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Background scrubber: config validation, byte-identity of disabled
- * scrubbing, idle-window-only probing, warm-read routing, voltage
- * cache re-warming, refresh migration through the FTL (invariants
+ * scrubbing, idle-window-only probing, warm-read routing, model
+ * training by probes, refresh migration through the FTL (invariants
  * intact), span well-formedness and run-to-run determinism — plus a
  * GC/host-I/O interleaving stress.
  */
@@ -71,7 +71,6 @@ class FakeScrubDevice : public ScrubDevice
         lastSeq = probe_seq;
         ScrubProbe p;
         p.rber = rber_;
-        p.dRate = rber_;
         p.sentinelOffset = offset_;
         return p;
     }
@@ -150,15 +149,13 @@ TEST(Scrubber, DisabledScrubberIsByteIdenticalToNone)
         else
             cfg.probeBudget = 0;
         FakeScrubDevice dev;
-        core::VoltageCache cache;
-        Scrubber scrub(cfg, dev, &cache);
+        Scrubber scrub(cfg, dev);
         FixedReadCost warm(1);
         SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
         sim.attachScrubber(&scrub);
         sim.setWarmReadCost(&warm);
         EXPECT_EQ(reportJson(sim.run(tr)), baseline);
         EXPECT_TRUE(dev.calls.empty());
-        EXPECT_EQ(cache.size(), 0u);
     }
 }
 
@@ -218,13 +215,13 @@ TEST(Scrubber, WarmReadsSampleTheWarmCostSource)
     EXPECT_LT(on.readLatencyUs.mean(), off.readLatencyUs.mean());
 }
 
-TEST(Scrubber, ProbesRewarmTheVoltageCache)
+TEST(Scrubber, ProbesTrainTheAttachedModel)
 {
     const auto tr = simpleTrace(200, true, 500.0, 4096);
 
     FakeScrubDevice dev(1e-4, -7);
-    core::VoltageCache cache;
-    Scrubber scrub(scrubConfig(), dev, &cache);
+    core::VoltagePredictor model;
+    Scrubber scrub(scrubConfig(), dev, &model);
     FixedReadCost cost(4);
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
     sim.attachScrubber(&scrub);
@@ -232,11 +229,14 @@ TEST(Scrubber, ProbesRewarmTheVoltageCache)
 
     const std::uint64_t probes = rep.metrics.counter("scrub.probes");
     EXPECT_GT(probes, 0u);
-    EXPECT_EQ(rep.metrics.counter("scrub.rewarms"), probes);
-    EXPECT_EQ(cache.stats().rewarms, probes);
-    EXPECT_GT(cache.size(), 0u);
-    // Every cached entry carries the probe's inferred offset.
-    EXPECT_EQ(cache.lookup(0, core::BlockEpoch{}).value_or(0), -7);
+    EXPECT_EQ(rep.metrics.counter("scrub.model.observes"), probes);
+    EXPECT_EQ(model.stats().observes, probes);
+    // Block 0 was probed, and its chunk holds the probe's offset.
+    ASSERT_FALSE(dev.calls.empty());
+    EXPECT_EQ(dev.calls.front(), (std::pair<int, int>{0, 0}));
+    const core::VoltagePrediction pred = model.predict(0, core::BlockEpoch{});
+    EXPECT_GT(pred.samples, 0u);
+    EXPECT_EQ(pred.sentinelOffset, -7);
 }
 
 TEST(Scrubber, RefreshMigratesErasesAndKeepsFtlInvariants)
@@ -288,8 +288,7 @@ TEST(Scrubber, RunsAreDeterministic)
         FakeScrubDevice dev(0.01, -3);
         ScrubberConfig cfg = scrubConfig(150.0, 32);
         cfg.refreshRber = 0.005;
-        core::VoltageCache cache;
-        Scrubber scrub(cfg, dev, &cache);
+        Scrubber scrub(cfg, dev);
         FixedReadCost cost(6);
         FixedReadCost warm(2);
         util::SpanTrace spans;
@@ -367,8 +366,7 @@ TEST(Scrubber, SurvivesGcAndHostWriteInterleaving)
     ScrubberConfig cfg = scrubConfig(300.0, 64);
     cfg.refreshRber = 0.005;
     cfg.checkInvariants = true; // panic at the corrupting step
-    core::VoltageCache cache;
-    Scrubber scrub(cfg, dev, &cache);
+    Scrubber scrub(cfg, dev);
     FixedReadCost cost(4);
     FixedReadCost warm(1);
     SsdSim sim(smallConfig(), SsdTiming{}, cost, 1);
@@ -386,14 +384,12 @@ TEST(Scrubber, SurvivesGcAndHostWriteInterleaving)
 TEST(Scrubber, NoteEraseBeforeFirstScanIsSafe)
 {
     FakeScrubDevice dev;
-    core::VoltageCache cache;
-    Scrubber scrub(scrubConfig(), dev, &cache);
+    Scrubber scrub(scrubConfig(), dev);
     // A host write can trigger GC (and thus the erase hook) before
     // the first maintenance window ever initializes the scrubber.
     EXPECT_NO_THROW(scrub.noteErase(0, 0));
     EXPECT_FALSE(scrub.isWarm(0, 0, 0.0));
     EXPECT_EQ(scrub.warmFraction(0.0), 0.0);
-    EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
 TEST(Scrubber, EraseDropsWarmthCacheEntryAndQueuedRefresh)
@@ -415,19 +411,15 @@ TEST(Scrubber, EraseDropsWarmthCacheEntryAndQueuedRefresh)
     ScrubberConfig cfg = scrubConfig(100.0, 4);
     cfg.refreshRber = 0.005;
     cfg.refreshPageBudget = 0; // queue, but never execute
-    core::VoltageCache cache;
-    Scrubber scrub(cfg, dev, &cache);
+    Scrubber scrub(cfg, dev);
 
     scrub.maintain(host, 1000.0); // several scans: blocks 0..N probed
     ASSERT_GT(metrics.counter("scrub.probes"), 0u);
     ASSERT_TRUE(scrub.isWarm(0, 0, 1000.0));
-    ASSERT_TRUE(cache.lookup(0, core::BlockEpoch{}).has_value());
     ASSERT_GT(scrub.refreshQueueDepth(), 0u);
 
     scrub.noteErase(0, 0);
     EXPECT_FALSE(scrub.isWarm(0, 0, 1000.0));
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-    EXPECT_FALSE(cache.lookup(0, core::BlockEpoch{}).has_value());
 }
 
 TEST(Scrubber, ModelUncertaintyOrdersProbesAwayFromConfidentBlocks)
@@ -450,7 +442,7 @@ TEST(Scrubber, ModelUncertaintyOrdersProbesAwayFromConfidentBlocks)
         host.ftl = &ftl;
         host.metrics = metrics;
         FakeScrubDevice dev(1e-4, -3);
-        Scrubber scrub(scrubConfig(100.0, 4), dev, nullptr, model);
+        Scrubber scrub(scrubConfig(100.0, 4), dev, model);
         scrub.maintain(host, 1000.0);
         EXPECT_GT(metrics->counter("scrub.probes"), 0u);
         if (model != nullptr) {

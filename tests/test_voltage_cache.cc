@@ -1,6 +1,6 @@
 /**
  * Per-block inferred-voltage cache: unit semantics (hit / miss /
- * stale / store accounting, epoch keying, invalidation) and the
+ * stale / store / rewarm accounting, epoch keying) and the
  * cache-seeded SentinelPolicy flow — a hit skips the assist read,
  * epochs go stale on P/E-cycle or retention change, and the counters
  * always sum to the number of policy sessions.
@@ -63,18 +63,6 @@ TEST(VoltageCache, EpochMismatchIsStaleAndDropsTheEntry)
     EXPECT_EQ(s.stales, 3u);
 }
 
-TEST(VoltageCache, InvalidateRemovesOnlyThatBlock)
-{
-    VoltageCache cache;
-    const BlockEpoch epoch{1, 1.0, 25.0};
-    cache.store(1, epoch, 5);
-    cache.store(2, epoch, 6);
-    cache.invalidate(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_FALSE(cache.lookup(1, epoch).has_value());
-    EXPECT_TRUE(cache.lookup(2, epoch).has_value());
-}
-
 TEST(VoltageCache, EpochComparisonToleratesFloatRoundTrips)
 {
     // Aging checkpoints reproduce retention state through
@@ -121,24 +109,6 @@ TEST(VoltageCache, RewarmCountsSeparatelyFromStores)
     cache.exportMetrics(metrics);
     EXPECT_EQ(metrics.counter("cache.store"), 1u);
     EXPECT_EQ(metrics.counter("cache.rewarm"), 2u);
-}
-
-TEST(VoltageCache, InvalidationsCountOnlyLiveEntries)
-{
-    VoltageCache cache;
-    const BlockEpoch epoch{100, 10.0, 25.0};
-    cache.invalidate(9); // nothing cached: not an invalidation
-    EXPECT_EQ(cache.stats().invalidations, 0u);
-
-    cache.store(9, epoch, 2);
-    cache.invalidate(9);
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-    cache.invalidate(9); // already gone
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-
-    util::MetricsRegistry metrics;
-    cache.exportMetrics(metrics);
-    EXPECT_EQ(metrics.counter("cache.invalidate"), 1u);
 }
 
 TEST(VoltageCache, EpochOfReadsBlockAge)
